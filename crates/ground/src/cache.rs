@@ -10,7 +10,7 @@
 use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
 use earthplus_telemetry::{names, Counter, TelemetrySink};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Relative weights of the two eviction signals.
 ///
@@ -144,7 +144,9 @@ struct CacheEntry {
 /// hybrid eviction policy and instrumentation.
 #[derive(Debug)]
 pub struct EvictingReferenceCache {
-    entries: HashMap<(LocationId, Band), CacheEntry>,
+    /// Ordered by key so the scheduler's staleness sweep can walk the
+    /// cache in step with a sorted target list ([`Self::iter`]).
+    entries: BTreeMap<(LocationId, Band), CacheEntry>,
     capacity_bytes: Option<u64>,
     policy: EvictionPolicy,
     bytes: u64,
@@ -174,7 +176,7 @@ impl EvictingReferenceCache {
         counters: CacheCounters,
     ) -> Self {
         EvictingReferenceCache {
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             capacity_bytes,
             policy,
             bytes: 0,
@@ -206,6 +208,12 @@ impl EvictingReferenceCache {
     /// the on-board serving statistics.
     pub fn peek(&self, location: LocationId, band: Band) -> Option<&ReferenceImage> {
         self.entries.get(&(location, band)).map(|e| &e.reference)
+    }
+
+    /// Every cached reference in `(location, band)` order, with the same
+    /// no-side-effects contract as [`Self::peek`].
+    pub fn iter(&self) -> impl Iterator<Item = &ReferenceImage> {
+        self.entries.values().map(|e| &e.reference)
     }
 
     /// Installs a full reference, evicting as needed to stay under the
@@ -276,9 +284,12 @@ impl EvictingReferenceCache {
                         self.policy.lru_weight * (self.tick - e.last_access) as f64
                             + self.policy.age_weight * (self.now_day - e.reference.captured_day)
                     };
+                    // Equal scores fall to the key, so the victim never
+                    // depends on iteration order.
                     score(a.1)
                         .partial_cmp(&score(b.1))
                         .expect("eviction scores are finite")
+                        .then_with(|| a.0.cmp(b.0))
                 })
                 .map(|(key, _)| *key);
             let Some(victim) = victim else { break };
@@ -422,6 +433,27 @@ mod tests {
         // it was installed more recently than the day-9 one.
         assert!(cache.peek(LocationId(1), red()).is_none());
         assert!(cache.peek(LocationId(0), red()).is_some());
+    }
+
+    #[test]
+    fn equal_scores_evict_the_same_victim_every_time() {
+        let one = reference(0, 1.0).size_bytes();
+        for _ in 0..32 {
+            // A fresh cache each round: nothing may depend on per-map
+            // hasher state.
+            let mut cache = EvictingReferenceCache::new(Some(2 * one));
+            // Installed at ticks 1 and 2; the third install evicts at
+            // tick 3, day 12: (3 - 1) + (12 - 11) == (3 - 2) + (12 - 10).
+            cache.install(reference(0, 11.0));
+            cache.install(reference(1, 10.0));
+            cache.install(reference(2, 12.0));
+            assert_eq!(cache.len(), 2);
+            assert!(cache.peek(LocationId(0), red()).is_some());
+            assert!(
+                cache.peek(LocationId(1), red()).is_none(),
+                "a tie must fall to the larger key"
+            );
+        }
     }
 
     #[test]

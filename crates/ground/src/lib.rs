@@ -34,9 +34,10 @@
 //! * [`cache`] — [`EvictingReferenceCache`]: the capacity-bounded on-board
 //!   cache model with an age/LRU hybrid eviction policy and
 //!   hit/miss/eviction counters;
-//! * [`scheduler`] — [`ConstellationScheduler`]: a staleness-weighted
-//!   queue that batches [`ReferenceDelta`]s across *all* satellites'
-//!   contact windows in one pass, replacing per-satellite greedy planning;
+//! * [`scheduler`] — [`ConstellationScheduler`]: plans *all* satellites'
+//!   contact windows in one pass — one store read per stale reference,
+//!   one staleness-weighted update queue per satellite — replacing
+//!   per-satellite greedy planning;
 //! * [`service`] — the [`GroundService`] facade (`ingest_downlink`,
 //!   `plan_contact`, `plan_pass`, `serve_reference`, `stats`) that the
 //!   Earth+ strategy and the mission simulator drive.

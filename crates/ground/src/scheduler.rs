@@ -2,23 +2,26 @@
 //!
 //! [`crate::uplink::UplinkPlanner`] plans one satellite's contact greedily
 //! and in isolation; it cannot see that the same reference is about to be
-//! uploaded to three satellites, or that another satellite's contact two
+//! uploaded to three satellites, or that the satellite's own contact two
 //! hours later has slack. [`ConstellationScheduler`] plans a whole *pass*
-//! — every satellite's contact windows since the last planning round — as
-//! one staleness-weighted queue: the update worth the most freshness wins
-//! the next bytes, wherever in the constellation they are. Per-contact
-//! byte budgets are supplied by the caller from the link model, so
-//! bandwidth fluctuation and outages (§5, *Handling bandwidth
-//! fluctuation*) are handled exactly as before: a degraded contact simply
-//! offers fewer bytes, and whatever does not fit is served stale from the
-//! on-board cache.
+//! — every satellite's contact windows since the last planning round —
+//! against one sweep of the store: each target is probed once and each
+//! stale reference is read once, however many satellites need it, and
+//! each satellite's updates form a staleness-weighted queue packed into
+//! that satellite's windows, earliest first. Per-contact byte budgets are
+//! supplied by the caller from the link model, so bandwidth fluctuation
+//! and outages (§5, *Handling bandwidth fluctuation*) are handled exactly
+//! as before: a degraded contact simply offers fewer bytes, and whatever
+//! does not fit is served stale from the on-board cache.
 
 use crate::backend::ReferenceBackend;
 use crate::cache::EvictingReferenceCache;
-use crate::uplink::{compute_delta, ReferenceDelta, UplinkReport};
+use crate::reference::ReferenceImage;
+use crate::uplink::{changed_pixels, install_bytes, patch_bytes, UplinkReport};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId};
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, HashMap};
 
 /// One satellite ground-contact window offered to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,9 +35,23 @@ pub struct ContactWindow {
     pub budget_bytes: u64,
 }
 
-struct Candidate {
-    satellite: SatelliteId,
-    delta: ReferenceDelta,
+/// One target the store holds, probed once per pass.
+struct Probe {
+    key: (LocationId, Band),
+    /// Capture day of the store's freshest reference.
+    day: f64,
+    /// That reference, read from the store by the first satellite that
+    /// finds the key stale and shared by every later one: its delta, its
+    /// full install, and its mid-pass re-validation all borrow this copy.
+    reference: OnceCell<ReferenceImage>,
+}
+
+/// One pending update for one satellite.
+struct Candidate<'p> {
+    pool_ref: &'p ReferenceImage,
+    /// Changed pixels against the copy the satellite caches; `None` sends
+    /// the reference in full (cold cache or resolution reconfiguration).
+    patch: Option<Vec<(u32, f32)>>,
     /// Freshness gain in days; infinite for a cold cache (a full install
     /// outranks any delta, matching the legacy greedy planner).
     staleness: f64,
@@ -60,10 +77,16 @@ impl ConstellationScheduler {
     /// satellites' caches. A satellite seen for the first time gets a
     /// cache from `new_cache`, so capacity bounds and eviction policy are
     /// the caller's decision, not the scheduler's. The scheduler is
-    /// backend-agnostic: `store` may be the in-memory sharded store or
-    /// the persistent log-structured one, and the plan is identical for
-    /// identical store contents (candidates are totally ordered by
-    /// staleness, cost, location, and band).
+    /// backend-agnostic: `store` may be the in-memory sharded store or a
+    /// durable one, and the plan is identical for identical store
+    /// contents — satellites are planned in id order, and each
+    /// satellite's updates are totally ordered by staleness, cost,
+    /// location, and band.
+    ///
+    /// Store traffic per pass: one `fresh_day` probe per distinct target,
+    /// and one `get` — a disk read on the durable backends — per target
+    /// that is stale on at least one satellite, however many satellites
+    /// that is.
     ///
     /// Returns one [`UplinkReport`] per contact window, in input order.
     /// An update that fits in none of its satellite's windows is counted
@@ -86,7 +109,7 @@ impl ConstellationScheduler {
             .collect();
 
         // Each satellite's windows in day order (indices into `contacts`).
-        let mut windows_of: HashMap<SatelliteId, Vec<usize>> = HashMap::new();
+        let mut windows_of: BTreeMap<SatelliteId, Vec<usize>> = BTreeMap::new();
         for (i, contact) in contacts.iter().enumerate() {
             windows_of.entry(contact.satellite).or_default().push(i);
         }
@@ -99,106 +122,135 @@ impl ConstellationScheduler {
             });
         }
 
-        // Build the constellation-wide candidate queue.
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for &satellite in windows_of.keys() {
-            let cache = caches.entry(satellite).or_insert_with(&new_cache);
-            for &(location, band) in targets {
-                let Some(pool_day) = store.fresh_day(location, band) else {
-                    continue;
-                };
-                let cached = cache.peek(location, band);
-                let cached_day = cached.map(|c| c.captured_day);
-                if cached_day.is_some_and(|d| d >= pool_day) {
-                    continue;
-                }
-                let pool_ref = store
-                    .get(location, band)
-                    .expect("probed reference still present");
-                let Some(delta) = compute_delta(&pool_ref, cache.peek(location, band), self.theta)
-                else {
-                    continue;
-                };
-                if delta.is_empty() {
-                    // Content identical (nothing changed on the ground):
-                    // advance the cache timestamp for free.
-                    cache.apply_delta(location, band, delta.day, &[], None);
-                    continue;
-                }
-                let staleness = cached_day.map_or(f64::INFINITY, |d| delta.day - d);
-                let cost = delta.size_bytes();
-                candidates.push(Candidate {
-                    satellite,
-                    delta,
-                    staleness,
-                    cost,
-                });
-            }
-        }
+        // Probe the store once per target, in key order: caches iterate in
+        // key order too, so each satellite's staleness check is a merge
+        // walk instead of a lookup per (key, satellite).
+        let mut keys = targets.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        let probes: Vec<Probe> = keys
+            .into_iter()
+            .filter_map(|key| {
+                Some(Probe {
+                    key,
+                    day: store.fresh_day(key.0, key.1)?,
+                    reference: OnceCell::new(),
+                })
+            })
+            .collect();
 
-        // Largest freshness gain first; cheaper first among equals so a
-        // constricted pass freshens as many locations as possible.
-        candidates.sort_by(|a, b| {
-            b.staleness
-                .partial_cmp(&a.staleness)
-                .expect("staleness is finite or +inf")
-                .then(a.cost.cmp(&b.cost))
-                .then(a.delta.location.cmp(&b.delta.location))
-                .then(a.delta.band.cmp(&b.delta.band))
-        });
-
+        // Budgets and caches are per satellite, so nothing couples two
+        // satellites: each is queued and placed on its own.
         let mut remaining: Vec<u64> = contacts.iter().map(|c| c.budget_bytes).collect();
-        for candidate in candidates {
-            let cache = caches
-                .get_mut(&candidate.satellite)
-                .expect("cache created above");
-            // Re-validate against the cache *now*: a capacity-bounded
-            // cache may have evicted this entry while an earlier update in
-            // the same pass was installed, in which case the pixel delta
-            // would patch nothing — re-send in full at its real cost.
-            let (location, band) = (candidate.delta.location, candidate.delta.band);
-            let delta = if candidate.delta.full.is_none() && cache.peek(location, band).is_none() {
-                let pool_ref = store
-                    .get(location, band)
-                    .expect("probed reference still present");
-                match compute_delta(&pool_ref, None, self.theta) {
-                    Some(delta) => delta,
-                    None => continue,
-                }
-            } else {
-                candidate.delta
-            };
-            let cost = delta.size_bytes();
-            let windows = &windows_of[&candidate.satellite];
-            let slot = windows.iter().copied().find(|&i| remaining[i] >= cost);
-            match slot {
-                Some(i) => {
-                    remaining[i] -= cost;
-                    reports[i].bytes_used += cost;
-                    reports[i].deltas_sent += 1;
-                    cache.apply_delta(
-                        delta.location,
-                        delta.band,
-                        delta.day,
-                        &delta.pixels,
-                        delta.full.as_ref(),
-                    );
-                }
-                None => {
+        for (satellite, windows) in windows_of {
+            let cache = caches.entry(satellite).or_insert_with(&new_cache);
+            let mut queue = self.stale_updates(store, cache, &probes);
+            // Largest freshness gain first; cheaper first among equals so
+            // a constricted pass freshens as many locations as possible.
+            queue.sort_unstable_by(|a, b| {
+                b.staleness
+                    .partial_cmp(&a.staleness)
+                    .expect("staleness is finite or +inf")
+                    .then(a.cost.cmp(&b.cost))
+                    .then(a.pool_ref.location.cmp(&b.pool_ref.location))
+                    .then(a.pool_ref.band.cmp(&b.pool_ref.band))
+            });
+            for candidate in queue {
+                let pool_ref = candidate.pool_ref;
+                let (location, band) = (pool_ref.location, pool_ref.band);
+                // Re-validate against the cache *now*: a capacity-bounded
+                // cache may have evicted this entry while an earlier update
+                // in the same pass was installed, in which case the pixel
+                // delta would patch nothing — re-send in full at its real
+                // cost.
+                let (patch, cost) = match candidate.patch {
+                    Some(_) if cache.peek(location, band).is_none() => {
+                        (None, install_bytes(pool_ref))
+                    }
+                    patch => (patch, candidate.cost),
+                };
+                let Some(i) = windows.iter().copied().find(|&i| remaining[i] >= cost) else {
                     let last = *windows.last().expect("satellite has a window");
                     reports[last].deltas_skipped += 1;
+                    continue;
+                };
+                remaining[i] -= cost;
+                reports[i].bytes_used += cost;
+                reports[i].deltas_sent += 1;
+                match patch {
+                    Some(pixels) => {
+                        cache.apply_delta(location, band, pool_ref.captured_day, &pixels, None)
+                    }
+                    None => cache.install(pool_ref.clone()),
                 }
             }
         }
         reports
+    }
+
+    /// The updates that would bring `cache` up to the probed store state,
+    /// unordered. A stale entry whose content is identical (nothing
+    /// changed on the ground) has its timestamp advanced here, for free,
+    /// instead of becoming an update.
+    fn stale_updates<'p>(
+        &self,
+        store: &dyn ReferenceBackend,
+        cache: &mut EvictingReferenceCache,
+        probes: &'p [Probe],
+    ) -> Vec<Candidate<'p>> {
+        let mut queue = Vec::new();
+        let mut unchanged: Vec<&ReferenceImage> = Vec::new();
+        let mut cached_refs = cache.iter().peekable();
+        for probe in probes {
+            while cached_refs
+                .next_if(|c| (c.location, c.band) < probe.key)
+                .is_some()
+            {}
+            let cached = cached_refs.next_if(|c| (c.location, c.band) == probe.key);
+            if cached.is_some_and(|c| c.captured_day >= probe.day) {
+                continue;
+            }
+            let pool_ref = probe.reference.get_or_init(|| {
+                store
+                    .get(probe.key.0, probe.key.1)
+                    .expect("probed reference still present")
+            });
+            let patch = cached.and_then(|c| changed_pixels(pool_ref, c, self.theta));
+            let cost = match &patch {
+                Some(pixels) if pixels.is_empty() => {
+                    unchanged.push(pool_ref);
+                    continue;
+                }
+                Some(pixels) => patch_bytes(pool_ref.lowres.len(), pixels.len()),
+                None => install_bytes(pool_ref),
+            };
+            queue.push(Candidate {
+                pool_ref,
+                patch,
+                staleness: cached.map_or(f64::INFINITY, |c| pool_ref.captured_day - c.captured_day),
+                cost,
+            });
+        }
+        drop(cached_refs);
+        for pool_ref in unchanged {
+            cache.apply_delta(
+                pool_ref.location,
+                pool_ref.band,
+                pool_ref.captured_day,
+                &[],
+                None,
+            );
+        }
+        queue
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{ReferenceImage, DEFAULT_REFERENCE_DOWNSAMPLE};
+    use crate::reference::DEFAULT_REFERENCE_DOWNSAMPLE;
     use crate::store::ShardedReferenceStore;
+    use crate::uplink::compute_delta;
     use earthplus_raster::{PlanetBand, Raster};
 
     fn red() -> Band {

@@ -559,7 +559,8 @@ impl GroundService {
     }
 
     /// Plans a whole pass: every contact window of the constellation since
-    /// the last planning round, scheduled as one staleness-weighted queue.
+    /// the last planning round, against one sweep of the store (see
+    /// [`ConstellationScheduler::plan_pass`]).
     pub fn plan_pass(&self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
         let _span = SpanTimer::start(&self.plan_pass_ns);
         let mut trace = self

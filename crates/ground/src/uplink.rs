@@ -37,15 +37,11 @@ pub struct ReferenceDelta {
 
 impl ReferenceDelta {
     /// Transmission cost in bytes.
-    ///
-    /// Full install: every sample at 12 bits. Delta: a presence bitmap over
-    /// the low-resolution grid plus the changed samples.
     pub fn size_bytes(&self) -> u64 {
-        if let Some(full) = &self.full {
-            return MESSAGE_HEADER_BYTES + full.size_bytes();
+        match &self.full {
+            Some(full) => install_bytes(full),
+            None => patch_bytes(self.total_pixels as usize, self.pixels.len()),
         }
-        let bitmap = (self.total_pixels as u64).div_ceil(8);
-        MESSAGE_HEADER_BYTES + bitmap + self.pixels.len() as u64 * BYTES_PER_DELTA_PIXEL
     }
 
     /// Whether this message changes nothing (fresh cache).
@@ -54,8 +50,47 @@ impl ReferenceDelta {
     }
 }
 
+/// Cost of sending `reference` in full: every sample at 12 bits.
+pub(crate) fn install_bytes(reference: &ReferenceImage) -> u64 {
+    MESSAGE_HEADER_BYTES + reference.size_bytes()
+}
+
+/// Cost of a pixel delta: a presence bitmap over the `total_pixels`
+/// low-resolution grid plus the `changed` samples.
+pub(crate) fn patch_bytes(total_pixels: usize, changed: usize) -> u64 {
+    MESSAGE_HEADER_BYTES
+        + (total_pixels as u64).div_ceil(8)
+        + changed as u64 * BYTES_PER_DELTA_PIXEL
+}
+
+/// The low-resolution pixels of `pool_ref` that differ from `cached` by
+/// more than `theta`, as `(flat index, new value)`. `None` when the two
+/// have different geometry (a resolution reconfiguration), where patching
+/// is meaningless and the reference must be re-sent in full.
+pub(crate) fn changed_pixels(
+    pool_ref: &ReferenceImage,
+    cached: &ReferenceImage,
+    theta: f32,
+) -> Option<Vec<(u32, f32)>> {
+    if cached.lowres.dimensions() != pool_ref.lowres.dimensions() {
+        return None;
+    }
+    Some(
+        pool_ref
+            .lowres
+            .as_slice()
+            .iter()
+            .zip(cached.lowres.as_slice())
+            .enumerate()
+            .filter(|(_, (new, old))| (*new - *old).abs() > theta)
+            .map(|(i, (new, _))| (i as u32, *new))
+            .collect(),
+    )
+}
+
 /// Computes the update message bringing a satellite's cached reference up
-/// to the pool's freshest one.
+/// to the pool's freshest one: a full install on a cold cache or after a
+/// resolution reconfiguration, the changed pixels otherwise.
 ///
 /// Returns `None` when the cache is already at least as fresh.
 pub fn compute_delta(
@@ -63,47 +98,19 @@ pub fn compute_delta(
     cached: Option<&ReferenceImage>,
     theta: f32,
 ) -> Option<ReferenceDelta> {
-    match cached {
-        None => Some(ReferenceDelta {
-            location: pool_ref.location,
-            band: pool_ref.band,
-            day: pool_ref.captured_day,
-            pixels: Vec::new(),
-            full: Some(pool_ref.clone()),
-            total_pixels: pool_ref.lowres.len() as u32,
-        }),
-        Some(cached) if cached.captured_day >= pool_ref.captured_day => None,
-        Some(cached) => {
-            if cached.lowres.dimensions() != pool_ref.lowres.dimensions() {
-                // Resolution changed (reconfiguration): resend in full.
-                return Some(ReferenceDelta {
-                    location: pool_ref.location,
-                    band: pool_ref.band,
-                    day: pool_ref.captured_day,
-                    pixels: Vec::new(),
-                    full: Some(pool_ref.clone()),
-                    total_pixels: pool_ref.lowres.len() as u32,
-                });
-            }
-            let pixels: Vec<(u32, f32)> = pool_ref
-                .lowres
-                .as_slice()
-                .iter()
-                .zip(cached.lowres.as_slice())
-                .enumerate()
-                .filter(|(_, (new, old))| (*new - *old).abs() > theta)
-                .map(|(i, (new, _))| (i as u32, *new))
-                .collect();
-            Some(ReferenceDelta {
-                location: pool_ref.location,
-                band: pool_ref.band,
-                day: pool_ref.captured_day,
-                pixels,
-                full: None,
-                total_pixels: pool_ref.lowres.len() as u32,
-            })
-        }
-    }
+    let pixels = match cached {
+        Some(cached) if cached.captured_day >= pool_ref.captured_day => return None,
+        Some(cached) => changed_pixels(pool_ref, cached, theta),
+        None => None,
+    };
+    Some(ReferenceDelta {
+        location: pool_ref.location,
+        band: pool_ref.band,
+        day: pool_ref.captured_day,
+        full: pixels.is_none().then(|| pool_ref.clone()),
+        pixels: pixels.unwrap_or_default(),
+        total_pixels: pool_ref.lowres.len() as u32,
+    })
 }
 
 /// Outcome of planning one contact's uplink.
