@@ -135,10 +135,10 @@ pub fn encode_planes(coefficients: &[i32], width: usize) -> EncodedPlanes {
 /// mask (one bit per coefficient), a per-plane magnitude-bit mask packed 64
 /// coefficients at a time, and neighbour-context masks derived for a whole
 /// word from the shifted significance masks of the row above
-/// ([`derive_context_masks`]). The next candidate is found with
+/// (`derive_context_masks`). The next candidate is found with
 /// `trailing_zeros`, a word with no candidate is skipped with a single
 /// load, and the context modelling reproduces the per-coefficient probe in
-/// [`neighbor_context`] bit for bit — frozen during a pass, published
+/// `neighbor_context` bit for bit — frozen during a pass, published
 /// between passes — so the stream is byte-identical to the list-driven
 /// coder this replaces (and to `reference`).
 ///
@@ -577,7 +577,7 @@ fn run_entry_at(scan: &RunScan, p: usize) -> (usize, u32) {
 
 /// EPC2 encoder: the v1 list-driven coder plus the zero-run significance
 /// mode. Runs of consecutive context-0 (no significant causal neighbour)
-/// coefficients are grouped into chunks of up to [`RUN_MAX`]; each chunk
+/// coefficients are grouped into chunks of up to `RUN_MAX`; each chunk
 /// costs one adaptive "all clear" decision when nothing in it becomes
 /// significant — the dominant case in the upper bitplanes — instead of one
 /// decision per coefficient. When a chunk does contain a new significant

@@ -71,8 +71,8 @@ pub use change::{ChangeDetection, ChangeDetector};
 pub use config::{DovesSpec, EarthPlusConfig};
 pub use earthplus_ground::{
     CacheStats, ConstellationScheduler, ContactWindow, EvictingReferenceCache, EvictionPolicy,
-    GroundService, GroundServiceConfig, GroundServiceStats, IngestReport, PersistentReferenceStore,
-    ReferenceBackend, ReferenceBackendConfig, ShardedReferenceStore, ShipQueueConfig,
+    GroundService, GroundServiceConfig, GroundServiceStats, IngestReport, ReferenceBackend,
+    ReferenceBackendConfig, ReplicatedReferenceStore, ShardedReferenceStore, ShipQueueConfig,
     StationSetConfig,
 };
 pub use earthplus_telemetry::{

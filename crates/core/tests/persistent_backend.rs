@@ -1,18 +1,17 @@
 //! The acceptance test of the pluggable reference backend: the same
 //! simulated mission, run once on the in-memory store and once on the
-//! durable log-structured store, must produce *identical* uplink
-//! schedules and capture accounting — persistence is a storage property,
-//! not a behaviour change. Plus the storage-model cross-check: the
-//! persistent archive's on-disk accounting must tie out, byte for byte,
-//! with the logical reference model the in-memory store reports.
+//! durable log-structured store (one station, no replicas), must produce
+//! *identical* uplink schedules and capture accounting — persistence is a
+//! storage property, not a behaviour change. Plus the storage-model
+//! cross-check: the durable archive's on-disk accounting must tie out,
+//! byte for byte, with the logical reference model the in-memory store
+//! reports.
 
 use earthplus::prelude::*;
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
-use earthplus_ground::{
-    GroundServiceConfig, PersistentReferenceStore, ReferenceBackend, ReferenceBackendConfig,
-};
+use earthplus_ground::{GroundService, GroundServiceConfig};
 use earthplus_orbit::LinkModel;
-use earthplus_refstore::{framed_len, RefLogConfig};
+use earthplus_refstore::{framed_len, list_segments};
 use earthplus_scene::large_constellation;
 use std::path::PathBuf;
 
@@ -54,10 +53,7 @@ fn mission_schedules_identical_on_both_backends_and_storage_ties_out() {
 
     let ground = GroundServiceConfig::default()
         .with_targets(targets)
-        .with_backend(ReferenceBackendConfig::Persistent {
-            dir: root.clone(),
-            log: RefLogConfig::default(),
-        });
+        .with_persistence(&root);
     let mut persistent = EarthPlusStrategy::with_ground_config(config, detector, ground);
     let report_disk = sim.run(&mut [&mut persistent]);
 
@@ -102,7 +98,7 @@ fn mission_schedules_identical_on_both_backends_and_storage_ties_out() {
     // Storage-model cross-check: every live on-disk record costs exactly
     // frame overhead + payload header + 4 bytes per low-res sample, so
     // the logical reference model (what the in-memory store reports)
-    // predicts the persistent archive's live bytes with no slack.
+    // predicts the durable archive's live bytes with no slack.
     let shards = persistent.ground().config().shards;
     let mut expected_live = 0u64;
     let mut expected_logical = 0u64;
@@ -118,13 +114,23 @@ fn mission_schedules_identical_on_both_backends_and_storage_ties_out() {
         }
     }
     drop(persistent); // release the shard directories
-    let (archive, report) =
-        PersistentReferenceStore::open(&root, shards, RefLogConfig::default()).unwrap();
-    assert!(report.clean());
-    assert_eq!(archive.stats().live_bytes, expected_live);
-    assert_eq!(ReferenceBackend::size_bytes(&archive), expected_logical);
+    let archive = GroundService::new(GroundServiceConfig {
+        shards,
+        ..GroundServiceConfig::default().with_persistence(&root)
+    });
+    assert!(archive.recovery_report().unwrap().clean());
+    let live_bytes = archive.stations().unwrap().stats().store.live_bytes;
+    assert_eq!(live_bytes, expected_live);
+    assert_eq!(archive.store().size_bytes(), expected_logical);
+    // The one station's shard logs live under `station-00/shard-NNN`.
+    let disk_bytes: u64 = (0..shards)
+        .flat_map(|i| {
+            list_segments(&root.join("station-00").join(format!("shard-{i:03}"))).unwrap()
+        })
+        .map(|(_, path)| std::fs::metadata(path).unwrap().len())
+        .sum();
     assert!(
-        archive.disk_bytes().unwrap() >= archive.stats().live_bytes,
+        disk_bytes >= live_bytes,
         "files hold at least the live records"
     );
     let _ = std::fs::remove_dir_all(&root);
@@ -158,7 +164,7 @@ fn service_restart_resumes_with_identical_store() {
     let report = revived
         .ground()
         .recovery_report()
-        .expect("persistent backend reports recovery");
+        .expect("durable backend reports recovery");
     assert!(report.clean(), "clean shutdown must recover cleanly");
     assert_eq!(report.live_records as usize, entries);
     let store = revived.ground().store();

@@ -1,16 +1,15 @@
-//! The pluggable reference-store backend seam.
+//! The reference-store backend seam.
 //!
-//! `GroundService` and the constellation scheduler used to be welded to
-//! the in-memory [`ShardedReferenceStore`]; [`ReferenceBackend`] abstracts
-//! the store surface they actually use, so the same service, scheduler,
-//! and mission simulator run unchanged on the in-memory store or on the
-//! durable [`crate::PersistentReferenceStore`] — the backend is picked by
+//! [`ReferenceBackend`] abstracts the store surface `GroundService` and
+//! the constellation scheduler actually use, so the same service,
+//! scheduler, and mission simulator run unchanged on the in-memory
+//! [`ShardedReferenceStore`] or on the durable
+//! [`crate::ReplicatedReferenceStore`] — the backend is picked by
 //! [`crate::GroundServiceConfig`], not by the call sites.
 
 use crate::reference::ReferenceImage;
 use crate::store::{shard_index, IngestReport, ShardedReferenceStore};
 use earthplus_raster::{Band, LocationId};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The store surface the ground segment schedules against.
 ///
@@ -26,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The surface is infallible; backends over fallible media panic on
 /// runtime storage errors rather than silently dropping references (see
-/// the [`crate::persistent`] module docs for the policy).
+/// the [`crate::station`] module docs for the policy).
 pub trait ReferenceBackend: Send + Sync + std::fmt::Debug {
     /// Offers a new cloud-free reference; kept if fresher than the
     /// current generation. Returns whether the store updated.
@@ -56,61 +55,17 @@ pub trait ReferenceBackend: Send + Sync + std::fmt::Debug {
     fn keys(&self) -> Vec<(LocationId, Band)>;
 
     /// Ingests a batch of downlinked references on up to `threads`
-    /// workers. The default fans chunks out over [`ReferenceBackend::offer`],
-    /// which is correct for any backend because `offer` re-checks
-    /// freshness under its own synchronisation.
-    fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
-        parallel_offer(self, references, threads)
-    }
+    /// workers; the store ends where sequential
+    /// [`ReferenceBackend::offer`]s of the batch would leave it.
+    fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport;
 
     /// Flushes whatever durability the backend offers (no-op in memory).
     fn sync(&self) {}
 }
 
-/// Fans a batch out over `offer` on a `std::thread` worker pool —
-/// the shared implementation behind both backends' `ingest_batch`.
-pub fn parallel_offer<B: ReferenceBackend + ?Sized>(
-    backend: &B,
-    mut references: Vec<ReferenceImage>,
-    threads: usize,
-) -> IngestReport {
-    let threads = threads.max(1).min(references.len().max(1));
-    let accepted = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-    let chunk = references.len().div_ceil(threads).max(1);
-    let mut chunks: Vec<Vec<ReferenceImage>> = Vec::with_capacity(threads);
-    while references.len() > chunk {
-        let tail = references.split_off(references.len() - chunk);
-        chunks.push(tail);
-    }
-    chunks.push(references);
-    std::thread::scope(|scope| {
-        for chunk in chunks {
-            let (accepted, rejected) = (&accepted, &rejected);
-            scope.spawn(move || {
-                let mut local_accepted = 0u64;
-                let mut local_rejected = 0u64;
-                for reference in chunk {
-                    if backend.offer(reference) {
-                        local_accepted += 1;
-                    } else {
-                        local_rejected += 1;
-                    }
-                }
-                accepted.fetch_add(local_accepted, Ordering::Relaxed);
-                rejected.fetch_add(local_rejected, Ordering::Relaxed);
-            });
-        }
-    });
-    IngestReport {
-        accepted: accepted.into_inner(),
-        rejected: rejected.into_inner(),
-    }
-}
-
 /// Routes a batch into per-shard groups (index `i` holds shard `i`'s
 /// references, arrival order preserved) — the grouping step behind the
-/// durable backends' group-commit ingest: one batch append (and one ship)
+/// durable backend's group-commit ingest: one batch append (and one ship)
 /// per touched shard instead of one per reference.
 pub(crate) fn shard_batches(
     references: Vec<ReferenceImage>,
@@ -123,47 +78,6 @@ pub(crate) fn shard_batches(
         groups[idx].push(reference);
     }
     groups
-}
-
-/// A shared backend is a backend: lets the service box an
-/// `Arc<ReplicatedReferenceStore>` (or any other backend) while keeping a
-/// second handle for control-plane calls (failover, replication pumps).
-impl<T: ReferenceBackend> ReferenceBackend for std::sync::Arc<T> {
-    fn offer(&self, reference: ReferenceImage) -> bool {
-        (**self).offer(reference)
-    }
-
-    fn get(&self, location: LocationId, band: Band) -> Option<ReferenceImage> {
-        (**self).get(location, band)
-    }
-
-    fn fresh_day(&self, location: LocationId, band: Band) -> Option<f64> {
-        (**self).fresh_day(location, band)
-    }
-
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn is_empty(&self) -> bool {
-        (**self).is_empty()
-    }
-
-    fn size_bytes(&self) -> u64 {
-        (**self).size_bytes()
-    }
-
-    fn keys(&self) -> Vec<(LocationId, Band)> {
-        (**self).keys()
-    }
-
-    fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
-        (**self).ingest_batch(references, threads)
-    }
-
-    fn sync(&self) {
-        (**self).sync()
-    }
 }
 
 impl ReferenceBackend for ShardedReferenceStore {
@@ -256,25 +170,6 @@ mod tests {
                 }
                 last_day_per_loc.insert(reference.location.0, reference.captured_day);
             }
-        }
-    }
-
-    #[test]
-    fn default_parallel_offer_matches_inherent_batch() {
-        let batch: Vec<ReferenceImage> = (0..24u32)
-            .flat_map(|loc| [reference(loc, 1.0), reference(loc, 2.0)])
-            .collect();
-        let store = ShardedReferenceStore::new(4);
-        let report = parallel_offer(&store, batch, 4);
-        assert_eq!(report.offered(), 48);
-        // Freshest-wins must hold under any interleaving: every location
-        // ends on day 2, however the chunks raced.
-        assert_eq!(ReferenceBackend::len(&store), 24);
-        for loc in 0..24u32 {
-            assert_eq!(
-                ReferenceBackend::fresh_day(&store, LocationId(loc), Band::Planet(PlanetBand::Red)),
-                Some(2.0)
-            );
         }
     }
 }

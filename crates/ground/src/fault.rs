@@ -5,9 +5,15 @@
 //! replica-segment corruptions, and probabilistic transfer faults
 //! (interrupted or corrupted segment ships, slow-disk stalls, mid-pass
 //! uplink drops). The [`FaultInjector`] turns the plan into concrete
-//! events with a seeded splitmix64 PRNG, so two runs of the same plan
+//! events with seeded splitmix64 PRNGs, so two runs of the same plan
 //! inject byte-identical faults — the property the failover tests lean
 //! on when they compare a faulted mission against a clean one.
+//!
+//! Storage-side faults (transfer faults and retry jitter) and mid-pass
+//! uplink drops draw from two separate streams derived from the one
+//! seed. How many ship attempts a run makes depends on how the ship
+//! queues coalesce shards, so on a shared stream it would decide which
+//! contact windows drop; on separate streams it cannot.
 //!
 //! The injector is pure bookkeeping: it never sleeps, touches no files
 //! itself, and owns no clocks. The replicated store and the ground
@@ -92,6 +98,9 @@ impl Default for FaultPlan {
     }
 }
 
+/// Salt that derives the uplink-drop stream's seed from the plan's.
+const UPLINK_STREAM_SALT: u64 = 0x75F1_1A4C_D20B_93E7;
+
 /// Seeded splitmix64 — the workspace's standard deterministic test PRNG.
 #[derive(Debug, Clone)]
 struct SplitMix64 {
@@ -110,6 +119,11 @@ impl SplitMix64 {
     /// Uniform in `[0, 1)`.
     fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A Bernoulli draw; consumes nothing when `p` is not positive.
+    fn chance(&mut self, p: f64) -> bool {
+        p > 0.0 && self.next_f64() < p
     }
 
     /// Uniform in `[0, bound)`; 0 for a zero bound.
@@ -135,24 +149,31 @@ pub struct TransferFaults {
     pub stall_us: Option<u64>,
 }
 
-/// The stateful side of a [`FaultPlan`]: the PRNG stream and which
+/// The stateful side of a [`FaultPlan`]: the PRNG streams and which
 /// one-shot events have fired.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    /// Storage-side stream: transfer faults and retry jitter.
     rng: SplitMix64,
+    /// Mid-pass uplink drops.
+    uplink_rng: SplitMix64,
     fired: Vec<bool>,
     injected: u64,
 }
 
 impl FaultInjector {
-    /// Builds the injector; the PRNG starts at `plan.seed`.
+    /// Builds the injector; the storage-side stream starts at
+    /// `plan.seed`, the uplink-drop stream at a salted copy of it.
     pub fn new(plan: FaultPlan) -> Self {
         let fired = vec![false; plan.corruptions.len()];
         let seed = plan.seed;
         FaultInjector {
             plan,
             rng: SplitMix64 { state: seed },
+            uplink_rng: SplitMix64 {
+                state: seed ^ UPLINK_STREAM_SALT,
+            },
             fired,
             injected: 0,
         }
@@ -193,8 +214,8 @@ impl FaultInjector {
 
     /// Rolls whether a transfer of `len` bytes is interrupted; on a hit,
     /// returns how many bytes make it through (at least 0, short of `len`).
-    pub fn ship_interrupt(&mut self, len: u64) -> Option<u64> {
-        if len == 0 || !self.chance(self.plan.ship_interrupt_probability) {
+    fn ship_interrupt(&mut self, len: u64) -> Option<u64> {
+        if len == 0 || !self.rng.chance(self.plan.ship_interrupt_probability) {
             return None;
         }
         self.injected += 1;
@@ -203,8 +224,8 @@ impl FaultInjector {
 
     /// Rolls whether a transfer is corrupted in flight; on a hit, returns
     /// the byte offset (within `len`) to flip.
-    pub fn ship_corrupt(&mut self, len: u64) -> Option<u64> {
-        if len == 0 || !self.chance(self.plan.ship_corrupt_probability) {
+    fn ship_corrupt(&mut self, len: u64) -> Option<u64> {
+        if len == 0 || !self.rng.chance(self.plan.ship_corrupt_probability) {
             return None;
         }
         self.injected += 1;
@@ -213,18 +234,22 @@ impl FaultInjector {
 
     /// Rolls a slow-disk stall; on a hit, returns the modelled stall
     /// duration in microseconds.
-    pub fn disk_stall(&mut self) -> Option<u64> {
-        if !self.chance(self.plan.disk_stall_probability) {
+    fn disk_stall(&mut self) -> Option<u64> {
+        if !self.rng.chance(self.plan.disk_stall_probability) {
             return None;
         }
         self.injected += 1;
         Some(self.plan.disk_stall_micros)
     }
 
-    /// Rolls a mid-pass uplink drop; on a hit, returns the fraction of
-    /// the window's byte budget that still gets through.
+    /// Rolls a mid-pass uplink drop on the uplink stream; on a hit,
+    /// returns the fraction of the window's byte budget that still gets
+    /// through.
     pub fn uplink_interrupt(&mut self) -> Option<f64> {
-        if !self.chance(self.plan.uplink_interrupt_probability) {
+        if !self
+            .uplink_rng
+            .chance(self.plan.uplink_interrupt_probability)
+        {
             return None;
         }
         self.injected += 1;
@@ -246,15 +271,11 @@ impl FaultInjector {
         }
     }
 
-    /// A uniform draw for jitter in `[0, bound)` — shares the plan's
-    /// PRNG stream so backoff schedules are as reproducible as the
-    /// faults themselves.
+    /// A uniform draw for jitter in `[0, bound)` — shares the
+    /// storage-side stream so backoff schedules are as reproducible as
+    /// the transfer faults themselves.
     pub fn jitter(&mut self, bound: u64) -> u64 {
         self.rng.below(bound)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.rng.next_f64() < p
     }
 }
 

@@ -15,22 +15,22 @@
 //! * [`store`] — [`ShardedReferenceStore`]: an `RwLock`-per-shard
 //!   concurrent pool supporting parallel ingest of downlinked captures via
 //!   a `std::thread` worker pool;
-//! * [`backend`] — [`ReferenceBackend`]: the pluggable store seam the
-//!   service and scheduler run against;
-//! * [`persistent`] — [`PersistentReferenceStore`]: the durable backend,
+//! * [`backend`] — [`ReferenceBackend`]: the store seam the service and
+//!   scheduler run against;
+//! * [`station`] — [`ReplicatedReferenceStore`]: the durable backend,
 //!   one crash-recoverable `earthplus-refstore` log per shard directory
-//!   (same shard routing as the in-memory store), selected via
-//!   [`ReferenceBackendConfig`] in the service config;
-//! * [`station`] — [`ReplicatedReferenceStore`]: the persistent shards
-//!   spread over a multi-station set with CRC-verified segment shipping
-//!   (synchronous by default, or pipelined through bounded per-station
-//!   ship queues via [`ShipQueueConfig`]), outage failover that promotes
-//!   replicas by replaying their shipped segments, and degraded-mode
-//!   accounting;
+//!   (same shard routing as the in-memory store), spread over a station
+//!   set with CRC-verified segment shipping (synchronous by default, or
+//!   pipelined through bounded per-station ship queues via
+//!   [`ShipQueueConfig`]), outage failover that promotes replicas by
+//!   replaying their shipped segments, and degraded-mode accounting. One
+//!   station with no replicas is the plain durable store
+//!   ([`GroundServiceConfig::with_persistence`]); the backend is selected
+//!   via [`ReferenceBackendConfig`] in the service config;
 //! * [`fault`] — the deterministic [`FaultPlan`]/[`FaultInjector`]
 //!   harness: station outages, replica-segment decay, dropped/corrupted
 //!   transfers, slow-disk stalls, and mid-pass uplink drops, all from
-//!   one seeded PRNG;
+//!   the plan's seed;
 //! * [`cache`] — [`EvictingReferenceCache`]: the capacity-bounded on-board
 //!   cache model with an age/LRU hybrid eviction policy and
 //!   hit/miss/eviction counters;
@@ -70,7 +70,6 @@
 pub mod backend;
 pub mod cache;
 pub mod fault;
-pub mod persistent;
 pub mod reference;
 pub mod scheduler;
 pub mod service;
@@ -85,7 +84,6 @@ pub use earthplus_refstore::{RecoveryReport, RefLogConfig};
 pub use fault::{
     FaultInjector, FaultPlan, OutageWindow, SegmentCorruption, SharedFaultInjector, TransferFaults,
 };
-pub use persistent::{PersistentReferenceStore, PersistentStoreStats};
 pub use reference::{
     OnboardReferenceCache, ReferenceFromEncodedError, ReferenceImage, ReferencePool,
     DEFAULT_REFERENCE_DOWNSAMPLE,
@@ -93,7 +91,8 @@ pub use reference::{
 pub use scheduler::{ConstellationScheduler, ContactWindow};
 pub use service::{GroundService, GroundServiceConfig, GroundServiceStats, ReferenceBackendConfig};
 pub use station::{
-    ReplicatedReferenceStore, ShipPolicy, ShipQueueConfig, StationSetConfig, StationSetStats,
+    PersistentStoreStats, ReplicatedReferenceStore, ShipPolicy, ShipQueueConfig, StationSetConfig,
+    StationSetStats,
 };
 pub use store::{shard_index, IngestReport, ShardedReferenceStore};
 pub use uplink::{compute_delta, ReferenceDelta, UplinkPlanner, UplinkReport};

@@ -11,7 +11,6 @@
 use crate::backend::ReferenceBackend;
 use crate::cache::{CacheCounters, CacheStats, EvictingReferenceCache, EvictionPolicy};
 use crate::fault::{shared_injector, FaultPlan, SharedFaultInjector};
-use crate::persistent::PersistentReferenceStore;
 use crate::reference::{ReferenceFromEncodedError, ReferenceImage, DEFAULT_REFERENCE_DOWNSAMPLE};
 use crate::scheduler::{ConstellationScheduler, ContactWindow};
 use crate::station::{ReplicatedReferenceStore, StationSetConfig};
@@ -26,7 +25,7 @@ use earthplus_telemetry::{
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Which reference-store backend a [`GroundService`] runs on.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -36,17 +35,11 @@ pub enum ReferenceBackendConfig {
     #[default]
     InMemory,
     /// The durable log-structured store under `dir` — survives ground
-    /// segment restarts with a replay-recovered index.
-    Persistent {
-        /// Root directory; shard subdirectories are created beneath it.
-        dir: PathBuf,
-        /// Storage-engine tuning (segment size, compaction, fsync).
-        log: RefLogConfig,
-    },
-    /// The multi-station replicated store — the persistent backend's
-    /// shard directories spread over a station set with synchronous
-    /// segment shipping and outage failover (see
-    /// [`crate::station::ReplicatedReferenceStore`]).
+    /// segment restarts with a replay-recovered index — with its shard
+    /// directories spread over a station set, segment shipping and outage
+    /// failover (see [`crate::station::ReplicatedReferenceStore`]). One
+    /// station with no replicas is the plain durable store
+    /// ([`GroundServiceConfig::with_persistence`]).
     Replicated {
         /// Root directory; `station-NN/shard-NNN` trees live beneath it.
         dir: PathBuf,
@@ -142,13 +135,11 @@ impl GroundServiceConfig {
         self
     }
 
-    /// Selects the durable backend rooted at `dir` with default
-    /// storage-engine tuning.
+    /// Selects the durable backend rooted at `dir`: one station, no
+    /// replicas, default storage-engine tuning. Shard logs live under
+    /// `dir/station-00/shard-NNN`.
     pub fn with_persistence(self, dir: impl Into<PathBuf>) -> Self {
-        self.with_backend(ReferenceBackendConfig::Persistent {
-            dir: dir.into(),
-            log: RefLogConfig::default(),
-        })
+        self.with_stations(dir, StationSetConfig::single(RefLogConfig::default()))
     }
 
     /// Sets the backend explicitly.
@@ -257,19 +248,23 @@ impl GroundServiceStats {
     }
 }
 
+/// The store a [`GroundService`] runs on.
+#[derive(Debug)]
+enum Backend {
+    InMemory(ShardedReferenceStore),
+    /// The durable store, with what recovery found when it opened.
+    Durable {
+        store: ReplicatedReferenceStore,
+        recovery: RecoveryReport,
+    },
+}
+
 /// The concurrent ground-segment reference service.
 #[derive(Debug)]
 pub struct GroundService {
     config: GroundServiceConfig,
-    store: Box<dyn ReferenceBackend>,
-    /// What recovery found when a persistent backend was opened; `None`
-    /// on the in-memory backend.
-    recovery: Option<RecoveryReport>,
-    /// Second handle on the replicated backend for control-plane calls
-    /// (failover day advance, replication pumps); `None` on the other
-    /// backends.
-    stations: Option<Arc<ReplicatedReferenceStore>>,
-    /// The live fault injector, shared with the replicated backend.
+    backend: Backend,
+    /// The live fault injector, shared with the durable backend.
     fault: Option<SharedFaultInjector>,
     scheduler: ConstellationScheduler,
     caches: Mutex<HashMap<SatelliteId, EvictingReferenceCache>>,
@@ -305,18 +300,18 @@ impl GroundService {
     ///
     /// # Panics
     ///
-    /// Panics if a persistent backend cannot open its directory; use
+    /// Panics if the durable backend cannot open its directory; use
     /// [`GroundService::try_new`] to handle storage errors.
     pub fn new(config: GroundServiceConfig) -> Self {
         Self::try_new(config).expect("reference backend failed to open")
     }
 
-    /// Creates the service, surfacing storage errors from a persistent
+    /// Creates the service, surfacing storage errors from the durable
     /// backend instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns the storage-engine error when the persistent backend
+    /// Returns the storage-engine error when the durable backend
     /// cannot be opened (I/O failure on its directory). The in-memory
     /// backend never fails.
     pub fn try_new(config: GroundServiceConfig) -> Result<Self, RefStoreError> {
@@ -325,55 +320,43 @@ impl GroundService {
         // here, once, and every handle resolves against the result.
         let sink = config.telemetry.or_private();
         let fault = config.fault.clone().map(shared_injector);
-        let mut stations = None;
-        let (store, recovery): (Box<dyn ReferenceBackend>, Option<RecoveryReport>) =
-            match &config.backend {
-                ReferenceBackendConfig::InMemory => {
-                    (Box::new(ShardedReferenceStore::new(config.shards)), None)
-                }
-                ReferenceBackendConfig::Persistent { dir, log } => {
-                    let (store, report) = PersistentReferenceStore::open(dir, config.shards, *log)?;
-                    store.attach_telemetry(&sink);
-                    store.attach_tracing(&config.tracing);
-                    (Box::new(store), Some(report))
-                }
-                ReferenceBackendConfig::Replicated { dir, stations: set } => {
-                    let (store, report) = ReplicatedReferenceStore::open(
-                        dir,
-                        config.shards,
-                        set.clone(),
-                        fault.clone(),
-                        &sink,
-                        &config.tracing,
-                    )?;
-                    let store = Arc::new(store);
-                    stations = Some(store.clone());
-                    (Box::new(store), Some(report))
-                }
-            };
-        // A non-clean open is a fact worth shouting about (satellites'
-        // freshness clocks may have regressed); it is also kept readable
-        // in `stats()` and exported as counters so mission rollups and
-        // health rules see it.
-        if let Some(report) = &recovery {
-            if !report.clean() {
-                eprintln!(
-                    "ground: storage recovery healed damage: {} corrupt records dropped, \
-                     {} torn bytes truncated across {} segments",
-                    report.corrupt_records_dropped, report.truncated_bytes, report.segments_scanned
-                );
+        let backend = match &config.backend {
+            ReferenceBackendConfig::InMemory => {
+                Backend::InMemory(ShardedReferenceStore::new(config.shards))
             }
-            // Register (even at zero) so the series exists on every
-            // durable mission and health rules never read missing data.
-            sink.counter(names::REFSTORE_RECOVERY_DROPPED_RECORDS)
-                .add(report.corrupt_records_dropped);
-            sink.counter(names::REFSTORE_RECOVERY_DROPPED_BYTES)
-                .add(report.truncated_bytes);
-        }
+            ReferenceBackendConfig::Replicated { dir, stations } => {
+                let (store, recovery) = ReplicatedReferenceStore::open(
+                    dir,
+                    config.shards,
+                    stations.clone(),
+                    fault.clone(),
+                    &sink,
+                    &config.tracing,
+                )?;
+                // A non-clean open is a fact worth shouting about
+                // (satellites' freshness clocks may have regressed); it is
+                // also kept readable in `stats()` and exported as counters
+                // so mission rollups and health rules see it.
+                if !recovery.clean() {
+                    eprintln!(
+                        "ground: storage recovery healed damage: {} corrupt records dropped, \
+                         {} torn bytes truncated across {} segments",
+                        recovery.corrupt_records_dropped,
+                        recovery.truncated_bytes,
+                        recovery.segments_scanned
+                    );
+                }
+                // Register (even at zero) so the series exists on every
+                // durable mission and health rules never read missing data.
+                sink.counter(names::REFSTORE_RECOVERY_DROPPED_RECORDS)
+                    .add(recovery.corrupt_records_dropped);
+                sink.counter(names::REFSTORE_RECOVERY_DROPPED_BYTES)
+                    .add(recovery.truncated_bytes);
+                Backend::Durable { store, recovery }
+            }
+        };
         Ok(GroundService {
-            store,
-            recovery,
-            stations,
+            backend,
             fault,
             scheduler: ConstellationScheduler::new(config.theta),
             caches: Mutex::new(HashMap::new()),
@@ -398,7 +381,7 @@ impl GroundService {
     }
 
     /// The registry-backed sink the service records into — snapshot it to
-    /// export every `ground.*` (and, on a persistent backend,
+    /// export every `ground.*` (and, on the durable backend,
     /// `refstore.*`) metric.
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.sink
@@ -418,26 +401,35 @@ impl GroundService {
 
     /// The underlying reference store, whichever backend was configured.
     pub fn store(&self) -> &dyn ReferenceBackend {
-        self.store.as_ref()
+        match &self.backend {
+            Backend::InMemory(store) => store,
+            Backend::Durable { store, .. } => store,
+        }
     }
 
-    /// What recovery found when the persistent backend opened (`None` on
+    /// What recovery found when the durable backend opened (`None` on
     /// the in-memory backend): live records replayed, torn bytes
     /// truncated, corrupt records dropped.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
+        match &self.backend {
+            Backend::InMemory(_) => None,
+            Backend::Durable { recovery, .. } => Some(recovery),
+        }
     }
 
-    /// The replicated station set, when that backend is configured —
-    /// the control-plane handle for failover state, replication pumps,
-    /// and [`crate::station::StationSetStats`].
+    /// The durable station set, when that backend is configured — the
+    /// control-plane handle for failover state, replication pumps, and
+    /// [`crate::station::StationSetStats`].
     pub fn stations(&self) -> Option<&ReplicatedReferenceStore> {
-        self.stations.as_deref()
+        match &self.backend {
+            Backend::InMemory(_) => None,
+            Backend::Durable { store, .. } => Some(store),
+        }
     }
 
     /// Flushes the backend's durability (no-op in memory).
     pub fn sync(&self) {
-        self.store.sync();
+        self.store().sync();
     }
 
     fn new_cache(&self) -> EvictingReferenceCache {
@@ -456,7 +448,7 @@ impl GroundService {
             .tracing
             .span_on(TraceTrack::Station(0), "ground", "ingest");
         let day = reference.captured_day;
-        let accepted = self.store.offer(reference);
+        let accepted = self.store().offer(reference);
         trace.arg("accepted", accepted);
         trace.arg("captured_day", day);
         if accepted {
@@ -535,7 +527,7 @@ impl GroundService {
     /// pool.
     pub fn ingest_downlink_batch(&self, references: Vec<ReferenceImage>) -> IngestReport {
         let report = self
-            .store
+            .store()
             .ingest_batch(references, self.config.ingest_threads);
         self.ingest_accepted.add(report.accepted);
         self.ingest_rejected.add(report.rejected);
@@ -570,16 +562,15 @@ impl GroundService {
         if let Some(first) = contacts.first() {
             trace.arg("budget_bytes", first.budget_bytes);
         }
-        // Fault epoch first: drain the ship queues (pipelined mode; a
-        // no-op otherwise), then let outage transitions (and their
-        // failovers) land before scheduling — so a promotion never races
-        // a queued transfer and the pass plans against whichever
-        // primaries are actually alive on this day.
-        if let Some(stations) = &self.stations {
-            stations.quiesce();
-            if let Some(day) = contacts.iter().map(|c| c.day).reduce(f64::max) {
-                stations.advance_to_day(day);
-            }
+        // Fault epoch first: outage transitions (and their failovers)
+        // land before scheduling, so the pass plans against whichever
+        // primaries are actually alive on this day. The station set
+        // drains its ship queues before it applies them.
+        if let (Some(stations), Some(day)) = (
+            self.stations(),
+            contacts.iter().map(|c| c.day).reduce(f64::max),
+        ) {
+            stations.advance_to_day(day);
         }
         // Mid-pass uplink drops: a hit clamps the window's byte budget,
         // and whatever did not fit stays stale in the scheduler's queue —
@@ -612,7 +603,7 @@ impl GroundService {
         };
         let all_keys;
         let targets: &[(LocationId, Band)] = if self.config.targets.is_empty() {
-            all_keys = self.store.keys();
+            all_keys = self.store().keys();
             &all_keys
         } else {
             &self.config.targets
@@ -620,7 +611,7 @@ impl GroundService {
         let mut caches = self.caches.lock().expect("cache table poisoned");
         let reports =
             self.scheduler
-                .plan_pass(self.store.as_ref(), &mut caches, targets, contacts, || {
+                .plan_pass(self.store(), &mut caches, targets, contacts, || {
                     self.new_cache()
                 });
         let mut sent = 0u64;
@@ -643,7 +634,7 @@ impl GroundService {
         // Pass boundary: drain the ship queues, catch up any transfer
         // shortfall, and pump one budgeted compaction step per shard off
         // the append hot path.
-        if let Some(stations) = &self.stations {
+        if let Some(stations) = self.stations() {
             stations.quiesce();
             stations.replicate();
             stations.maintain();
@@ -677,17 +668,6 @@ impl GroundService {
         served
     }
 
-    /// Runs a closure against one satellite's cache (inspection without
-    /// cloning); `None` when the satellite has no cache yet.
-    pub fn with_cache<R>(
-        &self,
-        satellite: SatelliteId,
-        f: impl FnOnce(&EvictingReferenceCache) -> R,
-    ) -> Option<R> {
-        let caches = self.caches.lock().expect("cache table poisoned");
-        caches.get(&satellite).map(f)
-    }
-
     /// Largest single-satellite cache footprint ever observed — a cheap
     /// atomic read for per-capture accounting hot paths; [`Self::stats`]
     /// reports the same value with full context.
@@ -701,9 +681,11 @@ impl GroundService {
     pub fn stats(&self) -> GroundServiceStats {
         let caches = self.caches.lock().expect("cache table poisoned");
         let cache_bytes = caches.values().map(|c| c.size_bytes()).sum();
+        let store = self.store();
+        let recovery = self.recovery_report();
         GroundServiceStats {
-            store_entries: self.store.len(),
-            store_bytes: self.store.size_bytes(),
+            store_entries: store.len(),
+            store_bytes: store.size_bytes(),
             satellites: caches.len(),
             cache: self.cache_counters.stats(),
             cache_bytes,
@@ -714,8 +696,8 @@ impl GroundService {
             ingest_accepted: self.ingest_accepted.value(),
             ingest_rejected: self.ingest_rejected.value(),
             encoded_ingests: self.encoded_ingests.value(),
-            recovery_dropped_records: self.recovery.map_or(0, |r| r.corrupt_records_dropped),
-            recovery_truncated_bytes: self.recovery.map_or(0, |r| r.truncated_bytes),
+            recovery_dropped_records: recovery.map_or(0, |r| r.corrupt_records_dropped),
+            recovery_truncated_bytes: recovery.map_or(0, |r| r.truncated_bytes),
             interrupted_windows: self.interrupted_windows.value(),
         }
     }
@@ -819,9 +801,11 @@ mod tests {
             service.ingest_downlink(reference(loc, 1.0, 0.4));
         }
         service.plan_contact(SatelliteId(0), 2.0, 1 << 30);
-        let (len, evictions) = service
-            .with_cache(SatelliteId(0), |c| (c.len(), c.stats().evictions))
-            .unwrap();
+        let (len, evictions) = {
+            let caches = service.caches.lock().unwrap();
+            let cache = &caches[&SatelliteId(0)];
+            (cache.len(), cache.stats().evictions)
+        };
         assert_eq!(len, 1, "capacity bound must hold after planning");
         assert_eq!(evictions, 2);
         let miss_before = service.stats().cache.misses;

@@ -1,11 +1,28 @@
-//! Multi-station replication: the fault-tolerant reference backend.
+//! The durable reference backend: sharded `earthplus-refstore` logs,
+//! replicated over a set of ground stations.
 //!
-//! A [`ReplicatedReferenceStore`] spreads the persistent store's shard
-//! directories over a set of ground stations. Each shard has a fixed
-//! *placement ring* of `1 + replicas` stations (`shard i` starts on
-//! station `i % stations`, replicas on the next stations around the
-//! ring); the ring head that is currently up is the shard's *primary*,
-//! the one live [`RefLog`] serving reads and writes.
+//! A [`ReplicatedReferenceStore`] keeps one crash-recoverable [`RefLog`]
+//! per shard directory (`station-NN/shard-NNN/`). Keys route to shards
+//! with [`crate::store::shard_index`] — the *same* routing the in-memory
+//! store uses — so a shard's files can move to another station and
+//! exactly the keys that hashed there move with it. A reference is
+//! committed once its CRC-framed record is in the shard's active segment
+//! (see the `earthplus-refstore` docs); a restart replays the logs and
+//! resumes with the identical store state.
+//!
+//! Each shard has a fixed *placement ring* of `1 + replicas` stations
+//! (`shard i` starts on station `i % stations`, replicas on the next
+//! stations around the ring); the ring head that is currently up is the
+//! shard's *primary*, the one live [`RefLog`] serving reads and writes.
+//! A one-station set with no replicas is the plain durable store: every
+//! shard lives under `station-00/` and nothing ships.
+//!
+//! Error policy: open-time I/O failures surface through
+//! [`ReplicatedReferenceStore::open`], but the [`ReferenceBackend`]
+//! surface is infallible by design (the in-memory store cannot fail), so
+//! *runtime* storage failures — an append or read hitting a full or dead
+//! disk mid-mission — **panic** rather than silently dropping references
+//! and skewing every experiment built on the store.
 //!
 //! **Shipping.** Replication is file-level and, by default, synchronous:
 //! every accepted `offer` tails the primary's segment files out to the
@@ -32,8 +49,9 @@
 //! path. Because shipping is idempotent and resumes from each replica's
 //! verified length, *any* drain order converges to the same replica
 //! bytes; [`ReplicatedReferenceStore::quiesce`] blocks until every queue
-//! is empty with nothing in flight, and the ground service quiesces at
-//! pass boundaries before fault transitions apply — so uplink schedules
+//! is empty with nothing in flight. Outage transitions and replica
+//! corruptions drain the queues before they apply (see *Failover*), and
+//! the ground service quiesces at pass boundaries — so uplink schedules
 //! and failover outcomes stay byte-identical to a synchronous run.
 //! Setting [`ShipQueueConfig::workers`] false leaves draining to
 //! explicit [`ReplicatedReferenceStore::pump_station`] calls, the
@@ -44,8 +62,9 @@
 //! down, each of its shards promotes the first live ring member by
 //! replaying that replica's shipped segments (`RefLog::open`), merging
 //! the replay's [`RecoveryReport`] into the store-wide ledger. Because
-//! shipping completes (synchronously per offer, or by quiesce at the
-//! pass boundary) before outages apply, the promoted replica holds
+//! shipping completes (synchronously per offer, or by the queue drain
+//! that `advance_to_day` and `fail_station` run first) before outages
+//! apply, the promoted replica holds
 //! exactly the primary's committed records, so post-failover uplink
 //! schedules are byte-identical to a no-failure run. With the whole ring
 //! down a shard keeps serving from its in-memory log and counts degraded
@@ -58,7 +77,6 @@
 
 use crate::backend::{shard_batches, ReferenceBackend};
 use crate::fault::{SegmentCorruption, SharedFaultInjector};
-use crate::persistent::{append_reference_batch, shard_dir_name, PersistentStoreStats};
 use crate::reference::ReferenceImage;
 use crate::store::{shard_index, IngestReport};
 use earthplus_raster::{Band, LocationId};
@@ -157,9 +175,79 @@ impl Default for StationSetConfig {
     }
 }
 
+impl StationSetConfig {
+    /// The plain durable store: one station, no replicas, engine knobs
+    /// `log`, nothing to ship.
+    pub fn single(log: RefLogConfig) -> Self {
+        StationSetConfig {
+            stations: 1,
+            replicas: 0,
+            log,
+            ..StationSetConfig::default()
+        }
+    }
+}
+
 /// Directory name of station `s` under the store root.
 fn station_dir_name(s: usize) -> String {
     format!("station-{s:02}")
+}
+
+/// Directory name of shard `i` under a station directory.
+fn shard_dir_name(i: usize) -> String {
+    format!("shard-{i:03}")
+}
+
+/// Appends one shard's reference group as a single group-commit batch
+/// ([`RefLog::append_batch`]): the whole run is framed and written
+/// together with one fsync per filled segment instead of one per record.
+/// Returns `(accepted, rejected)` counts identical to what sequential
+/// offers of the same group would produce — the batch path resolves
+/// within-batch supersedes exactly as sequential appends would.
+fn append_reference_batch(log: &mut RefLog, group: &[ReferenceImage]) -> (u64, u64) {
+    let payloads: Vec<Vec<u8>> = group.iter().map(|r| r.to_record_payload()).collect();
+    let records: Vec<((LocationId, Band), f64, &[u8])> = group
+        .iter()
+        .zip(&payloads)
+        .map(|(r, payload)| ((r.location, r.band), r.captured_day, payload.as_slice()))
+        .collect();
+    let outcomes = log
+        .append_batch(&records)
+        .expect("refstore batch append failed");
+    let accepted = outcomes.iter().filter(|&&kept| kept).count() as u64;
+    (accepted, group.len() as u64 - accepted)
+}
+
+/// Storage-engine accounting summed over every shard's primary log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PersistentStoreStats {
+    /// Shard count.
+    pub shards: u64,
+    /// Segment files across shards.
+    pub segments: u64,
+    /// Live (indexed) records.
+    pub live_records: u64,
+    /// Superseded records awaiting compaction.
+    pub dead_records: u64,
+    /// File bytes of live records.
+    pub live_bytes: u64,
+    /// File bytes awaiting compaction.
+    pub dead_bytes: u64,
+    /// Compactions run since open.
+    pub compactions: u64,
+    /// Bounded compaction steps executed since open.
+    pub compaction_steps: u64,
+    /// Largest frame-byte count any single compaction step relocated —
+    /// the observed append-path stall bound.
+    pub max_step_copied_bytes: u64,
+    /// Read-path segment-handle cache hits, summed across shards.
+    pub handle_cache_hits: u64,
+    /// Read-path segment-handle cache misses, summed across shards.
+    pub handle_cache_misses: u64,
+    /// fsync/fdatasync calls the engines issued, summed across shards —
+    /// 0 unless `RefLogConfig::fsync_appends` is on. Group-commit ingest
+    /// amortizes these to one per filled segment run per batch.
+    pub fsyncs_issued: u64,
 }
 
 /// One shard's live state: where its primary is, the open log, and the
@@ -261,8 +349,7 @@ impl StationCounters {
 pub struct StationSetStats {
     /// Stations in the set.
     pub stations: u64,
-    /// Storage-engine totals over the primary logs (same shape as the
-    /// single-station persistent backend's).
+    /// Storage-engine totals over the primary logs.
     pub store: PersistentStoreStats,
     /// Segment transfers that moved bytes.
     pub ship_segments: u64,
@@ -333,7 +420,7 @@ impl ReplicatedReferenceStore {
     /// # Errors
     ///
     /// Propagates open-time I/O failures; corruption is healed and
-    /// reported, exactly like the single-station backend.
+    /// reported in the returned [`RecoveryReport`].
     pub fn open(
         root: &Path,
         shards: usize,
@@ -399,16 +486,6 @@ impl ReplicatedReferenceStore {
         Ok((ReplicatedReferenceStore { inner, workers }, merged))
     }
 
-    /// The root directory.
-    pub fn root(&self) -> &Path {
-        &self.inner.root
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
     /// Number of stations.
     pub fn station_count(&self) -> usize {
         self.inner.config.stations
@@ -435,16 +512,18 @@ impl ReplicatedReferenceStore {
     /// Applies the fault plan's state up to `day`: one-shot replica
     /// corruptions land, and station outage transitions take effect —
     /// eagerly promoting a replica for every shard whose primary station
-    /// just went down, so reads and writes stay day-unaware. Pipelined
-    /// callers quiesce first, so an outage never races a queued transfer.
+    /// just went down, so reads and writes stay day-unaware. The ship
+    /// queues drain first, so an outage never races a queued transfer.
     pub fn advance_to_day(&self, day: f64) {
         self.inner.advance_to_day(day)
     }
 
     /// Marks `station` down (outage), promoting replicas for every shard
-    /// it was primary for. Test/manual override; the fault plan drives
-    /// the same path via [`ReplicatedReferenceStore::advance_to_day`].
+    /// it was primary for, after draining the ship queues. Test/manual
+    /// override; the fault plan drives the same path via
+    /// [`ReplicatedReferenceStore::advance_to_day`].
     pub fn fail_station(&self, station: usize) {
+        self.inner.quiesce();
         self.inner.set_station_state(station, true);
     }
 
@@ -470,9 +549,9 @@ impl ReplicatedReferenceStore {
 
     /// Blocks until every station's ship queue is empty with nothing in
     /// flight — the drain barrier the ground service runs at pass
-    /// boundaries before fault transitions apply. Without workers the
-    /// calling thread drains the queues itself; a no-op on the
-    /// synchronous path.
+    /// boundaries, and that fault transitions run before they apply.
+    /// Without workers the calling thread drains the queues itself; a
+    /// no-op on the synchronous path.
     pub fn quiesce(&self) {
         self.inner.quiesce()
     }
@@ -530,6 +609,10 @@ impl StoreInner {
         let Some(injector) = &self.injector else {
             return;
         };
+        // A promotion replays whatever the replica holds, and a corruption
+        // must land on shipped bytes: drain every queued transfer first.
+        // The drain takes shard locks, so none may be held here.
+        self.quiesce();
         let (due, states): (Vec<SegmentCorruption>, Vec<bool>) = {
             let mut injector = injector.lock().expect("fault injector poisoned");
             let due = injector.due_corruptions(day);
@@ -909,7 +992,7 @@ impl StoreInner {
             let dir = self.shard_dir(next, idx);
             // The promotion replays the replica's shipped segments; the
             // backend surface is infallible, so a dead promotion target
-            // is loud (same policy as the persistent backend).
+            // is loud (see the module docs' error policy).
             let (mut log, report) =
                 RefLog::open(&dir, self.config.log).expect("replica promotion failed");
             log.attach_telemetry(&self.telemetry);
@@ -969,18 +1052,24 @@ impl StoreInner {
 
     /// Ships `home`'s outstanding bytes to every live ring member.
     fn ship_shard(&self, idx: usize, home: &mut ShardHome) {
-        let down = self.down.lock().expect("outage state poisoned").clone();
+        let replicas: Vec<usize> = {
+            let down = self.down.lock().expect("outage state poisoned");
+            home.ring
+                .iter()
+                .copied()
+                .filter(|&s| s != home.station && !down.get(s).copied().unwrap_or(false))
+                .collect()
+        };
+        // No live replica (a one-station set, or the rest of the ring
+        // down): nothing to read, nothing to ship.
+        if replicas.is_empty() {
+            return;
+        }
         let primary_dir = self.shard_dir(home.station, idx);
         let Ok(files) = list_segments(&primary_dir) else {
             return;
         };
         let manifest = std::fs::read(primary_dir.join(MANIFEST_NAME)).ok();
-        let replicas: Vec<usize> = home
-            .ring
-            .iter()
-            .copied()
-            .filter(|&s| s != home.station && !down.get(s).copied().unwrap_or(false))
-            .collect();
         for replica in replicas {
             let rdir = self.shard_dir(replica, idx);
             if std::fs::create_dir_all(&rdir).is_err() {
@@ -1201,7 +1290,9 @@ impl ReferenceBackend for ReplicatedReferenceStore {
     }
 
     fn size_bytes(&self) -> u64 {
-        // Same logical 12-bit model as the persistent backend.
+        // Logical 12-bit model, derived from indexed frame lengths alone
+        // so no disk read (or sort) happens: payload = 20-byte header +
+        // 4 bytes/sample.
         let mut total = 0u64;
         for shard in &self.inner.shards {
             let home = shard.read().expect("shard poisoned");
@@ -1669,6 +1760,221 @@ mod tests {
         store.fail_station(0);
         assert_eq!(store.fresh_day(LocationId(0), red()), Some(1.0));
         assert!(store.recovery_report().clean(), "promotion replay clean");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn fail_station_drains_queued_ships_before_promotion() {
+        let root = test_root("fail-queued");
+        let config = StationSetConfig {
+            queue: ShipQueueConfig {
+                pipelined: true,
+                workers: false,
+                ..ShipQueueConfig::default()
+            },
+            ..StationSetConfig::default()
+        };
+        let store = open_set(&root, 4, config, None);
+        for loc in 0..16u32 {
+            assert!(store.offer(reference(loc, 1.0 + loc as f64, 0.3)));
+        }
+        assert!(
+            store.queued_shards(0) > 0,
+            "nothing may ship before the outage"
+        );
+        let keys = store.keys();
+        let days: Vec<Option<f64>> = (0..16u32)
+            .map(|loc| store.fresh_day(LocationId(loc), red()))
+            .collect();
+        // No quiesce: the outage itself must ship what the queue holds
+        // before a replica is promoted.
+        store.fail_station(store.shard_station(0));
+        assert!(store.stats().failovers > 0);
+        assert_eq!(store.keys(), keys, "acknowledged offers lost in failover");
+        let after: Vec<Option<f64>> = (0..16u32)
+            .map(|loc| store.fresh_day(LocationId(loc), red()))
+            .collect();
+        assert_eq!(after, days);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    // --- one station, no replicas: the plain durable store ---------------
+
+    fn open_one(root: &Path, shards: usize) -> (ReplicatedReferenceStore, RecoveryReport) {
+        ReplicatedReferenceStore::open(
+            root,
+            shards,
+            StationSetConfig::single(RefLogConfig::default()),
+            None,
+            &TelemetrySink::default(),
+            &TraceSink::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn offer_get_fresh_day_round_trip() {
+        let root = test_root("roundtrip");
+        let (store, report) = open_one(&root, 4);
+        assert!(report.clean());
+        assert!(store.offer(reference(0, 5.0, 0.4)));
+        assert!(!store.offer(reference(0, 3.0, 0.5)), "stale rejected");
+        assert!(store.offer(reference(0, 9.0, 0.6)));
+        assert_eq!(store.fresh_day(LocationId(0), red()), Some(9.0));
+        let got = store.get(LocationId(0), red()).unwrap();
+        assert_eq!(got.captured_day, 9.0);
+        assert_eq!(got, reference(0, 9.0, 0.6));
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.stats().ship_bytes, 0, "nothing to ship to");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn reopen_recovers_identical_state() {
+        let root = test_root("reopen");
+        let (store, _) = open_one(&root, 3);
+        for loc in 0..20u32 {
+            store.offer(reference(loc, 1.0 + loc as f64, 0.3));
+        }
+        let keys = store.keys();
+        let size = store.size_bytes();
+        drop(store);
+        let (store, report) = open_one(&root, 3);
+        assert!(report.clean());
+        assert_eq!(report.live_records, 20);
+        assert_eq!(store.keys(), keys);
+        assert_eq!(store.size_bytes(), size);
+        for loc in 0..20u32 {
+            assert_eq!(
+                store.fresh_day(LocationId(loc), red()),
+                Some(1.0 + loc as f64)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn size_bytes_matches_in_memory_model() {
+        let root = test_root("size");
+        let (store, _) = open_one(&root, 2);
+        let expected: u64 = (0..5u32)
+            .map(|loc| reference(loc, 1.0, 0.3).size_bytes())
+            .sum();
+        for loc in 0..5u32 {
+            store.offer(reference(loc, 1.0, 0.3));
+        }
+        assert_eq!(store.size_bytes(), expected);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn disk_layout_mirrors_shard_routing() {
+        let root = test_root("routing");
+        let shards = 4;
+        let (store, _) = open_one(&root, shards);
+        for loc in 0..32u32 {
+            store.offer(reference(loc, 1.0, 0.3));
+        }
+        drop(store);
+        // Each key's record must live in exactly the directory its
+        // in-memory shard routing picks, under the one station.
+        for loc in 0..32u32 {
+            let expected_shard = shard_index(LocationId(loc), red(), shards);
+            let dir = root
+                .join(station_dir_name(0))
+                .join(shard_dir_name(expected_shard));
+            let (log, _) = RefLog::open(&dir, RefLogConfig::default()).unwrap();
+            assert!(
+                log.fresh_day(&(LocationId(loc), red())).is_some(),
+                "location {loc} missing from its routed shard {expected_shard}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn parallel_ingest_converges_to_freshest() {
+        let root = test_root("ingest");
+        let (store, _) = open_one(&root, 4);
+        let mut batch = Vec::new();
+        for day in [3.0, 9.0, 5.0, 1.0] {
+            for loc in 0..16u32 {
+                batch.push(reference(loc, day, 0.3));
+            }
+        }
+        let report = store.ingest_batch(batch, 4);
+        assert_eq!(report.offered(), 64);
+        // Sequential offers would accept 3.0 and 9.0 and reject 5.0 and
+        // 1.0 per location; the group-commit path must count the same.
+        assert_eq!(report.accepted, 32);
+        assert_eq!(report.rejected, 32);
+        assert_eq!(store.len(), 16);
+        for loc in 0..16u32 {
+            assert_eq!(store.fresh_day(LocationId(loc), red()), Some(9.0));
+        }
+        store.sync();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn grouped_ingest_amortizes_fsyncs() {
+        let config = StationSetConfig::single(RefLogConfig {
+            fsync_appends: true,
+            ..RefLogConfig::default()
+        });
+        let batch: Vec<ReferenceImage> = (0..16u32).map(|loc| reference(loc, 2.0, 0.3)).collect();
+        let root_seq = test_root("fsync-seq");
+        let seq = open_set(&root_seq, 2, config.clone(), None);
+        for reference in batch.clone() {
+            assert!(seq.offer(reference));
+        }
+        let root_grp = test_root("fsync-grp");
+        let grp = open_set(&root_grp, 2, config, None);
+        let report = grp.ingest_batch(batch, 2);
+        assert_eq!(report.accepted, 16);
+        let seq_fsyncs = seq.stats().store.fsyncs_issued;
+        let grp_fsyncs = grp.stats().store.fsyncs_issued;
+        // One fsync per record vs one per batched segment run: the batch
+        // factor here is 8 records/shard, so well over 2x fewer syncs.
+        assert!(
+            grp_fsyncs * 2 <= seq_fsyncs,
+            "grouped ingest issued {grp_fsyncs} fsyncs vs {seq_fsyncs} sequential"
+        );
+        // Same converged state either way.
+        assert_eq!(grp.keys(), seq.keys());
+        assert_eq!(grp.size_bytes(), seq.size_bytes());
+        let _ = std::fs::remove_dir_all(&root_seq);
+        let _ = std::fs::remove_dir_all(&root_grp);
+    }
+
+    #[test]
+    fn stats_aggregate_across_shards() {
+        let root = test_root("stats");
+        // Compaction triggers on any dead byte and finishes in one step,
+        // so one `maintain` compacts every shard.
+        let log = RefLogConfig {
+            auto_compact: false,
+            compact_min_dead_bytes: 1,
+            compact_min_dead_fraction: 0.0,
+            compaction_step: earthplus_refstore::CompactionBudget::unbounded(),
+            ..RefLogConfig::default()
+        };
+        let store = open_set(&root, 2, StationSetConfig::single(log), None);
+        for generation in 1..=3 {
+            for loc in 0..6u32 {
+                store.offer(reference(loc, generation as f64, 0.3));
+            }
+        }
+        let stats = store.stats().store;
+        assert_eq!(stats.shards, 2);
+        assert_eq!(stats.live_records, 6);
+        assert_eq!(stats.dead_records, 12);
+        assert!(stats.dead_bytes > 0);
+        store.maintain();
+        let stats = store.stats().store;
+        assert_eq!(stats.dead_bytes, 0);
+        assert_eq!(stats.compactions, 2);
+        assert!(stats.segments > 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

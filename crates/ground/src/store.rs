@@ -47,8 +47,8 @@ impl Hasher for ShardHasher {
 /// Shard an operation on `(location, band)` routes to, out of
 /// `shard_count` shards.
 ///
-/// Shared by every backend: [`ShardedReferenceStore`] uses it to pick an
-/// in-memory shard, [`crate::PersistentReferenceStore`] to pick a segment
+/// Shared by both backends: [`ShardedReferenceStore`] uses it to pick an
+/// in-memory shard, [`crate::ReplicatedReferenceStore`] to pick a shard
 /// directory — so multi-ground-station sharding maps one-to-one onto disk
 /// layout, and a shard's files can be rehomed to another station without
 /// re-routing keys.

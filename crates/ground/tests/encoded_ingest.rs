@@ -128,11 +128,23 @@ fn encoded_ingest_runs_concurrently() {
     // The decode arena is pooled, not a single lock held across the
     // decode: N threads ingesting archived captures must all land their
     // freshest generation, and repeating the workload grows no scratch.
-    let service = GroundService::new(GroundServiceConfig::default().with_reference_downsample(32));
+    let config = GroundServiceConfig::default().with_reference_downsample(32);
     let enc = encode(&scene_capture(0), &CodecConfig::lossy()).unwrap();
-    // The barrier forces the warm-up round to its full 4-way decode
-    // concurrency: on a loaded host the threads could otherwise run
-    // serially, leaving the pool smaller than the second round needs.
+    // What one arena grows on its first decode of this stream. The pool
+    // holds at most one arena per concurrent ingester and a warm arena
+    // never grows again, so however the scheduler interleaves the four
+    // threads, the total is a whole number of cold arenas, at most four.
+    let per_arena = {
+        let probe = GroundService::new(config.clone());
+        probe
+            .ingest_encoded(LocationId(0), red(), 1.0, &enc)
+            .unwrap();
+        probe.ingest_decode_grow_events()
+    };
+    assert!(per_arena > 0, "a cold arena grows on its first decode");
+    let service = GroundService::new(config);
+    // The barrier starts each round's four ingests together, so the
+    // decodes overlap as far as the host allows.
     let barrier = std::sync::Barrier::new(4);
     std::thread::scope(|scope| {
         for t in 0..4u32 {
@@ -151,6 +163,7 @@ fn encoded_ingest_runs_concurrently() {
     assert_eq!(stats.encoded_ingests, 16);
     assert_eq!(stats.store_entries, 4);
     let grow = service.ingest_decode_grow_events();
+    assert_eq!(grow % per_arena, 0, "a warm arena grew during the warm-up");
     std::thread::scope(|scope| {
         for t in 0..4u32 {
             let (service, enc) = (&service, &enc);
@@ -161,10 +174,17 @@ fn encoded_ingest_runs_concurrently() {
             });
         }
     });
+    // The repeat may only add arenas the warm-up never needed; any regrowth
+    // of a warm one breaks the whole-arena count.
+    let after = service.ingest_decode_grow_events();
     assert_eq!(
-        service.ingest_decode_grow_events(),
-        grow,
-        "repeat concurrent ingest grew the arena pool"
+        (after - grow) % per_arena,
+        0,
+        "repeat concurrent ingest grew a warm arena: {grow} -> {after} grow events"
+    );
+    assert!(
+        after <= 4 * per_arena,
+        "repeat concurrent ingest grew the arena pool past four arenas: {after} grow events"
     );
 }
 

@@ -2,15 +2,15 @@
 //! seeded random constellations.
 //!
 //! One `plan_pass` may probe each target once and read each stale key
-//! once — a `get` on the durable backends is a positioned disk read, a CRC
+//! once — a `get` on the durable backend is a positioned disk read, a CRC
 //! check and a payload decode, and the same reference serves every
 //! satellite that needs it. The plan itself (reports and post-pass cache
 //! contents) must not depend on which backend held the references.
 
 use earthplus_ground::{
-    ConstellationScheduler, ContactWindow, EvictingReferenceCache, IngestReport,
-    PersistentReferenceStore, RefLogConfig, ReferenceBackend, ReferenceImage,
-    ReplicatedReferenceStore, ShardedReferenceStore, StationSetConfig, UplinkReport,
+    ConstellationScheduler, ContactWindow, EvictingReferenceCache, IngestReport, RefLogConfig,
+    ReferenceBackend, ReferenceImage, ReplicatedReferenceStore, ShardedReferenceStore,
+    StationSetConfig, UplinkReport,
 };
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, PlanetBand, Raster};
@@ -284,6 +284,23 @@ fn store_dir(tag: &str, seed: u64) -> PathBuf {
     dir
 }
 
+/// [`run`] on a fresh durable store with the `stations` topology.
+fn durable_run(scenario: &Scenario, label: &str, seed: u64, stations: StationSetConfig) -> Outcome {
+    let dir = store_dir(label, seed);
+    let (store, _) = ReplicatedReferenceStore::open(
+        &dir,
+        SHARDS,
+        stations,
+        None,
+        &TelemetrySink::default(),
+        &TraceSink::default(),
+    )
+    .expect("durable store opens");
+    let outcome = run(scenario, &Counting::new(store), label);
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome
+}
+
 #[test]
 fn one_probe_per_target_one_read_per_stale_key_on_every_backend() {
     let mut evictions = 0;
@@ -294,24 +311,9 @@ fn one_probe_per_target_one_read_per_stale_key_on_every_backend() {
         let memory = Counting::new(ShardedReferenceStore::new(SHARDS));
         let in_memory = run(&scenario, &memory, "in-memory");
 
-        let dir = store_dir("persistent", seed);
-        let (store, _) = PersistentReferenceStore::open(&dir, SHARDS, RefLogConfig::default())
-            .expect("persistent store opens");
-        let persistent = run(&scenario, &Counting::new(store), "persistent");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let dir = store_dir("replicated", seed);
-        let (store, _) = ReplicatedReferenceStore::open(
-            &dir,
-            SHARDS,
-            StationSetConfig::default(),
-            None,
-            &TelemetrySink::default(),
-            &TraceSink::default(),
-        )
-        .expect("replicated store opens");
-        let replicated = run(&scenario, &Counting::new(store), "replicated");
-        let _ = std::fs::remove_dir_all(&dir);
+        let single = StationSetConfig::single(RefLogConfig::default());
+        let persistent = durable_run(&scenario, "persistent", seed, single);
+        let replicated = durable_run(&scenario, "replicated", seed, StationSetConfig::default());
 
         assert_eq!(
             in_memory, persistent,

@@ -24,7 +24,7 @@
 //!   append hot path;
 //! * [`capacity`] — the closed-form [`CapacityModel`] tying disk growth
 //!   to mission length, retention, and capture cadence;
-//! * [`crc32`] / [`error`] — the integrity primitive and error type.
+//! * [`mod@crc32`] / [`error`] — the integrity primitive and error type.
 //!
 //! One `RefLog` is single-writer; the ground segment runs one per shard
 //! directory (same shard routing as the in-memory store) behind an

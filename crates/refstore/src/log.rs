@@ -472,7 +472,7 @@ impl RefLog {
     /// exist — is recorded into [`names::REFSTORE_REPLAY_NS`] now, once.
     /// Histogram handles may be shared across shard logs (a merged latency
     /// distribution is still correct); the handle-cache *counters* stay
-    /// per-log, see [`SegmentHandleCache`].
+    /// per-log, see `SegmentHandleCache`.
     pub fn attach_telemetry(&mut self, sink: &TelemetrySink) {
         self.append_ns = sink.histogram(names::REFSTORE_APPEND_NS);
         self.compaction_ns = sink.histogram(names::REFSTORE_COMPACTION_NS);

@@ -15,7 +15,8 @@
 //!    every record reaches the replicas, so a failover loses nothing;
 //! 3. **interrupted-pass carry-over** — a mid-pass uplink drop clamps
 //!    the window's budget; whatever did not fit is sent in the next
-//!    window rather than forgotten;
+//!    window rather than forgotten, and which windows drop does not
+//!    depend on whether storage-side faults are on;
 //! 4. **full fault-injected mission** — an end-to-end mission with an
 //!    outage, replica-segment decay, and probabilistic transfer faults
 //!    matches the clean mission's uplink schedule exactly, loses no
@@ -435,6 +436,71 @@ fn fault_interrupted_pass_carries_undelivered_into_next_window() {
             "reference {loc} never reached the satellite"
         );
     }
+}
+
+#[test]
+fn fault_uplink_drops_ignore_storage_faults() {
+    // Same seed, same uplink-drop probability: turning transfer faults on
+    // changes how many ship attempts draw from the plan, and must not
+    // change which contact windows drop.
+    let mut rng = Rng::new(0x0D40_5EED);
+    let plan = |transfer: f64| FaultPlan {
+        seed: 0x5EED_0DD5,
+        ship_interrupt_probability: transfer,
+        ship_corrupt_probability: transfer / 2.0,
+        disk_stall_probability: transfer / 2.0,
+        uplink_interrupt_probability: 0.5,
+        ..FaultPlan::default()
+    };
+    let quiet_dir = test_dir("uplink-quiet");
+    let noisy_dir = test_dir("uplink-noisy");
+    let base = GroundServiceConfig {
+        shards: 4,
+        ingest_threads: 1,
+        ..GroundServiceConfig::default()
+    };
+    let quiet = GroundService::new(
+        base.clone()
+            .with_stations(&quiet_dir, two_station_config())
+            .with_fault_plan(plan(0.0)),
+    );
+    let noisy = GroundService::new(
+        base.with_stations(&noisy_dir, two_station_config())
+            .with_fault_plan(plan(0.4)),
+    );
+    for round in 0..8 {
+        let batch: Vec<ReferenceImage> = (0..rng.range(3, 10))
+            .map(|_| {
+                let loc = rng.range(0, 9) as u32;
+                let day = rng.range(1, 30) as f64;
+                reference(loc, day, (rng.next_u64() % 97) as f32 / 97.0)
+            })
+            .collect();
+        assert_eq!(
+            quiet.ingest_downlink_batch(batch.clone()),
+            noisy.ingest_downlink_batch(batch),
+            "round {round}: ingest reports differ"
+        );
+        let contacts: Vec<ContactWindow> = (0..3u32)
+            .map(|sat| ContactWindow {
+                satellite: SatelliteId(sat),
+                day: 1.0 + round as f64 * 4.0,
+                budget_bytes: rng.range(500, 6000) as u64,
+            })
+            .collect();
+        assert_eq!(
+            quiet.plan_pass(&contacts),
+            noisy.plan_pass(&contacts),
+            "round {round}: storage faults moved the uplink schedule"
+        );
+    }
+    let interrupted = quiet.stats().interrupted_windows;
+    assert!(interrupted > 0, "the uplink drops above must fire");
+    assert_eq!(noisy.stats().interrupted_windows, interrupted);
+    let noisy_stats = noisy.stations().expect("replicated backend").stats();
+    assert!(noisy_stats.ship_retries > 0, "transfer faults must fire");
+    let _ = std::fs::remove_dir_all(&quiet_dir);
+    let _ = std::fs::remove_dir_all(&noisy_dir);
 }
 
 /// The replicated ground config the end-to-end mission runs on: small

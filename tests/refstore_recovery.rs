@@ -14,17 +14,14 @@
 //!    that record; the rest survive;
 //! 4. **replay idempotence** — open/close cycles never change state;
 //! 5. **backend equivalence** — the same ingest stream through
-//!    `GroundService` on the in-memory and persistent backends yields the
-//!    same store state and *identical* uplink schedules;
+//!    `GroundService` on the in-memory and durable (one-station) backends
+//!    yields the same store state and *identical* uplink schedules;
 //! 6. **group-commit crash equivalence** — a log written by
 //!    `append_batch` and one written by per-record `append` recover to
 //!    identical state from the same torn-tail cut, and both keep
 //!    accepting writes afterwards.
 
-use earthplus_ground::{
-    ContactWindow, GroundService, GroundServiceConfig, PersistentReferenceStore, ReferenceBackend,
-    ReferenceBackendConfig, ReferenceImage,
-};
+use earthplus_ground::{ContactWindow, GroundService, GroundServiceConfig, ReferenceImage};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, Raster};
 use earthplus_refstore::{framed_len, list_segments, RefLog, RefLogConfig, SEGMENT_HEADER_LEN};
@@ -368,10 +365,7 @@ fn backends_agree_on_ingest_and_uplink_schedules() {
         ..GroundServiceConfig::default()
     };
     let in_memory = GroundService::new(config.clone());
-    let persistent = GroundService::new(config.with_backend(ReferenceBackendConfig::Persistent {
-        dir: dir.clone(),
-        log: RefLogConfig::default(),
-    }));
+    let persistent = GroundService::new(config.with_persistence(&dir));
 
     // Interleave randomized ingest rounds and constellation passes.
     for round in 0..6 {
@@ -423,14 +417,9 @@ fn backends_agree_on_ingest_and_uplink_schedules() {
     // And the persistent half survives a restart with the same content.
     let stats = persistent.stats();
     drop(persistent);
-    let (revived, report) = PersistentReferenceStore::open(
-        &dir,
-        GroundServiceConfig::default().shards,
-        RefLogConfig::default(),
-    )
-    .unwrap();
-    assert!(report.clean());
-    assert_eq!(revived.len(), stats.store_entries);
-    assert_eq!(ReferenceBackend::size_bytes(&revived), stats.store_bytes);
+    let revived = GroundService::new(GroundServiceConfig::default().with_persistence(&dir));
+    assert!(revived.recovery_report().unwrap().clean());
+    assert_eq!(revived.store().len(), stats.store_entries);
+    assert_eq!(revived.store().size_bytes(), stats.store_bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }
