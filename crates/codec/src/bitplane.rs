@@ -38,6 +38,9 @@ pub struct EncodedPlanes {
     pub pass_offsets: Vec<u32>,
 }
 
+// Pass-boundary queries over the offsets table; only the unit tests use
+// them, the encoder and decoders work from `pass_offsets` directly.
+#[cfg(test)]
 impl EncodedPlanes {
     /// The number of passes whose data is entirely contained within
     /// `available_bytes` of payload.

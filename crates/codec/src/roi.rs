@@ -166,29 +166,16 @@ impl RoiBitstream {
         }
     }
 
-    /// Decodes every tile to `(tile index, raster)` pairs.
-    ///
-    /// Allocates a fresh [`DecodeScratch`] per call; per-capture hot paths
-    /// should hold one arena and use
-    /// [`RoiBitstream::decode_tiles_with_scratch`].
+    /// Decodes every tile to `(tile index, raster)` pairs through a
+    /// reusable [`DecodeScratch`] arena: coefficient planes, traversal
+    /// lists, and inverse-DWT buffers are reused across tiles (and across
+    /// captures when the caller keeps the arena), so steady-state tile
+    /// decoding allocates only the returned rasters.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Malformed`] if a tile index exceeds the grid
     /// or a tile stream fails to decode.
-    pub fn decode_tiles(&self) -> Result<Vec<(TileIndex, Raster)>, CodecError> {
-        self.decode_tiles_with_scratch(&mut DecodeScratch::new())
-    }
-
-    /// Decodes every tile through a reusable [`DecodeScratch`] arena:
-    /// coefficient planes, traversal lists, and inverse-DWT buffers are
-    /// reused across tiles (and across captures when the caller keeps the
-    /// arena), so steady-state tile decoding allocates only the returned
-    /// rasters.
-    ///
-    /// # Errors
-    ///
-    /// As [`RoiBitstream::decode_tiles`].
     pub fn decode_tiles_with_scratch(
         &self,
         scratch: &mut DecodeScratch,
@@ -210,29 +197,19 @@ impl RoiBitstream {
     }
 
     /// Decodes and patches every tile into `canvas` (which must match the
-    /// bitstream's image dimensions).
+    /// bitstream's image dimensions): one decode-and-blit per tile, every
+    /// tile decoded into one raster reused across the loop via
+    /// [`Raster::reset`].
+    ///
+    /// Allocates a fresh [`DecodeScratch`] per call; per-capture hot paths
+    /// hold one arena and decode tile by tile with
+    /// [`crate::decode_into`].
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Malformed`] on dimension mismatch, a bad tile
     /// index, or a tile stream that fails to decode.
     pub fn patch_into(&self, canvas: &mut Raster) -> Result<(), CodecError> {
-        self.patch_into_with_scratch(canvas, &mut DecodeScratch::new())
-    }
-
-    /// [`RoiBitstream::patch_into`] through a reusable [`DecodeScratch`]
-    /// arena: one decode-and-blit per tile with zero steady-state scratch
-    /// allocation (each tile is decoded into a raster reused across the
-    /// loop via [`Raster::reset`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`RoiBitstream::patch_into`].
-    pub fn patch_into_with_scratch(
-        &self,
-        canvas: &mut Raster,
-        scratch: &mut DecodeScratch,
-    ) -> Result<(), CodecError> {
         if canvas.dimensions() != (self.width as usize, self.height as usize) {
             return Err(CodecError::Malformed {
                 reason: format!(
@@ -245,6 +222,7 @@ impl RoiBitstream {
             });
         }
         let grid = self.grid()?;
+        let mut scratch = DecodeScratch::new();
         let mut tile = Raster::new(0, 0);
         for t in &self.tiles {
             let flat = t.flat_index as usize;
@@ -253,7 +231,7 @@ impl RoiBitstream {
                     reason: format!("tile index {flat} out of range"),
                 });
             }
-            crate::image_codec::decode_into(&t.image, 0, scratch, &mut tile)?;
+            crate::image_codec::decode_into(&t.image, 0, &mut scratch, &mut tile)?;
             grid.insert_tile(canvas, grid.from_flat_index(flat), &tile)
                 .map_err(|e| CodecError::Malformed {
                     reason: e.to_string(),

@@ -1,18 +1,38 @@
-//! Baseline strategies: Kodan, SatRoI, and Download-Everything (§6.1).
+//! Baseline strategies: Kodan and SatRoI (§6.1).
+//!
+//! Both run the capture loop Earth+ runs: the same bitstream format,
+//! encoder and decoder arenas, ground patch, and scoring. What is theirs
+//! is the cloud detector and the choice of tiles — every non-cloudy tile
+//! (Kodan), or the tiles changed against a fixed full-resolution
+//! reference (SatRoI). The "Download everything" bar of
+//! Figure 19 has compression ratio 1 by definition and runs no strategy.
 
 use crate::config::EarthPlusConfig;
+use crate::pipeline::{clear_tiles, CapturePipeline};
 use crate::strategy::{
-    masked_tile_mse, CaptureContext, CaptureReport, CompressionStrategy, GroundBelief,
-    StageTimings, StorageBreakdown,
+    CaptureContext, CaptureReport, CompressionStrategy, StageTimings, StorageBreakdown,
 };
+use crate::uplink::UplinkReport;
 use earthplus_cloud::{GroundCloudDetector, OnboardCloudDetector};
-use earthplus_codec::{encode_roi, CodecConfig};
 use earthplus_orbit::SatelliteId;
-use earthplus_raster::{
-    psnr_from_mse, Band, IlluminationAligner, LocationId, Raster, TileGrid, TileMask,
-};
+use earthplus_raster::{Band, IlluminationAligner, LocationId, Raster, TileGrid, TileMask};
+use earthplus_telemetry::{TelemetrySink, TraceId, TraceSink};
 use std::collections::HashMap;
 use std::time::Instant;
+
+/// A pipeline for a baseline: no telemetry, no tracing.
+fn untraced_pipeline(config: &EarthPlusConfig) -> CapturePipeline {
+    CapturePipeline::new(config, &TelemetrySink::disabled(), &TraceSink::disabled())
+}
+
+/// The baselines upload nothing: a contact only drains the downlink queue.
+fn drain_only(pipeline: &mut CapturePipeline, satellite: SatelliteId, budget: u64) -> UplinkReport {
+    pipeline.drain(satellite);
+    UplinkReport {
+        bytes_budget: budget,
+        ..UplinkReport::default()
+    }
+}
 
 /// **Kodan** \[37\]: "drop low-value cloud data and download remaining
 /// non-cloudy areas".
@@ -23,11 +43,8 @@ use std::time::Instant;
 /// content forever.
 pub struct KodanStrategy {
     config: EarthPlusConfig,
-    codec: CodecConfig,
     detector: GroundCloudDetector,
-    belief: GroundBelief,
-    pending_bytes: HashMap<SatelliteId, u64>,
-    peak_pending: u64,
+    pipeline: CapturePipeline,
 }
 
 impl KodanStrategy {
@@ -35,11 +52,8 @@ impl KodanStrategy {
     pub fn new(config: EarthPlusConfig) -> Self {
         KodanStrategy {
             detector: GroundCloudDetector::new(config.tile_size),
-            codec: CodecConfig::lossy(),
+            pipeline: untraced_pipeline(&config),
             config,
-            belief: GroundBelief::new(),
-            pending_bytes: HashMap::new(),
-            peak_pending: 0,
         }
     }
 }
@@ -53,7 +67,6 @@ impl CompressionStrategy for KodanStrategy {
         let capture = ctx.capture;
         let (w, h) = capture.image.dimensions();
         let grid = TileGrid::new(w, h, self.config.tile_size).expect("capture is tileable");
-        let mut timings = StageTimings::default();
 
         // Accurate on-board cloud detection (Kodan's expensive stage).
         let t = Instant::now();
@@ -61,56 +74,23 @@ impl CompressionStrategy for KodanStrategy {
             .detector
             .detect(&capture.image)
             .expect("capture is tileable");
-        timings.cloud_s = t.elapsed().as_secs_f64();
-        let cloudy_tiles = detection.tile_mask;
+        let timings = StageTimings {
+            cloud_s: t.elapsed().as_secs_f64(),
+            ..StageTimings::default()
+        };
+        let non_cloudy = clear_tiles(&grid, &detection.tile_mask);
 
-        let mut non_cloudy = TileMask::new(&grid);
-        non_cloudy.fill();
-        non_cloudy.subtract(&cloudy_tiles);
-
-        let budget = self.config.tile_budget_bytes();
-        let mut total_bytes = 0u64;
-        let mut band_bytes: Vec<(Band, u64)> = Vec::new();
-        let mut mse_sum = 0.0;
-        let mut mse_bands = 0u32;
         for (band, band_raster) in capture.image.iter() {
-            let t = Instant::now();
-            let roi = encode_roi(band_raster, &grid, &non_cloudy, &self.codec, budget)
-                .expect("image matches grid");
-            timings.encode_s += t.elapsed().as_secs_f64();
-            total_bytes += roi.size_bytes() as u64;
-            band_bytes.push((band, roi.size_bytes() as u64));
-            let belief = self.belief.belief_mut(ctx.location, band, w, h);
-            roi.patch_into(belief).expect("belief matches grid");
-            if let Some(mse) = masked_tile_mse(belief, band_raster, &grid, &non_cloudy) {
-                mse_sum += mse;
-                mse_bands += 1;
-            }
+            let roi = self.pipeline.encode(band, band_raster, &grid, &non_cloudy);
+            self.pipeline
+                .patch_and_score(ctx.location, band, &roi, band_raster, &non_cloudy, None);
         }
 
-        let pending = self.pending_bytes.entry(ctx.satellite).or_insert(0);
-        *pending += total_bytes;
-        self.peak_pending = self.peak_pending.max(*pending);
-
-        CaptureReport {
-            day: ctx.day,
-            satellite: ctx.satellite,
-            location: ctx.location,
-            cloud_fraction: capture.cloud_fraction,
-            dropped: false,
-            guaranteed: false,
-            downloaded_bytes: total_bytes,
-            downloaded_tile_fraction: non_cloudy.count_set() as f64 / grid.tile_count() as f64,
-            psnr_db: if mse_bands > 0 {
-                Some(psnr_from_mse(mse_sum / mse_bands as f64))
-            } else {
-                None
-            },
-            reference_age_days: None,
-            timings,
-            band_bytes,
-            trace: earthplus_telemetry::TraceId::NONE,
-        }
+        let mut report = self.pipeline.report(ctx, timings, false, TraceId::NONE);
+        // Every band sends the one mask: report its fraction directly, not
+        // the per-band mean, which can differ from it in the last bit.
+        report.downloaded_tile_fraction = non_cloudy.count_set() as f64 / grid.tile_count() as f64;
+        report
     }
 
     fn on_ground_contact(
@@ -118,19 +98,13 @@ impl CompressionStrategy for KodanStrategy {
         satellite: SatelliteId,
         _day: f64,
         uplink_budget_bytes: u64,
-    ) -> crate::uplink::UplinkReport {
-        if let Some(p) = self.pending_bytes.get_mut(&satellite) {
-            *p = 0;
-        }
-        crate::uplink::UplinkReport {
-            bytes_budget: uplink_budget_bytes,
-            ..Default::default()
-        }
+    ) -> UplinkReport {
+        drain_only(&mut self.pipeline, satellite, uplink_budget_bytes)
     }
 
     fn storage(&self) -> StorageBreakdown {
         StorageBreakdown {
-            captured_bytes: 2 * self.peak_pending,
+            captured_bytes: self.pipeline.captured_bytes(),
             reference_bytes: 0,
         }
     }
@@ -145,13 +119,11 @@ impl CompressionStrategy for KodanStrategy {
 /// mission.
 pub struct SatRoiStrategy {
     config: EarthPlusConfig,
-    codec: CodecConfig,
     cloud_detector: OnboardCloudDetector,
+    pipeline: CapturePipeline,
     references: HashMap<(SatelliteId, LocationId, Band), (f64, Raster)>,
-    belief: GroundBelief,
-    pending_bytes: HashMap<SatelliteId, u64>,
-    peak_pending: u64,
-    peak_reference: u64,
+    // Bytes of fixed references each satellite holds (12-bit samples).
+    reference_bytes: HashMap<SatelliteId, u64>,
 }
 
 impl SatRoiStrategy {
@@ -159,14 +131,11 @@ impl SatRoiStrategy {
     /// detector (Figure 16 times them identically).
     pub fn new(config: EarthPlusConfig, cloud_detector: OnboardCloudDetector) -> Self {
         SatRoiStrategy {
-            codec: CodecConfig::lossy(),
+            pipeline: untraced_pipeline(&config),
             config,
             cloud_detector,
             references: HashMap::new(),
-            belief: GroundBelief::new(),
-            pending_bytes: HashMap::new(),
-            peak_pending: 0,
-            peak_reference: 0,
+            reference_bytes: HashMap::new(),
         }
     }
 }
@@ -191,144 +160,55 @@ impl CompressionStrategy for SatRoiStrategy {
         let cloudy_tiles = detection.tile_mask;
 
         if detection.coverage > self.config.cloud_drop_threshold {
-            return CaptureReport {
-                day: ctx.day,
-                satellite: ctx.satellite,
-                location: ctx.location,
-                cloud_fraction: capture.cloud_fraction,
-                dropped: true,
-                guaranteed: false,
-                downloaded_bytes: 0,
-                downloaded_tile_fraction: 0.0,
-                psnr_db: None,
-                reference_age_days: None,
-                timings,
-                band_bytes: Vec::new(),
-                trace: earthplus_telemetry::TraceId::NONE,
-            };
+            return self.pipeline.report(ctx, timings, false, TraceId::NONE);
         }
+        let non_cloudy = clear_tiles(&grid, &cloudy_tiles);
 
-        let budget = self.config.tile_budget_bytes();
         let aligner = IlluminationAligner::new();
-        let mut total_bytes = 0u64;
-        let mut band_bytes: Vec<(Band, u64)> = Vec::new();
-        let mut tile_fraction_sum = 0.0;
-        let mut mse_sum = 0.0;
-        let mut mse_bands = 0u32;
-        let mut ref_age_sum = 0.0;
-        let mut ref_age_n = 0u32;
-
         let may_become_reference = detection.coverage < self.config.reference_cloud_max;
 
         for (band, band_raster) in capture.image.iter() {
             let key = (ctx.satellite, ctx.location, band);
-            // Full-resolution change detection against the fixed reference.
+            // Full-resolution change detection against the fixed reference;
+            // with none yet, every non-cloudy tile is sent and this capture
+            // defines the canonical illumination.
             let t = Instant::now();
-            let mut fresh_canonical = false;
-            let mut alignment = earthplus_raster::AlignmentModel::identity();
-            let changed = match self.references.get(&key) {
+            let (changed, alignment) = match self.references.get(&key) {
                 Some((ref_day, reference)) => {
-                    ref_age_sum += ctx.day - ref_day;
-                    ref_age_n += 1;
-                    alignment = aligner
+                    self.pipeline.note_reference_age(ctx.day - ref_day);
+                    let alignment = aligner
                         .fit_robust(reference, band_raster, None, 2.0 * self.config.theta)
                         .expect("shapes match");
-                    let aligned = alignment.apply_to(reference);
                     let scores = grid
-                        .tile_mean_abs_diff(&aligned, band_raster)
+                        .tile_mean_abs_diff(&alignment.apply_to(reference), band_raster)
                         .expect("shapes match");
                     let mut mask = TileMask::from_scores(&grid, &scores, self.config.theta);
                     mask.subtract(&cloudy_tiles);
-                    mask
+                    (mask, Some(alignment))
                 }
-                None => {
-                    fresh_canonical = true;
-                    let mut all = TileMask::new(&grid);
-                    all.fill();
-                    all.subtract(&cloudy_tiles);
-                    all
-                }
+                None => (non_cloudy.clone(), None),
             };
             timings.change_s += t.elapsed().as_secs_f64();
 
-            let t = Instant::now();
-            let roi = encode_roi(band_raster, &grid, &changed, &self.codec, budget)
-                .expect("image matches grid");
-            timings.encode_s += t.elapsed().as_secs_f64();
-            total_bytes += roi.size_bytes() as u64;
-            band_bytes.push((band, roi.size_bytes() as u64));
-            tile_fraction_sum += changed.count_set() as f64 / grid.tile_count() as f64;
-
-            // Ground: normalize downloaded tiles into the reference's
-            // illumination before patching (as for Earth+, [72]).
-            let belief = self.belief.belief_mut(ctx.location, band, w, h);
-            let gain = if alignment.gain.abs() < 0.25 {
-                1.0
-            } else {
-                alignment.gain
-            };
-            for (index, tile) in roi.decode_tiles().expect("self-produced bitstream") {
-                let normalized = if fresh_canonical {
-                    tile
-                } else {
-                    tile.map(|v| (v - alignment.offset) / gain)
-                };
-                grid.insert_tile(belief, index, &normalized)
-                    .expect("belief matches grid");
-            }
-            let mut eval = TileMask::new(&grid);
-            eval.fill();
-            eval.subtract(&cloudy_tiles);
-            let rendered = if fresh_canonical {
-                belief.clone()
-            } else {
-                alignment.apply_to(belief)
-            };
-            if let Some(mse) = masked_tile_mse(&rendered, band_raster, &grid, &eval) {
-                mse_sum += mse;
-                mse_bands += 1;
-            }
+            let roi = self.pipeline.encode(band, band_raster, &grid, &changed);
+            self.pipeline.patch_and_score(
+                ctx.location,
+                band,
+                &roi,
+                band_raster,
+                &non_cloudy,
+                alignment.as_ref(),
+            );
 
             // Fix the reference on the first cloud-free capture.
             if may_become_reference && !self.references.contains_key(&key) {
+                *self.reference_bytes.entry(ctx.satellite).or_insert(0) +=
+                    (band_raster.len() as u64 * 12).div_ceil(8);
                 self.references.insert(key, (ctx.day, band_raster.clone()));
             }
         }
 
-        let reference_bytes: u64 = self
-            .references
-            .values()
-            .map(|(_, r)| (r.len() as u64 * 12).div_ceil(8))
-            .sum();
-        self.peak_reference = self.peak_reference.max(reference_bytes);
-        let pending = self.pending_bytes.entry(ctx.satellite).or_insert(0);
-        *pending += total_bytes;
-        self.peak_pending = self.peak_pending.max(*pending);
-
-        let bands = capture.image.band_count() as f64;
-        CaptureReport {
-            day: ctx.day,
-            satellite: ctx.satellite,
-            location: ctx.location,
-            cloud_fraction: capture.cloud_fraction,
-            dropped: false,
-            guaranteed: false,
-            downloaded_bytes: total_bytes,
-            downloaded_tile_fraction: tile_fraction_sum / bands,
-            psnr_db: if mse_bands > 0 {
-                Some(psnr_from_mse(mse_sum / mse_bands as f64))
-            } else {
-                None
-            },
-            reference_age_days: if ref_age_n > 0 {
-                Some(ref_age_sum / ref_age_n as f64)
-            } else {
-                None
-            },
-            timings,
-            band_bytes,
-            trace: earthplus_telemetry::TraceId::NONE,
-        }
+        self.pipeline.report(ctx, timings, false, TraceId::NONE)
     }
 
     fn on_ground_contact(
@@ -336,122 +216,16 @@ impl CompressionStrategy for SatRoiStrategy {
         satellite: SatelliteId,
         _day: f64,
         uplink_budget_bytes: u64,
-    ) -> crate::uplink::UplinkReport {
-        if let Some(p) = self.pending_bytes.get_mut(&satellite) {
-            *p = 0;
-        }
-        crate::uplink::UplinkReport {
-            bytes_budget: uplink_budget_bytes,
-            ..Default::default()
-        }
+    ) -> UplinkReport {
+        drain_only(&mut self.pipeline, satellite, uplink_budget_bytes)
     }
 
     fn storage(&self) -> StorageBreakdown {
         StorageBreakdown {
-            captured_bytes: 2 * self.peak_pending,
-            reference_bytes: self.peak_reference,
-        }
-    }
-}
-
-/// Download-everything: encode every tile of every capture at γ (the
-/// "Download everything" bar of Figure 19; compression ratio 1 by
-/// definition of the changed-area metric).
-pub struct DownloadEverythingStrategy {
-    config: EarthPlusConfig,
-    codec: CodecConfig,
-    belief: GroundBelief,
-    pending_bytes: HashMap<SatelliteId, u64>,
-    peak_pending: u64,
-}
-
-impl DownloadEverythingStrategy {
-    /// Creates the baseline.
-    pub fn new(config: EarthPlusConfig) -> Self {
-        DownloadEverythingStrategy {
-            codec: CodecConfig::lossy(),
-            config,
-            belief: GroundBelief::new(),
-            pending_bytes: HashMap::new(),
-            peak_pending: 0,
-        }
-    }
-}
-
-impl CompressionStrategy for DownloadEverythingStrategy {
-    fn name(&self) -> &'static str {
-        "download-everything"
-    }
-
-    fn on_capture(&mut self, ctx: &CaptureContext<'_>) -> CaptureReport {
-        let capture = ctx.capture;
-        let (w, h) = capture.image.dimensions();
-        let grid = TileGrid::new(w, h, self.config.tile_size).expect("capture is tileable");
-        let mut all = TileMask::new(&grid);
-        all.fill();
-        let budget = self.config.tile_budget_bytes();
-        let mut timings = StageTimings::default();
-        let mut total_bytes = 0u64;
-        let mut band_bytes: Vec<(Band, u64)> = Vec::new();
-        let mut mse_sum = 0.0;
-        let mut mse_bands = 0u32;
-        for (band, band_raster) in capture.image.iter() {
-            let t = Instant::now();
-            let roi = encode_roi(band_raster, &grid, &all, &self.codec, budget)
-                .expect("image matches grid");
-            timings.encode_s += t.elapsed().as_secs_f64();
-            total_bytes += roi.size_bytes() as u64;
-            band_bytes.push((band, roi.size_bytes() as u64));
-            let belief = self.belief.belief_mut(ctx.location, band, w, h);
-            roi.patch_into(belief).expect("belief matches grid");
-            if let Some(mse) = masked_tile_mse(belief, band_raster, &grid, &all) {
-                mse_sum += mse;
-                mse_bands += 1;
-            }
-        }
-        let pending = self.pending_bytes.entry(ctx.satellite).or_insert(0);
-        *pending += total_bytes;
-        self.peak_pending = self.peak_pending.max(*pending);
-        CaptureReport {
-            day: ctx.day,
-            satellite: ctx.satellite,
-            location: ctx.location,
-            cloud_fraction: capture.cloud_fraction,
-            dropped: false,
-            guaranteed: false,
-            downloaded_bytes: total_bytes,
-            downloaded_tile_fraction: 1.0,
-            psnr_db: if mse_bands > 0 {
-                Some(psnr_from_mse(mse_sum / mse_bands as f64))
-            } else {
-                None
-            },
-            reference_age_days: None,
-            timings,
-            band_bytes,
-            trace: earthplus_telemetry::TraceId::NONE,
-        }
-    }
-
-    fn on_ground_contact(
-        &mut self,
-        satellite: SatelliteId,
-        _day: f64,
-        uplink_budget_bytes: u64,
-    ) -> crate::uplink::UplinkReport {
-        if let Some(p) = self.pending_bytes.get_mut(&satellite) {
-            *p = 0;
-        }
-        crate::uplink::UplinkReport {
-            bytes_budget: uplink_budget_bytes,
-            ..Default::default()
-        }
-    }
-
-    fn storage(&self) -> StorageBreakdown {
-        StorageBreakdown {
-            captured_bytes: 2 * self.peak_pending,
-            reference_bytes: 0,
+            captured_bytes: self.pipeline.captured_bytes(),
+            // References are never dropped, so the largest per-satellite
+            // total is the worst satellite's peak.
+            reference_bytes: self.reference_bytes.values().copied().max().unwrap_or(0),
         }
     }
 }
@@ -470,9 +244,34 @@ impl std::fmt::Debug for SatRoiStrategy {
     }
 }
 
-impl std::fmt::Debug for DownloadEverythingStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DownloadEverythingStrategy")
-            .finish_non_exhaustive()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use earthplus_cloud::{train_onboard_detector, TrainingConfig};
+    use earthplus_scene::terrain::LocationArchetype;
+    use earthplus_scene::{LocationScene, SceneConfig};
+
+    #[test]
+    fn satroi_storage_is_the_worst_satellite_not_the_constellation() {
+        let scene = LocationScene::new(SceneConfig::quick(7, LocationArchetype::Agriculture));
+        let detector = train_onboard_detector(&scene, &TrainingConfig::default());
+        let mut satroi = SatRoiStrategy::new(EarthPlusConfig::paper(), detector);
+        let capture = scene.capture_with_coverage(60.0, 0.0);
+        for satellite in [SatelliteId(0), SatelliteId(1)] {
+            satroi.on_capture(&CaptureContext {
+                day: 60.0,
+                satellite,
+                location: LocationId(0),
+                capture: &capture,
+            });
+        }
+        let bands = capture.image.band_count();
+        assert_eq!(satroi.references.len(), 2 * bands, "both satellites fixed");
+        let one_satellite: u64 = capture
+            .image
+            .iter()
+            .map(|(_, r)| (r.len() as u64 * 12).div_ceil(8))
+            .sum();
+        assert_eq!(satroi.storage().reference_bytes, one_satellite);
     }
 }

@@ -17,7 +17,9 @@
 //!   eviction-tracked cache model, and the [`GroundService`] facade the
 //!   Earth+ strategy drives;
 //! * [`system`] — the Earth+ strategy (on-board pipeline + ground segment);
-//! * [`baselines`] — Kodan, SatRoI, and Download-Everything;
+//! * [`baselines`] — Kodan and SatRoI, which run the same capture loop
+//!   (codec format, scratch arenas, ground patch, scoring) as Earth+ and
+//!   differ only in cloud detection and tile selection;
 //! * [`simulator`] — the mission driver running all strategies on
 //!   identical captures;
 //! * [`metrics`] / [`storage`] — the paper's evaluation metrics;
@@ -58,6 +60,7 @@ pub mod baselines;
 pub mod change;
 pub mod config;
 pub mod metrics;
+mod pipeline;
 pub mod reference;
 pub mod simulator;
 pub mod storage;
@@ -66,7 +69,7 @@ pub mod system;
 pub mod telemetry;
 pub mod uplink;
 
-pub use baselines::{DownloadEverythingStrategy, KodanStrategy, SatRoiStrategy};
+pub use baselines::{KodanStrategy, SatRoiStrategy};
 pub use change::{ChangeDetection, ChangeDetector};
 pub use config::{DovesSpec, EarthPlusConfig};
 pub use earthplus_ground::{
@@ -94,7 +97,7 @@ pub use uplink::{compute_delta, ReferenceDelta, UplinkPlanner, UplinkReport};
 
 /// Everything a simulation driver typically needs.
 pub mod prelude {
-    pub use crate::baselines::{DownloadEverythingStrategy, KodanStrategy, SatRoiStrategy};
+    pub use crate::baselines::{KodanStrategy, SatRoiStrategy};
     pub use crate::config::{DovesSpec, EarthPlusConfig};
     pub use crate::simulator::{MissionReport, MissionSimulator, SimulationConfig};
     pub use crate::strategy::{CaptureReport, CompressionStrategy};

@@ -145,9 +145,8 @@ impl MissionSimulator {
 
         // Gather all visits across locations, sorted by day.
         let mut visits = Vec::new();
-        for (loc_idx, scene) in self.scenes.iter().enumerate() {
+        for scene in &self.scenes {
             let loc = scene.config().location;
-            let _ = loc_idx;
             visits.extend(self.constellation.visits(loc, from, to));
         }
         visits.sort_by(|a, b| a.day.partial_cmp(&b.day).expect("days are finite"));

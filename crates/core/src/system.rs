@@ -17,17 +17,17 @@
 
 use crate::change::ChangeDetector;
 use crate::config::EarthPlusConfig;
+use crate::pipeline::{clear_tiles, CapturePipeline};
 use crate::reference::ReferenceImage;
 use crate::strategy::{
-    masked_tile_mse, CaptureContext, CaptureReport, CompressionStrategy, GroundBelief,
-    StageTimings, StorageBreakdown,
+    CaptureContext, CaptureReport, CompressionStrategy, StageTimings, StorageBreakdown,
 };
 use crate::uplink::UplinkReport;
 use earthplus_cloud::OnboardCloudDetector;
-use earthplus_codec::{encode_roi_with_scratch, CodecConfig, CodecScratch, DecodeScratch};
+use earthplus_codec::{CodecScratch, DecodeScratch};
 use earthplus_ground::{ContactWindow, GroundService, GroundServiceConfig};
 use earthplus_orbit::SatelliteId;
-use earthplus_raster::{psnr_from_mse, Band, LocationId, TileGrid, TileMask};
+use earthplus_raster::{Band, LocationId, TileGrid};
 use earthplus_telemetry::{names, Histogram, Snapshot, TelemetrySink, TraceSink, TraceTrack};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -39,21 +39,13 @@ use std::time::Instant;
 /// through one [`GroundService`].
 pub struct EarthPlusStrategy {
     config: EarthPlusConfig,
-    codec: CodecConfig,
-    // Reusable encoder arena: persists across tiles, bands, and captures,
-    // so the steady-state encode path allocates no scratch at all.
-    codec_scratch: CodecScratch,
-    // Reusable decoder arena for the ground-side tile decode (step 6):
-    // same steady-state contract as the encode arena.
-    decode_scratch: DecodeScratch,
+    // Codec arenas, ground belief, and downlink queues (shared with the
+    // baselines).
+    pipeline: CapturePipeline,
     cloud_detector: OnboardCloudDetector,
     change_detector: ChangeDetector,
     // The ground segment: sharded store + pass scheduler + cache models.
     service: GroundService,
-    belief: GroundBelief,
-    // Per-satellite downlink queue accounting.
-    pending_bytes: HashMap<SatelliteId, u64>,
-    peak_pending: u64,
     last_full: HashMap<LocationId, f64>,
     // Telemetry: the sink shared with the ground service, plus the
     // per-stage histograms resolved from it once at construction. All of
@@ -100,24 +92,13 @@ impl EarthPlusStrategy {
         // service exports through, so one registry sees the whole system.
         let sink = ground.telemetry.clone();
         let tracing = ground.tracing.clone();
-        let mut codec_scratch = CodecScratch::new();
-        codec_scratch.set_telemetry(&sink);
-        codec_scratch.set_tracing(&tracing);
-        let mut decode_scratch = DecodeScratch::new();
-        decode_scratch.set_telemetry(&sink);
-        decode_scratch.set_tracing(&tracing);
         let service = GroundService::new(ground.with_theta(config.theta));
         EarthPlusStrategy {
             change_detector: ChangeDetector::new(config.detection_theta(), config.tile_size),
-            codec: CodecConfig::lossy().with_format(config.codec_format),
-            codec_scratch,
-            decode_scratch,
+            pipeline: CapturePipeline::new(&config, &sink, &tracing),
             config,
             cloud_detector,
             service,
-            belief: GroundBelief::new(),
-            pending_bytes: HashMap::new(),
-            peak_pending: 0,
             last_full: HashMap::new(),
             stage_cloud_ns: sink.histogram(names::STAGE_CLOUD_NS),
             stage_change_ns: sink.histogram(names::STAGE_CHANGE_NS),
@@ -141,13 +122,13 @@ impl EarthPlusStrategy {
     /// The encoder scratch arena (for allocation accounting in tests and
     /// the perf baseline).
     pub fn codec_scratch(&self) -> &CodecScratch {
-        &self.codec_scratch
+        self.pipeline.codec_scratch()
     }
 
     /// The decoder scratch arena used by the ground-side tile decode (for
     /// allocation accounting in tests and the perf baseline).
     pub fn decode_scratch(&self) -> &DecodeScratch {
-        &self.decode_scratch
+        self.pipeline.decode_scratch()
     }
 
     /// The telemetry sink the strategy (and its ground service) records
@@ -177,18 +158,14 @@ impl CompressionStrategy for EarthPlusStrategy {
     ) -> UplinkReport {
         // Downlink side: the queued captures drain (downlink is orders of
         // magnitude larger than what Earth+ queues).
-        if let Some(p) = self.pending_bytes.get_mut(&satellite) {
-            *p = 0;
-        }
+        self.pipeline.drain(satellite);
         self.service
             .plan_contact(satellite, day, uplink_budget_bytes)
     }
 
     fn on_contact_pass(&mut self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
         for contact in contacts {
-            if let Some(p) = self.pending_bytes.get_mut(&contact.satellite) {
-                *p = 0;
-            }
+            self.pipeline.drain(contact.satellite);
         }
         self.service.plan_pass(contacts)
     }
@@ -236,22 +213,9 @@ impl CompressionStrategy for EarthPlusStrategy {
                 &[("detected_coverage", detection.coverage.into())],
             );
             capture_span.arg("dropped", true);
-            return CaptureReport {
-                day: ctx.day,
-                satellite: ctx.satellite,
-                location: ctx.location,
-                cloud_fraction: capture.cloud_fraction,
-                dropped: true,
-                guaranteed: false,
-                downloaded_bytes: 0,
-                downloaded_tile_fraction: 0.0,
-                psnr_db: None,
-                reference_age_days: None,
-                timings,
-                band_bytes: Vec::new(),
-                trace,
-            };
+            return self.pipeline.report(ctx, timings, false, trace);
         }
+        let non_cloudy = clear_tiles(&grid, &cloudy_tiles);
 
         // 3. Guaranteed downloading: full image once per period (§5).
         let guaranteed = ctx.day
@@ -262,16 +226,8 @@ impl CompressionStrategy for EarthPlusStrategy {
                 .unwrap_or(f64::NEG_INFINITY)
             >= self.config.guaranteed_period_days;
 
-        let budget = self.config.tile_budget_bytes();
         capture_span.arg("guaranteed", guaranteed);
-        capture_span.arg("tile_budget_bytes", budget as u64);
-        let mut total_bytes = 0u64;
-        let mut band_bytes: Vec<(Band, u64)> = Vec::new();
-        let mut tile_fraction_sum = 0.0f64;
-        let mut mse_sum = 0.0f64;
-        let mut mse_bands = 0u32;
-        let mut ref_age_sum = 0.0f64;
-        let mut ref_age_n = 0u32;
+        capture_span.arg("tile_budget_bytes", self.config.tile_budget_bytes() as u64);
         let mut ground_patch_s = 0.0f64;
 
         for (band, band_raster) in capture.image.iter() {
@@ -281,62 +237,39 @@ impl CompressionStrategy for EarthPlusStrategy {
             // in one canonical illumination ([72]).
             let t = Instant::now();
             let mut change_span = self.tracing.span("strategy", "change_detect");
-            let mut fresh_canonical = guaranteed;
-            let mut alignment = earthplus_raster::AlignmentModel::identity();
-            let changed = if guaranteed {
-                let mut all = TileMask::new(&grid);
-                all.fill();
-                all.subtract(&cloudy_tiles);
-                all
+            let served = if guaranteed {
+                None
             } else {
-                match self
+                let served = self
                     .service
-                    .serve_reference(ctx.satellite, ctx.location, band)
-                {
-                    Some(reference) => {
-                        let age = reference.age_days(ctx.day);
-                        change_span.arg("reference_age_days", age);
-                        ref_age_sum += age;
-                        ref_age_n += 1;
-                        let detection = self
-                            .change_detector
-                            .detect(band_raster, &reference, Some(&cloudy_tiles))
-                            .expect("capture matches reference geometry");
-                        alignment = detection.alignment;
-                        detection.changed
-                    }
-                    None => {
-                        // Cold cache: everything non-cloudy is "changed"
-                        // and this capture defines the canonical
-                        // illumination.
-                        fresh_canonical = true;
-                        change_span.arg("cold_cache", true);
-                        let mut all = TileMask::new(&grid);
-                        all.fill();
-                        all.subtract(&cloudy_tiles);
-                        all
-                    }
+                    .serve_reference(ctx.satellite, ctx.location, band);
+                if served.is_none() {
+                    change_span.arg("cold_cache", true);
                 }
+                served
+            };
+            // A guaranteed download or a cold cache sends every
+            // non-cloudy tile, and this capture defines the canonical
+            // illumination (no alignment).
+            let (changed, alignment) = match served {
+                Some(reference) => {
+                    let age = reference.age_days(ctx.day);
+                    change_span.arg("reference_age_days", age);
+                    self.pipeline.note_reference_age(age);
+                    let detection = self
+                        .change_detector
+                        .detect(band_raster, &reference, Some(&cloudy_tiles))
+                        .expect("capture matches reference geometry");
+                    (detection.changed, Some(detection.alignment))
+                }
+                None => (non_cloudy.clone(), None),
             };
             change_span.arg("changed_tiles", changed.count_set());
             drop(change_span);
             timings.change_s += t.elapsed().as_secs_f64();
 
             // 5. ROI-encode the changed tiles at γ bits/pixel.
-            let t = Instant::now();
-            let roi = encode_roi_with_scratch(
-                band_raster,
-                &grid,
-                &changed,
-                &self.codec,
-                budget,
-                &mut self.codec_scratch,
-            )
-            .expect("image matches grid");
-            timings.encode_s += t.elapsed().as_secs_f64();
-            total_bytes += roi.size_bytes() as u64;
-            band_bytes.push((band, roi.size_bytes() as u64));
-            tile_fraction_sum += changed.count_set() as f64 / grid.tile_count() as f64;
+            let roi = self.pipeline.encode(band, band_raster, &grid, &changed);
 
             // 6. Ground: decode, normalize tiles into the belief's
             // canonical illumination, patch, and score the rendered
@@ -349,47 +282,24 @@ impl CompressionStrategy for EarthPlusStrategy {
             let ground_scope = self.tracing.scope(trace, TraceTrack::Station(0));
             let mut patch_span = self.tracing.span("strategy", "ground.patch");
             patch_span.arg("roi_bytes", roi.size_bytes() as u64);
-            let belief = self.belief.belief_mut(ctx.location, band, w, h);
-            let gain = if alignment.gain.abs() < 0.25 {
-                1.0
-            } else {
-                alignment.gain
-            };
-            for (index, tile) in roi
-                .decode_tiles_with_scratch(&mut self.decode_scratch)
-                .expect("self-produced bitstream")
-            {
-                let normalized = if fresh_canonical {
-                    tile
-                } else {
-                    tile.map(|v| (v - alignment.offset) / gain)
-                };
-                grid.insert_tile(belief, index, &normalized)
-                    .expect("belief matches grid");
-            }
-            let mut eval = TileMask::new(&grid);
-            eval.fill();
-            eval.subtract(&cloudy_tiles);
-            // Render the belief under this capture's illumination before
-            // comparing with the (raw) capture.
-            let rendered = if fresh_canonical {
-                belief.clone()
-            } else {
-                alignment.apply_to(belief)
-            };
-            if let Some(mse) = masked_tile_mse(&rendered, band_raster, &grid, &eval) {
-                mse_sum += mse;
-                mse_bands += 1;
-            }
+            self.pipeline.patch_and_score(
+                ctx.location,
+                band,
+                &roi,
+                band_raster,
+                &non_cloudy,
+                alignment.as_ref(),
+            );
             drop(patch_span);
             drop(ground_scope);
             ground_patch_s += t.elapsed().as_secs_f64();
         }
 
+        let report = self.pipeline.report(ctx, timings, guaranteed, trace);
         // One record per capture (all bands), mirroring the StageTimings
         // this report carries.
-        self.stage_change_ns.record_secs(timings.change_s);
-        self.stage_encode_ns.record_secs(timings.encode_s);
+        self.stage_change_ns.record_secs(report.timings.change_s);
+        self.stage_encode_ns.record_secs(report.timings.encode_s);
         self.stage_ground_patch_ns.record_secs(ground_patch_s);
 
         if guaranteed {
@@ -403,7 +313,7 @@ impl CompressionStrategy for EarthPlusStrategy {
         // `GroundCloudDetector` matches it closely.
         if capture.cloud_fraction < self.config.reference_cloud_max {
             for (band, _) in capture.image.iter() {
-                if let Some(belief) = self.belief.belief(ctx.location, band) {
+                if let Some(belief) = self.pipeline.belief(ctx.location, band) {
                     if let Ok(reference) = ReferenceImage::from_capture(
                         ctx.location,
                         band,
@@ -417,42 +327,14 @@ impl CompressionStrategy for EarthPlusStrategy {
             }
         }
 
-        // Storage accounting.
-        let pending = self.pending_bytes.entry(ctx.satellite).or_insert(0);
-        *pending += total_bytes;
-        self.peak_pending = self.peak_pending.max(*pending);
-
-        let bands = capture.image.band_count() as f64;
-        capture_span.arg("downloaded_bytes", total_bytes);
-        CaptureReport {
-            day: ctx.day,
-            satellite: ctx.satellite,
-            location: ctx.location,
-            cloud_fraction: capture.cloud_fraction,
-            dropped: false,
-            guaranteed,
-            downloaded_bytes: total_bytes,
-            downloaded_tile_fraction: tile_fraction_sum / bands,
-            psnr_db: if mse_bands > 0 {
-                Some(psnr_from_mse(mse_sum / mse_bands as f64))
-            } else {
-                None
-            },
-            reference_age_days: if ref_age_n > 0 {
-                Some(ref_age_sum / ref_age_n as f64)
-            } else {
-                None
-            },
-            timings,
-            band_bytes,
-            trace,
-        }
+        capture_span.arg("downloaded_bytes", report.downloaded_bytes);
+        report
     }
 
     fn storage(&self) -> StorageBreakdown {
         StorageBreakdown {
             // Two-contact retention of queued captures (Appendix A).
-            captured_bytes: 2 * self.peak_pending,
+            captured_bytes: self.pipeline.captured_bytes(),
             // Worst single-satellite reference cache footprint observed.
             reference_bytes: self.service.peak_cache_bytes(),
         }

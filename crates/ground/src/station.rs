@@ -487,21 +487,18 @@ impl ReplicatedReferenceStore {
     }
 
     /// Number of stations.
+    #[cfg(test)]
     pub fn station_count(&self) -> usize {
         self.inner.config.stations
     }
 
     /// The station currently holding `shard`'s primary log.
+    #[cfg(test)]
     pub fn shard_station(&self, shard: usize) -> usize {
         self.inner.shards[shard]
             .read()
             .expect("shard poisoned")
             .station
-    }
-
-    /// Whether `station` is currently down.
-    pub fn station_down(&self, station: usize) -> bool {
-        self.inner.station_down(station)
     }
 
     /// Every open-time replay plus every failover promotion's replay.
@@ -529,6 +526,7 @@ impl ReplicatedReferenceStore {
 
     /// Marks `station` back up. Its files are re-verified (and any
     /// diverged tail truncated) by the next shipping pass.
+    #[cfg(test)]
     pub fn restore_station(&self, station: usize) {
         self.inner.set_station_state(station, false);
     }

@@ -4,7 +4,9 @@
 use earthplus::metrics;
 use earthplus::prelude::*;
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
+use earthplus_codec::FormatVersion;
 use earthplus_orbit::LinkModel;
+use earthplus_raster::{Band, LocationId};
 use earthplus_scene::large_constellation;
 
 fn small_mission() -> (MissionSimulator, earthplus_scene::DatasetConfig) {
@@ -18,20 +20,56 @@ fn small_mission() -> (MissionSimulator, earthplus_scene::DatasetConfig) {
     (sim, dataset)
 }
 
+/// Every (location, band) the mission serves.
+fn targets(dataset: &earthplus_scene::DatasetConfig) -> Vec<(LocationId, Band)> {
+    dataset
+        .locations
+        .iter()
+        .flat_map(|l| l.bands.iter().map(|&b| (l.location, b)))
+        .collect()
+}
+
+/// FNV-1a over every [`CaptureReport`] field except the wall-clock
+/// `timings` and the `trace` id; floats are hashed by bit pattern.
+fn report_hash(records: &[CaptureReport]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let opt = |v: Option<f64>| v.map_or([0xff; 8], |v| v.to_bits().to_le_bytes());
+    for r in records {
+        eat(&r.day.to_bits().to_le_bytes());
+        eat(&r.satellite.0.to_le_bytes());
+        eat(&r.location.0.to_le_bytes());
+        eat(&r.cloud_fraction.to_bits().to_le_bytes());
+        eat(&[r.dropped as u8, r.guaranteed as u8]);
+        eat(&r.downloaded_bytes.to_le_bytes());
+        eat(&r.downloaded_tile_fraction.to_bits().to_le_bytes());
+        eat(&[r.psnr_db.is_some() as u8]);
+        eat(&opt(r.psnr_db));
+        eat(&[r.reference_age_days.is_some() as u8]);
+        eat(&opt(r.reference_age_days));
+        eat(&(r.band_bytes.len() as u64).to_le_bytes());
+        for (band, bytes) in &r.band_bytes {
+            eat(band.name().as_bytes());
+            eat(&bytes.to_le_bytes());
+        }
+    }
+    hash
+}
+
 #[test]
 fn earthplus_beats_baselines_on_downlink_without_losing_quality() {
     let (sim, dataset) = small_mission();
     let detector = train_onboard_detector(&sim.scenes()[0], &TrainingConfig::default());
-    let targets: Vec<_> = dataset
-        .locations
-        .iter()
-        .flat_map(|l| l.bands.iter().map(|&b| (l.location, b)))
-        .collect();
 
     // γ=2 bits/pixel sits in the steep region of the codec's RD curve —
     // the regime Figure 11's crossover lives in.
     let config = EarthPlusConfig::paper().with_gamma(2.0);
-    let mut earthplus = EarthPlusStrategy::new(config, detector.clone(), targets);
+    let mut earthplus = EarthPlusStrategy::new(config, detector.clone(), targets(&dataset));
     let mut kodan = KodanStrategy::new(config);
     let mut satroi = SatRoiStrategy::new(config, detector.clone());
     let report = sim.run(&mut [&mut earthplus, &mut kodan, &mut satroi]);
@@ -93,12 +131,8 @@ fn earthplus_beats_baselines_on_downlink_without_losing_quality() {
 fn guaranteed_downloads_occur_monthly() {
     let (sim, dataset) = small_mission();
     let detector = train_onboard_detector(&sim.scenes()[0], &TrainingConfig::default());
-    let targets: Vec<_> = dataset
-        .locations
-        .iter()
-        .flat_map(|l| l.bands.iter().map(|&b| (l.location, b)))
-        .collect();
-    let mut earthplus = EarthPlusStrategy::new(EarthPlusConfig::paper(), detector, targets);
+    let mut earthplus =
+        EarthPlusStrategy::new(EarthPlusConfig::paper(), detector, targets(&dataset));
     let report = sim.run(&mut [&mut earthplus]);
     let guaranteed: Vec<f64> = report
         .records("earth+")
@@ -117,5 +151,57 @@ fn guaranteed_downloads_occur_monthly() {
             w[1] - w[0] >= EarthPlusConfig::paper().guaranteed_period_days - 1e-9,
             "guaranteed downloads too close: {w:?}"
         );
+    }
+}
+
+/// Pins every strategy's capture reports (all fields but wall-clock
+/// timings and trace ids) on the small mission at the default config, so
+/// a refactor of the shared capture loop cannot silently move bytes,
+/// tile fractions, PSNR, or reference ages.
+#[test]
+fn strategy_reports_match_golden() {
+    let (sim, dataset) = small_mission();
+    let detector = train_onboard_detector(&sim.scenes()[0], &TrainingConfig::default());
+    let config = EarthPlusConfig::default();
+    let mut earthplus = EarthPlusStrategy::new(config, detector.clone(), targets(&dataset));
+    let mut kodan = KodanStrategy::new(config);
+    let mut satroi = SatRoiStrategy::new(config, detector);
+    let report = sim.run(&mut [&mut earthplus, &mut kodan, &mut satroi]);
+    let hashes = ["earth+", "kodan", "satroi"].map(|name| report_hash(report.records(name)));
+    assert_eq!(
+        hashes,
+        [
+            0xddc2_3d44_4fc9_64e1,
+            0x3841_4ab0_4ca4_fbfc,
+            0x22e4_b767_43ef_2250
+        ],
+        "capture reports drifted (earth+, kodan, satroi): {hashes:#018x?}"
+    );
+}
+
+/// The baselines encode in the configured bitstream format, like Earth+:
+/// an EPC1-pinned comparison must not encode the baselines as EPC2.
+#[test]
+fn baselines_encode_in_the_configured_format() {
+    let (sim, _) = small_mission();
+    let band_bytes = |format: FormatVersion| {
+        let config = EarthPlusConfig::default().with_codec_format(format);
+        let detector = train_onboard_detector(&sim.scenes()[0], &TrainingConfig::default());
+        let mut kodan = KodanStrategy::new(config);
+        let mut satroi = SatRoiStrategy::new(config, detector);
+        let report = sim.run(&mut [&mut kodan, &mut satroi]);
+        ["kodan", "satroi"].map(|name| {
+            report
+                .records(name)
+                .iter()
+                .flat_map(|r| r.band_bytes.iter().map(|&(_, b)| b))
+                .collect::<Vec<u64>>()
+        })
+    };
+    let epc1 = band_bytes(FormatVersion::Epc1);
+    let epc2 = band_bytes(FormatVersion::Epc2);
+    for (name, (a, b)) in ["kodan", "satroi"].iter().zip(epc1.iter().zip(&epc2)) {
+        assert!(!a.is_empty(), "{name} encoded nothing");
+        assert_ne!(a, b, "{name} ignores codec_format");
     }
 }
