@@ -1,10 +1,11 @@
 //! Bitplane pass-coder micro-benchmarks: the word-parallel significance /
 //! refinement passes in isolation — no DWT, no quantizer, no image-level
-//! header work — so a throughput regression localizes to a pass coder
+//! header work — so a throughput regression localizes to the plane coder
 //! instead of the whole pipeline.
 //!
-//! Covers both formats (v1 = EPC1 global chain, v2 = EPC2 zero-run mode)
-//! on three plane populations:
+//! Both formats run the same plane traversal and differ only in the
+//! significance pass (`epc1` = dense, `epc2` = zero-run), so each is timed
+//! in both directions on three plane populations:
 //!
 //! * `sparse` — ~2% significant, upper-plane dominated: exercises the
 //!   zero-run chunking and whole-word skips.
@@ -15,19 +16,18 @@
 //! Encode benches run through a reused scratch arena (steady state, no
 //! allocation); decode benches replay a pre-encoded payload the same way.
 //! Every case codes one 128×128 plane (16,384 coefficients) per iteration.
+//! Case ids are `encode_<format>/<population>` and
+//! `decode_<format>/<population>`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use earthplus_codec::bitplane::{
-    decode_planes_v2_with, decode_planes_with, encode_planes, encode_planes_into, encode_planes_v2,
-    encode_planes_v2_into,
-};
-use earthplus_codec::{CodecScratch, DecodeScratch};
+use earthplus_codec::bitplane::{decode_planes_with, encode_planes, encode_planes_into};
+use earthplus_codec::{CodecScratch, DecodeScratch, FormatVersion};
 
 /// Band geometry: the largest subband of the evaluation's 256×256 tile.
 const W: usize = 128;
 const H: usize = 128;
 
-/// Deterministic xorshift so every run (and both coder versions) sees the
+/// Deterministic xorshift so every run (and both formats) sees the
 /// same plane.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -87,38 +87,31 @@ fn bench_bitplane(c: &mut Criterion) {
     let mut enc_scratch = CodecScratch::new();
     let mut dec_scratch = DecodeScratch::new();
     for (name, coeffs) in &planes {
-        group.bench_with_input(BenchmarkId::new("encode_v1", name), coeffs, |b, coeffs| {
-            b.iter(|| encode_planes_into(coeffs, W, &mut enc_scratch))
-        });
-        group.bench_with_input(BenchmarkId::new("encode_v2", name), coeffs, |b, coeffs| {
-            b.iter(|| encode_planes_v2_into(coeffs, W, &mut enc_scratch))
-        });
-        let v1 = encode_planes(coeffs, W);
-        group.bench_with_input(BenchmarkId::new("decode_v1", name), &v1, |b, v1| {
-            b.iter(|| {
-                decode_planes_with(
-                    &v1.payload,
-                    W * H,
-                    W,
-                    v1.planes,
-                    &v1.pass_offsets,
-                    &mut dec_scratch,
-                )
-            })
-        });
-        let v2 = encode_planes_v2(coeffs, W);
-        group.bench_with_input(BenchmarkId::new("decode_v2", name), &v2, |b, v2| {
-            b.iter(|| {
-                decode_planes_v2_with(
-                    &v2.payload,
-                    W * H,
-                    W,
-                    v2.planes,
-                    &v2.pass_offsets,
-                    &mut dec_scratch,
-                )
-            })
-        });
+        for (id, format) in [("epc1", FormatVersion::Epc1), ("epc2", FormatVersion::Epc2)] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("encode_{id}"), name),
+                coeffs,
+                |b, coeffs| b.iter(|| encode_planes_into(coeffs, W, format, &mut enc_scratch)),
+            );
+            let enc = encode_planes(coeffs, W, format).expect("bench planes fit MAX_PLANES");
+            group.bench_with_input(
+                BenchmarkId::new(format!("decode_{id}"), name),
+                &enc,
+                |b, enc| {
+                    b.iter(|| {
+                        decode_planes_with(
+                            &enc.payload,
+                            W * H,
+                            W,
+                            enc.planes,
+                            &enc.pass_offsets,
+                            format,
+                            &mut dec_scratch,
+                        )
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

@@ -8,6 +8,34 @@
 //! 2. **refinement pass** — for already-significant coefficients, code the
 //!    plane's magnitude bit.
 //!
+//! Both stream formats ([`FormatVersion`]) run one traversal per direction:
+//! the same mask setup, per-plane snapshot and context derivation,
+//! refinement pass, pass-offset recording and truncation check. They
+//! differ only in the significance pass, picked once per plane:
+//!
+//! * **EPC1, dense** — one adaptive decision per not-yet-significant
+//!   coefficient in raster order, in one of three neighbour contexts (0, 1
+//!   or 2+ significant causal neighbours).
+//! * **EPC2, zero-run** — a candidate with a significant neighbour is coded
+//!   as in EPC1, but a stretch of context-0 candidates is grouped into
+//!   chunks of up to `RUN_MAX` (64) that cost one adaptive "all clear"
+//!   decision when nothing in them becomes significant — the dominant case
+//!   in the upper bitplanes. When a chunk does hold a new significant
+//!   coefficient, its position is sent in `ceil(log2(len))` raw bits and
+//!   the chunk resumes after it.
+//!
+//! The traversal runs over 64-coefficient `u64` word state: a significance
+//! mask (one bit per coefficient), a per-plane magnitude-bit mask, and
+//! neighbour-context masks derived for a whole word from the shifted
+//! significance masks of the row above (`derive_context_masks`). The next
+//! candidate is found with `trailing_zeros`, and a word with no candidate
+//! is skipped with one load. Contexts and the refinement set are frozen
+//! from a snapshot taken at the start of each plane, so the context
+//! modelling reproduces the per-coefficient probe in `neighbor_context`
+//! bit for bit (EPC1 is byte-identical to the `reference` encoder), and
+//! EPC2's chunk boundaries are a pure function of pass-start state that
+//! the decoder regathers exactly.
+//!
 //! The encoder records a truncation offset after every pass. Cutting the
 //! payload at any recorded offset yields a valid lower-rate stream; the
 //! decoder decodes exactly the passes that are fully contained in the bytes
@@ -15,8 +43,10 @@
 //! Earth+ ground station uses to download fewer layers when the downlink
 //! degrades (§5, *Handling bandwidth fluctuation*).
 
+use crate::image_codec::FormatVersion;
 use crate::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use crate::scratch::{CodecScratch, DecodeScratch};
+use crate::CodecError;
 
 /// Decoder lookahead margin, in bytes: the range decoder primes itself with
 /// five bytes, so each recorded pass boundary must include them.
@@ -112,56 +142,146 @@ pub(crate) fn neighbor_context(sig: &[bool], width: usize, idx: usize) -> usize 
     n.min(2)
 }
 
-/// Encodes quantized coefficients (`width` is the row length used for
-/// neighbour context modelling).
+/// Encodes quantized coefficients in `format` (`width` is the row length
+/// used for neighbour context modelling). Allocating wrapper over
+/// [`encode_planes_into`].
+///
+/// # Errors
+///
+/// As [`encode_planes_into`].
 ///
 /// # Panics
 ///
 /// Panics if `width` is zero or does not divide `coefficients.len()`.
-pub fn encode_planes(coefficients: &[i32], width: usize) -> EncodedPlanes {
+pub fn encode_planes(
+    coefficients: &[i32],
+    width: usize,
+    format: FormatVersion,
+) -> Result<EncodedPlanes, CodecError> {
     let mut scratch = CodecScratch::new();
-    let planes = encode_planes_into(coefficients, width, &mut scratch);
-    EncodedPlanes {
+    let planes = encode_planes_into(coefficients, width, format, &mut scratch)?;
+    Ok(EncodedPlanes {
         payload: std::mem::take(&mut scratch.payload),
         planes,
         pass_offsets: std::mem::take(&mut scratch.pass_offsets),
-    }
+    })
 }
 
 /// Scratch-arena encoder: bit-identical to [`encode_planes`], but every
 /// intermediate buffer (significance word masks, context masks, range-coder
 /// output) lives in `scratch` and is reused across calls. The payload ends
-/// up in `scratch.payload` with per-pass offsets in `scratch.pass_offsets`;
-/// the number of magnitude bitplanes is returned.
+/// up in `scratch.payload` with per-pass offsets (lookahead included) in
+/// `scratch.pass_offsets`; the number of magnitude bitplanes is returned.
 ///
-/// The passes run over 64-coefficient `u64` word state: a significance
-/// mask (one bit per coefficient), a per-plane magnitude-bit mask packed 64
-/// coefficients at a time, and neighbour-context masks derived for a whole
-/// word from the shifted significance masks of the row above
-/// (`derive_context_masks`). The next candidate is found with
-/// `trailing_zeros`, a word with no candidate is skipped with a single
-/// load, and the context modelling reproduces the per-coefficient probe in
-/// `neighbor_context` bit for bit — frozen during a pass, published
-/// between passes — so the stream is byte-identical to the list-driven
-/// coder this replaces (and to `reference`).
+/// This is the encoder's one plane loop for both formats: pack the plane's
+/// magnitude bits, snapshot the significance mask and derive the frozen
+/// contexts, run the format's significance pass, then the refinement pass
+/// over the snapshot — exactly the coefficients significant *before* this
+/// plane, so the "skip those that became significant in THIS plane" rule
+/// needs no per-coefficient check. An offset is recorded after each pass.
+///
+/// # Errors
+///
+/// Returns [`CodecError::TooManyPlanes`] when the largest magnitude needs
+/// more than [`MAX_PLANES`] bitplanes; nothing is coded.
 ///
 /// # Panics
 ///
 /// Panics if `width` is zero or does not divide `coefficients.len()`.
-pub fn encode_planes_into(coefficients: &[i32], width: usize, scratch: &mut CodecScratch) -> u8 {
-    let planes = plane_count(coefficients, width);
-    let mut enc = RangeEncoder::with_buffer(std::mem::take(&mut scratch.payload));
+pub fn encode_planes_into(
+    coefficients: &[i32],
+    width: usize,
+    format: FormatVersion,
+    scratch: &mut CodecScratch,
+) -> Result<u8, CodecError> {
+    let planes = plane_count(coefficients, width)?;
+    let CodecScratch {
+        payload,
+        pass_offsets,
+        sig_words,
+        snap_words,
+        any_words,
+        two_words,
+        bits_words,
+        rowstart_words,
+        rowend_words,
+        ..
+    } = scratch;
+    let n = coefficients.len();
+    let wc = word_count(n);
+    let last = last_word_mask(n);
+    // `snap`/`bits` are fully overwritten every plane, so they are only
+    // sized, not cleared.
+    zero_words(sig_words, wc);
+    zero_words(any_words, wc);
+    zero_words(two_words, wc);
+    prepare(snap_words, wc);
+    prepare(bits_words, wc);
+    build_row_masks(n, width, rowstart_words, rowend_words);
+    let sig = &mut sig_words[..wc];
+    let snap = &mut snap_words[..wc];
+    let any = &mut any_words[..wc];
+    let two = &mut two_words[..wc];
+    let bits = &mut bits_words[..wc];
+    let rowstart = &rowstart_words[..wc];
+    let rowend = &rowend_words[..wc];
+    let mut enc = RangeEncoder::with_buffer(std::mem::take(payload));
+    pass_offsets.clear();
     let mut ctx = Contexts::new();
-    scratch.pass_offsets.clear();
-    prepare_encode_masks(coefficients.len(), width, scratch);
-    encode_planes_passes(coefficients, width, planes, &mut enc, &mut ctx, scratch);
-    finish_payload(enc, scratch);
-    planes
+    let mut scan = RunScan::new();
+    let mut have_sig = false;
+
+    for plane in (0..planes).rev() {
+        pack_plane_bits(coefficients, 1u32 << plane, bits);
+        snap.copy_from_slice(sig);
+        // Until the first coefficient becomes significant every context is
+        // 0 and `any`/`two` stay all-clear from initialization, so the
+        // derivation is skipped for every plane above the first
+        // significant magnitude.
+        if have_sig {
+            derive_context_masks(snap, width, rowstart, rowend, any, two);
+        }
+        let mut w = SignificanceWords {
+            sig: &mut *sig,
+            any: &*any,
+            two: &*two,
+            last,
+        };
+        have_sig |= match format {
+            FormatVersion::Epc1 => {
+                encode_dense_pass(coefficients, bits, &mut w, &mut enc, &mut ctx)
+            }
+            FormatVersion::Epc2 => {
+                encode_run_pass(coefficients, bits, &mut w, &mut scan, &mut enc, &mut ctx)
+            }
+        };
+        pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
+        for i in 0..wc {
+            let bw = bits[i];
+            let mut s = snap[i];
+            while s != 0 {
+                let j = s.trailing_zeros();
+                enc.encode(&mut ctx.refinement, (bw >> j) & 1 != 0);
+                s &= s - 1;
+            }
+        }
+        pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
+    }
+    // Pad to the final recorded offset: offsets include the decoder
+    // lookahead margin, so a full (untruncated) stream must physically
+    // contain every offset for the availability check to admit all passes.
+    *payload = enc.finish();
+    if let Some(&end) = pass_offsets.last() {
+        if payload.len() < end as usize {
+            payload.resize(end as usize, 0);
+        }
+    }
+    Ok(planes)
 }
 
 /// Number of magnitude bitplanes needed for `coefficients` (also validates
 /// the block shape).
-fn plane_count(coefficients: &[i32], width: usize) -> u8 {
+fn plane_count(coefficients: &[i32], width: usize) -> Result<u8, CodecError> {
     assert!(width > 0, "width must be positive");
     assert_eq!(
         coefficients.len() % width,
@@ -173,21 +293,11 @@ fn plane_count(coefficients: &[i32], width: usize) -> u8 {
         .map(|&c| c.unsigned_abs())
         .max()
         .unwrap_or(0);
-    (32 - max_mag.leading_zeros()).min(MAX_PLANES as u32) as u8
-}
-
-/// Finalizes the range coder into `scratch.payload`, padding to the final
-/// recorded offset: offsets include the decoder lookahead margin, so a
-/// full (untruncated) stream must physically contain every offset for the
-/// availability check to admit all passes.
-fn finish_payload(enc: RangeEncoder, scratch: &mut CodecScratch) {
-    let mut payload = enc.finish();
-    if let Some(&last) = scratch.pass_offsets.last() {
-        if payload.len() < last as usize {
-            payload.resize(last as usize, 0);
-        }
+    let planes = (32 - max_mag.leading_zeros()) as u8;
+    if planes > MAX_PLANES {
+        return Err(CodecError::TooManyPlanes { planes });
     }
-    scratch.payload = payload;
+    Ok(planes)
 }
 
 fn prepare<T: Copy + Default>(buf: &mut Vec<T>, n: usize) {
@@ -212,37 +322,9 @@ fn last_word_mask(n: usize) -> u64 {
     }
 }
 
-/// Valid-coefficient mask of word `i` (all ones except the tail word).
-#[inline(always)]
-fn valid_mask(i: usize, wc: usize, last: u64) -> u64 {
-    if i + 1 == wc {
-        last
-    } else {
-        !0
-    }
-}
-
 fn zero_words(buf: &mut Vec<u64>, wc: usize) {
     buf.clear();
     buf.resize(wc, 0);
-}
-
-/// Sizes and clears the word-mask arenas for an `n`-coefficient block of
-/// row length `width` (encoder side). `snap`/`bits` are fully overwritten
-/// every plane, so they are only sized, not cleared.
-fn prepare_encode_masks(n: usize, width: usize, scratch: &mut CodecScratch) {
-    let wc = word_count(n);
-    zero_words(&mut scratch.sig_words, wc);
-    zero_words(&mut scratch.any_words, wc);
-    zero_words(&mut scratch.two_words, wc);
-    prepare(&mut scratch.snap_words, wc);
-    prepare(&mut scratch.bits_words, wc);
-    build_row_masks(
-        n,
-        width,
-        &mut scratch.rowstart_words,
-        &mut scratch.rowend_words,
-    );
 }
 
 /// Sets the row-boundary masks: `rowstart` has a bit at every position in
@@ -351,94 +433,28 @@ fn above_bit(j: u32) -> u64 {
     (!0u64).checked_shl(j + 1).unwrap_or(0)
 }
 
-/// Runs the per-plane significance/refinement passes over word masks.
-/// Each plane: pack the plane's magnitude bits, snapshot the significance
-/// mask (contexts and the refinement set are frozen during a pass), then
-/// walk candidate words — `magnitude & bit_mask` is folded 64 coefficients
-/// at a time into `becomes_w`, and the context is two mask-bit extractions
-/// instead of a neighbour probe.
-fn encode_planes_passes(
-    coefficients: &[i32],
-    width: usize,
-    planes: u8,
-    enc: &mut RangeEncoder,
-    ctx: &mut Contexts,
-    scratch: &mut CodecScratch,
-) {
-    let CodecScratch {
-        sig_words,
-        snap_words,
-        any_words,
-        two_words,
-        bits_words,
-        rowstart_words,
-        rowend_words,
-        pass_offsets,
-        ..
-    } = &mut *scratch;
-    let n = coefficients.len();
-    let wc = word_count(n);
-    let last = last_word_mask(n);
-    let sig = &mut sig_words[..wc];
-    let snap = &mut snap_words[..wc];
-    let any = &mut any_words[..wc];
-    let two = &mut two_words[..wc];
-    let bits = &mut bits_words[..wc];
-    let rowstart = &rowstart_words[..wc];
-    let rowend = &rowend_words[..wc];
-    let mut have_sig = false;
+/// The word state one significance pass works on: the live significance
+/// mask (updated as coefficients become significant) and the context
+/// masks frozen from the pass-start snapshot.
+struct SignificanceWords<'a> {
+    sig: &'a mut [u64],
+    any: &'a [u64],
+    two: &'a [u64],
+    /// Valid-coefficient mask of the last word.
+    last: u64,
+}
 
-    for plane in (0..planes).rev() {
-        let bit_mask = 1u32 << plane;
-        pack_plane_bits(coefficients, bit_mask, bits);
-        snap.copy_from_slice(sig);
-        // Until the first coefficient becomes significant every context is
-        // 0 and `any`/`two` stay all-clear from initialization, so the
-        // derivation is skipped for every plane above the first
-        // significant magnitude.
-        if have_sig {
-            derive_context_masks(snap, width, rowstart, rowend, any, two);
-        }
-        // Pass 1: significance over not-yet-significant coefficients in
-        // raster order, contexts frozen from the snapshot.
-        for i in 0..wc {
-            let cand = !sig[i] & valid_mask(i, wc, last);
-            if cand == 0 {
-                continue;
-            }
-            let becomes_w = cand & bits[i];
-            let (a, t) = (any[i], two[i]);
-            let mut b = cand;
-            while b != 0 {
-                let j = b.trailing_zeros();
-                let c = (((a >> j) & 1) + ((t >> j) & 1)) as usize;
-                let becomes = (becomes_w >> j) & 1 != 0;
-                enc.encode_biased(&mut ctx.significance[c], becomes);
-                if becomes {
-                    enc.encode_raw(coefficients[i * 64 + j as usize] < 0);
-                }
-                b &= b - 1;
-            }
-            if becomes_w != 0 {
-                sig[i] |= becomes_w;
-                have_sig = true;
-            }
-        }
-        pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
-        // Pass 2: refinement over the snapshot — exactly the coefficients
-        // significant *before* this plane, so the original "skip those
-        // that became significant in THIS plane" rule needs no
-        // per-coefficient check.
-        for i in 0..wc {
-            let bw = bits[i];
-            let mut s = snap[i];
-            while s != 0 {
-                let j = s.trailing_zeros();
-                enc.encode(&mut ctx.refinement, (bw >> j) & 1 != 0);
-                s &= s - 1;
-            }
-        }
-        pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
+impl SignificanceWords<'_> {
+    /// Candidates of word `i`: its still-insignificant coefficients (the
+    /// tail word masked to real coefficients).
+    #[inline(always)]
+    fn candidates(&self, i: usize) -> u64 {
+        let valid = if i + 1 == self.sig.len() {
+            self.last
+        } else {
+            !0
+        };
+        !self.sig[i] & valid
     }
 }
 
@@ -487,15 +503,8 @@ impl RunScan {
 /// are reset; the segment arrays are write-before-read up to `nseg`) so
 /// the hot path never re-zeroes the 64-entry segment buffers.
 #[inline]
-fn gather_run(
-    scan: &mut RunScan,
-    sig: &[u64],
-    any: &[u64],
-    wc: usize,
-    last: u64,
-    start: usize,
-    cur: u64,
-) {
+fn gather_run(scan: &mut RunScan, w: &SignificanceWords, start: usize, cur: u64) {
+    let (any, wc) = (w.any, w.sig.len());
     scan.len = 0;
     scan.nseg = 0;
     scan.end_word = wc;
@@ -538,7 +547,7 @@ fn gather_run(
         if gi >= wc {
             return;
         }
-        gcur = !sig[gi] & valid_mask(gi, wc, last);
+        gcur = w.candidates(gi);
     }
 }
 
@@ -578,370 +587,113 @@ fn run_entry_at(scan: &RunScan, p: usize) -> (usize, u32) {
     }
 }
 
-/// EPC2 encoder: the v1 list-driven coder plus the zero-run significance
-/// mode. Runs of consecutive context-0 (no significant causal neighbour)
-/// coefficients are grouped into chunks of up to `RUN_MAX`; each chunk
-/// costs one adaptive "all clear" decision when nothing in it becomes
-/// significant — the dominant case in the upper bitplanes — instead of one
-/// decision per coefficient. When a chunk does contain a new significant
-/// coefficient, its position is sent in `ceil(log2(len))` raw bits and the
-/// chunk resumes after it.
-///
-/// Chunk boundaries depend only on state frozen at the start of the pass
-/// (the context masks derived from the significance snapshot, and the
-/// candidates at or after the cursor, which the pass never revisits), so
-/// the decoder reproduces them exactly.
-///
-/// Allocating wrapper over [`encode_planes_v2_into`].
-///
-/// # Panics
-///
-/// Panics if `width` is zero or does not divide `coefficients.len()`.
-pub fn encode_planes_v2(coefficients: &[i32], width: usize) -> EncodedPlanes {
-    let mut scratch = CodecScratch::new();
-    let planes = encode_planes_v2_into(coefficients, width, &mut scratch);
-    EncodedPlanes {
-        payload: std::mem::take(&mut scratch.payload),
-        planes,
-        pass_offsets: std::mem::take(&mut scratch.pass_offsets),
-    }
-}
-
-/// Scratch-arena form of [`encode_planes_v2`]: payload in
-/// `scratch.payload`, per-pass offsets (lookahead included) in
-/// `scratch.pass_offsets`, planes returned.
-///
-/// # Panics
-///
-/// Panics if `width` is zero or does not divide `coefficients.len()`.
-pub fn encode_planes_v2_into(coefficients: &[i32], width: usize, scratch: &mut CodecScratch) -> u8 {
-    let planes = plane_count(coefficients, width);
-    let mut enc = RangeEncoder::with_buffer(std::mem::take(&mut scratch.payload));
-    let mut ctx = Contexts::new();
-    scratch.pass_offsets.clear();
-    prepare_encode_masks(coefficients.len(), width, scratch);
-    encode_planes_passes_v2(coefficients, width, planes, &mut enc, &mut ctx, scratch);
-    finish_payload(enc, scratch);
-    planes
-}
-
-/// The per-plane passes of the EPC2 coder (see [`encode_planes_v2_into`]).
-/// Identical to the v1 passes except for the zero-run significance mode:
-/// the cursor walks candidate words, and a context-0 candidate opens a
-/// [`gather_run`] chunk whose hit test is one `u64` AND per segment.
-fn encode_planes_passes_v2(
+/// EPC1 significance pass (encoder): one decision per not-yet-significant
+/// coefficient in raster order, in the context read from the frozen
+/// masks; `magnitude & bit_mask` is folded 64 coefficients at a time into
+/// `becomes_w`. Returns whether any coefficient became significant.
+#[inline(always)]
+fn encode_dense_pass(
     coefficients: &[i32],
-    width: usize,
-    planes: u8,
+    bits: &[u64],
+    w: &mut SignificanceWords,
     enc: &mut RangeEncoder,
     ctx: &mut Contexts,
-    scratch: &mut CodecScratch,
-) {
-    let CodecScratch {
-        sig_words,
-        snap_words,
-        any_words,
-        two_words,
-        bits_words,
-        rowstart_words,
-        rowend_words,
-        pass_offsets,
-        ..
-    } = &mut *scratch;
-    let n = coefficients.len();
-    let wc = word_count(n);
-    let last = last_word_mask(n);
-    let sig = &mut sig_words[..wc];
-    let snap = &mut snap_words[..wc];
-    let any = &mut any_words[..wc];
-    let two = &mut two_words[..wc];
-    let bits = &mut bits_words[..wc];
-    let rowstart = &rowstart_words[..wc];
-    let rowend = &rowend_words[..wc];
-    let mut have_sig = false;
-    let mut scan = RunScan::new();
-
-    for plane in (0..planes).rev() {
-        let bit_mask = 1u32 << plane;
-        pack_plane_bits(coefficients, bit_mask, bits);
-        snap.copy_from_slice(sig);
-        if have_sig {
-            derive_context_masks(snap, width, rowstart, rowend, any, two);
+) -> bool {
+    let wc = w.sig.len();
+    let mut became = false;
+    for i in 0..wc {
+        let cand = w.candidates(i);
+        if cand == 0 {
+            continue;
         }
-        // Pass 1: significance with zero-run chunking over context-0
-        // stretches. Contexts are frozen for the duration of the pass, so
-        // the chunk boundaries are a pure function of pass-start state.
-        let mut i = 0usize;
-        let mut cur = if wc > 0 {
-            !sig[0] & valid_mask(0, wc, last)
-        } else {
-            0
-        };
-        'pass: loop {
-            while cur == 0 {
-                i += 1;
-                if i >= wc {
-                    break 'pass;
-                }
-                cur = !sig[i] & valid_mask(i, wc, last);
+        let becomes_w = cand & bits[i];
+        let (a, t) = (w.any[i], w.two[i]);
+        let mut b = cand;
+        while b != 0 {
+            let j = b.trailing_zeros();
+            let c = (((a >> j) & 1) + ((t >> j) & 1)) as usize;
+            let becomes = (becomes_w >> j) & 1 != 0;
+            enc.encode_biased(&mut ctx.significance[c], becomes);
+            if becomes {
+                enc.encode_raw(coefficients[i * 64 + j as usize] < 0);
             }
-            let j = cur.trailing_zeros();
-            if (any[i] >> j) & 1 != 0 {
-                let c = 1 + ((two[i] >> j) & 1) as usize;
-                let becomes = (bits[i] >> j) & 1 != 0;
-                enc.encode_biased(&mut ctx.significance[c], becomes);
-                if becomes {
-                    enc.encode_raw(coefficients[i * 64 + j as usize] < 0);
-                    sig[i] |= 1u64 << j;
-                }
-                cur &= cur - 1;
-                continue;
-            }
-            gather_run(&mut scan, sig, any, wc, last, i, cur);
-            let hit = first_run_hit(&scan, bits);
-            enc.encode_biased(&mut ctx.run, hit.is_none());
-            match hit {
-                None => {
-                    i = scan.end_word;
-                    cur = scan.end_cur;
-                }
-                Some((p, hw, hj)) => {
-                    for b in (0..run_position_bits(scan.len)).rev() {
-                        enc.encode_raw((p >> b) & 1 == 1);
-                    }
-                    enc.encode_raw(coefficients[hw * 64 + hj as usize] < 0);
-                    sig[hw] |= 1u64 << hj;
-                    have_sig = true;
-                    // Resume just above the hit: the run entries below it
-                    // in this word stayed insignificant and are behind the
-                    // cursor, so they must not re-enter the candidate set.
-                    i = hw;
-                    cur = !sig[hw] & valid_mask(hw, wc, last) & above_bit(hj);
-                }
-            }
+            b &= b - 1;
         }
-        pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
-        // Pass 2: refinement, unchanged from v1.
-        for i in 0..wc {
-            let bw = bits[i];
-            let mut s = snap[i];
-            while s != 0 {
-                let j = s.trailing_zeros();
-                enc.encode(&mut ctx.refinement, (bw >> j) & 1 != 0);
-                s &= s - 1;
-            }
+        if becomes_w != 0 {
+            w.sig[i] |= becomes_w;
+            became = true;
         }
-        pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
     }
+    became
 }
 
-/// Decodes an EPC2 payload produced by [`encode_planes_v2_into`]
-/// (optionally truncated at a recorded pass boundary). Allocating
-/// wrapper over [`decode_planes_v2_with`].
-///
-/// # Panics
-///
-/// Panics if `width` is zero or does not divide `count`.
-pub fn decode_planes_v2(
-    payload: &[u8],
-    count: usize,
-    width: usize,
-    planes: u8,
-    pass_offsets: &[u32],
-) -> Vec<i32> {
-    let mut scratch = DecodeScratch::new();
-    decode_planes_v2_with(payload, count, width, planes, pass_offsets, &mut scratch);
-    std::mem::take(&mut scratch.quantized)
-}
-
-/// Scratch-arena EPC2 decoder: identical output to [`decode_planes_v2`],
-/// but every intermediate buffer (significance/sign word masks, context
-/// masks, the magnitude plane) lives in `scratch` and is reused across
-/// calls; the decoded coefficients land in `scratch.quantized`.
-///
-/// Mirrors the encoder's word-mask traversal — including the zero-run
-/// chunking, whose boundaries are regathered from the decoder's own frozen
-/// per-pass state — so the context sequence matches decision for decision.
-/// A `planes` value beyond [`MAX_PLANES`] (only corrupt headers produce
-/// one; the image-level decoder rejects them first) is clamped rather than
-/// shifted out of range.
-///
-/// # Panics
-///
-/// Panics if `width` is zero, does not divide `count`, or `count` exceeds
-/// `u32::MAX` (indices are range-checked against the `u32` domain the
-/// format was designed for).
-pub fn decode_planes_v2_with(
-    payload: &[u8],
-    count: usize,
-    width: usize,
-    planes: u8,
-    pass_offsets: &[u32],
-    scratch: &mut DecodeScratch,
-) {
-    decode_planes_v2_core(payload, count, width, planes, pass_offsets, scratch);
-    let DecodeScratch {
-        mag,
-        neg_words,
-        quantized,
-        ..
-    } = &mut *scratch;
-    emit_quantized(&mag[..count], neg_words, quantized);
-}
-
-/// [`decode_planes_v2_with`] without the signed-coefficient emission:
-/// leaves the decoded magnitudes in `scratch.mag` and the sign bits in
-/// `scratch.neg_words`. The image-level decoder dequantizes straight from
-/// that representation, skipping a full write+read pass over an
-/// intermediate `i32` plane.
-pub(crate) fn decode_planes_v2_core(
-    payload: &[u8],
-    count: usize,
-    width: usize,
-    planes: u8,
-    pass_offsets: &[u32],
-    scratch: &mut DecodeScratch,
-) {
-    assert!(width > 0, "width must be positive");
-    assert_eq!(count % width, 0, "count must be a multiple of width");
-    assert!(count <= u32::MAX as usize, "count exceeds the index domain");
-    let planes = planes.min(MAX_PLANES);
-    let available: usize = pass_offsets
-        .iter()
-        .take_while(|&&o| o as usize <= payload.len())
-        .count();
-    let mut dec = RangeDecoder::new(payload);
-    // Destructured into locals so the hot models live in registers across
-    // the pass loops instead of round-tripping through memory per decision.
-    let Contexts {
-        mut significance,
-        mut refinement,
-        mut run,
-    } = Contexts::new();
-    let DecodeScratch {
-        mag,
-        sig_words,
-        snap_words,
-        any_words,
-        two_words,
-        neg_words,
-        rowstart_words,
-        rowend_words,
-        ..
-    } = &mut *scratch;
-    mag.clear();
-    mag.resize(count, 0);
-    let wc = word_count(count);
-    let last = last_word_mask(count);
-    zero_words(sig_words, wc);
-    zero_words(any_words, wc);
-    zero_words(two_words, wc);
-    zero_words(neg_words, wc);
-    prepare(snap_words, wc);
-    build_row_masks(count, width, rowstart_words, rowend_words);
-    let sig = &mut sig_words[..wc];
-    let snap = &mut snap_words[..wc];
-    let any = &mut any_words[..wc];
-    let two = &mut two_words[..wc];
-    let neg = &mut neg_words[..wc];
-    let rowstart = &rowstart_words[..wc];
-    let rowend = &rowend_words[..wc];
-    let mag = &mut mag[..count];
-    let mut have_sig = false;
-    let mut scan = RunScan::new();
-    let mut pass_idx = 0usize;
-    for plane in (0..planes).rev() {
-        let bit = 1u32 << plane;
-        // Significance pass: the same cursor walk and zero-run chunking as
-        // the encoder, gathered from the decoder's own frozen state.
-        if pass_idx >= available {
-            break;
-        }
-        snap.copy_from_slice(sig);
-        if have_sig {
-            derive_context_masks(snap, width, rowstart, rowend, any, two);
-        }
-        let mut i = 0usize;
-        let mut cur = if wc > 0 {
-            !sig[0] & valid_mask(0, wc, last)
-        } else {
-            0
-        };
-        'pass: loop {
-            while cur == 0 {
-                i += 1;
-                if i >= wc {
-                    break 'pass;
-                }
-                cur = !sig[i] & valid_mask(i, wc, last);
+/// EPC2 significance pass (encoder): the cursor walks candidate words; a
+/// candidate with a significant neighbour is coded as in EPC1, and a
+/// context-0 candidate opens a [`gather_run`] chunk whose hit test is one
+/// `u64` AND per segment. Returns whether any coefficient became
+/// significant.
+#[inline(always)]
+fn encode_run_pass(
+    coefficients: &[i32],
+    bits: &[u64],
+    w: &mut SignificanceWords,
+    scan: &mut RunScan,
+    enc: &mut RangeEncoder,
+    ctx: &mut Contexts,
+) -> bool {
+    let wc = w.sig.len();
+    let mut became = false;
+    let mut i = 0usize;
+    let mut cur = if wc > 0 { w.candidates(0) } else { 0 };
+    'pass: loop {
+        while cur == 0 {
+            i += 1;
+            if i >= wc {
+                break 'pass;
             }
-            let j = cur.trailing_zeros();
-            if (any[i] >> j) & 1 != 0 {
-                let c = 1 + ((two[i] >> j) & 1) as usize;
-                if dec.decode_biased(&mut significance[c]) {
-                    neg[i] |= (dec.decode_raw() as u64) << j;
-                    mag[i * 64 + j as usize] |= bit;
-                    sig[i] |= 1u64 << j;
-                }
-                cur &= cur - 1;
-                continue;
+            cur = w.candidates(i);
+        }
+        let j = cur.trailing_zeros();
+        if (w.any[i] >> j) & 1 != 0 {
+            let c = 1 + ((w.two[i] >> j) & 1) as usize;
+            let becomes = (bits[i] >> j) & 1 != 0;
+            enc.encode_biased(&mut ctx.significance[c], becomes);
+            if becomes {
+                enc.encode_raw(coefficients[i * 64 + j as usize] < 0);
+                w.sig[i] |= 1u64 << j;
             }
-            gather_run(&mut scan, sig, any, wc, last, i, cur);
-            if dec.decode_biased(&mut run) {
+            cur &= cur - 1;
+            continue;
+        }
+        gather_run(scan, w, i, cur);
+        let hit = first_run_hit(scan, bits);
+        enc.encode_biased(&mut ctx.run, hit.is_none());
+        match hit {
+            None => {
                 i = scan.end_word;
                 cur = scan.end_cur;
-            } else {
-                let mut p = 0usize;
-                for _ in 0..run_position_bits(scan.len) {
-                    p = (p << 1) | dec.decode_raw() as usize;
+            }
+            Some((p, hw, hj)) => {
+                for b in (0..run_position_bits(scan.len)).rev() {
+                    enc.encode_raw((p >> b) & 1 == 1);
                 }
-                // A valid stream always addresses inside the chunk; clamp
-                // so corrupt input cannot index out of bounds.
-                let p = p.min(scan.len - 1);
-                let (hw, hj) = run_entry_at(&scan, p);
-                neg[hw] |= (dec.decode_raw() as u64) << hj;
-                mag[hw * 64 + hj as usize] |= bit;
-                sig[hw] |= 1u64 << hj;
-                have_sig = true;
+                enc.encode_raw(coefficients[hw * 64 + hj as usize] < 0);
+                w.sig[hw] |= 1u64 << hj;
+                became = true;
+                // Resume just above the hit: the run entries below it in
+                // this word stayed insignificant and are behind the
+                // cursor, so they must not re-enter the candidate set.
                 i = hw;
-                cur = !sig[hw] & valid_mask(hw, wc, last) & above_bit(hj);
+                cur = w.candidates(hw) & above_bit(hj);
             }
         }
-        pass_idx += 1;
-        // Refinement pass over the snapshot (the pre-merge significant set).
-        if pass_idx >= available {
-            break;
-        }
-        for i in 0..wc {
-            let mut s = snap[i];
-            while s != 0 {
-                let j = s.trailing_zeros();
-                // Unconditional store: the refinement bit is ~50/50 noise,
-                // so a conditional write would mispredict constantly.
-                mag[i * 64 + j as usize] |= (dec.decode(&mut refinement) as u32) << plane;
-                s &= s - 1;
-            }
-        }
-        pass_idx += 1;
     }
+    became
 }
 
-/// Rebuilds signed quantized coefficients from the magnitude plane and the
-/// per-word sign masks.
-fn emit_quantized(mag: &[u32], neg: &[u64], quantized: &mut Vec<i32>) {
-    quantized.clear();
-    quantized.extend(mag.iter().enumerate().map(|(i, &m)| {
-        let m = m as i32;
-        if (neg[i / 64] >> (i % 64)) & 1 != 0 {
-            -m
-        } else {
-            m
-        }
-    }));
-}
-
-/// Decodes coefficients from an (optionally truncated) payload.
-/// Allocating wrapper over [`decode_planes_with`].
+/// Decodes a `format` payload produced by [`encode_planes_into`]
+/// (optionally truncated). Allocating wrapper over
+/// [`decode_planes_with`].
 ///
 /// Only passes entirely contained in `payload` (per `pass_offsets`) are
 /// decoded; missing low-order planes reconstruct as zero bits, with a +½
@@ -949,31 +701,34 @@ fn emit_quantized(mag: &[u32], neg: &[u64], quantized: &mut Vec<i32>) {
 ///
 /// # Panics
 ///
-/// Panics if `width` is zero or does not divide `count`.
+/// As [`decode_planes_with`].
 pub fn decode_planes(
     payload: &[u8],
     count: usize,
     width: usize,
     planes: u8,
     pass_offsets: &[u32],
+    format: FormatVersion,
 ) -> Vec<i32> {
     let mut scratch = DecodeScratch::new();
-    decode_planes_with(payload, count, width, planes, pass_offsets, &mut scratch);
+    decode_planes_with(
+        payload,
+        count,
+        width,
+        planes,
+        pass_offsets,
+        format,
+        &mut scratch,
+    );
     std::mem::take(&mut scratch.quantized)
 }
 
-/// Scratch-arena EPC1 decoder: identical output to [`decode_planes`], with
+/// Scratch-arena decoder: identical output to [`decode_planes`], with
 /// every intermediate buffer (significance/sign word masks, context masks,
 /// the magnitude plane) living in `scratch`; the decoded coefficients land
-/// in `scratch.quantized`. A `planes` value beyond [`MAX_PLANES`] is
-/// clamped rather than shifted out of range.
-///
-/// The significance pass iterates candidates from the pass-start snapshot
-/// (contexts in the original dense loop were probed against the
-/// significance map as of the previous plane, arrivals applied after the
-/// pass) and the refinement pass iterates the snapshot directly — exactly
-/// the coefficients significant before this plane, which is the original
-/// "skip those that became significant in THIS plane" rule.
+/// in `scratch.quantized`. A `planes` value beyond [`MAX_PLANES`] (only
+/// corrupt headers produce one; the image-level decoder rejects them
+/// first) is clamped rather than shifted out of range.
 ///
 /// # Panics
 ///
@@ -986,28 +741,48 @@ pub fn decode_planes_with(
     width: usize,
     planes: u8,
     pass_offsets: &[u32],
+    format: FormatVersion,
     scratch: &mut DecodeScratch,
 ) {
-    decode_planes_core(payload, count, width, planes, pass_offsets, scratch);
+    decode_planes_core(payload, count, width, planes, pass_offsets, format, scratch);
     let DecodeScratch {
         mag,
         neg_words,
         quantized,
         ..
-    } = &mut *scratch;
-    emit_quantized(&mag[..count], neg_words, quantized);
+    } = scratch;
+    // Signed coefficients from the magnitude plane and the sign masks.
+    quantized.clear();
+    quantized.extend(mag[..count].iter().enumerate().map(|(i, &m)| {
+        let m = m as i32;
+        if (neg_words[i / 64] >> (i % 64)) & 1 != 0 {
+            -m
+        } else {
+            m
+        }
+    }));
 }
 
-/// [`decode_planes_with`] without the signed-coefficient emission (see
-/// [`decode_planes_v2_core`]).
+/// [`decode_planes_with`] without the signed-coefficient emission: leaves
+/// the decoded magnitudes in `scratch.mag` and the sign bits in
+/// `scratch.neg_words`, and returns the number of coding passes decoded.
+/// The image-level decoder dequantizes straight from that representation,
+/// skipping a full write+read pass over an intermediate `i32` plane.
+///
+/// The decoder's plane loop mirrors the encoder's: the same snapshot and
+/// frozen contexts (EPC2 chunk boundaries are regathered from the
+/// decoder's own pass-start state), so the context sequence matches
+/// decision for decision, and it stops at the first pass not fully
+/// contained in `payload`.
 pub(crate) fn decode_planes_core(
     payload: &[u8],
     count: usize,
     width: usize,
     planes: u8,
     pass_offsets: &[u32],
+    format: FormatVersion,
     scratch: &mut DecodeScratch,
-) {
+) -> usize {
     assert!(width > 0, "width must be positive");
     assert_eq!(count % width, 0, "count must be a multiple of width");
     assert!(count <= u32::MAX as usize, "count exceeds the index domain");
@@ -1017,13 +792,7 @@ pub(crate) fn decode_planes_core(
         .take_while(|&&o| o as usize <= payload.len())
         .count();
     let mut dec = RangeDecoder::new(payload);
-    // Destructured into locals so the hot models live in registers across
-    // the pass loops instead of round-tripping through memory per decision.
-    let Contexts {
-        mut significance,
-        mut refinement,
-        run: _,
-    } = Contexts::new();
+    let mut ctx = Contexts::new();
     let DecodeScratch {
         mag,
         sig_words,
@@ -1053,45 +822,31 @@ pub(crate) fn decode_planes_core(
     let rowstart = &rowstart_words[..wc];
     let rowend = &rowend_words[..wc];
     let mag = &mut mag[..count];
+    let mut scan = RunScan::new();
     let mut have_sig = false;
     let mut pass_idx = 0usize;
     for plane in (0..planes).rev() {
-        let bit = 1u32 << plane;
-        // Significance pass: one decision per not-yet-significant
-        // coefficient in raster order, contexts frozen from the snapshot.
         if pass_idx >= available {
             break;
         }
+        let bit = 1u32 << plane;
         snap.copy_from_slice(sig);
         if have_sig {
             derive_context_masks(snap, width, rowstart, rowend, any, two);
         }
-        for i in 0..wc {
-            let mut b = !snap[i] & valid_mask(i, wc, last);
-            if b == 0 {
-                continue;
+        let mut w = SignificanceWords {
+            sig: &mut *sig,
+            any: &*any,
+            two: &*two,
+            last,
+        };
+        have_sig |= match format {
+            FormatVersion::Epc1 => decode_dense_pass(&mut w, neg, mag, bit, &mut dec, &mut ctx),
+            FormatVersion::Epc2 => {
+                decode_run_pass(&mut w, neg, mag, bit, &mut scan, &mut dec, &mut ctx)
             }
-            let (a, t) = (any[i], two[i]);
-            let mut set = 0u64;
-            let mut negs = 0u64;
-            while b != 0 {
-                let j = b.trailing_zeros();
-                let c = (((a >> j) & 1) + ((t >> j) & 1)) as usize;
-                if dec.decode_biased(&mut significance[c]) {
-                    negs |= (dec.decode_raw() as u64) << j;
-                    mag[i * 64 + j as usize] |= bit;
-                    set |= 1u64 << j;
-                }
-                b &= b - 1;
-            }
-            if set != 0 {
-                sig[i] |= set;
-                neg[i] |= negs;
-                have_sig = true;
-            }
-        }
+        };
         pass_idx += 1;
-        // Refinement pass over the snapshot.
         if pass_idx >= available {
             break;
         }
@@ -1101,18 +856,121 @@ pub(crate) fn decode_planes_core(
                 let j = s.trailing_zeros();
                 // Unconditional store: the refinement bit is ~50/50 noise,
                 // so a conditional write would mispredict constantly.
-                mag[i * 64 + j as usize] |= (dec.decode(&mut refinement) as u32) << plane;
+                mag[i * 64 + j as usize] |= (dec.decode(&mut ctx.refinement) as u32) << plane;
                 s &= s - 1;
             }
         }
         pass_idx += 1;
     }
+    pass_idx
+}
+
+/// EPC1 significance pass (decoder): the mirror of [`encode_dense_pass`].
+/// Arrivals and signs are gathered per word and merged after it. Returns
+/// whether any coefficient became significant.
+#[inline(always)]
+fn decode_dense_pass(
+    w: &mut SignificanceWords,
+    neg: &mut [u64],
+    mag: &mut [u32],
+    bit: u32,
+    dec: &mut RangeDecoder,
+    ctx: &mut Contexts,
+) -> bool {
+    let wc = w.sig.len();
+    let mut became = false;
+    for i in 0..wc {
+        let mut b = w.candidates(i);
+        if b == 0 {
+            continue;
+        }
+        let (a, t) = (w.any[i], w.two[i]);
+        let mut set = 0u64;
+        let mut negs = 0u64;
+        while b != 0 {
+            let j = b.trailing_zeros();
+            let c = (((a >> j) & 1) + ((t >> j) & 1)) as usize;
+            if dec.decode_biased(&mut ctx.significance[c]) {
+                negs |= (dec.decode_raw() as u64) << j;
+                mag[i * 64 + j as usize] |= bit;
+                set |= 1u64 << j;
+            }
+            b &= b - 1;
+        }
+        if set != 0 {
+            w.sig[i] |= set;
+            neg[i] |= negs;
+            became = true;
+        }
+    }
+    became
+}
+
+/// EPC2 significance pass (decoder): the mirror of [`encode_run_pass`].
+/// Returns whether any coefficient became significant.
+#[inline(always)]
+fn decode_run_pass(
+    w: &mut SignificanceWords,
+    neg: &mut [u64],
+    mag: &mut [u32],
+    bit: u32,
+    scan: &mut RunScan,
+    dec: &mut RangeDecoder,
+    ctx: &mut Contexts,
+) -> bool {
+    let wc = w.sig.len();
+    let mut became = false;
+    let mut i = 0usize;
+    let mut cur = if wc > 0 { w.candidates(0) } else { 0 };
+    'pass: loop {
+        while cur == 0 {
+            i += 1;
+            if i >= wc {
+                break 'pass;
+            }
+            cur = w.candidates(i);
+        }
+        let j = cur.trailing_zeros();
+        if (w.any[i] >> j) & 1 != 0 {
+            let c = 1 + ((w.two[i] >> j) & 1) as usize;
+            if dec.decode_biased(&mut ctx.significance[c]) {
+                neg[i] |= (dec.decode_raw() as u64) << j;
+                mag[i * 64 + j as usize] |= bit;
+                w.sig[i] |= 1u64 << j;
+            }
+            cur &= cur - 1;
+            continue;
+        }
+        gather_run(scan, w, i, cur);
+        if dec.decode_biased(&mut ctx.run) {
+            i = scan.end_word;
+            cur = scan.end_cur;
+        } else {
+            let mut p = 0usize;
+            for _ in 0..run_position_bits(scan.len) {
+                p = (p << 1) | dec.decode_raw() as usize;
+            }
+            // A valid stream always addresses inside the chunk; clamp so
+            // corrupt input cannot index out of bounds.
+            let p = p.min(scan.len - 1);
+            let (hw, hj) = run_entry_at(scan, p);
+            neg[hw] |= (dec.decode_raw() as u64) << hj;
+            mag[hw * 64 + hj as usize] |= bit;
+            w.sig[hw] |= 1u64 << hj;
+            became = true;
+            i = hw;
+            cur = w.candidates(hw) & above_bit(hj);
+        }
+    }
+    became
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_util::hash_unit;
+
+    const FORMATS: [FormatVersion; 2] = [FormatVersion::Epc1, FormatVersion::Epc2];
 
     fn sample_coefficients(n: usize, seed: u64) -> Vec<i32> {
         // Laplacian-ish: mostly small, occasionally large, like wavelet
@@ -1136,134 +994,240 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn lossless_roundtrip() {
-        let coeffs = sample_coefficients(64 * 64, 42);
-        let enc = encode_planes(&coeffs, 64);
-        let dec = decode_planes(
-            &enc.payload,
-            coeffs.len(),
-            64,
+    fn encode(coeffs: &[i32], width: usize, format: FormatVersion) -> EncodedPlanes {
+        encode_planes(coeffs, width, format).unwrap()
+    }
+
+    /// Decodes the first `cut` payload bytes of `enc`.
+    fn decode_prefix(
+        enc: &EncodedPlanes,
+        cut: usize,
+        count: usize,
+        width: usize,
+        format: FormatVersion,
+    ) -> Vec<i32> {
+        let cut = cut.min(enc.payload.len());
+        decode_planes(
+            &enc.payload[..cut],
+            count,
+            width,
             enc.planes,
             &enc.pass_offsets,
-        );
-        assert_eq!(dec, coeffs);
+            format,
+        )
+    }
+
+    fn check_lossless_roundtrip(format: FormatVersion) {
+        for seed in [42u64, 7, 1234] {
+            let coeffs = sample_coefficients(64 * 64, seed);
+            let enc = encode(&coeffs, 64, format);
+            let dec = decode_prefix(&enc, usize::MAX, coeffs.len(), 64, format);
+            assert_eq!(dec, coeffs, "{format:?} seed {seed}");
+        }
+    }
+
+    #[test]
+    fn lossless_roundtrip() {
+        check_lossless_roundtrip(FormatVersion::Epc1);
+    }
+
+    #[test]
+    fn v2_lossless_roundtrip() {
+        check_lossless_roundtrip(FormatVersion::Epc2);
     }
 
     #[test]
     fn all_zero_block_is_tiny() {
-        let coeffs = vec![0i32; 4096];
-        let enc = encode_planes(&coeffs, 64);
-        assert_eq!(enc.planes, 0);
-        assert!(enc.payload.len() <= 8, "payload {}", enc.payload.len());
-        let dec = decode_planes(&enc.payload, 4096, 64, enc.planes, &enc.pass_offsets);
-        assert_eq!(dec, coeffs);
+        for format in FORMATS {
+            let coeffs = vec![0i32; 4096];
+            let enc = encode(&coeffs, 64, format);
+            assert_eq!(enc.planes, 0);
+            assert!(enc.payload.len() <= 8, "payload {}", enc.payload.len());
+            let dec = decode_prefix(&enc, usize::MAX, 4096, 64, format);
+            assert_eq!(dec, coeffs, "{format:?}");
+        }
     }
 
     #[test]
     fn single_large_coefficient() {
-        let mut coeffs = vec![0i32; 256];
-        coeffs[100] = -123_456;
-        let enc = encode_planes(&coeffs, 16);
-        let dec = decode_planes(&enc.payload, 256, 16, enc.planes, &enc.pass_offsets);
-        assert_eq!(dec, coeffs);
+        for format in FORMATS {
+            let mut coeffs = vec![0i32; 256];
+            coeffs[100] = -123_456;
+            let enc = encode(&coeffs, 16, format);
+            let dec = decode_prefix(&enc, usize::MAX, 256, 16, format);
+            assert_eq!(dec, coeffs, "{format:?}");
+        }
     }
 
     #[test]
-    fn scratch_reuse_is_byte_identical_across_blocks() {
-        // One arena across blocks of different sizes, shapes, and
-        // sparsity: every output must match a fresh dense encode.
-        let mut scratch = CodecScratch::new();
+    fn plane_overflow_is_an_error() {
+        // 2^28 needs 29 planes: one more than the format can carry.
+        let mut coeffs = vec![0i32; 64];
+        coeffs[3] = (1 << MAX_PLANES) - 1;
+        for format in FORMATS {
+            assert_eq!(encode(&coeffs, 8, format).planes, MAX_PLANES);
+        }
+        coeffs[3] = 1 << MAX_PLANES;
+        for format in FORMATS {
+            assert_eq!(
+                encode_planes(&coeffs, 8, format),
+                Err(CodecError::TooManyPlanes {
+                    planes: MAX_PLANES + 1
+                })
+            );
+        }
+        coeffs[3] = i32::MIN;
+        assert_eq!(
+            encode_planes(&coeffs, 8, FormatVersion::Epc2),
+            Err(CodecError::TooManyPlanes { planes: 32 })
+        );
+    }
+
+    /// Encodes blocks of different sizes, shapes and sparsity through one
+    /// arena: every output must match a fresh encode, and repeating the
+    /// largest block must grow nothing.
+    fn check_scratch_reuse(format: FormatVersion, scratch: &mut CodecScratch) {
         for (i, &(n, w)) in [(64 * 64, 64usize), (16 * 16, 16), (40 * 25, 40), (8, 4)]
             .iter()
             .enumerate()
         {
             let coeffs = sample_coefficients(n, i as u64 * 31 + 7);
-            let fresh = encode_planes(&coeffs, w);
-            let planes = encode_planes_into(&coeffs, w, &mut scratch);
+            let fresh = encode(&coeffs, w, format);
+            let planes = encode_planes_into(&coeffs, w, format, scratch).unwrap();
             assert_eq!(planes, fresh.planes);
-            assert_eq!(scratch.payload, fresh.payload, "block {i}");
-            assert_eq!(scratch.pass_offsets, fresh.pass_offsets, "block {i}");
+            assert_eq!(scratch.payload, fresh.payload, "{format:?} block {i}");
+            assert_eq!(
+                scratch.pass_offsets, fresh.pass_offsets,
+                "{format:?} block {i}"
+            );
         }
-        // Steady state: repeating the largest block grows nothing.
         let coeffs = sample_coefficients(64 * 64, 7);
-        encode_planes_into(&coeffs, 64, &mut scratch);
+        encode_planes_into(&coeffs, 64, format, scratch).unwrap();
         scratch.track_growth();
         let grown = scratch.grow_events();
-        encode_planes_into(&coeffs, 64, &mut scratch);
+        encode_planes_into(&coeffs, 64, format, scratch).unwrap();
         scratch.track_growth();
-        assert_eq!(scratch.grow_events(), grown, "steady-state reuse grew");
+        assert_eq!(
+            scratch.grow_events(),
+            grown,
+            "{format:?} steady-state reuse grew"
+        );
+    }
+
+    #[test]
+    fn scratch_reuse_is_byte_identical_across_blocks() {
+        check_scratch_reuse(FormatVersion::Epc1, &mut CodecScratch::new());
+    }
+
+    #[test]
+    fn v2_scratch_reuse_is_byte_identical() {
+        // A dirty arena (last used by the other format on another shape)
+        // still matches a fresh encode.
+        let mut scratch = CodecScratch::new();
+        encode_planes_into(
+            &sample_coefficients(40 * 25, 3),
+            40,
+            FormatVersion::Epc1,
+            &mut scratch,
+        )
+        .unwrap();
+        let coeffs = sample_coefficients(64 * 64, 9);
+        let fresh = encode(&coeffs, 64, FormatVersion::Epc2);
+        let planes = encode_planes_into(&coeffs, 64, FormatVersion::Epc2, &mut scratch).unwrap();
+        assert_eq!(planes, fresh.planes);
+        assert_eq!(scratch.payload, fresh.payload);
+        assert_eq!(scratch.pass_offsets, fresh.pass_offsets);
+        check_scratch_reuse(FormatVersion::Epc2, &mut scratch);
+    }
+
+    fn check_offsets(format: FormatVersion) {
+        let coeffs = sample_coefficients(32 * 32, 7);
+        let enc = encode(&coeffs, 32, format);
+        assert_eq!(
+            enc.pass_offsets.len(),
+            enc.planes as usize * 2,
+            "{format:?}"
+        );
+        assert!(
+            enc.pass_offsets.windows(2).all(|w| w[0] <= w[1]),
+            "{format:?}"
+        );
+        // The payload is padded to exactly the last offset (EPC2 chunk
+        // lengths are read from it).
+        assert_eq!(
+            *enc.pass_offsets.last().unwrap() as usize,
+            enc.payload.len(),
+            "{format:?}"
+        );
     }
 
     #[test]
     fn offsets_are_monotone() {
-        let coeffs = sample_coefficients(32 * 32, 7);
-        let enc = encode_planes(&coeffs, 32);
-        assert_eq!(enc.pass_offsets.len(), enc.planes as usize * 2);
-        assert!(enc.pass_offsets.windows(2).all(|w| w[0] <= w[1]));
-        assert!(*enc.pass_offsets.last().unwrap() as usize >= enc.payload.len());
+        check_offsets(FormatVersion::Epc1);
+    }
+
+    #[test]
+    fn v2_offsets_are_monotone_and_cover_payload() {
+        check_offsets(FormatVersion::Epc2);
     }
 
     #[test]
     fn truncation_monotonically_improves() {
-        let coeffs = sample_coefficients(64 * 64, 9);
-        let enc = encode_planes(&coeffs, 64);
-        let error = |budget: usize| -> f64 {
-            let cut = enc.truncation_point(budget).min(enc.payload.len());
-            let dec = decode_planes(
-                &enc.payload[..cut],
-                coeffs.len(),
-                64,
-                enc.planes,
-                &enc.pass_offsets,
+        for format in FORMATS {
+            let coeffs = sample_coefficients(64 * 64, 9);
+            let enc = encode(&coeffs, 64, format);
+            let error = |budget: usize| -> f64 {
+                let dec =
+                    decode_prefix(&enc, enc.truncation_point(budget), coeffs.len(), 64, format);
+                coeffs
+                    .iter()
+                    .zip(&dec)
+                    .map(|(&a, &b)| ((a - b) as f64).powi(2))
+                    .sum::<f64>()
+            };
+            let full = enc.payload.len();
+            let e_full = error(full + 16);
+            let e_half = error(full / 2);
+            let e_tenth = error(full / 10);
+            assert_eq!(e_full, 0.0, "{format:?}: full budget must be lossless");
+            assert!(
+                e_half <= e_tenth,
+                "{format:?}: half {e_half} tenth {e_tenth}"
             );
-            coeffs
-                .iter()
-                .zip(&dec)
-                .map(|(&a, &b)| ((a - b) as f64).powi(2))
-                .sum::<f64>()
-        };
-        let full = enc.payload.len();
-        let e_full = error(full + 16);
-        let e_half = error(full / 2);
-        let e_tenth = error(full / 10);
-        assert_eq!(e_full, 0.0, "full budget must be lossless");
-        assert!(e_half <= e_tenth, "half {e_half} tenth {e_tenth}");
-        assert!(e_tenth > 0.0, "savage truncation must lose something");
+            assert!(
+                e_tenth > 0.0,
+                "{format:?}: savage truncation must lose something"
+            );
+        }
     }
 
     #[test]
     fn truncated_decode_never_over_reports_magnitude_plane() {
         // With only the first significance pass, every decoded value is
         // either 0 or has only the top plane bit set.
-        let coeffs = sample_coefficients(32 * 32, 11);
-        let enc = encode_planes(&coeffs, 32);
-        let cut = enc.pass_offsets[0] as usize;
-        let dec = decode_planes(
-            &enc.payload[..cut.min(enc.payload.len())],
-            coeffs.len(),
-            32,
-            enc.planes,
-            &enc.pass_offsets,
-        );
-        let top = 1i32 << (enc.planes - 1);
-        for &v in &dec {
-            assert!(v == 0 || v.abs() == top, "unexpected value {v}");
+        for format in FORMATS {
+            let coeffs = sample_coefficients(32 * 32, 11);
+            let enc = encode(&coeffs, 32, format);
+            let cut = enc.pass_offsets[0] as usize;
+            let dec = decode_prefix(&enc, cut, coeffs.len(), 32, format);
+            let top = 1i32 << (enc.planes - 1);
+            for &v in &dec {
+                assert!(v == 0 || v.abs() == top, "{format:?}: unexpected value {v}");
+            }
         }
     }
 
     #[test]
     fn passes_within_counts_correctly() {
         let coeffs = sample_coefficients(16 * 16, 3);
-        let enc = encode_planes(&coeffs, 16);
+        let enc = encode(&coeffs, 16, FormatVersion::Epc1);
         assert_eq!(enc.passes_within(0), 0);
         assert_eq!(enc.passes_within(usize::MAX), enc.pass_offsets.len());
     }
 
-    #[test]
-    fn compresses_sparse_blocks_well() {
-        // 95% zeros, small values elsewhere: far below 16 bits/coefficient.
-        let coeffs: Vec<i32> = (0..4096)
+    fn sparse_block() -> Vec<i32> {
+        // 95% zeros, small values elsewhere.
+        (0..4096)
             .map(|i| {
                 if hash_unit(i as u64, 5) < 0.05 {
                     ((hash_unit(i as u64, 6) * 63.0) as i32) + 1
@@ -1271,43 +1235,32 @@ mod tests {
                     0
                 }
             })
-            .collect();
-        let enc = encode_planes(&coeffs, 64);
+            .collect()
+    }
+
+    #[test]
+    fn compresses_sparse_blocks_well() {
+        // Far below 16 bits/coefficient.
+        let enc = encode(&sparse_block(), 64, FormatVersion::Epc1);
         let bits_per_coeff = enc.payload.len() as f64 * 8.0 / 4096.0;
         assert!(bits_per_coeff < 1.5, "bits/coeff {bits_per_coeff}");
     }
 
     #[test]
     fn width_must_divide_count() {
-        let r = std::panic::catch_unwind(|| encode_planes(&[1, 2, 3], 2));
-        assert!(r.is_err());
+        for format in FORMATS {
+            let r = std::panic::catch_unwind(|| encode_planes(&[1, 2, 3], 2, format));
+            assert!(r.is_err(), "{format:?}");
+        }
     }
 
     #[test]
     fn negative_values_roundtrip() {
-        let coeffs: Vec<i32> = (-50..50).collect();
-        let enc = encode_planes(&coeffs, 10);
-        let dec = decode_planes(&enc.payload, 100, 10, enc.planes, &enc.pass_offsets);
-        assert_eq!(dec, coeffs);
-    }
-
-    fn encode_v2(coeffs: &[i32], width: usize) -> (Vec<u8>, u8, Vec<u32>) {
-        let mut scratch = CodecScratch::new();
-        let planes = encode_planes_v2_into(coeffs, width, &mut scratch);
-        (
-            scratch.payload.clone(),
-            planes,
-            scratch.pass_offsets.clone(),
-        )
-    }
-
-    #[test]
-    fn v2_lossless_roundtrip() {
-        for seed in [42u64, 7, 1234] {
-            let coeffs = sample_coefficients(64 * 64, seed);
-            let (payload, planes, offsets) = encode_v2(&coeffs, 64);
-            let dec = decode_planes_v2(&payload, coeffs.len(), 64, planes, &offsets);
-            assert_eq!(dec, coeffs, "seed {seed}");
+        for format in FORMATS {
+            let coeffs: Vec<i32> = (-50..50).collect();
+            let enc = encode(&coeffs, 10, format);
+            let dec = decode_prefix(&enc, usize::MAX, 100, 10, format);
+            assert_eq!(dec, coeffs, "{format:?}");
         }
     }
 
@@ -1328,8 +1281,8 @@ mod tests {
             (vec![7i32], 1),
         ];
         for (coeffs, w) in blocks {
-            let (payload, planes, offsets) = encode_v2(&coeffs, w);
-            let dec = decode_planes_v2(&payload, coeffs.len(), w, planes, &offsets);
+            let enc = encode(&coeffs, w, FormatVersion::Epc2);
+            let dec = decode_prefix(&enc, usize::MAX, coeffs.len(), w, FormatVersion::Epc2);
             assert_eq!(dec, coeffs, "width {w}");
         }
     }
@@ -1338,21 +1291,13 @@ mod tests {
     fn v2_beats_v1_on_sparse_blocks() {
         // The zero-run mode exists for sparse significance data: it must
         // both shrink the stream and (the real goal) slash decision counts.
-        let coeffs: Vec<i32> = (0..4096)
-            .map(|i| {
-                if hash_unit(i as u64, 5) < 0.05 {
-                    ((hash_unit(i as u64, 6) * 63.0) as i32) + 1
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let v1 = encode_planes(&coeffs, 64);
-        let (payload, _, _) = encode_v2(&coeffs, 64);
+        let coeffs = sparse_block();
+        let v1 = encode(&coeffs, 64, FormatVersion::Epc1);
+        let v2 = encode(&coeffs, 64, FormatVersion::Epc2);
         assert!(
-            payload.len() <= v1.payload.len(),
+            v2.payload.len() <= v1.payload.len(),
             "v2 {} > v1 {}",
-            payload.len(),
+            v2.payload.len(),
             v1.payload.len()
         );
     }
@@ -1361,13 +1306,14 @@ mod tests {
     fn v2_truncated_prefix_decodes_consistently() {
         // Every recorded pass boundary must yield a stream whose decode
         // agrees with the full decode on all passes before the cut.
+        let format = FormatVersion::Epc2;
         let coeffs = sample_coefficients(32 * 32, 11);
-        let (payload, planes, offsets) = encode_v2(&coeffs, 32);
-        let full = decode_planes_v2(&payload, coeffs.len(), 32, planes, &offsets);
+        let enc = encode(&coeffs, 32, format);
+        let planes = enc.planes;
+        let full = decode_prefix(&enc, usize::MAX, coeffs.len(), 32, format);
         assert_eq!(full, coeffs);
-        for (pass, &cut) in offsets.iter().enumerate() {
-            let cut = (cut as usize).min(payload.len());
-            let dec = decode_planes_v2(&payload[..cut], coeffs.len(), 32, planes, &offsets);
+        for (pass, &cut) in enc.pass_offsets.iter().enumerate() {
+            let dec = decode_prefix(&enc, cut as usize, coeffs.len(), 32, format);
             // Decoded magnitudes can only refine toward the truth: bits in
             // every fully decoded plane pair (significance + refinement)
             // match, nothing above the truth is ever invented, and signs of
@@ -1392,69 +1338,34 @@ mod tests {
     }
 
     #[test]
-    fn v2_offsets_are_monotone_and_cover_payload() {
-        let coeffs = sample_coefficients(32 * 32, 7);
-        let (payload, planes, offsets) = encode_v2(&coeffs, 32);
-        assert_eq!(offsets.len(), planes as usize * 2);
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*offsets.last().unwrap() as usize, payload.len());
-    }
-
-    #[test]
-    fn v2_scratch_reuse_is_byte_identical() {
-        let mut scratch = CodecScratch::new();
-        // Dirty the arena with a different block first.
-        encode_planes_v2_into(&sample_coefficients(40 * 25, 3), 40, &mut scratch);
-        let coeffs = sample_coefficients(64 * 64, 9);
-        let fresh = encode_v2(&coeffs, 64);
-        let planes = encode_planes_v2_into(&coeffs, 64, &mut scratch);
-        assert_eq!(planes, fresh.1);
-        assert_eq!(scratch.payload, fresh.0);
-        assert_eq!(scratch.pass_offsets, fresh.2);
-    }
-
-    #[test]
     fn scratch_decoders_match_allocating_decoders_at_every_cut() {
         // One dirty arena across blocks of different shapes and both
         // formats, at every recorded truncation point: the scratch
-        // decoders must reproduce the allocating decoders bit for bit.
+        // decoder must reproduce the allocating decoder bit for bit.
         let mut scratch = DecodeScratch::new();
         for (i, &(n, w)) in [(64 * 64, 64usize), (16 * 16, 16), (40 * 25, 40), (8, 4)]
             .iter()
             .enumerate()
         {
             let coeffs = sample_coefficients(n, i as u64 * 17 + 3);
-            let v1 = encode_planes(&coeffs, w);
-            let (v2_payload, v2_planes, v2_offsets) = encode_v2(&coeffs, w);
-            let mut cuts: Vec<usize> = vec![0, v1.payload.len()];
-            cuts.extend(v1.pass_offsets.iter().map(|&o| o as usize));
-            for cut in cuts {
-                let cut = cut.min(v1.payload.len());
-                let expect = decode_planes(&v1.payload[..cut], n, w, v1.planes, &v1.pass_offsets);
-                decode_planes_with(
-                    &v1.payload[..cut],
-                    n,
-                    w,
-                    v1.planes,
-                    &v1.pass_offsets,
-                    &mut scratch,
-                );
-                assert_eq!(scratch.quantized, expect, "v1 block {i} cut {cut}");
-            }
-            let mut cuts: Vec<usize> = vec![0, v2_payload.len()];
-            cuts.extend(v2_offsets.iter().map(|&o| o as usize));
-            for cut in cuts {
-                let cut = cut.min(v2_payload.len());
-                let expect = decode_planes_v2(&v2_payload[..cut], n, w, v2_planes, &v2_offsets);
-                decode_planes_v2_with(
-                    &v2_payload[..cut],
-                    n,
-                    w,
-                    v2_planes,
-                    &v2_offsets,
-                    &mut scratch,
-                );
-                assert_eq!(scratch.quantized, expect, "v2 block {i} cut {cut}");
+            for format in FORMATS {
+                let enc = encode(&coeffs, w, format);
+                let mut cuts: Vec<usize> = vec![0, enc.payload.len()];
+                cuts.extend(enc.pass_offsets.iter().map(|&o| o as usize));
+                for cut in cuts {
+                    let cut = cut.min(enc.payload.len());
+                    let expect = decode_prefix(&enc, cut, n, w, format);
+                    decode_planes_with(
+                        &enc.payload[..cut],
+                        n,
+                        w,
+                        enc.planes,
+                        &enc.pass_offsets,
+                        format,
+                        &mut scratch,
+                    );
+                    assert_eq!(scratch.quantized, expect, "{format:?} block {i} cut {cut}");
+                }
             }
         }
     }
@@ -1462,14 +1373,25 @@ mod tests {
     #[test]
     fn scratch_decoders_settle_allocation() {
         let coeffs = sample_coefficients(64 * 64, 5);
-        let (payload, planes, offsets) = encode_v2(&coeffs, 64);
+        let format = FormatVersion::Epc2;
+        let enc = encode(&coeffs, 64, format);
         let mut scratch = DecodeScratch::new();
-        decode_planes_v2_with(&payload, coeffs.len(), 64, planes, &offsets, &mut scratch);
-        scratch.track_growth();
+        let decode = |scratch: &mut DecodeScratch| {
+            decode_planes_with(
+                &enc.payload,
+                coeffs.len(),
+                64,
+                enc.planes,
+                &enc.pass_offsets,
+                format,
+                scratch,
+            );
+            scratch.track_growth();
+        };
+        decode(&mut scratch);
         let grown = scratch.grow_events();
         for _ in 0..3 {
-            decode_planes_v2_with(&payload, coeffs.len(), 64, planes, &offsets, &mut scratch);
-            scratch.track_growth();
+            decode(&mut scratch);
         }
         assert_eq!(scratch.grow_events(), grown, "steady-state decode grew");
     }

@@ -24,7 +24,7 @@
 //! [`EncodedImage::truncated`] / [`EncodedImage::with_layers`] clamp
 //! offsets for both formats, so size accounting agrees with the bytes.
 
-use crate::bitplane::{self, encode_planes_into, encode_planes_v2_into, MAX_PLANES};
+use crate::bitplane::{self, encode_planes_into, MAX_PLANES};
 use crate::dwt::{self, Wavelet};
 use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::{CodecError, DecodeError};
@@ -72,6 +72,8 @@ pub struct CodecConfig {
     pub levels: u8,
     /// Quantizer step size in scaled-integer units (1.0 quantizes 9/7
     /// coefficients of `input_levels`-scaled data onto the integer grid).
+    /// A step so fine that a coefficient needs more than [`MAX_PLANES`]
+    /// magnitude bitplanes makes the encoders fail.
     pub quant_step: f32,
     /// Input scaling: `[0, 1]` samples are multiplied by this and rounded;
     /// 4095 matches a 12-bit sensor.
@@ -555,7 +557,10 @@ impl EncodedImage {
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::EmptyImage`] for a zero-sized raster.
+/// Returns [`CodecError::EmptyImage`] for a zero-sized raster, and
+/// [`CodecError::TooManyPlanes`] when `config.quant_step` is so fine that
+/// the largest quantized coefficient needs more than [`MAX_PLANES`]
+/// magnitude bitplanes.
 pub fn encode(image: &Raster, config: &CodecConfig) -> Result<EncodedImage, CodecError> {
     let (w, h) = image.dimensions();
     if image.is_empty() {
@@ -592,7 +597,7 @@ pub fn encode_with_budget(
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::EmptyImage`] for a zero-sized view.
+/// As [`encode`].
 pub fn encode_view(
     view: &TileView<'_>,
     config: &CodecConfig,
@@ -608,7 +613,7 @@ pub fn encode_view(
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::EmptyImage`] for a zero-sized view.
+/// As [`encode`].
 pub fn encode_view_with_budget(
     view: &TileView<'_>,
     config: &CodecConfig,
@@ -704,9 +709,10 @@ fn encode_view_impl(
             // and straight back in — no allocation.
             let quantized = std::mem::take(&mut scratch.quantized);
             let t = std::time::Instant::now();
-            let planes = encode_planes_into(&quantized, w, scratch);
+            let planes = encode_planes_into(&quantized, w, FormatVersion::Epc1, scratch);
             scratch.stages.bitplane += t.elapsed();
             scratch.quantized = quantized;
+            let planes = planes?;
             // Historical EPC1 wire form: the payload is cut at the largest
             // pass boundary inside the budget, but the header keeps the
             // full offset table (availability is derived from the payload
@@ -736,7 +742,7 @@ fn encode_view_impl(
                 payload: Bytes::copy_from_slice(&scratch.payload[..cut]),
             }
         }
-        FormatVersion::Epc2 => encode_epc2(w, h, levels, step, config, budget, scratch),
+        FormatVersion::Epc2 => encode_epc2(w, h, levels, step, config, budget, scratch)?,
     };
     scratch.enc_bytes.record(image.payload.len() as u64);
     trace.arg("payload_bytes", image.payload.len());
@@ -763,13 +769,47 @@ fn encode_epc2(
     config: &CodecConfig,
     budget: Option<usize>,
     scratch: &mut CodecScratch,
-) -> EncodedImage {
+) -> Result<EncodedImage, CodecError> {
     let mut rects = std::mem::take(&mut scratch.sb_rects);
     dwt::subband_rects_into(w, h, levels, &mut rects);
     scratch.stream.clear();
+    // The coefficient and rect buffers move out of the arena for the
+    // borrow and straight back in, error or not — no allocation.
     let quantized = std::mem::take(&mut scratch.quantized);
+    let subbands = encode_subband_chunks(w, &rects, &quantized, budget, scratch);
+    scratch.quantized = quantized;
+    scratch.sb_rects = rects;
+    let subbands = subbands?;
+    let full = EncodedImage {
+        width: w as u32,
+        height: h as u32,
+        wavelet: config.wavelet,
+        levels,
+        planes: subbands.iter().map(|c| c.planes).max().unwrap_or(0),
+        quant_step: step,
+        input_levels: config.input_levels,
+        format: FormatVersion::Epc2,
+        pass_offsets: Vec::new(),
+        subbands,
+        payload: Bytes::copy_from_slice(&scratch.stream),
+    };
+    Ok(match budget {
+        None => full,
+        Some(max) => full.truncated(max),
+    })
+}
+
+/// Codes each subband of the `w`-wide `quantized` plane as one EPC2 chunk,
+/// appending its bytes to `scratch.stream` (see [`encode_epc2`]).
+fn encode_subband_chunks(
+    w: usize,
+    rects: &[dwt::SubbandRect],
+    quantized: &[i32],
+    budget: Option<usize>,
+    scratch: &mut CodecScratch,
+) -> Result<Vec<SubbandChunk>, CodecError> {
     let mut subbands: Vec<SubbandChunk> = Vec::with_capacity(rects.len());
-    for rect in &rects {
+    for rect in rects {
         if budget.is_some_and(|max| scratch.stream.len() >= max) {
             // This chunk would start at or past the cut: nothing of it can
             // survive truncation, so skip the coding work.
@@ -788,9 +828,10 @@ fn encode_epc2(
         }
         let sb_coeffs = std::mem::take(&mut scratch.sb_coeffs);
         let t = std::time::Instant::now();
-        let planes = encode_planes_v2_into(&sb_coeffs, rect.w, scratch);
+        let planes = encode_planes_into(&sb_coeffs, rect.w, FormatVersion::Epc2, scratch);
         scratch.stages.bitplane += t.elapsed();
         scratch.sb_coeffs = sb_coeffs;
+        let planes = planes?;
         // Append exactly the chunk's recorded length — the padding in the
         // plane coder guarantees `payload.len()` reaches the last offset.
         // An all-zero subband records no offsets at all, but the range
@@ -813,25 +854,7 @@ fn encode_epc2(
             offsets: scratch.pass_offsets.clone(),
         });
     }
-    scratch.quantized = quantized;
-    scratch.sb_rects = rects;
-    let full = EncodedImage {
-        width: w as u32,
-        height: h as u32,
-        wavelet: config.wavelet,
-        levels,
-        planes: subbands.iter().map(|c| c.planes).max().unwrap_or(0),
-        quant_step: step,
-        input_levels: config.input_levels,
-        format: FormatVersion::Epc2,
-        pass_offsets: Vec::new(),
-        subbands,
-        payload: Bytes::copy_from_slice(&scratch.stream),
-    };
-    match budget {
-        None => full,
-        Some(max) => full.truncated(max),
-    }
+    Ok(subbands)
 }
 
 /// Decodes an encoded image (possibly truncated) back to a `[0, 1]` raster
@@ -1050,19 +1073,52 @@ fn dequantize_row_fused(
     }
 }
 
-/// The reconstruction bias for a block whose lowest decoded plane is
-/// `lowest_plane`: magnitudes are floored there, so centre them in their
-/// uncertainty interval (zero when the block decoded exactly).
-fn reconstruction_bias(encoded: &EncodedImage, lowest_plane: usize) -> f32 {
+/// The decode step both formats share for one coding chain — EPC1's
+/// global chain or one EPC2 subband chunk: rejects a plane count past
+/// [`MAX_PLANES`], accounts the chain's bytes as read, decodes the passes
+/// `payload` fully holds into `scratch.mag` / `scratch.neg_words`, and
+/// returns the reconstruction bias of the lowest decoded plane —
+/// magnitudes are floored there, so they are centred in their uncertainty
+/// interval (zero bias when the chain decoded exactly). `None` when the
+/// chain codes nothing (no planes or no passes): its coefficients stay at
+/// the zeros the coefficient plane starts from.
+fn decode_chunk(
+    encoded: &EncodedImage,
+    payload: &[u8],
+    planes: u8,
+    offsets: &[u32],
+    width: usize,
+    count: usize,
+    scratch: &mut DecodeScratch,
+) -> Result<Option<f32>, DecodeError> {
+    if planes > MAX_PLANES {
+        return Err(DecodeError::TooManyPlanes { planes });
+    }
+    scratch.payload_bytes_read += payload.len();
+    if planes == 0 || offsets.is_empty() {
+        return Ok(None);
+    }
+    let t = std::time::Instant::now();
+    let passes = bitplane::decode_planes_core(
+        payload,
+        count,
+        width,
+        planes,
+        offsets,
+        encoded.format,
+        scratch,
+    );
+    scratch.stages.bitplane += t.elapsed();
+    let lowest_plane = planes as usize - passes.div_ceil(2);
     let reversible =
         encoded.wavelet == Wavelet::Cdf53 && encoded.quant_step == 1.0 && lowest_plane == 0;
-    if reversible {
+    Ok(Some(if reversible {
         0.0
     } else if lowest_plane > 0 {
         (1u32 << lowest_plane) as f32 * 0.5
     } else {
         0.5
-    }
+    }))
 }
 
 /// EPC1: one global chain over the whole Mallat layout. A partial decode
@@ -1076,33 +1132,19 @@ fn decode_epc1_reduced(
     rh: usize,
     scratch: &mut DecodeScratch,
 ) -> Result<(), DecodeError> {
-    if encoded.planes > MAX_PLANES {
-        return Err(DecodeError::TooManyPlanes {
-            planes: encoded.planes,
-        });
-    }
-    let payload = &encoded.payload[..];
-    scratch.payload_bytes_read = payload.len();
     let count = encoded.width as usize * encoded.height as usize;
-    let available_passes = encoded
-        .pass_offsets
-        .iter()
-        .take_while(|&&o| o as usize <= payload.len())
-        .count();
-    let t = std::time::Instant::now();
-    bitplane::decode_planes_core(
-        payload,
-        count,
-        w,
+    let Some(bias) = decode_chunk(
+        encoded,
+        &encoded.payload,
         encoded.planes,
         &encoded.pass_offsets,
+        w,
+        count,
         scratch,
-    );
-    scratch.stages.bitplane += t.elapsed();
-    let total_passes = encoded.planes as usize * 2;
-    let lowest_plane = encoded.planes as usize - available_passes.min(total_passes).div_ceil(2);
-    let bias = reconstruction_bias(encoded, lowest_plane);
-    let step = encoded.quant_step;
+    )?
+    else {
+        return Ok(());
+    };
     let t = std::time::Instant::now();
     let DecodeScratch {
         mag,
@@ -1112,7 +1154,7 @@ fn decode_epc1_reduced(
     } = &mut *scratch;
     for r in 0..rh {
         let dst = &mut coeffs[r * rw..(r + 1) * rw];
-        dequantize_row_fused(mag, neg_words, r * w, dst, bias, step);
+        dequantize_row_fused(mag, neg_words, r * w, dst, bias, encoded.quant_step);
     }
     scratch.stages.quantize += t.elapsed();
     Ok(())
@@ -1149,14 +1191,8 @@ fn decode_epc2_reduced(
     }
     dwt::subband_rects_into(rw, rh, keep, rects);
     let payload = &encoded.payload[..];
-    let step = encoded.quant_step;
     let mut start = 0usize;
     for (rect, chunk) in rects.iter().zip(&encoded.subbands) {
-        if chunk.planes > MAX_PLANES {
-            return Err(DecodeError::TooManyPlanes {
-                planes: chunk.planes,
-            });
-        }
         if chunk.offsets.windows(2).any(|o| o[0] > o[1]) {
             return Err(DecodeError::Malformed {
                 reason: "EPC2 chunk offsets not monotone".to_owned(),
@@ -1166,29 +1202,18 @@ fn decode_epc2_reduced(
         let lo = start.min(payload.len());
         let hi = (start + chunk_len).min(payload.len());
         start += chunk_len;
-        if chunk.planes == 0 || chunk.offsets.is_empty() {
-            continue;
-        }
-        let slice = &payload[lo..hi];
-        scratch.payload_bytes_read += slice.len();
-        let available = chunk
-            .offsets
-            .iter()
-            .take_while(|&&o| o as usize <= slice.len())
-            .count();
-        let t = std::time::Instant::now();
-        bitplane::decode_planes_v2_core(
-            slice,
-            rect.count(),
-            rect.w,
+        let Some(bias) = decode_chunk(
+            encoded,
+            &payload[lo..hi],
             chunk.planes,
             &chunk.offsets,
+            rect.w,
+            rect.count(),
             scratch,
-        );
-        scratch.stages.bitplane += t.elapsed();
-        let total_passes = chunk.planes as usize * 2;
-        let lowest_plane = chunk.planes as usize - available.min(total_passes).div_ceil(2);
-        let bias = reconstruction_bias(encoded, lowest_plane);
+        )?
+        else {
+            continue;
+        };
         let t = std::time::Instant::now();
         let DecodeScratch {
             mag,
@@ -1196,10 +1221,10 @@ fn decode_epc2_reduced(
             coeffs,
             ..
         } = &mut *scratch;
-        for r in 0..rect.count() / rect.w {
+        for r in 0..rect.h {
             let base = (rect.y0 + r) * rw + rect.x0;
             let dst = &mut coeffs[base..base + rect.w];
-            dequantize_row_fused(mag, neg_words, r * rect.w, dst, bias, step);
+            dequantize_row_fused(mag, neg_words, r * rect.w, dst, bias, encoded.quant_step);
         }
         scratch.stages.quantize += t.elapsed();
     }

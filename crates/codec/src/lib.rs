@@ -76,6 +76,13 @@ pub enum CodecError {
         /// Pixel count of the rejected input.
         pixels: u64,
     },
+    /// The quantized coefficients need more magnitude bitplanes than a
+    /// stream can carry ([`bitplane::MAX_PLANES`]): the quantizer step is
+    /// too fine for the input's dynamic range. Raise `quant_step`.
+    TooManyPlanes {
+        /// Bitplanes the largest quantized magnitude needs.
+        planes: u8,
+    },
     /// A bitstream failed validation during parsing or decoding.
     Malformed {
         /// What was wrong with it.
@@ -92,6 +99,13 @@ impl fmt::Display for CodecError {
                     f,
                     "image of {pixels} pixels exceeds the codec bound of {} pixels",
                     image_codec::MAX_PIXELS
+                )
+            }
+            CodecError::TooManyPlanes { planes } => {
+                write!(
+                    f,
+                    "quantized coefficients need {planes} magnitude planes, maximum is {}",
+                    bitplane::MAX_PLANES
                 )
             }
             CodecError::Malformed { reason } => write!(f, "malformed bitstream: {reason}"),

@@ -5,8 +5,10 @@
 //! no proptest dependency; see `tests/property_invariants.rs` at the repo
 //! root for the idiom).
 
+use earthplus_codec::bitplane::MAX_PLANES;
 use earthplus_codec::{
-    decode, encode, encode_roi, encode_with_budget, CodecConfig, EncodedImage, FormatVersion,
+    decode, encode, encode_roi, encode_view, encode_with_budget, CodecConfig, CodecError,
+    CodecScratch, EncodedImage, FormatVersion,
 };
 use earthplus_raster::{psnr, Raster, TileGrid, TileMask};
 
@@ -68,6 +70,47 @@ fn epc1_streams_still_encode_and_decode() {
     assert_eq!(enc.to_bytes()[4], 1, "version byte");
     let q = psnr(&img, &decode(&enc).unwrap()).unwrap();
     assert!(q > 45.0, "EPC1 full-rate PSNR {q}");
+}
+
+/// A quantizer step too fine for the image's dynamic range needs more
+/// magnitude planes than a stream can carry: the encoders must refuse it
+/// with a typed error instead of emitting a stream that decodes to noise.
+#[test]
+fn plane_overflow_is_an_encode_error_in_both_formats() {
+    let img = Raster::from_fn(64, 64, |x, y| {
+        0.5 + 0.4 * (x as f32 / 64.0 * 3.0).sin() * (y as f32 / 64.0 * 2.0).cos()
+    });
+    for format in [FormatVersion::Epc1, FormatVersion::Epc2] {
+        let fine = |quant_step| CodecConfig {
+            quant_step,
+            ..CodecConfig::lossy().with_format(format)
+        };
+        // A step of 1e-3 still fits and decodes back at full quality.
+        let enc = encode(&img, &fine(1e-3)).unwrap();
+        assert!(enc.planes() <= MAX_PLANES, "{format:?}");
+        let q = psnr(&img, &decode(&enc).unwrap()).unwrap();
+        assert!(q > 60.0, "{format:?}: full-rate PSNR {q} at step 1e-3");
+        // 1e-4 needs 31 planes: the quantizer's `as i32` cast saturates.
+        let overflow = fine(1e-4);
+        let too_many = |r: Result<EncodedImage, CodecError>| match r {
+            Err(CodecError::TooManyPlanes { planes }) => planes > MAX_PLANES,
+            _ => false,
+        };
+        assert!(too_many(encode(&img, &overflow)), "{format:?}");
+        assert!(
+            too_many(encode_with_budget(&img, &overflow, 4096)),
+            "{format:?}, budgeted"
+        );
+        let mut scratch = CodecScratch::new();
+        assert!(
+            too_many(encode_view(
+                &img.view(0, 0, 64, 64),
+                &overflow,
+                &mut scratch
+            )),
+            "{format:?}, scratch view"
+        );
+    }
 }
 
 #[test]

@@ -21,14 +21,15 @@
 //! `tests/format_versions.rs` for the idiom).
 
 use earthplus_codec::bitplane::{
-    decode_planes, decode_planes_v2, decode_planes_v2_with, decode_planes_with, encode_planes,
-    encode_planes_into, encode_planes_v2, encode_planes_v2_into, EncodedPlanes,
+    decode_planes, decode_planes_with, encode_planes, encode_planes_into, EncodedPlanes,
 };
 use earthplus_codec::{
     decode, encode, encode_with_budget, reference, CodecConfig, CodecScratch, DecodeScratch,
     FormatVersion,
 };
 use earthplus_raster::Raster;
+
+const FORMATS: [FormatVersion; 2] = [FormatVersion::Epc1, FormatVersion::Epc2];
 
 struct Rng(u64);
 
@@ -118,7 +119,7 @@ fn populations(width: usize, rows: usize, seed: u64) -> Vec<(&'static str, Vec<i
 fn epc1_encoder_matches_reference_at_word_seams() {
     for (si, &(width, rows)) in SHAPES.iter().enumerate() {
         for (name, coeffs) in populations(width, rows, 0xA5A5 + si as u64) {
-            let word = encode_planes(&coeffs, width);
+            let word = encode_planes(&coeffs, width, FormatVersion::Epc1).unwrap();
             let reference = reference::encode_planes_reference(&coeffs, width);
             assert_eq!(
                 word.payload, reference.payload,
@@ -174,12 +175,57 @@ fn epc2_plane_coder_matches_frozen_goldens() {
             .find(|(n, _)| *n == name)
             .expect("golden population exists")
             .1;
-        let enc = encode_planes_v2(&coeffs, width);
+        let enc = encode_planes(&coeffs, width, FormatVersion::Epc2).unwrap();
         assert_eq!(
             fnv_planes(&enc),
             golden,
             "EPC2 plane-coder golden drift at {width}x{rows}/{name}"
         );
+    }
+}
+
+/// FNV-1a over decoded coefficients (little-endian `i32`s), chained.
+fn fnv_coeffs(coeffs: &[i32], mut hash: u64) -> u64 {
+    for &q in coeffs {
+        for b in q.to_le_bytes() {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+/// Decoder goldens: one FNV-1a hash per format over the plane decoder's
+/// output at every recorded pass cut, across every shape and population.
+/// The encoder goldens above cannot see a change in how a *truncated*
+/// stream reconstructs; these can.
+#[test]
+fn truncated_decodes_match_frozen_goldens() {
+    const GOLDENS: [(FormatVersion, u64); 2] = [
+        (FormatVersion::Epc1, 0x3eba0f3af440d6f1),
+        (FormatVersion::Epc2, 0x4eeaff1a961a65b6),
+    ];
+    for (format, golden) in GOLDENS {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (si, &(width, rows)) in SHAPES.iter().enumerate() {
+            for (_, coeffs) in populations(width, rows, 0xA5A5 + si as u64) {
+                let n = coeffs.len();
+                let enc = encode_planes(&coeffs, width, format).unwrap();
+                for &cut in &enc.pass_offsets {
+                    let cut = (cut as usize).min(enc.payload.len());
+                    let dec = decode_planes(
+                        &enc.payload[..cut],
+                        n,
+                        width,
+                        enc.planes,
+                        &enc.pass_offsets,
+                        format,
+                    );
+                    hash = fnv_coeffs(&dec, hash);
+                }
+            }
+        }
+        assert_eq!(hash, golden, "{format:?} decode golden drift");
     }
 }
 
@@ -191,29 +237,22 @@ fn roundtrip_and_every_truncation_point_at_word_seams() {
     for (si, &(width, rows)) in SHAPES.iter().enumerate() {
         for (name, coeffs) in populations(width, rows, 0x5A5A + si as u64) {
             let n = coeffs.len();
-            for v2 in [false, true] {
-                let enc = if v2 {
-                    encode_planes_v2(&coeffs, width)
-                } else {
-                    encode_planes(&coeffs, width)
-                };
+            for format in FORMATS {
+                let enc = encode_planes(&coeffs, width, format).unwrap();
                 let decode_at = |cut: usize| {
-                    if v2 {
-                        decode_planes_v2(
-                            &enc.payload[..cut],
-                            n,
-                            width,
-                            enc.planes,
-                            &enc.pass_offsets,
-                        )
-                    } else {
-                        decode_planes(&enc.payload[..cut], n, width, enc.planes, &enc.pass_offsets)
-                    }
+                    decode_planes(
+                        &enc.payload[..cut],
+                        n,
+                        width,
+                        enc.planes,
+                        &enc.pass_offsets,
+                        format,
+                    )
                 };
                 let full = decode_at(enc.payload.len());
                 assert_eq!(
                     full, coeffs,
-                    "full-rate roundtrip drift at {width}x{rows}/{name} v2={v2}"
+                    "full-rate roundtrip drift at {width}x{rows}/{name} {format:?}"
                 );
                 let mut prev_nonzero = 0usize;
                 for (k, &cut) in enc.pass_offsets.iter().enumerate() {
@@ -222,7 +261,7 @@ fn roundtrip_and_every_truncation_point_at_word_seams() {
                     let nonzero = partial.iter().filter(|&&q| q != 0).count();
                     assert!(
                         nonzero >= prev_nonzero,
-                        "truncation pass {k} lost significance at {width}x{rows}/{name} v2={v2}"
+                        "truncation pass {k} lost significance at {width}x{rows}/{name} {format:?}"
                     );
                     prev_nonzero = nonzero;
                 }
@@ -242,26 +281,19 @@ fn word_mask_arenas_steady_state_no_growth() {
         for (si, &(width, rows)) in SHAPES.iter().enumerate() {
             for (_, coeffs) in populations(width, rows, 0x7777 + si as u64) {
                 let n = coeffs.len();
-                let v1 = encode_planes(&coeffs, width);
-                let v2 = encode_planes_v2(&coeffs, width);
-                encode_planes_into(&coeffs, width, enc_scratch);
-                encode_planes_v2_into(&coeffs, width, enc_scratch);
-                decode_planes_with(
-                    &v1.payload,
-                    n,
-                    width,
-                    v1.planes,
-                    &v1.pass_offsets,
-                    dec_scratch,
-                );
-                decode_planes_v2_with(
-                    &v2.payload,
-                    n,
-                    width,
-                    v2.planes,
-                    &v2.pass_offsets,
-                    dec_scratch,
-                );
+                for format in FORMATS {
+                    let enc = encode_planes(&coeffs, width, format).unwrap();
+                    encode_planes_into(&coeffs, width, format, enc_scratch).unwrap();
+                    decode_planes_with(
+                        &enc.payload,
+                        n,
+                        width,
+                        enc.planes,
+                        &enc.pass_offsets,
+                        format,
+                        dec_scratch,
+                    );
+                }
             }
         }
     };
@@ -300,7 +332,7 @@ fn image_truncation_points_match_budgeted_encode() {
         let texture = (noise[y * 48 + x] / (1u64 << 24) as f32 - 0.5) * 0.05;
         (smooth + texture).clamp(0.0, 1.0)
     });
-    for format in [FormatVersion::Epc1, FormatVersion::Epc2] {
+    for format in FORMATS {
         let config = CodecConfig::lossy().with_format(format);
         let full = encode(&img, &config).unwrap();
         for k in 0..=full.layer_count() {

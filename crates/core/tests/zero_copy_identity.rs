@@ -174,6 +174,47 @@ fn golden_epc2_full_encode_roundtrips_bit_exact() {
     );
 }
 
+/// Golden FNV-1a hashes of the decoded `f32` bits of the budget-truncated
+/// ROI tiles above (EPC1 and EPC2): truncation exercises the mid-tread
+/// bias on the lowest decoded plane, which the encoder goldens cannot see.
+const GOLDEN_EPC1_ROI_DECODE_HASH: u64 = 0x16107b4779eda22e;
+const GOLDEN_EPC2_ROI_DECODE_HASH: u64 = 0x081520e6cd5c811f;
+
+#[test]
+fn golden_roi_decodes_unchanged() {
+    let (_, capture) = quickstart_scene();
+    let red = capture
+        .image
+        .require_band(Band::Planet(PlanetBand::Red))
+        .unwrap();
+    let config = EarthPlusConfig::paper();
+    let grid = TileGrid::new(256, 256, config.tile_size).unwrap();
+    let mut all = TileMask::new(&grid);
+    all.fill();
+    let mut scratch = CodecScratch::new();
+    for (codec, golden) in [
+        (epc1_lossy(), GOLDEN_EPC1_ROI_DECODE_HASH),
+        (CodecConfig::lossy(), GOLDEN_EPC2_ROI_DECODE_HASH),
+    ] {
+        let roi = encode_roi_with_scratch(
+            red,
+            &grid,
+            &all,
+            &codec,
+            config.tile_budget_bytes(),
+            &mut scratch,
+        )
+        .unwrap();
+        let mut hash = FNV_OFFSET;
+        for tile in roi.tiles() {
+            for &v in decode(&tile.image).unwrap().as_slice() {
+                hash = fnv1a64(&v.to_bits().to_le_bytes(), hash);
+            }
+        }
+        assert_eq!(hash, golden, "{:?} ROI decode drifted", codec.format);
+    }
+}
+
 #[test]
 fn golden_change_scores_unchanged() {
     let (scene, capture) = quickstart_scene();
