@@ -22,7 +22,10 @@
 //!   `mpix_per_s`) against the committed baseline at `<path>` and exit
 //!   non-zero below [`CHECK_MIN_RATIO`]× of any. The generous ratio absorbs machine
 //!   differences (CI runners vs the container the baseline was committed
-//!   from) while still catching catastrophic codec regressions.
+//!   from) while still catching catastrophic codec regressions. The same
+//!   flag gates wire overhead exactly: the run fails when
+//!   `encode_full_band.header_bytes_per_tile` exceeds the committed value
+//!   (a byte count of a deterministic encode, so no tolerance).
 //!
 //! Per-stage seconds come from the strategy's own [`StageTimings`] (the
 //! quantities of the paper's Figure 16); throughput is reported in
@@ -65,6 +68,11 @@
 //! committed baseline also guards the disabled-tracing branch; and a
 //! recorder-enabled encode/decode pair is interleaved against the
 //! disabled arenas, failing below [`TRACING_MIN_RATIO`]×.
+//!
+//! Since schema 8 the `encode_full_band` row also reports what the γ-budgeted
+//! EPC2 tiles cost on the wire: `wire_bytes_per_tile` (codec header,
+//! payload and ROI container framing, per tile) and `header_bytes_per_tile`
+//! (the codec header alone).
 //!
 //! Since the pipelined ground segment the baseline also times the ship
 //! and ingest paths: the same downlink burst through per-record durable
@@ -158,12 +166,12 @@ impl StageSamples {
     }
 }
 
-/// Pulls `"mpix_per_s": <float>` out of the named object of a committed
+/// Pulls `"<key>": <float>` out of the named object of a committed
 /// baseline file (hand-rolled: the workspace builds offline, with no JSON
 /// dependency — and we wrote the format).
-fn committed_mpix_per_s(json: &str, section: &str) -> Option<f64> {
+fn committed_value(json: &str, section: &str, key: &str) -> Option<f64> {
     let section = json.split(&format!("\"{section}\"")).nth(1)?;
-    let value = section.split("\"mpix_per_s\":").nth(1)?;
+    let value = section.split(&format!("\"{key}\":")).nth(1)?;
     value.split([',', '}', '\n']).next()?.trim().parse().ok()
 }
 
@@ -271,6 +279,14 @@ fn main() {
     assert_eq!(roi_ref, roi_epc1, "optimized EPC1 encoder output drifted");
     let roi_epc2 = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch)
         .expect("image matches grid");
+    let tiles = grid.tile_count();
+    let wire_bytes_per_tile = roi_epc2.size_bytes() as f64 / tiles as f64;
+    let header_bytes_per_tile = roi_epc2
+        .tiles()
+        .iter()
+        .map(|t| t.image.size_bytes() - t.image.payload_len())
+        .sum::<usize>() as f64
+        / tiles as f64;
     let mut canvas = Raster::new(w, h);
     roi_epc2
         .patch_into(&mut canvas)
@@ -593,7 +609,7 @@ fn main() {
         dec_epc1_stages.report(dec_epc1_s);
     let json = format!(
         r#"{{
-  "schema": 7,
+  "schema": 8,
   "scenario": "pipeline_runtime quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
   "mode": "{mode}",
   "samples": {reps},
@@ -615,6 +631,8 @@ fn main() {
     "speedup_vs_epc1": {speedup_vs_epc1:.3},
     "tiles": {tiles},
     "budget_bytes_per_tile": {budget},
+    "wire_bytes_per_tile": {wire_bytes_per_tile:.3},
+    "header_bytes_per_tile": {header_bytes_per_tile:.3},
     "stages": {{
       "dwt_s": {enc_dwt_s:.6},
       "bitplane_s": {enc_bitplane_s:.6},
@@ -702,7 +720,6 @@ fn main() {
         fsync_amortization = per_record_fsyncs as f64 / grouped_fsyncs.max(1) as f64,
         tel_on_rate = band_mpix / telemetry_on_s,
         tel_off_rate = band_mpix / telemetry_off_s,
-        tiles = grid.tile_count(),
         reserved = scratch.reserved_bytes(),
         ll_pixels = ll.len(),
         decode_reserved = dscratch.reserved_bytes(),
@@ -776,7 +793,7 @@ fn main() {
             ("decode_full", decode_full_mpix_s),
             ("decode_full_epc1", decode_epc1_mpix_s),
         ] {
-            let committed_rate = committed_mpix_per_s(&committed, section)
+            let committed_rate = committed_value(&committed, section, "mpix_per_s")
                 .unwrap_or_else(|| panic!("--check: no {section}.mpix_per_s in {path}"));
             let floor = committed_rate * CHECK_MIN_RATIO;
             eprintln!(
@@ -790,6 +807,24 @@ fn main() {
                 );
                 failed = true;
             }
+        }
+        let committed_header =
+            committed_value(&committed, "encode_full_band", "header_bytes_per_tile")
+                .unwrap_or_else(|| {
+                    panic!("--check: no encode_full_band.header_bytes_per_tile in {path}")
+                });
+        eprintln!(
+            "check: encode_full_band header {header_bytes_per_tile:.3} B/tile vs committed \
+             {committed_header:.3}"
+        );
+        // The committed value is printed with three decimals; compare at
+        // that precision.
+        if (header_bytes_per_tile * 1e3).round() > (committed_header * 1e3).round() {
+            eprintln!(
+                "ERROR: EPC2 header overhead grew — {header_bytes_per_tile:.3} B/tile exceeds \
+                 the committed {committed_header:.3}"
+            );
+            failed = true;
         }
         if failed {
             std::process::exit(1);

@@ -164,7 +164,7 @@ pub fn fig15() -> ExperimentResult {
         rows,
         summary: format!(
             "ordering Earth+ ({:.0} GB) < SatRoI ({:.0} GB) < Kodan ({:.0} GB) as in the paper \
-             (24/30/255 GB); absolute values depend on the staging model (see EXPERIMENTS.md)",
+             (24/30/255 GB); absolute values depend on the staging model (StorageModel::breakdown)",
             gb(earthplus_b.total()),
             gb(satroi_b.total()),
             gb(kodan_b.total())

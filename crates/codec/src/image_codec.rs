@@ -16,7 +16,9 @@
 //!   coefficients into single zero-run decisions. The decoder seeks any
 //!   subband's planes directly from the header — no replay of the global
 //!   chain — and truncation cuts whole trailing chunks plus a pass-aligned
-//!   prefix of one chunk (resolution-progressive).
+//!   prefix of one chunk (resolution-progressive). The header's chunk
+//!   table is bit-packed: Exp-Golomb codes of each chunk's plane count,
+//!   pass count and pass-offset deltas.
 //!
 //! EPC1 streams keep their historical wire quirk: a budget-truncated
 //! encode carries the full pass-offset table even for passes beyond the
@@ -26,6 +28,7 @@
 
 use crate::bitplane::{self, encode_planes_into, MAX_PLANES};
 use crate::dwt::{self, Wavelet};
+use crate::exp_golomb::{self, BitReader, BitWriter};
 use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::{CodecError, DecodeError};
 use bytes::{Buf, BufMut, Bytes};
@@ -258,22 +261,35 @@ impl EncodedImage {
         }
     }
 
+    /// Serialized header length in bytes — exactly what
+    /// [`EncodedImage::to_bytes`] writes before the payload.
     fn header_len(&self) -> usize {
         // Common: magic(4) + ver(1) + wavelet(1) + levels(1) + planes(1) +
         // w(4) + h(4) + step(4) + input_levels(2) = 22, plus payload_len(4).
         match self.format {
             // + n_offsets(2) + offsets(4n)
             FormatVersion::Epc1 => 28 + 4 * self.pass_offsets.len(),
-            // + n_subbands(2) + per chunk: planes(1) + n_offsets(2) +
-            // offsets(4n)
+            // + the Exp-Golomb table, zero-padded to a whole byte
             FormatVersion::Epc2 => {
-                28 + self
-                    .subbands
-                    .iter()
-                    .map(|c| 3 + 4 * c.offsets.len())
-                    .sum::<usize>()
+                let bits: usize = self.epc2_table().map(exp_golomb::code_bits).sum();
+                26 + bits.div_ceil(8)
             }
         }
+    }
+
+    /// The EPC2 header table as the integers it serializes, in wire order:
+    /// the subband count, then per chunk its plane count, its pass count
+    /// and each pass offset as the delta from the previous one (the first
+    /// from 0).
+    fn epc2_table(&self) -> impl Iterator<Item = u32> + '_ {
+        let chunks = self.subbands.iter().flat_map(|chunk| {
+            let previous = std::iter::once(0).chain(chunk.offsets.iter().copied());
+            let deltas = chunk.offsets.iter().zip(previous).map(|(&o, p)| o - p);
+            [chunk.planes as u32, chunk.offsets.len() as u32]
+                .into_iter()
+                .chain(deltas)
+        });
+        std::iter::once(self.subbands.len() as u32).chain(chunks)
     }
 
     /// Every valid truncation point of the payload, ascending: the byte
@@ -400,14 +416,11 @@ impl EncodedImage {
                 }
             }
             FormatVersion::Epc2 => {
-                buf.put_u16(self.subbands.len() as u16);
-                for chunk in &self.subbands {
-                    buf.put_u8(chunk.planes);
-                    buf.put_u16(chunk.offsets.len() as u16);
-                    for &o in &chunk.offsets {
-                        buf.put_u32(o);
-                    }
+                let mut table = BitWriter::new(&mut buf);
+                for v in self.epc2_table() {
+                    table.put_code(v);
                 }
+                table.finish();
             }
         }
         buf.put_u32(self.payload.len() as u32);
@@ -424,36 +437,24 @@ impl EncodedImage {
     pub fn from_bytes(mut bytes: &[u8]) -> Result<EncodedImage, CodecError> {
         let need = |buf: &[u8], n: usize| -> Result<(), CodecError> {
             if buf.remaining() < n {
-                Err(CodecError::Malformed {
-                    reason: "unexpected end of stream".to_owned(),
-                })
+                Err(malformed("unexpected end of stream"))
             } else {
                 Ok(())
             }
         };
         need(bytes, 24)?;
         if bytes.get_u32() != MAGIC {
-            return Err(CodecError::Malformed {
-                reason: "bad magic".to_owned(),
-            });
+            return Err(malformed("bad magic"));
         }
         let format = match bytes.get_u8() {
             1 => FormatVersion::Epc1,
             2 => FormatVersion::Epc2,
-            version => {
-                return Err(CodecError::Malformed {
-                    reason: format!("unsupported version {version}"),
-                })
-            }
+            version => return Err(malformed(format!("unsupported version {version}"))),
         };
         let wavelet = match bytes.get_u8() {
             0 => Wavelet::Cdf53,
             1 => Wavelet::Cdf97,
-            w => {
-                return Err(CodecError::Malformed {
-                    reason: format!("unknown wavelet {w}"),
-                })
-            }
+            w => return Err(malformed(format!("unknown wavelet {w}"))),
         };
         let levels = bytes.get_u8();
         let planes = bytes.get_u8();
@@ -462,9 +463,9 @@ impl EncodedImage {
         let quant_step = bytes.get_f32();
         let input_levels = bytes.get_u16();
         if width as u64 * height as u64 > MAX_PIXELS {
-            return Err(CodecError::Malformed {
-                reason: format!("{width}x{height} exceeds the decodable pixel bound"),
-            });
+            return Err(malformed(format!(
+                "{width}x{height} exceeds the decodable pixel bound"
+            )));
         }
         // The encoder clamps levels to max_levels (≤ 12); anything larger
         // is corruption, and both the subband enumeration and the inverse
@@ -472,19 +473,17 @@ impl EncodedImage {
         // downstream.
         let max_levels = dwt::max_levels(width as usize, height as usize);
         if levels > max_levels {
-            return Err(CodecError::Malformed {
-                reason: format!(
-                    "levels {levels} exceeds the maximum {max_levels} for {width}x{height}"
-                ),
-            });
+            return Err(malformed(format!(
+                "levels {levels} exceeds the maximum {max_levels} for {width}x{height}"
+            )));
         }
         // No encoder emits more than MAX_PLANES magnitude planes; a larger
         // value is corruption, and the bitplane decoders' plane masks
         // assume the valid range — reject here rather than decode garbage.
         if planes > MAX_PLANES {
-            return Err(CodecError::Malformed {
-                reason: format!("plane count {planes} exceeds the maximum {MAX_PLANES}"),
-            });
+            return Err(malformed(format!(
+                "plane count {planes} exceeds the maximum {MAX_PLANES}"
+            )));
         }
         let mut pass_offsets = Vec::new();
         let mut subbands = Vec::new();
@@ -496,41 +495,21 @@ impl EncodedImage {
                 pass_offsets = (0..n_offsets).map(|_| bytes.get_u32()).collect();
             }
             FormatVersion::Epc2 => {
-                need(bytes, 2)?;
-                let n_subbands = bytes.get_u16() as usize;
                 let expected = dwt::subband_rects(width as usize, height as usize, levels).len();
-                if n_subbands != expected {
-                    return Err(CodecError::Malformed {
-                        reason: format!(
-                            "EPC2 stream lists {n_subbands} subbands, geometry has {expected}"
-                        ),
-                    });
-                }
-                subbands.reserve(n_subbands);
-                for _ in 0..n_subbands {
-                    need(bytes, 3)?;
-                    let planes = bytes.get_u8();
-                    if planes > MAX_PLANES {
-                        return Err(CodecError::Malformed {
-                            reason: format!(
-                                "subband plane count {planes} exceeds the maximum {MAX_PLANES}"
-                            ),
-                        });
-                    }
-                    let n_offsets = bytes.get_u16() as usize;
-                    need(bytes, 4 * n_offsets)?;
-                    let offsets: Vec<u32> = (0..n_offsets).map(|_| bytes.get_u32()).collect();
-                    if offsets.windows(2).any(|w| w[0] > w[1]) {
-                        return Err(CodecError::Malformed {
-                            reason: "EPC2 chunk offsets not monotone".to_owned(),
-                        });
-                    }
-                    subbands.push(SubbandChunk { planes, offsets });
-                }
+                let mut table = BitReader::new(bytes);
+                subbands = parse_epc2_table(&mut table, expected)?;
+                bytes = &bytes[table.byte_len()..];
             }
         }
         need(bytes, 4)?;
         let payload_len = bytes.get_u32() as usize;
+        // EPC2 headers describe exactly the payload present.
+        let chunk_total: u64 = subbands.iter().map(|c| c.len() as u64).sum();
+        if format == FormatVersion::Epc2 && chunk_total != payload_len as u64 {
+            return Err(malformed(format!(
+                "EPC2 chunk lengths sum to {chunk_total}, payload_len is {payload_len}"
+            )));
+        }
         need(bytes, payload_len)?;
         let payload = Bytes::copy_from_slice(&bytes[..payload_len]);
         Ok(EncodedImage {
@@ -547,6 +526,61 @@ impl EncodedImage {
             payload,
         })
     }
+}
+
+fn malformed(reason: impl Into<String>) -> CodecError {
+    CodecError::Malformed {
+        reason: reason.into(),
+    }
+}
+
+/// Reads the EPC2 header table (see [`EncodedImage::epc2_table`]) for a
+/// geometry with `expected` subbands, rejecting what no encoder writes:
+/// an overlong code, a subband count that disagrees with the geometry, a
+/// plane count past [`MAX_PLANES`], more than two passes per plane (which
+/// also bounds the offset allocation), an offset past `u32::MAX`, or
+/// non-zero padding after the last code.
+fn parse_epc2_table(
+    table: &mut BitReader<'_>,
+    expected: usize,
+) -> Result<Vec<SubbandChunk>, CodecError> {
+    let n_subbands = table.code()? as usize;
+    if n_subbands != expected {
+        return Err(malformed(format!(
+            "EPC2 stream lists {n_subbands} subbands, geometry has {expected}"
+        )));
+    }
+    let mut subbands = Vec::with_capacity(n_subbands);
+    for _ in 0..n_subbands {
+        let planes = table.code()?;
+        if planes > MAX_PLANES as u32 {
+            return Err(malformed(format!(
+                "subband plane count {planes} exceeds the maximum {MAX_PLANES}"
+            )));
+        }
+        let passes = table.code()?;
+        if passes > 2 * planes {
+            return Err(malformed(format!(
+                "EPC2 chunk lists {passes} passes for {planes} planes"
+            )));
+        }
+        let mut offsets = Vec::with_capacity(passes as usize);
+        let mut offset = 0u32;
+        for _ in 0..passes {
+            offset = offset
+                .checked_add(table.code()?)
+                .ok_or_else(|| malformed("EPC2 pass offset overflows u32"))?;
+            offsets.push(offset);
+        }
+        subbands.push(SubbandChunk {
+            planes: planes as u8,
+            offsets,
+        });
+    }
+    if !table.padding_is_zero() {
+        return Err(malformed("EPC2 table padding is not zero"));
+    }
+    Ok(subbands)
 }
 
 /// Encodes a `[0, 1]` raster into a fully-embedded stream (all bitplanes).

@@ -44,6 +44,7 @@
 
 pub mod bitplane;
 pub mod dwt;
+mod exp_golomb;
 pub mod image_codec;
 pub mod rangecoder;
 pub mod reference;

@@ -128,6 +128,14 @@ fn cross_version_serialization_roundtrip() {
             "{:?}",
             config.format
         );
+        // The header length is computed, not measured: it must match the
+        // serialization at every pass cut, including the empty stream.
+        for cut in std::iter::once(0).chain(enc.pass_boundaries()) {
+            let t = enc.truncated(cut);
+            let bytes = t.to_bytes();
+            assert_eq!(bytes.len(), t.size_bytes(), "{:?} cut {cut}", config.format);
+            assert_eq!(EncodedImage::from_bytes(&bytes).unwrap(), t);
+        }
     }
 }
 

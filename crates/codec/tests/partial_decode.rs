@@ -432,3 +432,247 @@ fn truncated_ll_only_still_decodes() {
     let ll = decode_ll_only(&none, &mut scratch).unwrap();
     assert_eq!(ll.dimensions(), reference_ll.dimensions());
 }
+
+// ---------------------------------------------------------------------------
+// The EPC2 header table: 22-byte common prefix, then order-0 Exp-Golomb
+// codes of the subband count and, per chunk, its plane count, pass count and
+// pass-offset deltas, zero-padded to a byte, then `payload_len` and the
+// payload. The helpers below build that table independently of the codec, so
+// the tests can pin the layout and hand-craft hostile headers.
+// ---------------------------------------------------------------------------
+
+/// Bytes of the header prefix shared by both formats.
+const PREFIX: usize = 22;
+
+/// Order-0 Exp-Golomb codes of `values`, most significant bit first,
+/// zero-padded to a whole byte.
+fn exp_golomb(values: &[u32]) -> Vec<u8> {
+    let mut bits = Vec::new();
+    for &v in values {
+        let x = v as u64 + 1;
+        let digits = 64 - x.leading_zeros();
+        bits.extend(std::iter::repeat_n(false, digits as usize - 1));
+        bits.extend((0..digits).rev().map(|i| (x >> i) & 1 == 1));
+    }
+    bits.chunks(8)
+        .map(|byte| {
+            byte.iter()
+                .enumerate()
+                .fold(0u8, |acc, (i, &bit)| acc | (u8::from(bit) << (7 - i)))
+        })
+        .collect()
+}
+
+/// The table values of `enc`, per chunk `[planes, passes, deltas…]`.
+fn chunk_values(enc: &EncodedImage) -> Vec<Vec<u32>> {
+    enc.subbands()
+        .iter()
+        .map(|chunk| {
+            let mut values = vec![chunk.planes as u32, chunk.offsets.len() as u32];
+            let mut previous = 0;
+            for &o in &chunk.offsets {
+                values.push(o - previous);
+                previous = o;
+            }
+            values
+        })
+        .collect()
+}
+
+/// `enc`'s serialization with the header table replaced by `table`.
+fn with_table(enc: &EncodedImage, table: &[u8]) -> Vec<u8> {
+    let bytes = enc.to_bytes();
+    let mut out = bytes[..PREFIX].to_vec();
+    out.extend_from_slice(table);
+    out.extend_from_slice(&(enc.payload_len() as u32).to_be_bytes());
+    out.extend_from_slice(&bytes[bytes.len() - enc.payload_len()..]);
+    out
+}
+
+/// `enc`'s serialization with the table rebuilt from a subband count and
+/// per-chunk values.
+fn with_values(enc: &EncodedImage, n_subbands: u32, chunks: &[Vec<u32>]) -> Vec<u8> {
+    let mut values = vec![n_subbands];
+    values.extend(chunks.iter().flatten());
+    with_table(enc, &exp_golomb(&values))
+}
+
+/// The two hostile-input subjects: a γ-budgeted 64-px EPC2 tile (512
+/// payload bytes, as the on-board ROI path emits) and a full-rate 67×41
+/// image (odd geometry, every pass of every chunk).
+fn table_subjects() -> [EncodedImage; 2] {
+    [
+        encode_with_budget(&natural_image(64, 64, 300), &CodecConfig::lossy(), 512).unwrap(),
+        encode(&natural_image(67, 41, 301), &CodecConfig::lossy()).unwrap(),
+    ]
+}
+
+fn assert_malformed(bytes: &[u8], what: &str) {
+    match EncodedImage::from_bytes(bytes) {
+        Err(earthplus_codec::CodecError::Malformed { reason }) => {
+            eprintln!("{what}: rejected ({reason})");
+        }
+        other => panic!("{what}: expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn epc2_header_is_the_documented_exp_golomb_table() {
+    for enc in table_subjects() {
+        let rebuilt = with_values(&enc, enc.subbands().len() as u32, &chunk_values(&enc));
+        assert_eq!(rebuilt, enc.to_bytes(), "EPC2 header layout drifted");
+        assert_eq!(rebuilt.len(), enc.size_bytes());
+        assert_eq!(EncodedImage::from_bytes(&rebuilt).unwrap(), enc);
+    }
+}
+
+#[test]
+fn epc2_table_truncations_and_bit_flips_never_panic() {
+    let mut scratch = DecodeScratch::new();
+    let mut exercised = 0usize;
+    for enc in table_subjects() {
+        let bytes = enc.to_bytes();
+        // Every strict prefix is missing payload bytes the header promises.
+        for len in 0..bytes.len() {
+            assert!(
+                EncodedImage::from_bytes(&bytes[..len]).is_err(),
+                "{len}-byte prefix of {} parsed",
+                bytes.len()
+            );
+        }
+        // Every single-bit flip in the prefix and the table.
+        let header = enc.size_bytes() - enc.payload_len() - 4;
+        for bit in 0..8 * header {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 0x80 >> (bit % 8);
+            if let Ok(parsed) = EncodedImage::from_bytes(&flipped) {
+                exercised += 1;
+                let _ = decode_ll_only(&parsed, &mut scratch);
+                // A flipped width or height may claim up to MAX_PIXELS, a
+                // geometry the decoder rightly allocates for; the
+                // full-resolution entry points run while the claim stays
+                // tile-sized, the LL-only decode above always.
+                if parsed.width() as u64 * parsed.height() as u64 <= 1 << 16 {
+                    let _ = decode(&parsed);
+                    let _ = decode_with_scratch(&parsed, &mut scratch);
+                    let _ = decode_level_limited(&parsed, 1, &mut scratch);
+                }
+            }
+        }
+    }
+    // Flips of the prefix's step and input-level fields, and of table bits
+    // that trade equal-length codes, still parse.
+    assert!(exercised > 20, "only {exercised} flipped headers parsed");
+}
+
+#[test]
+fn epc2_table_rejects_overlong_codes() {
+    for enc in table_subjects() {
+        // 33 leading zeros: longer than any u32 code.
+        assert_malformed(&with_table(&enc, &[0, 0, 0, 0, 0x40]), "33 leading zeros");
+        // 32 zeros then 33 ones: 2^33 - 2, past u32::MAX.
+        let table = [0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x80];
+        assert_malformed(&with_table(&enc, &table), "value above u32::MAX");
+    }
+}
+
+#[test]
+fn epc2_table_rejects_offset_overflow() {
+    for enc in table_subjects() {
+        let mut chunks = chunk_values(&enc);
+        assert!(chunks[0][0] >= 1, "LL chunk must code a plane");
+        chunks[0].truncate(2);
+        chunks[0][1] = 2;
+        chunks[0].extend([u32::MAX, 1]);
+        let n = chunks.len() as u32;
+        assert_malformed(&with_values(&enc, n, &chunks), "offset overflow");
+    }
+}
+
+#[test]
+fn epc2_table_rejects_more_than_two_passes_per_plane() {
+    for enc in table_subjects() {
+        let mut chunks = chunk_values(&enc);
+        // An extra zero delta keeps every chunk length, so only the pass
+        // bound can reject it.
+        let planes = chunks[0][0];
+        chunks[0].truncate(2);
+        chunks[0][1] = 2 * planes + 1;
+        chunks[0].extend(std::iter::repeat_n(0, 2 * planes as usize + 1));
+        let last = enc.subbands()[0].offsets.last().copied().unwrap_or(0);
+        *chunks[0].last_mut().unwrap() = last;
+        let n = chunks.len() as u32;
+        assert_malformed(&with_values(&enc, n, &chunks), "too many passes");
+        // A huge pass count is rejected before it sizes an allocation.
+        chunks[0].truncate(2);
+        chunks[0][1] = u32::MAX;
+        assert_malformed(&with_values(&enc, n, &chunks), "u32::MAX passes");
+    }
+}
+
+#[test]
+fn epc2_table_rejects_a_subband_count_off_the_geometry() {
+    for enc in table_subjects() {
+        let chunks = chunk_values(&enc);
+        let n = chunks.len() as u32;
+        assert_malformed(&with_values(&enc, n - 1, &chunks[1..]), "one subband short");
+        let mut extra = chunks.clone();
+        extra.push(vec![0, 0]);
+        assert_malformed(&with_values(&enc, n + 1, &extra), "one subband extra");
+    }
+}
+
+#[test]
+fn epc2_table_rejects_chunk_lengths_off_the_payload() {
+    for enc in table_subjects() {
+        let mut chunks = chunk_values(&enc);
+        let n = chunks.len() as u32;
+        let last = chunks.iter_mut().rfind(|c| c.len() > 2).unwrap();
+        *last.last_mut().unwrap() += 1;
+        assert_malformed(&with_values(&enc, n, &chunks), "chunks past payload_len");
+        // And the converse: a header promising less than the payload.
+        let mut bytes = enc.to_bytes();
+        bytes.push(0);
+        let at = bytes.len() - enc.payload_len() - 5;
+        bytes[at..at + 4].copy_from_slice(&(enc.payload_len() as u32 + 1).to_be_bytes());
+        assert_malformed(&bytes, "payload_len past the chunks");
+    }
+}
+
+#[test]
+fn epc2_table_rejects_non_zero_padding() {
+    let mut padded = 0;
+    for enc in table_subjects() {
+        let mut values = vec![enc.subbands().len() as u32];
+        values.extend(chunk_values(&enc).iter().flatten());
+        let mut table = exp_golomb(&values);
+        let bits: u32 = values
+            .iter()
+            .map(|&v| 2 * (64 - (v as u64 + 1).leading_zeros()) - 1)
+            .sum();
+        if bits.is_multiple_of(8) {
+            continue;
+        }
+        *table.last_mut().unwrap() |= 1;
+        assert_malformed(&with_table(&enc, &table), "non-zero padding");
+        padded += 1;
+    }
+    assert!(padded > 0, "no subject's table ends mid-byte");
+}
+
+#[test]
+fn epc2_rejects_the_fixed_width_offset_layout() {
+    // The layout EPC2 used before the Exp-Golomb table: u16 subband count,
+    // then per chunk u8 planes, u16 pass count and u32 offsets.
+    for enc in table_subjects() {
+        let mut table = (enc.subbands().len() as u16).to_be_bytes().to_vec();
+        for chunk in enc.subbands() {
+            table.push(chunk.planes);
+            table.extend((chunk.offsets.len() as u16).to_be_bytes());
+            for &o in &chunk.offsets {
+                table.extend(o.to_be_bytes());
+            }
+        }
+        assert_malformed(&with_table(&enc, &table), "fixed-width layout");
+    }
+}

@@ -33,12 +33,13 @@ const GOLDEN_ROI_HASH: u64 = 0x568bdefd2376dd56;
 const GOLDEN_ENCODE_HASH: u64 = 0x98b24f4bdc22c080;
 const GOLDEN_SCORES_HASH: u64 = 0x0ef819b08ffb1192;
 const GOLDEN_CLOUD_HASH: u64 = 0x881cb9b960fc813c;
-/// Golden values of the EPC2 encoder on the same scene, captured when the
-/// format landed. Versioned separately from the EPC1 hashes: an encoder
-/// change that alters EPC2 bytes must bump these *and* leave the EPC1
-/// hashes untouched.
-const GOLDEN_EPC2_ROI_HASH: u64 = 0x2a5b716de545500f;
-const GOLDEN_EPC2_ENCODE_HASH: u64 = 0x4af3ef8b26a214c0;
+/// Golden values of the EPC2 encoder on the same scene, last re-goldened
+/// when the header's pass-offset table became Exp-Golomb deltas (payload
+/// and offsets unchanged, see [`GOLDEN_EPC2_ROI_PAYLOAD_HASH`]). Versioned
+/// separately from the EPC1 hashes: an encoder change that alters EPC2
+/// bytes must bump these *and* leave the EPC1 hashes untouched.
+const GOLDEN_EPC2_ROI_HASH: u64 = 0x210f329eac6e5666;
+const GOLDEN_EPC2_ENCODE_HASH: u64 = 0x3eb4d988fdd3805f;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The frozen-format configuration the golden EPC1 hashes pin.
@@ -171,6 +172,66 @@ fn golden_epc2_full_encode_roundtrips_bit_exact() {
     assert!(
         max_err < 1e-5,
         "EPC2 full-rate decode diverged from EPC1: {max_err}"
+    );
+}
+
+/// Golden FNV-1a hashes of everything an EPC2 stream carries *except* the
+/// header's wire encoding: per tile the flat index, the payload bytes and
+/// every subband chunk's plane count and pass offsets. A change to how the
+/// header table is serialized must leave these untouched, while
+/// [`GOLDEN_EPC2_ROI_HASH`] / [`GOLDEN_EPC2_ENCODE_HASH`] move with it.
+const GOLDEN_EPC2_ROI_PAYLOAD_HASH: u64 = 0x8b75519ddc9b170e;
+const GOLDEN_EPC2_ENCODE_PAYLOAD_HASH: u64 = 0x3e6b687c88399378;
+
+/// Hashes an EPC2 stream's payload (the trailing `payload_len` bytes of
+/// its serialization) and its chunk table as plain integers.
+fn epc2_payload_and_offsets_hash(image: &earthplus_codec::EncodedImage, mut hash: u64) -> u64 {
+    let bytes = image.to_bytes();
+    hash = fnv1a64(&bytes[bytes.len() - image.payload_len()..], hash);
+    for chunk in image.subbands() {
+        hash = fnv1a64(&[chunk.planes], hash);
+        for &o in &chunk.offsets {
+            hash = fnv1a64(&o.to_le_bytes(), hash);
+        }
+    }
+    hash
+}
+
+#[test]
+fn golden_epc2_payload_and_offsets_unchanged() {
+    let (_, capture) = quickstart_scene();
+    let red = capture
+        .image
+        .require_band(Band::Planet(PlanetBand::Red))
+        .unwrap();
+    let config = EarthPlusConfig::paper();
+    let grid = TileGrid::new(256, 256, config.tile_size).unwrap();
+    let mut all = TileMask::new(&grid);
+    all.fill();
+    let roi = encode_roi_with_scratch(
+        red,
+        &grid,
+        &all,
+        &CodecConfig::lossy(),
+        config.tile_budget_bytes(),
+        &mut CodecScratch::new(),
+    )
+    .unwrap();
+    let mut hash = FNV_OFFSET;
+    for tile in roi.tiles() {
+        hash = fnv1a64(&tile.flat_index.to_be_bytes(), hash);
+        hash = epc2_payload_and_offsets_hash(&tile.image, hash);
+    }
+    let full = earthplus_codec::encode(red, &CodecConfig::lossy()).unwrap();
+    let full_hash = epc2_payload_and_offsets_hash(&full, FNV_OFFSET);
+    assert_eq!(
+        [hash, full_hash],
+        [
+            GOLDEN_EPC2_ROI_PAYLOAD_HASH,
+            GOLDEN_EPC2_ENCODE_PAYLOAD_HASH
+        ],
+        "EPC2 payload or pass offsets drifted (ROI, full-rate): {:#018x?}",
+        [hash, full_hash]
     );
 }
 

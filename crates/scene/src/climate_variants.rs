@@ -8,8 +8,8 @@
 //! Washington-State (Sentinel-2) results imply references refresh far
 //! more often there than a 25-day cadence. This module adds a
 //! Washington-like variant with that tail, used by the rich-content
-//! dataset; `EXPERIMENTS.md` documents the effect on the Sentinel-side
-//! figures.
+//! dataset, so its effect shows in every `earthplus-bench` experiment
+//! built on [`crate::rich_content`].
 
 use crate::clouds::CloudClimate;
 
