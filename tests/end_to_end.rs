@@ -3,6 +3,7 @@
 
 use earthplus::metrics;
 use earthplus::prelude::*;
+use earthplus::UplinkReport;
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_codec::FormatVersion;
 use earthplus_orbit::LinkModel;
@@ -163,12 +164,32 @@ fn guaranteed_downloads_occur_monthly() {
     }
 }
 
-/// Every strategy's capture-report hashes on the small mission at the
-/// default config, `(with bytes, without bytes)` per strategy in the order
-/// earth+, kodan, satroi. The mission runs once and both golden tests
-/// below share it.
-fn default_config_report_hashes() -> [(u64, u64); 3] {
-    static HASHES: OnceLock<[(u64, u64); 3]> = OnceLock::new();
+/// FNV-1a over a strategy's uplink reports, in order: `bytes_used`,
+/// `bytes_budget`, `deltas_sent`, `deltas_skipped` of every window.
+fn uplink_hash(reports: &[UplinkReport]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for r in reports {
+        for v in [
+            r.bytes_used,
+            r.bytes_budget,
+            r.deltas_sent as u64,
+            r.deltas_skipped as u64,
+        ] {
+            for b in v.to_le_bytes() {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+    hash
+}
+
+/// Every strategy's report hashes on the small mission at the default
+/// config, `(captures with bytes, captures without bytes, uplink)` per
+/// strategy in the order earth+, kodan, satroi. The mission runs once and
+/// the three golden tests below share it.
+fn default_config_report_hashes() -> [(u64, u64, u64); 3] {
+    static HASHES: OnceLock<[(u64, u64, u64); 3]> = OnceLock::new();
     *HASHES.get_or_init(|| {
         let (sim, dataset) = small_mission();
         let detector = train_onboard_detector(&sim.scenes()[0], &TrainingConfig::default());
@@ -179,7 +200,11 @@ fn default_config_report_hashes() -> [(u64, u64); 3] {
         let report = sim.run(&mut [&mut earthplus, &mut kodan, &mut satroi]);
         ["earth+", "kodan", "satroi"].map(|name| {
             let records = report.records(name);
-            (report_hash(records, true), report_hash(records, false))
+            (
+                report_hash(records, true),
+                report_hash(records, false),
+                uplink_hash(&report.uplink[name]),
+            )
         })
     })
 }
@@ -190,7 +215,7 @@ fn default_config_report_hashes() -> [(u64, u64); 3] {
 /// tile fractions, PSNR, or reference ages.
 #[test]
 fn strategy_reports_match_golden() {
-    let hashes = default_config_report_hashes().map(|(with_bytes, _)| with_bytes);
+    let hashes = default_config_report_hashes().map(|(with_bytes, _, _)| with_bytes);
     assert_eq!(
         hashes,
         [
@@ -207,7 +232,7 @@ fn strategy_reports_match_golden() {
 /// this one — tile choices, PSNR, reference ages — untouched.
 #[test]
 fn strategy_reports_match_golden_without_bytes() {
-    let hashes = default_config_report_hashes().map(|(_, without_bytes)| without_bytes);
+    let hashes = default_config_report_hashes().map(|(_, without_bytes, _)| without_bytes);
     assert_eq!(
         hashes,
         [
@@ -216,6 +241,22 @@ fn strategy_reports_match_golden_without_bytes() {
             0x6a6f_4427_0c73_b2c7
         ],
         "byte-independent capture reports drifted (earth+, kodan, satroi): {hashes:#018x?}"
+    );
+}
+
+/// Pins every strategy's per-window uplink reports on the same mission:
+/// Earth+'s planned uploads and the baselines' budget-only windows.
+#[test]
+fn strategy_uplink_reports_match_golden() {
+    let hashes = default_config_report_hashes().map(|(_, _, uplink)| uplink);
+    assert_eq!(
+        hashes,
+        [
+            0xa0dc_7999_d9b0_0589,
+            0xd4a9_f9b6_c19f_5869,
+            0xd4a9_f9b6_c19f_5869
+        ],
+        "uplink reports drifted (earth+, kodan, satroi): {hashes:#018x?}"
     );
 }
 
