@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use earthplus::prelude::*;
-use earthplus::CaptureContext;
+use earthplus::{CaptureContext, ContactWindow};
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::LocationId;
@@ -38,7 +38,11 @@ fn bench_pipeline(c: &mut Criterion) {
                     location: LocationId(0),
                     capture: &warmup,
                 });
-                s.on_ground_contact(SatelliteId(0), 56.0, 20_000_000);
+                s.on_contact_pass(&[ContactWindow {
+                    satellite: SatelliteId(0),
+                    day: 56.0,
+                    budget_bytes: 20_000_000,
+                }]);
                 s
             },
             |mut s| {

@@ -83,7 +83,7 @@
 //! same completed transfers).
 
 use earthplus::prelude::*;
-use earthplus::{CaptureContext, StageTimings};
+use earthplus::{CaptureContext, ContactWindow, StageTimings};
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_codec::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use earthplus_codec::{
@@ -228,7 +228,11 @@ fn main() {
             location: LocationId(0),
             capture: &warmup,
         });
-        s.on_ground_contact(SatelliteId(0), 56.0, 20_000_000);
+        s.on_contact_pass(&[ContactWindow {
+            satellite: SatelliteId(0),
+            day: 56.0,
+            budget_bytes: 20_000_000,
+        }]);
         let grow_before = s.codec_scratch().grow_events();
         let t = Instant::now();
         let report = s.on_capture(&CaptureContext {

@@ -15,7 +15,7 @@
 use crate::decision_tree::DecisionTree;
 use crate::features::tile_features;
 use crate::morphology::{dilate, erode};
-use earthplus_raster::{Band, BandKind, MultiBandImage, TileGrid, TileMask};
+use earthplus_raster::{BandKind, MultiBandImage, TileGrid, TileMask};
 use earthplus_scene::reflectance::cold_band;
 
 /// Result of running a detector on a capture.
@@ -176,11 +176,6 @@ impl GroundCloudDetector {
             },
         ))
     }
-}
-
-/// Which band list constitutes a usable platform for the detectors.
-pub fn platform_has_cold_band(bands: &[Band]) -> bool {
-    cold_band(bands).is_some()
 }
 
 #[cfg(test)]

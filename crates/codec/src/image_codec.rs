@@ -23,8 +23,8 @@
 //! EPC1 streams keep their historical wire quirk: a budget-truncated
 //! encode carries the full pass-offset table even for passes beyond the
 //! payload. EPC2 headers always describe exactly the payload present, and
-//! [`EncodedImage::truncated`] / [`EncodedImage::with_layers`] clamp
-//! offsets for both formats, so size accounting agrees with the bytes.
+//! [`EncodedImage::truncated`] clamps offsets for both formats, so size
+//! accounting agrees with the bytes.
 
 use crate::bitplane::{self, encode_planes_into, MAX_PLANES};
 use crate::dwt::{self, Wavelet};
@@ -114,12 +114,6 @@ impl CodecConfig {
         self.format = format;
         self
     }
-
-    /// Whether this configuration reconstructs exactly at full rate
-    /// (reversible 5/3 transform with unit quantization).
-    pub fn is_reversible(&self) -> bool {
-        self.wavelet == Wavelet::Cdf53 && self.quant_step == 1.0
-    }
 }
 
 impl Default for CodecConfig {
@@ -151,8 +145,7 @@ impl SubbandChunk {
 /// An encoded image: header plus embedded payload.
 ///
 /// The payload is a shared [`Bytes`] buffer, so [`EncodedImage::truncated`]
-/// and [`EncodedImage::with_layers`] are O(1) byte-range views — rate
-/// control and downlink-layer dropping no longer clone the stream.
+/// is an O(1) byte-range view — rate control does not clone the stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedImage {
     width: u32,
@@ -311,14 +304,16 @@ impl EncodedImage {
         }
     }
 
-    /// Cuts the stream at exactly `cut` (a pass boundary), clamping the
-    /// offset metadata so the header describes only surviving passes:
-    /// `size_bytes`, `layer_count`, and re-truncation all agree with the
-    /// payload, and truncating twice at the same budget is a no-op.
-    fn cut_at(&self, cut: usize) -> EncodedImage {
-        let cut = cut.min(self.payload.len());
-        let mut out = self.clone();
-        out.payload = self.payload.slice(..cut);
+    /// Returns a view truncated to at most `max_payload_bytes`, cut at the
+    /// largest pass boundary that fits (rate control and downlink-layer
+    /// dropping both use this). O(1) payload handling: the storage is
+    /// shared, not cloned. The header metadata is clamped to the cut, so
+    /// the result's [`EncodedImage::size_bytes`] and
+    /// [`EncodedImage::layer_count`] describe exactly the surviving bytes,
+    /// and truncating twice at the same budget is a no-op.
+    pub fn truncated(&self, max_payload_bytes: usize) -> EncodedImage {
+        let mut out = self.wire_truncated(max_payload_bytes);
+        let cut = out.payload.len();
         match self.format {
             FormatVersion::Epc1 => out.pass_offsets.retain(|&o| o as usize <= cut),
             FormatVersion::Epc2 => {
@@ -342,22 +337,6 @@ impl EncodedImage {
         out
     }
 
-    /// Returns a view truncated to at most `max_payload_bytes`, cut at the
-    /// largest pass boundary that fits (rate control and downlink-layer
-    /// dropping both use this). O(1) payload handling: the storage is
-    /// shared, not cloned. The header metadata is clamped to the cut, so
-    /// the result's [`EncodedImage::size_bytes`] and
-    /// [`EncodedImage::layer_count`] describe exactly the surviving bytes.
-    pub fn truncated(&self, max_payload_bytes: usize) -> EncodedImage {
-        let cut = self
-            .pass_boundaries()
-            .into_iter()
-            .take_while(|&o| o <= max_payload_bytes)
-            .last()
-            .unwrap_or(0);
-        self.cut_at(cut)
-    }
-
     /// Cuts the payload at the largest pass boundary that fits
     /// `max_payload_bytes` while keeping the header metadata untouched —
     /// the historical EPC1 on-board wire form, where a budgeted encode
@@ -376,21 +355,6 @@ impl EncodedImage {
         let mut out = self.clone();
         out.payload = self.payload.slice(..cut);
         out
-    }
-
-    /// Returns a view keeping only the first `layers` coding passes
-    /// (O(1), shared payload storage; offset metadata clamped like
-    /// [`EncodedImage::truncated`]).
-    pub fn with_layers(&self, layers: usize) -> EncodedImage {
-        let cuts = self.pass_boundaries();
-        let cut = if layers == 0 {
-            0
-        } else {
-            cuts.get(layers.min(cuts.len().max(1)) - 1)
-                .copied()
-                .unwrap_or(self.payload.len())
-        };
-        self.cut_at(cut)
     }
 
     /// Serializes to a self-describing byte vector.
@@ -1341,10 +1305,10 @@ mod tests {
     }
 
     #[test]
-    fn with_layers_zero_is_empty_but_decodable() {
+    fn truncated_zero_is_empty_but_decodable() {
         let img = natural_image(64, 64, 5);
         let enc = encode(&img, &CodecConfig::lossy()).unwrap();
-        let none = enc.with_layers(0);
+        let none = enc.truncated(0);
         assert_eq!(none.payload_len(), 0);
         let dec = decode(&none).unwrap();
         assert_eq!(dec.dimensions(), (64, 64));
@@ -1353,13 +1317,19 @@ mod tests {
     #[test]
     fn more_layers_never_hurt() {
         let img = natural_image(64, 64, 6);
-        let enc = encode(&img, &CodecConfig::lossy()).unwrap();
-        let mut last = -1.0;
-        for layers in [2, 6, 10, enc.layer_count()] {
-            let dec = decode(&enc.with_layers(layers)).unwrap();
-            let q = psnr(&img, &dec).unwrap();
-            assert!(q >= last - 0.3, "layers {layers}: {q} < {last}");
-            last = q;
+        for format in [FormatVersion::Epc1, FormatVersion::Epc2] {
+            let enc = encode(&img, &CodecConfig::lossy().with_format(format)).unwrap();
+            let mut last = -1.0;
+            let cuts = enc.pass_boundaries();
+            for layers in [2, 6, 10, enc.layer_count()] {
+                let cut = enc.truncated(cuts[layers - 1]);
+                // At least the requested passes survive (zero-cost passes
+                // sharing the same byte boundary ride along).
+                assert!(cut.layer_count() >= layers, "{format:?} layers {layers}");
+                let q = psnr(&img, &decode(&cut).unwrap()).unwrap();
+                assert!(q >= last - 0.3, "{format:?} layers {layers}: {q} < {last}");
+                last = q;
+            }
         }
     }
 

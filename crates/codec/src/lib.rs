@@ -10,9 +10,9 @@
 //!   embedded stream ([`encode_with_budget`], [`EncodedImage::truncated`]);
 //! * **region-of-interest encoding** — encode only the changed tiles at a
 //!   constant per-tile budget γ ([`encode_roi`], [`RoiBitstream`]);
-//! * **quality layers** — drop layers of an already-encoded stream when the
-//!   downlink degrades ([`EncodedImage::with_layers`],
-//!   [`RoiBitstream::scaled_to_budget`]).
+//! * **quality layers** — every coding pass is a truncation point
+//!   ([`EncodedImage::pass_boundaries`]), so a shorter prefix of the same
+//!   stream is a lower-quality layer.
 //!
 //! Streams are versioned ([`FormatVersion`]): the EPC2 default splits the
 //! payload into independently seekable subband chunks with subband-local

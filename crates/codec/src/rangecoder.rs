@@ -299,12 +299,6 @@ impl<'a> RangeDecoder<'a> {
         self.normalize();
         bit
     }
-
-    /// Bytes consumed from the real input so far (excluding virtual zero
-    /// fill past a truncated end).
-    pub fn bytes_consumed(&self) -> usize {
-        self.pos.min(self.input.len())
-    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,8 @@
 //! selected tile as an independent embedded stream truncated to the γ
 //! budget; [`RoiBitstream`] carries them with their tile indices so the
 //! ground can patch the changed tiles into its latest reconstruction.
-//!
-//! Because every tile stream is embedded, the ground can also decode fewer
-//! quality layers of every tile when the downlink degrades
-//! ([`RoiBitstream::scaled_to_budget`]), which is how Earth+ "smoothly
+//! Every tile stream is embedded, so γ is the whole rate knob: a smaller γ
+//! is a shorter prefix of the same passes, which is how Earth+ "smoothly
 //! trades off between downlink bandwidth and the quality of downloaded
 //! imagery" (§5).
 
@@ -97,73 +95,6 @@ impl RoiBitstream {
             .iter()
             .map(|t| t.image.size_bytes() + TILE_HEADER_BYTES)
             .sum()
-    }
-
-    /// Returns a copy with every tile truncated so the *total* size fits
-    /// `budget_bytes`, dropping quality layers uniformly (the downlink-
-    /// fluctuation mechanism: fewer layers for all tiles of a contact).
-    ///
-    /// # Contract
-    ///
-    /// The result **never** exceeds the budget:
-    /// `result.size_bytes() <= budget_bytes`, always. When the per-tile
-    /// container overhead alone (headers that survive even a zero-payload
-    /// truncation) does not fit, trailing tiles are dropped — callers that
-    /// care about which tiles survive a starved contact should order the
-    /// mask's tiles most-important first — down to the empty bitstream at
-    /// budget 0.
-    pub fn scaled_to_budget(&self, budget_bytes: usize) -> RoiBitstream {
-        if self.size_bytes() <= budget_bytes {
-            return self.clone();
-        }
-        let remake = |tiles: Vec<EncodedTile>| RoiBitstream {
-            width: self.width,
-            height: self.height,
-            tile_size: self.tile_size,
-            tiles,
-        };
-        let mut tiles = self.tiles.clone();
-        loop {
-            if tiles.is_empty() {
-                return remake(tiles);
-            }
-            // Floor cost of keeping these tiles at all: every tile retains
-            // at least its zero-payload header plus container framing.
-            let floor: usize = tiles
-                .iter()
-                .map(|t| t.image.truncated(0).size_bytes() + TILE_HEADER_BYTES)
-                .sum();
-            if floor > budget_bytes {
-                tiles.pop();
-                continue;
-            }
-            let total_payload: usize = tiles.iter().map(|t| t.image.payload_len()).sum();
-            let fraction = if total_payload == 0 {
-                0.0
-            } else {
-                ((budget_bytes - floor) as f64 / total_payload as f64).min(1.0)
-            };
-            let scaled: Vec<EncodedTile> = tiles
-                .iter()
-                .map(|t| EncodedTile {
-                    flat_index: t.flat_index,
-                    image: t
-                        .image
-                        .truncated((t.image.payload_len() as f64 * fraction) as usize),
-                })
-                .collect();
-            let size: usize = scaled
-                .iter()
-                .map(|t| t.image.size_bytes() + TILE_HEADER_BYTES)
-                .sum();
-            if size <= budget_bytes {
-                return remake(scaled);
-            }
-            // The surviving passes carry per-pass header bytes beyond the
-            // zero-payload floor; shed the lowest-priority (trailing) tile
-            // and redistribute.
-            tiles.pop();
-        }
     }
 
     /// Decodes every tile to `(tile index, raster)` pairs through a
@@ -420,25 +351,6 @@ mod tests {
         let roi = encode_roi(&img, &grid, &mask, &CodecConfig::lossy(), 1024).unwrap();
         let payloads: usize = roi.tiles().iter().map(|t| t.image.payload_len()).sum();
         assert!(roi.size_bytes() > payloads);
-    }
-
-    #[test]
-    fn scaled_to_budget_shrinks_and_still_decodes() {
-        let img = image_256();
-        let grid = TileGrid::new(256, 256, 64).unwrap();
-        let mask = checker_mask(&grid);
-        let roi = encode_roi(&img, &grid, &mask, &CodecConfig::lossy(), 8192).unwrap();
-        let full_size = roi.size_bytes();
-        let scaled = roi.scaled_to_budget(full_size / 2);
-        assert!(scaled.size_bytes() <= full_size / 2 + 64);
-        let mut full_canvas = Raster::new(256, 256);
-        roi.patch_into(&mut full_canvas).unwrap();
-        let mut scaled_canvas = Raster::new(256, 256);
-        scaled.patch_into(&mut scaled_canvas).unwrap();
-        // Scaled version is valid but lower quality on selected tiles.
-        let q_full = psnr(&img, &full_canvas).unwrap();
-        let q_scaled = psnr(&img, &scaled_canvas).unwrap();
-        assert!(q_scaled <= q_full + 0.2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Cross-version format tests: EPC1 ↔ EPC2 coexistence, truncation
-//! metadata consistency, and the `scaled_to_budget` byte-budget guarantee.
+//! metadata consistency, and budgeted-encode equivalence.
 //!
 //! Randomized cases use a deterministic splitmix64 PRNG (the workspace has
 //! no proptest dependency; see `tests/property_invariants.rs` at the repo
@@ -7,10 +7,10 @@
 
 use earthplus_codec::bitplane::MAX_PLANES;
 use earthplus_codec::{
-    decode, encode, encode_roi, encode_view, encode_with_budget, CodecConfig, CodecError,
-    CodecScratch, EncodedImage, FormatVersion,
+    decode, encode, encode_view, encode_with_budget, CodecConfig, CodecError, CodecScratch,
+    EncodedImage, FormatVersion,
 };
-use earthplus_raster::{psnr, Raster, TileGrid, TileMask};
+use earthplus_raster::{psnr, Raster};
 
 struct Rng(u64);
 
@@ -266,37 +266,6 @@ fn truncation_is_idempotent_and_metadata_consistent() {
 }
 
 #[test]
-fn with_layers_clamps_metadata_for_both_formats() {
-    let img = natural_image(64, 64, 7);
-    for config in [epc1(), epc2()] {
-        let enc = encode(&img, &config).unwrap();
-        let total = enc.layer_count();
-        assert!(total > 2);
-        for layers in [0, 1, total / 2, total, total + 5] {
-            let t = enc.with_layers(layers);
-            // At least the requested passes survive (zero-cost passes
-            // sharing the same byte boundary ride along), and the kept
-            // metadata never reaches past the cut payload.
-            assert!(
-                t.layer_count() >= layers.min(total) && t.layer_count() <= total,
-                "{:?} layers {layers} kept {}",
-                config.format,
-                t.layer_count()
-            );
-            assert!(t.pass_boundaries().iter().all(|&o| o <= t.payload_len()));
-            assert_eq!(t.with_layers(layers), t, "idempotent");
-        }
-        // More layers never hurt.
-        let mut last = -1.0;
-        for layers in [2, total / 2, total] {
-            let q = psnr(&img, &decode(&enc.with_layers(layers)).unwrap()).unwrap();
-            assert!(q >= last - 0.3, "{:?}: {q} after {last}", config.format);
-            last = q;
-        }
-    }
-}
-
-#[test]
 fn epc2_rate_distortion_is_monotone() {
     let img = natural_image(128, 128, 8);
     let full = encode(&img, &epc2()).unwrap();
@@ -308,91 +277,4 @@ fn epc2_rate_distortion_is_monotone() {
         last = q;
     }
     assert!(last > 40.0);
-}
-
-#[test]
-fn scaled_to_budget_never_exceeds_budget() {
-    let mut rng = Rng(0x5CA1E);
-    for case in 0..10 {
-        let w = rng.range(1, 4) * 64;
-        let h = rng.range(1, 4) * 64;
-        let img = natural_image(w, h, 300 + case);
-        let grid = TileGrid::new(w, h, 64).unwrap();
-        let mut mask = TileMask::new(&grid);
-        for t in grid.iter() {
-            if rng.next_u64() & 1 == 1 {
-                mask.set(t, true);
-            }
-        }
-        let config = if case % 2 == 0 { epc2() } else { epc1() };
-        let gamma = [0.5, 1.0, 4.0][case as usize % 3];
-        let budget_per_tile = earthplus_codec::tile_budget_bytes(gamma, 64 * 64);
-        let roi = encode_roi(&img, &grid, &mask, &config, budget_per_tile).unwrap();
-        let full = roi.size_bytes();
-        // Budgets from starved (0) through generous; the guarantee must
-        // hold at every point, including budgets below the container
-        // overhead of a single tile.
-        for budget in [
-            0,
-            1,
-            8,
-            35,
-            36,
-            100,
-            full / 10,
-            full / 3,
-            full / 2,
-            full.saturating_sub(1),
-            full,
-            full + 100,
-        ] {
-            let scaled = roi.scaled_to_budget(budget);
-            assert!(
-                scaled.size_bytes() <= budget || budget >= full,
-                "case {case}: budget {budget} -> {} bytes (full {full})",
-                scaled.size_bytes()
-            );
-            if budget >= full {
-                assert_eq!(scaled.size_bytes(), full);
-            }
-            // Whatever survives still decodes and patches.
-            let mut canvas = Raster::new(w, h);
-            scaled.patch_into(&mut canvas).unwrap();
-        }
-        // Random budgets.
-        for _ in 0..12 {
-            let budget = rng.range(0, full + 64);
-            let scaled = roi.scaled_to_budget(budget);
-            if budget >= full {
-                assert_eq!(scaled.size_bytes(), full);
-            } else {
-                assert!(
-                    scaled.size_bytes() <= budget,
-                    "case {case}: budget {budget} -> {} bytes",
-                    scaled.size_bytes()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn scaled_to_budget_prefers_leading_tiles_when_starved() {
-    let img = natural_image(256, 64, 9);
-    let grid = TileGrid::new(256, 64, 64).unwrap();
-    let mut mask = TileMask::new(&grid);
-    mask.fill();
-    let roi = encode_roi(&img, &grid, &mask, &epc2(), 512).unwrap();
-    assert_eq!(roi.tile_count(), 4);
-    // Room for roughly one tile's container: trailing tiles are shed
-    // first, so the survivor is the first selected tile.
-    let one_tile = roi.tiles()[0].image.size_bytes() + 64;
-    let scaled = roi.scaled_to_budget(one_tile);
-    assert!(scaled.size_bytes() <= one_tile);
-    assert!(!scaled.is_empty(), "a leading tile should survive");
-    assert_eq!(scaled.tiles()[0].flat_index, roi.tiles()[0].flat_index);
-    // Budget zero: empty stream, zero bytes.
-    let empty = roi.scaled_to_budget(0);
-    assert!(empty.is_empty());
-    assert_eq!(empty.size_bytes(), 0);
 }

@@ -335,8 +335,9 @@ fn image_truncation_points_match_budgeted_encode() {
     for format in FORMATS {
         let config = CodecConfig::lossy().with_format(format);
         let full = encode(&img, &config).unwrap();
-        for k in 0..=full.layer_count() {
-            let cut = full.with_layers(k);
+        let cuts = std::iter::once(0).chain(full.pass_boundaries());
+        for (k, cut_bytes) in cuts.enumerate() {
+            let cut = full.truncated(cut_bytes);
             let budgeted = encode_with_budget(&img, &config, cut.payload_len()).unwrap();
             match format {
                 FormatVersion::Epc2 => assert_eq!(

@@ -14,6 +14,7 @@ use crate::strategy::{
 };
 use crate::uplink::UplinkReport;
 use earthplus_cloud::{GroundCloudDetector, OnboardCloudDetector};
+use earthplus_ground::ContactWindow;
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, IlluminationAligner, LocationId, Raster, TileGrid, TileMask};
 use earthplus_telemetry::{TelemetrySink, TraceId, TraceSink};
@@ -25,13 +26,19 @@ fn untraced_pipeline(config: &EarthPlusConfig) -> CapturePipeline {
     CapturePipeline::new(config, &TelemetrySink::disabled(), &TraceSink::disabled())
 }
 
-/// The baselines upload nothing: a contact only drains the downlink queue.
-fn drain_only(pipeline: &mut CapturePipeline, satellite: SatelliteId, budget: u64) -> UplinkReport {
-    pipeline.drain(satellite);
-    UplinkReport {
-        bytes_budget: budget,
-        ..UplinkReport::default()
-    }
+/// The baselines upload nothing: each window of a pass only drains its
+/// satellite's downlink queue and reports its budget unspent.
+fn drain_only(pipeline: &mut CapturePipeline, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
+    contacts
+        .iter()
+        .map(|c| {
+            pipeline.drain(c.satellite);
+            UplinkReport {
+                bytes_budget: c.budget_bytes,
+                ..UplinkReport::default()
+            }
+        })
+        .collect()
 }
 
 /// **Kodan** \[37\]: "drop low-value cloud data and download remaining
@@ -93,13 +100,8 @@ impl CompressionStrategy for KodanStrategy {
         report
     }
 
-    fn on_ground_contact(
-        &mut self,
-        satellite: SatelliteId,
-        _day: f64,
-        uplink_budget_bytes: u64,
-    ) -> UplinkReport {
-        drain_only(&mut self.pipeline, satellite, uplink_budget_bytes)
+    fn on_contact_pass(&mut self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
+        drain_only(&mut self.pipeline, contacts)
     }
 
     fn storage(&self) -> StorageBreakdown {
@@ -211,13 +213,8 @@ impl CompressionStrategy for SatRoiStrategy {
         self.pipeline.report(ctx, timings, false, TraceId::NONE)
     }
 
-    fn on_ground_contact(
-        &mut self,
-        satellite: SatelliteId,
-        _day: f64,
-        uplink_budget_bytes: u64,
-    ) -> UplinkReport {
-        drain_only(&mut self.pipeline, satellite, uplink_budget_bytes)
+    fn on_contact_pass(&mut self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
+        drain_only(&mut self.pipeline, contacts)
     }
 
     fn storage(&self) -> StorageBreakdown {

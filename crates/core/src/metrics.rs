@@ -63,15 +63,6 @@ pub fn area_compression_ratio(records: &[CaptureReport]) -> f64 {
     1.0 / stats.mean
 }
 
-/// `(day, tile fraction, PSNR)` triples for time-series plots (Figure 13).
-pub fn time_series(records: &[CaptureReport]) -> Vec<(f64, f64, Option<f64>)> {
-    records
-        .iter()
-        .filter(|r| !r.dropped)
-        .map(|r| (r.day, r.downloaded_tile_fraction, r.psnr_db))
-        .collect()
-}
-
 /// Mean per-stage runtimes over delivered captures (Figure 16).
 pub fn mean_timings(records: &[CaptureReport]) -> crate::strategy::StageTimings {
     let delivered: Vec<&CaptureReport> = records.iter().filter(|r| !r.dropped).collect();

@@ -102,32 +102,12 @@ pub trait CompressionStrategy {
     /// reconstruction) and reports the accounting.
     fn on_capture(&mut self, ctx: &CaptureContext<'_>) -> CaptureReport;
 
-    /// Called for every ground-contact window of a satellite; strategies
-    /// that upload reference data consume `uplink_budget_bytes` here.
-    fn on_ground_contact(
-        &mut self,
-        satellite: SatelliteId,
-        day: f64,
-        uplink_budget_bytes: u64,
-    ) -> UplinkReport {
-        let _ = (satellite, day);
-        UplinkReport {
-            bytes_budget: uplink_budget_bytes,
-            ..UplinkReport::default()
-        }
-    }
-
     /// Called with a whole *pass*: every satellite's contact windows since
-    /// the last planning round, in day order. The default forwards each
-    /// window to [`CompressionStrategy::on_ground_contact`]; strategies
-    /// with a constellation-wide ground segment override this to schedule
-    /// the pass as one batch.
-    fn on_contact_pass(&mut self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
-        contacts
-            .iter()
-            .map(|c| self.on_ground_contact(c.satellite, c.day, c.budget_bytes))
-            .collect()
-    }
+    /// the last planning round, in day order. Returns one report per
+    /// window, in window order. Strategies that upload reference data
+    /// spend each window's `budget_bytes` here; every strategy drains the
+    /// window's satellite's downlink queue.
+    fn on_contact_pass(&mut self, contacts: &[ContactWindow]) -> Vec<UplinkReport>;
 
     /// Current on-board storage footprint (worst satellite).
     fn storage(&self) -> StorageBreakdown;

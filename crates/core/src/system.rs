@@ -26,7 +26,6 @@ use crate::uplink::UplinkReport;
 use earthplus_cloud::OnboardCloudDetector;
 use earthplus_codec::{CodecScratch, DecodeScratch};
 use earthplus_ground::{ContactWindow, GroundService, GroundServiceConfig};
-use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, TileGrid};
 use earthplus_telemetry::{names, Histogram, Snapshot, TelemetrySink, TraceSink, TraceTrack};
 use std::collections::HashMap;
@@ -150,20 +149,9 @@ impl CompressionStrategy for EarthPlusStrategy {
         "earth+"
     }
 
-    fn on_ground_contact(
-        &mut self,
-        satellite: SatelliteId,
-        day: f64,
-        uplink_budget_bytes: u64,
-    ) -> UplinkReport {
+    fn on_contact_pass(&mut self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
         // Downlink side: the queued captures drain (downlink is orders of
         // magnitude larger than what Earth+ queues).
-        self.pipeline.drain(satellite);
-        self.service
-            .plan_contact(satellite, day, uplink_budget_bytes)
-    }
-
-    fn on_contact_pass(&mut self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
         for contact in contacts {
             self.pipeline.drain(contact.satellite);
         }

@@ -14,7 +14,7 @@
 //!    the same strategy must not grow the codec scratch arena.
 
 use earthplus::prelude::*;
-use earthplus::{CaptureContext, ChangeDetector, ReferenceImage};
+use earthplus::{CaptureContext, ChangeDetector, ContactWindow, ReferenceImage};
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_codec::{
     decode, encode_roi_with_scratch, reference, CodecConfig, CodecScratch, FormatVersion,
@@ -392,7 +392,11 @@ fn second_capture_allocates_no_new_scratch() {
         location: LocationId(0),
         capture: &warmup,
     });
-    strategy.on_ground_contact(SatelliteId(0), 56.0, 20_000_000);
+    strategy.on_contact_pass(&[ContactWindow {
+        satellite: SatelliteId(0),
+        day: 56.0,
+        budget_bytes: 20_000_000,
+    }]);
     let after_first = strategy.codec_scratch().grow_events();
     assert!(after_first > 0, "first capture must have sized the arena");
     let decode_after_first = strategy.decode_scratch().grow_events();

@@ -39,8 +39,9 @@
 //!   one staleness-weighted update queue per satellite — replacing
 //!   per-satellite greedy planning;
 //! * [`service`] — the [`GroundService`] facade (`ingest_downlink`,
-//!   `plan_contact`, `plan_pass`, `serve_reference`, `stats`) that the
-//!   Earth+ strategy and the mission simulator drive.
+//!   `plan_pass`, `serve_reference`, `stats`) that the Earth+ strategy
+//!   and the mission simulator drive; a single contact is a pass of one
+//!   window.
 //!
 //! # Example
 //!

@@ -9,10 +9,10 @@
 //! stale reference is read once, however many satellites need it, and
 //! each satellite's updates form a staleness-weighted queue packed into
 //! that satellite's windows, earliest first. Per-contact byte budgets are
-//! supplied by the caller from the link model, so bandwidth fluctuation
-//! and outages (§5, *Handling bandwidth fluctuation*) are handled exactly
-//! as before: a degraded contact simply offers fewer bytes, and whatever
-//! does not fit is served stale from the on-board cache.
+//! supplied by the caller (the link model, clamped by any injected
+//! mid-pass uplink drop), so a degraded contact (§5, *Handling bandwidth
+//! fluctuation*) simply offers fewer bytes, and whatever does not fit is
+//! served stale from the on-board cache.
 
 use crate::backend::ReferenceBackend;
 use crate::cache::EvictingReferenceCache;
@@ -30,8 +30,7 @@ pub struct ContactWindow {
     pub satellite: SatelliteId,
     /// Mission day of the contact.
     pub day: f64,
-    /// Bytes the uplink can carry during this contact (already reflects
-    /// any bandwidth fluctuation or outage).
+    /// Bytes the uplink can carry during this contact.
     pub budget_bytes: u64,
 }
 

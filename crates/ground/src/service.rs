@@ -534,22 +534,6 @@ impl GroundService {
         report
     }
 
-    /// Plans one satellite contact (a pass of one window).
-    pub fn plan_contact(
-        &self,
-        satellite: SatelliteId,
-        day: f64,
-        budget_bytes: u64,
-    ) -> UplinkReport {
-        self.plan_pass(&[ContactWindow {
-            satellite,
-            day,
-            budget_bytes,
-        }])
-        .pop()
-        .expect("one window in, one report out")
-    }
-
     /// Plans a whole pass: every contact window of the constellation since
     /// the last planning round, against one sweep of the store (see
     /// [`ConstellationScheduler::plan_pass`]).
@@ -559,9 +543,6 @@ impl GroundService {
             .tracing
             .span_on(TraceTrack::Station(0), "ground", "plan_pass");
         trace.arg("contacts", contacts.len());
-        if let Some(first) = contacts.first() {
-            trace.arg("budget_bytes", first.budget_bytes);
-        }
         // Fault epoch first: outage transitions (and their failovers)
         // land before scheduling, so the pass plans against whichever
         // primaries are actually alive on this day. The station set
@@ -601,6 +582,12 @@ impl GroundService {
             }
             None => contacts,
         };
+        // The pass's total budget after any interrupt clamped it, so the
+        // span's `budget_bytes` and `bytes_used` cover the same windows.
+        let budget = contacts
+            .iter()
+            .fold(0u64, |total, c| total.saturating_add(c.budget_bytes));
+        trace.arg("budget_bytes", budget);
         let all_keys;
         let targets: &[(LocationId, Band)] = if self.config.targets.is_empty() {
             all_keys = self.store().keys();
@@ -712,6 +699,15 @@ mod tests {
         Band::Planet(PlanetBand::Red)
     }
 
+    /// One satellite's contact window, as a pass of its own.
+    fn window(satellite: SatelliteId, day: f64, budget_bytes: u64) -> [ContactWindow; 1] {
+        [ContactWindow {
+            satellite,
+            day,
+            budget_bytes,
+        }]
+    }
+
     fn reference(location: u32, day: f64, value: f32) -> ReferenceImage {
         let full = Raster::filled(128, 128, value);
         ReferenceImage::from_capture(LocationId(location), red(), day, &full, 16).unwrap()
@@ -722,7 +718,9 @@ mod tests {
         let service = GroundService::new(GroundServiceConfig::default());
         assert!(service.ingest_downlink(reference(0, 3.0, 0.4)));
         assert!(!service.ingest_downlink(reference(0, 2.0, 0.5)));
-        let report = service.plan_contact(SatelliteId(0), 4.0, 1 << 20);
+        let report = service
+            .plan_pass(&window(SatelliteId(0), 4.0, 1 << 20))
+            .remove(0);
         assert_eq!(report.deltas_sent, 1);
         let served = service
             .serve_reference(SatelliteId(0), LocationId(0), red())
@@ -743,7 +741,9 @@ mod tests {
         let service = GroundService::new(config);
         service.ingest_downlink(reference(0, 3.0, 0.4));
         service.ingest_downlink(reference(1, 3.0, 0.4));
-        let report = service.plan_contact(SatelliteId(0), 4.0, 1 << 20);
+        let report = service
+            .plan_pass(&window(SatelliteId(0), 4.0, 1 << 20))
+            .remove(0);
         assert_eq!(report.deltas_sent, 1);
         assert!(service
             .serve_reference(SatelliteId(0), LocationId(0), red())
@@ -800,7 +800,7 @@ mod tests {
         for loc in 0..3u32 {
             service.ingest_downlink(reference(loc, 1.0, 0.4));
         }
-        service.plan_contact(SatelliteId(0), 2.0, 1 << 30);
+        service.plan_pass(&window(SatelliteId(0), 2.0, 1 << 30));
         let (len, evictions) = {
             let caches = service.caches.lock().unwrap();
             let cache = &caches[&SatelliteId(0)];
@@ -820,7 +820,7 @@ mod tests {
         let service = GroundService::new(config);
         service.ingest_downlink(reference(0, 3.0, 0.4));
         service.ingest_downlink(reference(0, 2.0, 0.5));
-        service.plan_contact(SatelliteId(0), 4.0, 1 << 20);
+        service.plan_pass(&window(SatelliteId(0), 4.0, 1 << 20));
         service.serve_reference(SatelliteId(0), LocationId(0), red());
         let s = registry.snapshot();
         assert_eq!(s.counter(names::GROUND_INGEST_ACCEPTED), Some(1));
@@ -847,10 +847,10 @@ mod tests {
         for loc in 0..4u32 {
             service.ingest_downlink(reference(loc, 1.0, 0.4));
         }
-        service.plan_contact(SatelliteId(0), 2.0, 1 << 30);
+        service.plan_pass(&window(SatelliteId(0), 2.0, 1 << 30));
         let before = service.stats();
         service.ingest_downlink(reference(0, 5.0, 0.6));
-        service.plan_contact(SatelliteId(0), 6.0, 1 << 30);
+        service.plan_pass(&window(SatelliteId(0), 6.0, 1 << 30));
         let d = service.stats().delta(&before);
         assert_eq!(d.ingest_accepted, 1, "only the second round's ingest");
         assert_eq!(d.deltas_sent, 1, "only the refreshed reference moved");
@@ -870,7 +870,7 @@ mod tests {
                     for i in 0..8u32 {
                         service.ingest_downlink(reference(t * 8 + i, 1.0 + i as f64, 0.3));
                     }
-                    service.plan_contact(SatelliteId(t), 20.0, 1 << 22);
+                    service.plan_pass(&window(SatelliteId(t), 20.0, 1 << 22));
                     service.serve_reference(SatelliteId(t), LocationId(t * 8), red());
                 });
             }

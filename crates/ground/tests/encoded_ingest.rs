@@ -4,7 +4,9 @@
 //! `downsample_box` path — same deltas, same bytes, same schedules.
 
 use earthplus_codec::{decode, encode, CodecConfig, EncodedImage};
-use earthplus_ground::{GroundService, GroundServiceConfig, ReferenceImage, UplinkReport};
+use earthplus_ground::{
+    ContactWindow, GroundService, GroundServiceConfig, ReferenceImage, UplinkReport,
+};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, PlanetBand, Raster};
 
@@ -61,8 +63,13 @@ fn encoded_ingest_produces_identical_uplink_schedules() {
         via_encoded
             .ingest_encoded(LocationId(0), red(), day, &enc)
             .unwrap();
-        reports_a.push(via_decode.plan_contact(SatelliteId(0), day + 0.5, 1 << 20));
-        reports_b.push(via_encoded.plan_contact(SatelliteId(0), day + 0.5, 1 << 20));
+        let window = [ContactWindow {
+            satellite: SatelliteId(0),
+            day: day + 0.5,
+            budget_bytes: 1 << 20,
+        }];
+        reports_a.extend(via_decode.plan_pass(&window));
+        reports_b.extend(via_encoded.plan_pass(&window));
     }
 
     assert_eq!(

@@ -81,7 +81,7 @@ impl Constellation {
     /// day, exactly one takes the shot (overlapping swaths in the same
     /// orbital plane image the same ground once); the winner rotates
     /// deterministically so captures spread across the fleet.
-    pub fn visitor_on(&self, location: LocationId, day: i64) -> Option<SatelliteId> {
+    fn visitor_on(&self, location: LocationId, day: i64) -> Option<SatelliteId> {
         let phase = self.location_phase(location);
         let candidates: Vec<&Satellite> = self
             .satellites
@@ -107,28 +107,6 @@ impl Constellation {
                 })
             })
             .collect()
-    }
-
-    /// Visits by one specific satellite only (the "satellite-local" view of
-    /// Figure 5).
-    pub fn satellite_visits(
-        &self,
-        satellite: SatelliteId,
-        location: LocationId,
-        from_day: i64,
-        to_day: i64,
-    ) -> Vec<Visit> {
-        self.visits(location, from_day, to_day)
-            .into_iter()
-            .filter(|v| v.satellite == satellite)
-            .collect()
-    }
-
-    /// Mean constellation visits per day at a location over a horizon
-    /// (saturates at 1.0 for large constellations).
-    pub fn visit_rate(&self, location: LocationId, horizon_days: i64) -> f64 {
-        let visits = self.visits(location, 0, horizon_days);
-        visits.len() as f64 / horizon_days as f64
     }
 }
 
@@ -171,7 +149,7 @@ mod tests {
     #[test]
     fn large_constellation_visits_almost_daily() {
         let c = Constellation::doves(48, 11);
-        let rate = c.visit_rate(LocationId(0), 365);
+        let rate = c.visits(LocationId(0), 0, 365).len() as f64 / 365.0;
         assert!(rate > 0.9, "rate {rate}");
         assert!(rate <= 1.0 + 1e-12, "rate {rate}");
     }
@@ -181,7 +159,7 @@ mod tests {
         let mut last = 0.0;
         for n in [1usize, 2, 4, 8, 16] {
             let c = Constellation::doves(n, 5);
-            let rate = c.visit_rate(LocationId(1), 730);
+            let rate = c.visits(LocationId(1), 0, 730).len() as f64 / 730.0;
             assert!(rate >= last - 0.02, "rate {rate} after {last} at size {n}");
             last = rate;
         }
@@ -208,17 +186,6 @@ mod tests {
             "only {} satellites used",
             distinct.len()
         );
-    }
-
-    #[test]
-    fn satellite_visits_filters() {
-        let c = Constellation::doves(4, 19);
-        let all = c.visits(LocationId(0), 0, 200);
-        let sat = all[0].satellite;
-        let local = c.satellite_visits(sat, LocationId(0), 0, 200);
-        assert!(!local.is_empty());
-        assert!(local.iter().all(|v| v.satellite == sat));
-        assert!(local.len() <= all.len());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`Constellation`] — staggered satellites whose combined coverage
 //!   saturates at one visit per location per day (sun-synchronous orbit);
 //! * [`LinkModel`] / [`ContactSchedule`] — 10-minute ground contacts, seven
-//!   per day, with a 250 kbps uplink and 200 Mbps downlink, optionally
-//!   fluctuating or dropping out.
+//!   per day, over a constant 250 kbps uplink.
 //!
 //! # Example
 //!
@@ -33,7 +32,6 @@ pub mod satellite;
 
 pub use constellation::{Constellation, Visit};
 pub use link::{
-    Contact, ContactSchedule, LinkModel, CONTACTS_PER_DAY, CONTACT_DURATION_S, DOVES_DOWNLINK_BPS,
-    DOVES_UPLINK_BPS,
+    Contact, ContactSchedule, LinkModel, CONTACTS_PER_DAY, CONTACT_DURATION_S, DOVES_UPLINK_BPS,
 };
 pub use satellite::{Satellite, SatelliteId};

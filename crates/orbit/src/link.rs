@@ -1,9 +1,9 @@
 //! Uplink / downlink models and ground-contact scheduling.
 //!
 //! Table 1 of the paper (Doves constellation): ground contacts last 10
-//! minutes and happen 7 times per day; the uplink runs at 250 kbps (S-band,
-//! weather-insensitive, hence modelled constant by default) and the
-//! downlink at 200 Mbps.
+//! minutes and happen 7 times per day; the uplink runs at a constant
+//! 250 kbps (S-band, weather-insensitive). Mid-pass uplink drops are
+//! injected by the ground segment's fault plan, not by the link model.
 
 use crate::satellite::SatelliteId;
 
@@ -13,33 +13,18 @@ pub const CONTACT_DURATION_S: f64 = 600.0;
 pub const CONTACTS_PER_DAY: u32 = 7;
 /// Doves uplink bandwidth, bits per second (Table 1).
 pub const DOVES_UPLINK_BPS: f64 = 250_000.0;
-/// Doves downlink bandwidth, bits per second (Table 1).
-pub const DOVES_DOWNLINK_BPS: f64 = 200_000_000.0;
 
-/// A bandwidth process for one link direction.
+/// A constant-rate link for one direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
-    /// Nominal bandwidth in bits per second.
+    /// Bandwidth in bits per second.
     pub nominal_bps: f64,
-    /// Multiplicative fluctuation half-range (0 = constant): per-contact
-    /// bandwidth is `nominal * (1 ± fluctuation)`.
-    pub fluctuation: f64,
-    /// Probability that a contact is lost entirely (uplink disconnection,
-    /// §5 *Handling bandwidth fluctuation*).
-    pub outage_prob: f64,
-    /// Seed for the deterministic fluctuation process.
-    pub seed: u64,
 }
 
 impl LinkModel {
     /// Constant-rate link.
     pub fn constant(nominal_bps: f64) -> Self {
-        LinkModel {
-            nominal_bps,
-            fluctuation: 0.0,
-            outage_prob: 0.0,
-            seed: 0,
-        }
+        LinkModel { nominal_bps }
     }
 
     /// The Doves uplink at its constant 250 kbps.
@@ -47,53 +32,10 @@ impl LinkModel {
         Self::constant(DOVES_UPLINK_BPS)
     }
 
-    /// The Doves downlink at 200 Mbps.
-    pub fn doves_downlink() -> Self {
-        Self::constant(DOVES_DOWNLINK_BPS)
-    }
-
-    /// Adds multiplicative fluctuation.
-    pub fn with_fluctuation(mut self, fluctuation: f64, seed: u64) -> Self {
-        self.fluctuation = fluctuation;
-        self.seed = seed;
-        self
-    }
-
-    /// Adds an outage probability.
-    pub fn with_outages(mut self, outage_prob: f64, seed: u64) -> Self {
-        self.outage_prob = outage_prob;
-        self.seed = seed;
-        self
-    }
-
-    /// Effective bandwidth for a given contact (deterministic per contact
-    /// index).
-    pub fn bandwidth_bps(&self, contact_index: u64) -> f64 {
-        if self.outage_prob > 0.0 {
-            let u = unit(mix(self.seed ^ outage_salt(contact_index)));
-            if u < self.outage_prob {
-                return 0.0;
-            }
-        }
-        if self.fluctuation == 0.0 {
-            return self.nominal_bps;
-        }
-        let u = unit(mix(
-            self.seed ^ contact_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ));
-        self.nominal_bps * (1.0 + self.fluctuation * (2.0 * u - 1.0))
-    }
-
-    /// Bytes transferable during one contact.
-    pub fn bytes_per_contact(&self, contact_index: u64) -> u64 {
-        (self.bandwidth_bps(contact_index) * CONTACT_DURATION_S / 8.0) as u64
-    }
-
-    /// Bytes transferable per day across all contacts.
-    pub fn bytes_per_day(&self, day: i64) -> u64 {
-        (0..CONTACTS_PER_DAY as u64)
-            .map(|k| self.bytes_per_contact(day as u64 * CONTACTS_PER_DAY as u64 + k))
-            .sum()
+    /// Bytes transferable during one contact. The link is constant, so
+    /// the contact index is unused: every contact carries the same bytes.
+    pub fn bytes_per_contact(&self, _contact_index: u64) -> u64 {
+        (self.nominal_bps * CONTACT_DURATION_S / 8.0) as u64
     }
 }
 
@@ -104,7 +46,7 @@ pub struct Contact {
     pub day: f64,
     /// The satellite in contact.
     pub satellite: SatelliteId,
-    /// Global contact index (used to sample link fluctuation).
+    /// Global contact index (what [`LinkModel::bytes_per_contact`] takes).
     pub index: u64,
 }
 
@@ -149,33 +91,6 @@ impl ContactSchedule {
         }
         out
     }
-
-    /// The last contact strictly before `day`.
-    pub fn last_before(&self, satellite: SatelliteId, day: f64) -> Contact {
-        let phase = self.phase(satellite);
-        let step = 1.0 / CONTACTS_PER_DAY as f64;
-        let mut k = ((day - phase) / step).ceil() as i64 - 1;
-        if phase + k as f64 * step >= day {
-            k -= 1;
-        }
-        Contact {
-            day: phase + k as f64 * step,
-            satellite,
-            index: k.max(0) as u64,
-        }
-    }
-
-    /// The first contact at or after `day`.
-    pub fn next_after(&self, satellite: SatelliteId, day: f64) -> Contact {
-        let phase = self.phase(satellite);
-        let step = 1.0 / CONTACTS_PER_DAY as f64;
-        let k = ((day - phase) / step).ceil() as i64;
-        Contact {
-            day: phase + k as f64 * step,
-            satellite,
-            index: k.max(0) as u64,
-        }
-    }
 }
 
 #[inline]
@@ -189,12 +104,6 @@ fn mix(mut z: u64) -> u64 {
 #[inline]
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Salt separating the outage draw from the fluctuation draw.
-#[inline]
-fn outage_salt(i: u64) -> u64 {
-    i.wrapping_mul(0x1656_67B1_9E37_79F9)
 }
 
 #[cfg(test)]
@@ -211,31 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn doves_downlink_capacity_per_contact() {
-        // 200 Mbps x 600 s / 8 = 15 GB per contact.
-        let down = LinkModel::doves_downlink();
-        assert_eq!(down.bytes_per_contact(0), 15_000_000_000);
-    }
-
-    #[test]
-    fn fluctuation_stays_in_band() {
-        let link = LinkModel::constant(1_000_000.0).with_fluctuation(0.3, 7);
-        for i in 0..1000 {
-            let b = link.bandwidth_bps(i);
-            assert!((700_000.0..=1_300_000.0).contains(&b), "bw {b}");
-        }
-    }
-
-    #[test]
-    fn outages_occur_at_configured_rate() {
-        let link = LinkModel::constant(1_000_000.0).with_outages(0.2, 9);
-        let n = 10_000;
-        let outages = (0..n).filter(|&i| link.bandwidth_bps(i) == 0.0).count();
-        let rate = outages as f64 / n as f64;
-        assert!((rate - 0.2).abs() < 0.02, "outage rate {rate}");
-    }
-
-    #[test]
     fn seven_contacts_per_day() {
         let sched = ContactSchedule::new(1);
         let contacts = sched.contacts(SatelliteId(0), 0.0, 10.0);
@@ -243,26 +127,6 @@ mod tests {
         for w in contacts.windows(2) {
             assert!((w[1].day - w[0].day - 1.0 / 7.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn last_before_and_next_after_bracket() {
-        let sched = ContactSchedule::new(3);
-        let sat = SatelliteId(2);
-        for i in 0..50 {
-            let t = 3.0 + i as f64 * 0.137;
-            let before = sched.last_before(sat, t);
-            let after = sched.next_after(sat, t);
-            assert!(before.day < t, "before {} !< {t}", before.day);
-            assert!(after.day >= t, "after {} < {t}", after.day);
-            assert!(after.day - before.day <= 2.0 / 7.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn bytes_per_day_sums_contacts() {
-        let up = LinkModel::doves_uplink();
-        assert_eq!(up.bytes_per_day(0), 18_750_000 * 7);
     }
 
     #[test]

@@ -45,17 +45,6 @@ impl Satellite {
         let cycle = self.revisit_days as i64;
         (day - self.phase_days as i64 - location_phase as i64).rem_euclid(cycle) == 0
     }
-
-    /// Day of this satellite's next visit at or after `day`.
-    pub fn next_visit(&self, day: i64, location_phase: u32) -> i64 {
-        let cycle = self.revisit_days as i64;
-        let rem = (day - self.phase_days as i64 - location_phase as i64).rem_euclid(cycle);
-        if rem == 0 {
-            day
-        } else {
-            day + (cycle - rem)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -80,24 +69,12 @@ mod tests {
     }
 
     #[test]
-    fn next_visit_is_at_or_after() {
-        let s = sat();
-        assert_eq!(s.next_visit(5, 0), 5);
-        assert_eq!(s.next_visit(6, 0), 17);
-        assert_eq!(s.next_visit(17, 0), 17);
-        for d in 0..40 {
-            let n = s.next_visit(d, 7);
-            assert!(n >= d);
-            assert!(s.visits_on(n, 7));
-        }
-    }
-
-    #[test]
     fn negative_days_handled() {
         let s = sat();
         // rem_euclid keeps the cycle consistent across day zero.
         assert!(s.visits_on(5 - 12, 0));
-        assert_eq!(s.next_visit(-10, 0), -7);
+        assert!(s.visits_on(-7, 0));
+        assert!(!s.visits_on(-10, 0));
     }
 
     #[test]

@@ -82,13 +82,6 @@ impl IlluminationAligner {
         }
     }
 
-    /// Sets the minimum number of unmasked samples required to fit; below
-    /// this the identity model is returned.
-    pub fn with_min_samples(mut self, min_samples: usize) -> Self {
-        self.min_samples = min_samples;
-        self
-    }
-
     /// Fits `capture ≈ gain · reference + offset` over pixels where `mask`
     /// is `true` (or all pixels when `mask` is `None`).
     ///

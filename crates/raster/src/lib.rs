@@ -61,8 +61,3 @@ pub use raster::Raster;
 pub use resample::{downsample_box, downsample_to, upsample_bilinear};
 pub use tile::{TileGrid, TileIndex, TileMask};
 pub use view::{TileView, TileViewMut};
-
-/// Default side length, in pixels, of a geographic tile.
-///
-/// The paper uses "a 64×64 pixel block as a tile by default" (§3).
-pub const DEFAULT_TILE_SIZE: usize = 64;

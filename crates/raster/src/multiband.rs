@@ -93,14 +93,6 @@ impl MultiBandImage {
         self.bands.iter().find(|(b, _)| *b == band).map(|(_, r)| r)
     }
 
-    /// Mutable raster for a band, if present.
-    pub fn band_mut(&mut self, band: Band) -> Option<&mut Raster> {
-        self.bands
-            .iter_mut()
-            .find(|(b, _)| *b == band)
-            .map(|(_, r)| r)
-    }
-
     /// The raster for a band.
     ///
     /// # Errors

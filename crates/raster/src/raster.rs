@@ -208,21 +208,6 @@ impl Raster {
         crate::TileView::new(self, x0, y0, width, height)
     }
 
-    /// Mutable counterpart of [`Raster::view`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rectangle exceeds the raster bounds.
-    pub fn view_mut(
-        &mut self,
-        x0: usize,
-        y0: usize,
-        width: usize,
-        height: usize,
-    ) -> crate::TileViewMut<'_> {
-        crate::TileViewMut::new(self, x0, y0, width, height)
-    }
-
     /// Applies `f` to every sample, producing a new raster.
     pub fn map<F>(&self, mut f: F) -> Raster
     where

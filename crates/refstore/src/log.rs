@@ -233,14 +233,6 @@ pub struct RefLogStats {
     pub fsyncs_issued: u64,
 }
 
-impl RefLogStats {
-    /// Fraction of reads served by an already-open handle (0.0 when no
-    /// read has happened).
-    pub fn handle_cache_hit_rate(&self) -> f64 {
-        earthplus_telemetry::hit_rate(self.handle_cache_hits, self.handle_cache_misses)
-    }
-}
-
 /// A durable, crash-recoverable, log-structured store of freshest-wins
 /// reference records. See the module docs for the durability contract.
 #[derive(Debug)]

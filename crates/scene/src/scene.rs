@@ -93,12 +93,6 @@ impl SceneConfig {
         self
     }
 
-    /// Overrides the illumination process.
-    pub fn with_illumination(mut self, illumination: IlluminationConfig) -> Self {
-        self.illumination = illumination;
-        self
-    }
-
     /// Overrides the sensor model.
     pub fn with_sensor(mut self, sensor: SensorModel) -> Self {
         self.sensor = sensor;

@@ -18,7 +18,7 @@
 //!    captures of a snowy tile differ ("old snow has a lower albedo than
 //!    fresh snow, and dirty snow has a lower albedo than clean snow").
 
-use crate::noise::{fbm2, hash3, hash_unit, lattice_unit};
+use crate::noise::{fbm2, hash3, hash_unit};
 use crate::terrain::{LandCover, TerrainMap};
 use earthplus_raster::Raster;
 
@@ -319,12 +319,6 @@ impl SnowModel {
     pub fn max_extent(&self) -> f32 {
         self.max_extent
     }
-}
-
-/// Convenience: per-pixel uniform jitter in `[-0.5, 0.5]` keyed by pixel,
-/// used by callers to decorrelate small effects.
-pub fn pixel_jitter(seed: u64, x: usize, y: usize) -> f32 {
-    lattice_unit(seed, x as i64, y as i64, 0) - 0.5
 }
 
 #[cfg(test)]

@@ -56,11 +56,6 @@ impl LocationArchetype {
             LocationArchetype::SnowyMountain => "snowy-mountain",
         }
     }
-
-    /// Whether winter/spring snow dominates change behaviour here.
-    pub fn is_snowy(self) -> bool {
-        matches!(self, LocationArchetype::SnowyMountain)
-    }
 }
 
 /// Per-pixel land-cover class.

@@ -37,6 +37,15 @@ use earthplus_scene::large_constellation;
 use earthplus_telemetry::{names, HealthStatus, MetricsRegistry};
 use std::path::PathBuf;
 
+/// One satellite's contact window, as a pass of its own.
+fn window(satellite: SatelliteId, day: f64, budget_bytes: u64) -> [ContactWindow; 1] {
+    [ContactWindow {
+        satellite,
+        day,
+        budget_bytes,
+    }]
+}
+
 /// Deterministic splitmix64 PRNG.
 struct Rng(u64);
 
@@ -223,7 +232,7 @@ fn fault_interrupted_transfers_retry_resume_and_lose_nothing() {
     for loc in 0..40u32 {
         assert!(service.ingest_downlink(reference(loc, 2.0 + (loc % 7) as f64, 0.3)));
     }
-    service.plan_contact(SatelliteId(0), 40.0, 1 << 20);
+    service.plan_pass(&window(SatelliteId(0), 40.0, 1 << 20));
 
     let stations = service.stations().expect("replicated backend");
     let stats = stations.stats();
@@ -397,7 +406,9 @@ fn fault_interrupted_pass_carries_undelivered_into_next_window() {
     for loc in 0..6u32 {
         clean.ingest_downlink(reference(loc, 1.0, 0.4));
     }
-    let full = clean.plan_contact(SatelliteId(0), 2.0, 1 << 30);
+    let full = clean
+        .plan_pass(&window(SatelliteId(0), 2.0, 1 << 30))
+        .remove(0);
     assert_eq!(full.deltas_sent, 6);
     let full_bytes = full.bytes_used;
 
@@ -411,7 +422,9 @@ fn fault_interrupted_pass_carries_undelivered_into_next_window() {
     for loc in 0..6u32 {
         service.ingest_downlink(reference(loc, 1.0, 0.4));
     }
-    let first = service.plan_contact(SatelliteId(0), 2.0, full_bytes);
+    let first = service
+        .plan_pass(&window(SatelliteId(0), 2.0, full_bytes))
+        .remove(0);
     assert!(
         first.deltas_sent < 6 && first.deltas_skipped > 0,
         "the clamped window must not fit the full pass: {first:?}"
@@ -420,7 +433,9 @@ fn fault_interrupted_pass_carries_undelivered_into_next_window() {
 
     // The next window (also clamped, but large enough) delivers exactly
     // the carry-over — nothing was forgotten, nothing re-sent.
-    let second = service.plan_contact(SatelliteId(0), 3.0, full_bytes * 3);
+    let second = service
+        .plan_pass(&window(SatelliteId(0), 3.0, full_bytes * 3))
+        .remove(0);
     assert_eq!(
         first.deltas_sent + second.deltas_sent,
         6,

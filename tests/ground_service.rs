@@ -7,8 +7,19 @@ use earthplus::{
     compute_delta, ContactWindow, GroundService, GroundServiceConfig, OnboardReferenceCache,
     ReferenceImage, ReferencePool,
 };
+use earthplus_ground::FaultPlan;
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, PlanetBand, Raster};
+use earthplus_telemetry::{FlightRecorder, TraceEventKind, TraceValue};
+
+/// One satellite's contact window, as a pass of its own.
+fn window(satellite: SatelliteId, day: f64, budget_bytes: u64) -> [ContactWindow; 1] {
+    [ContactWindow {
+        satellite,
+        day,
+        budget_bytes,
+    }]
+}
 
 fn red() -> Band {
     Band::Planet(PlanetBand::Red)
@@ -143,14 +154,14 @@ fn constricted_pass_serves_stalest_first_and_stays_within_budget() {
     // Warm satellite 0's cache at very different ages via a generous
     // first pass, then age them asymmetrically.
     let sat = SatelliteId(0);
-    let first = service.plan_contact(sat, 20.1, u64::MAX);
+    let first = service.plan_pass(&window(sat, 20.1, u64::MAX)).remove(0);
     assert_eq!(first.deltas_sent, 3);
 
     // Ground gets fresher captures for all three; location 2 was
     // refreshed most recently on board (day 27 ingest below makes its
     // staleness smallest when the ground re-captures at day 30).
     service.ingest_downlink(patterned_ref(2, 27.0, |i| 0.5 + (i % 4) as f32 / 20.0));
-    let second = service.plan_contact(sat, 27.1, u64::MAX);
+    let second = service.plan_pass(&window(sat, 27.1, u64::MAX)).remove(0);
     assert_eq!(second.deltas_sent, 1);
     for loc in 0..3u32 {
         service.ingest_downlink(patterned_ref(loc, 30.0, |i| 0.1 + (i % 6) as f32 / 12.0));
@@ -167,11 +178,7 @@ fn constricted_pass_serves_stalest_first_and_stays_within_budget() {
             .size_bytes()
     };
     let before = service.stats();
-    let reports = service.plan_pass(&[ContactWindow {
-        satellite: sat,
-        day: 30.1,
-        budget_bytes: one,
-    }]);
+    let reports = service.plan_pass(&window(sat, 30.1, one));
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].deltas_sent, 1);
     assert_eq!(reports[0].deltas_skipped, 2);
@@ -213,11 +220,11 @@ fn skipped_locations_remain_served_stale_from_cache() {
     let service = GroundService::new(GroundServiceConfig::default());
     let sat = SatelliteId(3);
     service.ingest_downlink(patterned_ref(0, 10.0, |_| 0.4));
-    service.plan_contact(sat, 10.5, u64::MAX);
+    service.plan_pass(&window(sat, 10.5, u64::MAX));
 
     // Fresher ground state, but an outage contact (zero budget).
     service.ingest_downlink(patterned_ref(0, 15.0, |_| 0.8));
-    let report = service.plan_contact(sat, 15.5, 0);
+    let report = service.plan_pass(&window(sat, 15.5, 0)).remove(0);
     assert_eq!(report.deltas_sent, 0);
     assert_eq!(report.deltas_skipped, 1);
     // The satellite still serves the stale day-10 reference.
@@ -259,4 +266,65 @@ fn pass_totals_never_exceed_per_contact_budgets() {
     let skipped: usize = reports.iter().map(|r| r.deltas_skipped).sum();
     assert!(sent > 0);
     assert!(skipped > 0);
+}
+
+// ---------------------------------------------------------------------
+// The plan_pass trace span's budget covers the whole pass.
+// ---------------------------------------------------------------------
+
+/// The `budget_bytes` argument of every `plan_pass` span the recorder
+/// holds, in record order.
+fn plan_pass_budgets(recorder: &FlightRecorder) -> Vec<TraceValue> {
+    recorder
+        .log()
+        .events
+        .into_iter()
+        .filter(|e| e.name == "plan_pass" && e.kind == TraceEventKind::End)
+        .flat_map(|e| e.args.into_iter().filter(|(key, _)| *key == "budget_bytes"))
+        .map(|(_, value)| value)
+        .collect()
+}
+
+/// One pass of two windows, on satellites 0 and 1.
+fn two_windows(a: u64, b: u64) -> Vec<ContactWindow> {
+    [
+        window(SatelliteId(0), 6.0, a),
+        window(SatelliteId(1), 6.0, b),
+    ]
+    .concat()
+}
+
+#[test]
+fn plan_pass_span_records_the_pass_total_budget() {
+    let recorder = FlightRecorder::new();
+    let service = GroundService::new(GroundServiceConfig::default().with_tracing(recorder.sink()));
+    service.ingest_downlink(patterned_ref(0, 5.0, |i| (i % 7) as f32 / 7.0));
+    service.plan_pass(&two_windows(700, 1300));
+    // Unbounded windows saturate instead of overflowing.
+    service.plan_pass(&two_windows(u64::MAX, u64::MAX));
+    assert_eq!(
+        plan_pass_budgets(&recorder),
+        [TraceValue::U64(2000), TraceValue::U64(u64::MAX)]
+    );
+}
+
+#[test]
+fn plan_pass_span_budget_is_the_clamped_total_under_interrupts() {
+    let recorder = FlightRecorder::new();
+    let service = GroundService::new(
+        GroundServiceConfig::default()
+            .with_tracing(recorder.sink())
+            .with_fault_plan(FaultPlan {
+                seed: 7,
+                uplink_interrupt_probability: 1.0,
+                uplink_interrupt_fraction: 0.5,
+                ..FaultPlan::default()
+            }),
+    );
+    service.ingest_downlink(patterned_ref(0, 5.0, |i| (i % 7) as f32 / 7.0));
+    let reports = service.plan_pass(&two_windows(1000, 3000));
+    assert_eq!(service.stats().interrupted_windows, 2);
+    let clamped: u64 = reports.iter().map(|r| r.bytes_budget).sum();
+    assert_eq!(clamped, 500 + 1500);
+    assert_eq!(plan_pass_budgets(&recorder), [TraceValue::U64(clamped)]);
 }
