@@ -7,8 +7,8 @@
 
 use earthplus_codec::bitplane::MAX_PLANES;
 use earthplus_codec::{
-    decode, encode, encode_view, encode_with_budget, CodecConfig, CodecError, CodecScratch,
-    EncodedImage, FormatVersion,
+    decode, encode, encode_view, encode_view_with_budget, encode_with_budget, CodecConfig,
+    CodecError, CodecScratch, EncodedImage, FormatVersion,
 };
 use earthplus_raster::{psnr, Raster};
 
@@ -230,6 +230,40 @@ fn epc2_budgeted_encode_equals_truncated_full_encode() {
             let truncated = full.truncated(budget);
             assert_eq!(budgeted, truncated, "case {case} budget {budget}");
             assert_eq!(budgeted.to_bytes(), truncated.to_bytes());
+        }
+    }
+}
+
+/// Budgets on, just below and just above every pass boundary of the full
+/// encode (where an off-by-one in the budgeted encoder's stopping rule
+/// would show), plus the empty and the over-long budget. Every encode runs
+/// through one shared arena, full and budgeted interleaved across shapes,
+/// so a budgeted encode that stops early must leave no state behind that
+/// changes the next encode's bytes.
+#[test]
+fn epc2_budgeted_encode_matches_truncation_at_every_pass_boundary() {
+    let mut scratch = CodecScratch::new();
+    for (case, &(w, h)) in [(64, 64), (67, 41), (8, 8), (1, 37), (128, 128)]
+        .iter()
+        .enumerate()
+    {
+        let img = natural_image(w, h, 300 + case as u64);
+        let view = img.view(0, 0, w, h);
+        let full = encode_view(&view, &epc2(), &mut scratch).unwrap();
+        assert_eq!(full, encode(&img, &epc2()).unwrap(), "{w}x{h}: full");
+        let mut budgets = std::collections::BTreeSet::from([0, full.payload_len() + 1]);
+        for b in full.pass_boundaries() {
+            budgets.extend([b.saturating_sub(1), b, b + 1]);
+        }
+        for (i, &budget) in budgets.iter().enumerate() {
+            let budgeted = encode_view_with_budget(&view, &epc2(), budget, &mut scratch).unwrap();
+            let truncated = full.truncated(budget);
+            assert_eq!(budgeted, truncated, "{w}x{h} budget {budget}");
+            assert_eq!(budgeted.to_bytes(), truncated.to_bytes());
+            if i % 8 == 0 {
+                let again = encode_view(&view, &epc2(), &mut scratch).unwrap();
+                assert_eq!(again, full, "{w}x{h}: full encode after budget {budget}");
+            }
         }
     }
 }
