@@ -53,7 +53,9 @@
 //! passes, so its share cannot be split out by wall clock; instead the
 //! `range_coder` section characterizes its intrinsic rate (ns/decision,
 //! encode and decode) on a synthetic biased stream with no pass traversal
-//! around it.
+//! around it. The binary exits non-zero when any stage it reports reads
+//! zero: a stage whose work moved into an untimed step has left the
+//! ledger, not become free.
 //!
 //! Since the telemetry subsystem the baseline also proves the
 //! instrumentation's hot-path claim: the full-band encode **and decode**
@@ -778,6 +780,28 @@ fn main() {
             "ERROR: group-commit ingest issued {grouped_fsyncs} fsyncs vs {per_record_fsyncs} \
              per-record — the one-fsync-per-batch amortization regressed"
         );
+        std::process::exit(1);
+    }
+    // Compared at the printed precision: a stage the report shows as 0
+    // has left the ledger (see the module docs).
+    let mut untimed = false;
+    for (stage, seconds) in [
+        ("encode_full_band.stages.dwt_s", enc_dwt_s),
+        ("encode_full_band.stages.bitplane_s", enc_bitplane_s),
+        ("encode_full_band.stages.quantize_s", enc_quant_s),
+        ("decode_full.stages.bitplane_s", dec_bitplane_s),
+        ("decode_full.stages.dequantize_s", dec_quant_s),
+        ("decode_full.stages.inverse_dwt_s", dec_dwt_s),
+        ("decode_full_epc1.stages.bitplane_s", dec1_bitplane_s),
+        ("decode_full_epc1.stages.dequantize_s", dec1_quant_s),
+        ("decode_full_epc1.stages.inverse_dwt_s", dec1_dwt_s),
+    ] {
+        if (seconds * 1e6).round() == 0.0 {
+            eprintln!("ERROR: {stage} reads 0 — the stage is no longer timed");
+            untimed = true;
+        }
+    }
+    if untimed {
         std::process::exit(1);
     }
     if ll_speedup < DECODE_LL_MIN_SPEEDUP {

@@ -194,6 +194,25 @@ pub fn encode_planes_into(
     format: FormatVersion,
     scratch: &mut CodecScratch,
 ) -> Result<u8, CodecError> {
+    encode_planes_until(coefficients, width, format, usize::MAX, scratch)
+}
+
+/// [`encode_planes_into`] that stops coding once the payload's first `cut`
+/// bytes are final: after each recorded pass offset, the loop ends as soon
+/// as the range coder has committed `cut` bytes. Every pass boundary
+/// `<= cut` is then recorded, and the payload's first `cut` bytes equal
+/// those of the full encode (committed bytes never change, and a later
+/// boundary lies past the committed bytes plus the lookahead margin), so
+/// cutting either stream at a boundary `<= cut` gives the same bytes. The
+/// offsets and payload bytes past `cut` differ from the full encode's.
+/// `usize::MAX` codes every pass.
+pub(crate) fn encode_planes_until(
+    coefficients: &[i32],
+    width: usize,
+    format: FormatVersion,
+    cut: usize,
+    scratch: &mut CodecScratch,
+) -> Result<u8, CodecError> {
     let planes = plane_count(coefficients, width)?;
     let CodecScratch {
         payload,
@@ -256,6 +275,9 @@ pub fn encode_planes_into(
             }
         };
         pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
+        if enc.committed() >= cut {
+            break;
+        }
         for i in 0..wc {
             let bw = bits[i];
             let mut s = snap[i];
@@ -266,6 +288,9 @@ pub fn encode_planes_into(
             }
         }
         pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
+        if enc.committed() >= cut {
+            break;
+        }
     }
     // Pad to the final recorded offset: offsets include the decoder
     // lookahead margin, so a full (untruncated) stream must physically

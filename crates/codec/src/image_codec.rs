@@ -26,7 +26,7 @@
 //! [`EncodedImage::truncated`] clamps offsets for both formats, so size
 //! accounting agrees with the bytes.
 
-use crate::bitplane::{self, encode_planes_into, MAX_PLANES};
+use crate::bitplane::{self, encode_planes_into, encode_planes_until, MAX_PLANES};
 use crate::dwt::{self, Wavelet};
 use crate::exp_golomb::{self, BitReader, BitWriter};
 use crate::scratch::{CodecScratch, DecodeScratch};
@@ -675,34 +675,12 @@ fn encode_view_impl(
     );
     scratch.stages.dwt += t.elapsed();
     let step = config.quant_step.max(1e-6);
-    let t = std::time::Instant::now();
-    scratch.quantized.clear();
-    // Deadzone quantizer: truncate toward zero (`as` truncates, which
-    // equals the floor of the non-negative quotient). Unit step — the
-    // default configuration — divides by exactly 1.0, so the division is
-    // skipped without changing a single output bit.
-    if step == 1.0 {
-        scratch.quantized.extend(scratch.samples.iter().map(|&c| {
-            let q = c.abs() as i32;
-            if c < 0.0 {
-                -q
-            } else {
-                q
-            }
-        }));
-    } else {
-        scratch.quantized.extend(scratch.samples.iter().map(|&c| {
-            let q = (c.abs() / step) as i32;
-            if c < 0.0 {
-                -q
-            } else {
-                q
-            }
-        }));
-    }
-    scratch.stages.quantize += t.elapsed();
     let image = match config.format {
         FormatVersion::Epc1 => {
+            let t = std::time::Instant::now();
+            scratch.quantized.clear();
+            quantize_extend(&scratch.samples, step, &mut scratch.quantized);
+            scratch.stages.quantize += t.elapsed();
             // The coefficient buffer moves out of the arena for the borrow
             // and straight back in — no allocation.
             let quantized = std::mem::take(&mut scratch.quantized);
@@ -748,17 +726,19 @@ fn encode_view_impl(
     Ok(image)
 }
 
-/// EPC2 chunked encode over the quantized coefficients in
-/// `scratch.quantized`: each subband (enumerated coarsest first) is coded
-/// as an independent zero-run stream, concatenated into one payload with
-/// subband-local pass offsets in the header.
+/// EPC2 chunked encode over the DWT coefficients in `scratch.samples`:
+/// each subband (enumerated coarsest first) is quantized as it is gathered
+/// and coded as an independent zero-run stream, concatenated into one
+/// payload with subband-local pass offsets in the header.
 ///
-/// With a byte budget, subbands whose chunk would start at or beyond the
-/// budget are not coded at all — their coefficients cannot survive the
-/// cut, so the encoder skips the work entirely (the format-level win over
-/// EPC1, which must code every plane before truncating). The result is
-/// byte-identical to encoding everything and calling
-/// [`EncodedImage::truncated`] with the same budget.
+/// With a byte budget the encoder does only the work whose bytes survive
+/// the cut (the format-level win over EPC1, which must code every plane
+/// before truncating). Subbands whose chunk would start at or beyond the
+/// budget are neither quantized nor coded, and the chunk that straddles
+/// the budget stops coding once its range coder has committed the bytes up
+/// to the cut (see `encode_planes_until`). The result is byte-identical to
+/// encoding everything and calling [`EncodedImage::truncated`] with the
+/// same budget.
 fn encode_epc2(
     w: usize,
     h: usize,
@@ -771,11 +751,9 @@ fn encode_epc2(
     let mut rects = std::mem::take(&mut scratch.sb_rects);
     dwt::subband_rects_into(w, h, levels, &mut rects);
     scratch.stream.clear();
-    // The coefficient and rect buffers move out of the arena for the
-    // borrow and straight back in, error or not — no allocation.
-    let quantized = std::mem::take(&mut scratch.quantized);
-    let subbands = encode_subband_chunks(w, &rects, &quantized, budget, scratch);
-    scratch.quantized = quantized;
+    // The rect buffer moves out of the arena for the borrow and straight
+    // back in, error or not — no allocation.
+    let subbands = encode_subband_chunks(w, &rects, step, budget, scratch);
     scratch.sb_rects = rects;
     let subbands = subbands?;
     let full = EncodedImage {
@@ -797,44 +775,55 @@ fn encode_epc2(
     })
 }
 
-/// Codes each subband of the `w`-wide `quantized` plane as one EPC2 chunk,
-/// appending its bytes to `scratch.stream` (see [`encode_epc2`]).
+/// Quantizes and codes each subband of the `w`-wide coefficient plane in
+/// `scratch.samples` as one EPC2 chunk, appending its bytes to
+/// `scratch.stream` (see [`encode_epc2`]).
 fn encode_subband_chunks(
     w: usize,
     rects: &[dwt::SubbandRect],
-    quantized: &[i32],
+    step: f32,
     budget: Option<usize>,
     scratch: &mut CodecScratch,
 ) -> Result<Vec<SubbandChunk>, CodecError> {
     let mut subbands: Vec<SubbandChunk> = Vec::with_capacity(rects.len());
     for rect in rects {
-        if budget.is_some_and(|max| scratch.stream.len() >= max) {
-            // This chunk would start at or past the cut: nothing of it can
-            // survive truncation, so skip the coding work.
-            subbands.push(SubbandChunk {
-                planes: 0,
-                offsets: Vec::new(),
-            });
-            continue;
-        }
-        scratch.sb_coeffs.clear();
+        // The chunk's share of the budget: its bytes past `cut` cannot
+        // survive truncation.
+        let cut = match budget {
+            None => usize::MAX,
+            Some(max) if scratch.stream.len() < max => max - scratch.stream.len(),
+            Some(_) => {
+                // This chunk would start at or past the cut: nothing of it
+                // can survive truncation, so skip the work.
+                subbands.push(SubbandChunk {
+                    planes: 0,
+                    offsets: Vec::new(),
+                });
+                continue;
+            }
+        };
+        let t = std::time::Instant::now();
+        let CodecScratch {
+            samples, sb_coeffs, ..
+        } = &mut *scratch;
+        sb_coeffs.clear();
         for r in 0..rect.h {
             let base = (rect.y0 + r) * w + rect.x0;
-            scratch
-                .sb_coeffs
-                .extend_from_slice(&quantized[base..base + rect.w]);
+            quantize_extend(&samples[base..base + rect.w], step, sb_coeffs);
         }
+        let quantized = std::time::Instant::now();
+        scratch.stages.quantize += quantized - t;
         let sb_coeffs = std::mem::take(&mut scratch.sb_coeffs);
-        let t = std::time::Instant::now();
-        let planes = encode_planes_into(&sb_coeffs, rect.w, FormatVersion::Epc2, scratch);
-        scratch.stages.bitplane += t.elapsed();
+        let planes = encode_planes_until(&sb_coeffs, rect.w, FormatVersion::Epc2, cut, scratch);
+        scratch.stages.bitplane += quantized.elapsed();
         scratch.sb_coeffs = sb_coeffs;
         let planes = planes?;
         // Append exactly the chunk's recorded length — the padding in the
         // plane coder guarantees `payload.len()` reaches the last offset.
         // An all-zero subband records no offsets at all, but the range
         // coder still flushed a few bytes; those must NOT enter the stream
-        // or every later chunk's derived start would shift.
+        // or every later chunk's derived start would shift. A chunk that
+        // stopped at its cut ends past it, so every later chunk is skipped.
         let chunk_len = scratch.pass_offsets.last().copied().unwrap_or(0) as usize;
         debug_assert_eq!(
             chunk_len,
@@ -853,6 +842,33 @@ fn encode_subband_chunks(
         });
     }
     Ok(subbands)
+}
+
+/// Deadzone quantizer: appends each coefficient of `src` divided by `step`
+/// and truncated toward zero (`as` truncates, which equals the floor of
+/// the non-negative quotient) to `dst`. Unit step — the default
+/// configuration — divides by exactly 1.0, so the division is skipped
+/// without changing a single output bit.
+fn quantize_extend(src: &[f32], step: f32, dst: &mut Vec<i32>) {
+    if step == 1.0 {
+        dst.extend(src.iter().map(|&c| {
+            let q = c.abs() as i32;
+            if c < 0.0 {
+                -q
+            } else {
+                q
+            }
+        }));
+    } else {
+        dst.extend(src.iter().map(|&c| {
+            let q = (c.abs() / step) as i32;
+            if c < 0.0 {
+                -q
+            } else {
+                q
+            }
+        }));
+    }
 }
 
 /// Decodes an encoded image (possibly truncated) back to a `[0, 1]` raster

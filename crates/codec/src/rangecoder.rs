@@ -166,6 +166,14 @@ impl RangeEncoder {
         self.output.len() + self.cache_size as usize
     }
 
+    /// Bytes already final: no later decision, carry included, can change
+    /// them, so they are a prefix of the [`RangeEncoder::finish`] stream.
+    /// Unlike [`RangeEncoder::len`] this leaves out the carry cache.
+    #[inline]
+    pub(crate) fn committed(&self) -> usize {
+        self.output.len()
+    }
+
     /// Whether nothing has been committed yet.
     pub fn is_empty(&self) -> bool {
         self.output.is_empty() && self.cache_size == 1
@@ -478,6 +486,40 @@ mod tests {
         let claimed = enc.len();
         let actual = enc.finish().len();
         assert!(claimed <= actual + 5, "claimed {claimed} actual {actual}");
+    }
+
+    #[test]
+    fn committed_bytes_are_a_final_prefix() {
+        // The budgeted encoder stops a chunk once `committed()` reaches its
+        // cut, so every committed byte must already be the byte `finish()`
+        // emits. Seeded streams mix all three coding calls, with skewed
+        // adaptive bits (long carry-prone runs) and near-random ones.
+        for seed in 0..8u64 {
+            let p_one = [0.02, 0.5, 0.97, 0.2][seed as usize % 4];
+            let mut enc = RangeEncoder::new();
+            let mut models = [BitModel::new(); 3];
+            let mut seen: Vec<u8> = Vec::new();
+            for i in 0..6000u64 {
+                let bit = hash_unit(i, seed) < p_one;
+                match hash_unit(i, seed ^ 0xC0) {
+                    u if u < 0.4 => enc.encode(&mut models[(i % 2) as usize], bit),
+                    u if u < 0.8 => enc.encode_biased(&mut models[2], bit),
+                    _ => enc.encode_raw(hash_bit(i, seed ^ 0x5A)),
+                }
+                let committed = enc.committed();
+                assert!(committed <= enc.len(), "seed {seed} step {i}");
+                assert!(committed >= seen.len(), "seed {seed} step {i}: shrank");
+                assert_eq!(
+                    enc.output[..seen.len()],
+                    seen[..],
+                    "seed {seed} step {i}: a committed byte changed"
+                );
+                seen.extend_from_slice(&enc.output[seen.len()..committed]);
+            }
+            let bytes = enc.finish();
+            assert!(seen.len() <= bytes.len(), "seed {seed}");
+            assert_eq!(bytes[..seen.len()], seen[..], "seed {seed}");
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@ use earthplus_telemetry::{names, Histogram, TelemetrySink, TraceSink};
 /// encode or decode call threaded through the owning arena. A measured
 /// window is `reset()` + N calls + read: `perf_baseline` divides the
 /// accumulated durations by N for its per-stage report. The bracketing
-/// `Instant` reads (at most two per subband chunk) are noise against the
-/// millisecond-scale stages they time.
+/// `Instant` reads (at most three per subband chunk: an EPC2 encode reads
+/// the clock before quantizing a subband, between quantizing and coding
+/// it, and after) are noise against the millisecond-scale stages they
+/// time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageBreakdown {
     /// Forward (encode) or inverse (decode) wavelet transform.
@@ -38,8 +40,9 @@ pub struct StageBreakdown {
     /// per-decision rate is characterized separately (see the
     /// `range_coder` section of the `perf_baseline` report).
     pub bitplane: std::time::Duration,
-    /// Deadzone quantization (encode) or fused dequantization plus output
-    /// normalization (decode).
+    /// Deadzone quantization (encode: the whole plane for EPC1, each coded
+    /// subband as it is gathered for EPC2) or fused dequantization plus
+    /// output normalization (decode).
     pub quantize: std::time::Duration,
 }
 
@@ -65,7 +68,9 @@ impl StageBreakdown {
 pub struct CodecScratch {
     /// Scaled input samples; transformed in place into DWT coefficients.
     pub(crate) samples: Vec<f32>,
-    /// Deadzone-quantized coefficients.
+    /// EPC1: deadzone-quantized coefficients of the whole plane. EPC2
+    /// quantizes each subband straight into `sb_coeffs` and leaves this
+    /// untouched.
     pub(crate) quantized: Vec<i32>,
     /// Line buffer for the DWT row lifting passes.
     pub(crate) dwt_line: Vec<f32>,
@@ -95,7 +100,7 @@ pub struct CodecScratch {
     /// Per-pass payload offsets of the tile (EPC1) or subband chunk (EPC2)
     /// being encoded.
     pub(crate) pass_offsets: Vec<u32>,
-    /// EPC2: gathered coefficients of the subband being coded.
+    /// EPC2: gathered, quantized coefficients of the subband being coded.
     pub(crate) sb_coeffs: Vec<i32>,
     /// EPC2: concatenated subband chunks of the tile being encoded.
     pub(crate) stream: Vec<u8>,

@@ -60,4 +60,4 @@ pub use multiband::MultiBandImage;
 pub use raster::Raster;
 pub use resample::{downsample_box, downsample_to, upsample_bilinear};
 pub use tile::{TileGrid, TileIndex, TileMask};
-pub use view::{TileView, TileViewMut};
+pub use view::TileView;

@@ -6,7 +6,7 @@
 //! [`TileMask`] is a compact per-tile bitset used for change maps, cloud
 //! masks, and region-of-interest selections.
 
-use crate::{Raster, RasterError, TileView, TileViewMut};
+use crate::{Raster, RasterError, TileView};
 use std::fmt;
 
 /// Identifies one tile within a [`TileGrid`] by column and row.
@@ -189,22 +189,6 @@ impl TileGrid {
         self.check_image(image)?;
         let (x0, y0, w, h) = self.tile_rect(index);
         Ok(TileView::new(image, x0, y0, w, h))
-    }
-
-    /// Mutable counterpart of [`TileGrid::tile_view`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RasterError::DimensionMismatch`] if `image` does not match
-    /// the grid's pixel dimensions.
-    pub fn tile_view_mut<'a>(
-        &self,
-        image: &'a mut Raster,
-        index: TileIndex,
-    ) -> Result<TileViewMut<'a>, RasterError> {
-        self.check_image(image)?;
-        let (x0, y0, w, h) = self.tile_rect(index);
-        Ok(TileViewMut::new(image, x0, y0, w, h))
     }
 
     /// Writes a tile raster back into `image` at the tile's position.
@@ -574,20 +558,17 @@ mod tests {
     }
 
     #[test]
-    fn tile_view_mut_matches_insert_tile() {
+    fn insert_tile_writes_partial_edge_tile() {
         let g = TileGrid::new(130, 65, 64).unwrap();
         let t = TileIndex::new(2, 1); // 2x1 partial edge tile
-        let patch: Vec<f32> = vec![0.25, 0.75];
-        let mut via_insert = Raster::new(130, 65);
-        g.insert_tile(
-            &mut via_insert,
-            t,
-            &Raster::from_vec(2, 1, patch.clone()).unwrap(),
-        )
-        .unwrap();
-        let mut via_view = Raster::new(130, 65);
-        g.tile_view_mut(&mut via_view, t).unwrap().copy_from(&patch);
-        assert_eq!(via_view, via_insert);
+        let patch = Raster::from_vec(2, 1, vec![0.25, 0.75]).unwrap();
+        let mut img = Raster::new(130, 65);
+        g.insert_tile(&mut img, t, &patch).unwrap();
+        assert_eq!(g.extract_tile(&img, t).unwrap(), patch);
+        assert_eq!((img.get(128, 64), img.get(129, 64)), (0.25, 0.75));
+        let written = img.as_slice().iter().filter(|&&v| v != 0.0).count();
+        assert_eq!(written, 2, "outside the tile untouched");
+        assert!(g.insert_tile(&mut Raster::new(64, 64), t, &patch).is_err());
     }
 
     #[test]

@@ -131,109 +131,6 @@ impl<'a> TileView<'a> {
     }
 }
 
-/// A mutable strided view of a rectangle within a [`Raster`].
-#[derive(Debug)]
-pub struct TileViewMut<'a> {
-    data: &'a mut [f32],
-    stride: usize,
-    width: usize,
-    height: usize,
-}
-
-impl<'a> TileViewMut<'a> {
-    /// Creates a mutable view of the `width × height` rectangle whose
-    /// top-left corner is `(x0, y0)` in `image`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rectangle does not lie fully inside the raster.
-    /// A rectangle with either dimension zero covers no samples and is
-    /// normalized to `0 × 0`.
-    pub fn new(image: &'a mut Raster, x0: usize, y0: usize, width: usize, height: usize) -> Self {
-        let (img_w, img_h) = image.dimensions();
-        assert!(
-            x0 + width <= img_w && y0 + height <= img_h,
-            "view {width}x{height}@({x0},{y0}) exceeds raster {img_w}x{img_h}"
-        );
-        let stride = img_w;
-        let (data, width, height): (&mut [f32], _, _) = if width == 0 || height == 0 {
-            (&mut [], 0, 0)
-        } else {
-            (
-                &mut image.as_mut_slice()
-                    [y0 * stride + x0..(y0 + height - 1) * stride + x0 + width],
-                width,
-                height,
-            )
-        };
-        TileViewMut {
-            data,
-            stride,
-            width,
-            height,
-        }
-    }
-
-    /// View width in pixels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// View height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// `(width, height)` pair.
-    pub fn dimensions(&self) -> (usize, usize) {
-        (self.width, self.height)
-    }
-
-    /// One contiguous row, immutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y >= height`.
-    #[inline]
-    pub fn row(&self, y: usize) -> &[f32] {
-        assert!(y < self.height, "view row {y} out of bounds");
-        &self.data[y * self.stride..y * self.stride + self.width]
-    }
-
-    /// One contiguous row, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y >= height`.
-    #[inline]
-    pub fn row_mut(&mut self, y: usize) -> &mut [f32] {
-        assert!(y < self.height, "view row {y} out of bounds");
-        &mut self.data[y * self.stride..y * self.stride + self.width]
-    }
-
-    /// Overwrites the viewed rectangle from `samples` (row-major, exactly
-    /// `width × height` long).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len()` does not match the view.
-    pub fn copy_from(&mut self, samples: &[f32]) {
-        assert_eq!(samples.len(), self.width * self.height, "sample count");
-        for y in 0..self.height {
-            let w = self.width;
-            self.row_mut(y)
-                .copy_from_slice(&samples[y * w..(y + 1) * w]);
-        }
-    }
-
-    /// Fills the viewed rectangle with a constant.
-    pub fn fill(&mut self, value: f32) {
-        for y in 0..self.height {
-            self.row_mut(y).fill(value);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +183,7 @@ mod tests {
 
     #[test]
     fn zero_width_or_height_views_normalize_to_empty() {
-        let mut img = ramp(4, 4);
+        let img = ramp(4, 4);
         // Zero width with nonzero height (and vice versa) must not panic
         // in the row accessors.
         let v = TileView::new(&img, 0, 0, 0, 2);
@@ -295,22 +192,5 @@ mod tests {
         assert_eq!(v.to_raster().dimensions(), (0, 0));
         let v = TileView::new(&img, 1, 1, 3, 0);
         assert!(v.is_empty());
-        let mut m = TileViewMut::new(&mut img, 0, 0, 2, 0);
-        m.fill(9.0);
-        assert_eq!(img.get(0, 0), 0.0, "empty mut view writes nothing");
-    }
-
-    #[test]
-    fn mut_view_writes_through() {
-        let mut img = ramp(5, 4);
-        let mut v = TileViewMut::new(&mut img, 1, 1, 3, 2);
-        v.copy_from(&[100.0, 101.0, 102.0, 103.0, 104.0, 105.0]);
-        assert_eq!(img.get(1, 1), 100.0);
-        assert_eq!(img.get(3, 2), 105.0);
-        assert_eq!(img.get(0, 0), 0.0, "outside the view untouched");
-        let mut v = TileViewMut::new(&mut img, 0, 0, 2, 2);
-        v.fill(-1.0);
-        assert_eq!(img.get(1, 1), -1.0);
-        assert_eq!(img.get(2, 2), 104.0);
     }
 }
