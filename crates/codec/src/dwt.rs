@@ -704,6 +704,41 @@ mod tests {
         }
     }
 
+    #[test]
+    fn forward_into_matches_forward_reference_bit_for_bit() {
+        // The vendored reference transform is otherwise reached only
+        // through quantized bytes, which can hide a 1-ulp drift; compare
+        // the raw coefficients bit for bit instead, through dirty and
+        // over-sized scratch, at every legal depth.
+        let mut line = vec![f32::NAN; 700];
+        let mut block = vec![-3.5f32; 20_000];
+        for &(w, h) in &[
+            (1usize, 16usize),
+            (16, 1),
+            (2, 2),
+            (5, 3),
+            (63, 65),
+            (67, 41),
+            (128, 37),
+            (64, 64),
+        ] {
+            for levels in 0..=max_levels(w, h) {
+                for wavelet in [Wavelet::Cdf53, Wavelet::Cdf97] {
+                    let original = test_image(w, h, 17);
+                    let mut expect = Coefficients::new(w, h, original.clone());
+                    crate::reference::forward_reference(&mut expect, wavelet, levels);
+                    let mut got = original;
+                    forward_into(&mut got, w, h, wavelet, levels, &mut line, &mut block);
+                    let bits_equal = got
+                        .iter()
+                        .zip(expect.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(bits_equal, "forward {w}x{h}@{levels} {wavelet:?}");
+                }
+            }
+        }
+    }
+
     /// The pre-vectorization inverse level: per-column gather, interleave,
     /// lift, scatter. Kept as the ground truth for bit-exactness of the
     /// row-vector column pass.
