@@ -60,9 +60,11 @@
 //! Since the telemetry subsystem the baseline also proves the
 //! instrumentation's hot-path claim: the full-band encode **and decode**
 //! are re-timed with a live metric registry recording every codec span,
-//! interleaved with the disabled-telemetry arenas, and the binary exits
-//! non-zero if either enabled throughput falls below
-//! [`TELEMETRY_MIN_RATIO`]× of the disabled one.
+//! interleaved with the disabled-telemetry arenas (the side that runs
+//! first alternates every iteration, so run order cancels out of the
+//! per-pair ratios), and the binary exits non-zero if either enabled
+//! throughput's median ratio falls below [`TELEMETRY_MIN_RATIO`]× of the
+//! disabled one.
 //!
 //! Since the flight recorder the same treatment covers tracing: the
 //! measured encode/decode paths run with tracing *disabled* (the default
@@ -123,6 +125,28 @@ const TELEMETRY_MIN_RATIO: f64 = 0.9;
 /// Begin/End pair per encode/decode *call* behind a short mutex hold —
 /// per-tile work would show up here as a collapse below the floor.
 const TRACING_MIN_RATIO: f64 = 0.8;
+
+/// Wall-clock seconds of one call of `f`.
+fn seconds(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+/// Times one call each of an instrumented (`on`) and an uninstrumented
+/// (`off`) run, returning `(on_s, off_s)`. The side that runs first
+/// alternates with `iteration`, so whatever the first run of a pair pays
+/// (cache state, clock ramp) lands on both sides equally and the overhead
+/// ratio measures the instrumentation, not the run order.
+fn time_pair(iteration: usize, on: impl FnOnce(), off: impl FnOnce()) -> (f64, f64) {
+    if iteration.is_multiple_of(2) {
+        let on_s = seconds(on);
+        (on_s, seconds(off))
+    } else {
+        let off_s = seconds(off);
+        (seconds(on), off_s)
+    }
+}
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timing"));
@@ -449,22 +473,18 @@ fn main() {
         (Vec::new(), Vec::new(), Vec::new());
     let (mut tel_dec_on_times, mut tel_dec_off_times, mut tel_dec_ratios) =
         (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..reps.max(8) {
-        let t = Instant::now();
-        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch_on);
-        let on = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch);
-        let off = t.elapsed().as_secs_f64();
+    let encode = |scratch: &mut CodecScratch| {
+        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, scratch);
+    };
+    let decode = |scratch: &mut DecodeScratch| {
+        decode_with_scratch(&full_enc, scratch).expect("full decode");
+    };
+    for i in 0..reps.max(8) {
+        let (on, off) = time_pair(i, || encode(&mut scratch_on), || encode(&mut scratch));
         tel_on_times.push(on);
         tel_off_times.push(off);
         tel_ratios.push(off / on);
-        let t = Instant::now();
-        let _ = decode_with_scratch(&full_enc, &mut dscratch_on).expect("full decode");
-        let dec_on = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let _ = decode_with_scratch(&full_enc, &mut dscratch).expect("full decode");
-        let dec_off = t.elapsed().as_secs_f64();
+        let (dec_on, dec_off) = time_pair(i, || decode(&mut dscratch_on), || decode(&mut dscratch));
         tel_dec_on_times.push(dec_on);
         tel_dec_off_times.push(dec_off);
         tel_dec_ratios.push(dec_off / dec_on);
@@ -488,20 +508,10 @@ fn main() {
         .expect("image matches grid");
     let _ = decode_with_scratch(&full_enc, &mut dscratch_tr).expect("full decode");
     let (mut trace_enc_ratios, mut trace_dec_ratios) = (Vec::new(), Vec::new());
-    for _ in 0..reps.max(8) {
-        let t = Instant::now();
-        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch_tr);
-        let on = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch);
-        let off = t.elapsed().as_secs_f64();
+    for i in 0..reps.max(8) {
+        let (on, off) = time_pair(i, || encode(&mut scratch_tr), || encode(&mut scratch));
         trace_enc_ratios.push(off / on);
-        let t = Instant::now();
-        let _ = decode_with_scratch(&full_enc, &mut dscratch_tr).expect("full decode");
-        let dec_on = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let _ = decode_with_scratch(&full_enc, &mut dscratch).expect("full decode");
-        let dec_off = t.elapsed().as_secs_f64();
+        let (dec_on, dec_off) = time_pair(i, || decode(&mut dscratch_tr), || decode(&mut dscratch));
         trace_dec_ratios.push(dec_off / dec_on);
     }
     let tracing_enc_ratio = median(&mut trace_enc_ratios);

@@ -13,6 +13,29 @@
 //! `ceil(w/2^levels) × ceil(h/2^levels)` corner holds the LL band and each
 //! level's detail bands surround it. Odd lengths are handled with symmetric
 //! boundary extension, so any size ≥ 1 is valid.
+//!
+//! # One planar kernel
+//!
+//! Every lifting step, horizontal or vertical, forward or inverse, is one
+//! contiguous loop `t[i] = f(t[i], a[i], b[i])` (`odd_step` /
+//! `even_step`) over a *planar* line: the low-pass samples first, the
+//! high-pass samples after them, each sample `lanes` floats wide. A
+//! forward level deinterleaves each row of the region straight into its
+//! vertically deinterleaved slot of a `w × h` block buffer (even rows in
+//! the top half, odd rows below) and lifts it there with `lanes = 1`; it
+//! then lifts the columns over the same block with `lanes = w` (one
+//! "sample" is a whole row, so column `x` is lane `x`) and copies the
+//! block back once. The inverse mirrors this: columns over a copy of the
+//! region, then each row lifted in its slot and interleaved straight
+//! back. The symmetric-extension ends are the only special cases, split
+//! off ahead of the loop, and the (de)interleave is written as
+//! `chunks_exact(2)` zips, so every hot loop auto-vectorizes.
+//!
+//! Each coefficient sees exactly the f32 operation sequence of the
+//! textbook in-place lifting on an interleaved line (a predict step reads
+//! only even samples and writes only odd ones, and vice versa), so the
+//! output is bit-identical to the vendored
+//! [`forward_reference`](crate::reference::forward_reference).
 
 /// Which wavelet to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -217,20 +240,12 @@ pub fn max_levels(width: usize, height: usize) -> u8 {
 /// Panics if `levels` exceeds [`max_levels`] for the buffer.
 pub fn forward(coeffs: &mut Coefficients, wavelet: Wavelet, levels: u8) {
     let (w, h) = (coeffs.width, coeffs.height);
-    forward_into(
-        &mut coeffs.data,
-        w,
-        h,
-        wavelet,
-        levels,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    );
+    forward_into(&mut coeffs.data, w, h, wavelet, levels, &mut Vec::new());
 }
 
 /// Forward multi-level transform over a raw row-major buffer, reusing
-/// `line` as the row-lifting scratch and `block` for the vertical
-/// deinterleave (both grow once and are reused across levels and calls).
+/// `block` as the planar working buffer (it grows once and is reused
+/// across levels and calls).
 ///
 /// # Panics
 ///
@@ -242,20 +257,16 @@ pub fn forward_into(
     height: usize,
     wavelet: Wavelet,
     levels: u8,
-    line: &mut Vec<f32>,
     block: &mut Vec<f32>,
 ) {
     assert_eq!(data.len(), width * height, "coefficient buffer size");
     assert!(levels <= max_levels(width, height), "too many DWT levels");
-    if line.len() < width.max(height) {
-        line.resize(width.max(height), 0.0);
-    }
     if block.len() < width * height {
         block.resize(width * height, 0.0);
     }
     let (mut w, mut h) = (width, height);
     for _ in 0..levels {
-        forward_single(data, width, wavelet, w, h, line, block);
+        forward_level(data, width, wavelet, w, h, &mut block[..w * h]);
         w = w.div_ceil(2);
         h = h.div_ceil(2);
     }
@@ -268,19 +279,11 @@ pub fn forward_into(
 /// Panics if `levels` exceeds [`max_levels`] for the buffer.
 pub fn inverse(coeffs: &mut Coefficients, wavelet: Wavelet, levels: u8) {
     let (w, h) = (coeffs.width, coeffs.height);
-    inverse_into(
-        &mut coeffs.data,
-        w,
-        h,
-        wavelet,
-        levels,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    );
+    inverse_into(&mut coeffs.data, w, h, wavelet, levels, &mut Vec::new());
 }
 
 /// Inverse multi-level transform over a raw row-major buffer (mirror of
-/// [`forward_into`], with two reusable scratch lines).
+/// [`forward_into`], with the same reusable planar `block`).
 ///
 /// # Panics
 ///
@@ -292,19 +295,12 @@ pub fn inverse_into(
     height: usize,
     wavelet: Wavelet,
     levels: u8,
-    line: &mut Vec<f32>,
-    planar: &mut Vec<f32>,
+    block: &mut Vec<f32>,
 ) {
     assert_eq!(data.len(), width * height, "coefficient buffer size");
     assert!(levels <= max_levels(width, height), "too many DWT levels");
-    let side = width.max(height);
-    if line.len() < side {
-        line.resize(side, 0.0);
-    }
-    // `planar` doubles as the whole-block buffer for the vertical
-    // interleave permute (mirror of the forward pass's `block`).
-    if planar.len() < width * height {
-        planar.resize(width * height, 0.0);
+    if block.len() < width * height {
+        block.resize(width * height, 0.0);
     }
     // Rebuild the per-level sizes, then undo from the deepest level out.
     let mut sizes = [(0usize, 0usize); 12];
@@ -315,285 +311,184 @@ pub fn inverse_into(
         h = h.div_ceil(2);
     }
     for &(w, h) in sizes[..levels as usize].iter().rev() {
-        inverse_single(data, width, wavelet, w, h, line, planar);
+        inverse_level(data, width, wavelet, w, h, &mut block[..w * h]);
     }
 }
 
-fn forward_single(
+/// Row of the `w × h` region whose samples land in planar `block` row `r`
+/// (low-pass rows first, then high-pass rows).
+fn source_row(r: usize, h: usize) -> usize {
+    let half = h.div_ceil(2);
+    if r < half {
+        2 * r
+    } else {
+        2 * (r - half) + 1
+    }
+}
+
+/// One analysis level of the `w × h` region at the top-left of `data`:
+/// each row is deinterleaved straight into its vertically deinterleaved
+/// slot of `block` and lifted there, the columns are lifted over the whole
+/// block, and the result is copied back once.
+fn forward_level(
     data: &mut [f32],
     stride: usize,
     wavelet: Wavelet,
     w: usize,
     h: usize,
-    line: &mut [f32],
     block: &mut [f32],
 ) {
-    // Rows.
-    for y in 0..h {
-        line[..w].copy_from_slice(&data[y * stride..y * stride + w]);
-        lift_forward(&mut line[..w], wavelet);
-        deinterleave(&mut data[y * stride..y * stride + w], &line[..w]);
+    for (r, plane) in block.chunks_exact_mut(w).enumerate() {
+        let y = source_row(r, h);
+        deinterleave(plane, &data[y * stride..y * stride + w]);
+        analyze(plane, 1, wavelet);
     }
-    // Columns: the same lifting, applied as whole-row vector operations
-    // (each pass reads the two vertically adjacent rows), so the inner
-    // loops are contiguous and auto-vectorize instead of walking the
-    // buffer with a per-element column stride. Column `x` sees the exact
-    // operation sequence of a gathered per-column lift.
-    if h >= 2 {
-        match wavelet {
-            Wavelet::Cdf53 => {
-                col_lift_pass(data, stride, w, h, 1, |c, u, d| c - ((u + d) / 2.0).floor());
-                col_lift_pass(data, stride, w, h, 0, |c, u, d| {
-                    c + ((u + d + 2.0) / 4.0).floor()
-                });
-            }
-            Wavelet::Cdf97 => {
-                for (step, coef) in [(1usize, ALPHA), (0, BETA), (1, GAMMA), (0, DELTA)] {
-                    col_lift_pass(data, stride, w, h, step, |c, u, d| c + coef * (u + d));
-                }
-                for y in 0..h {
-                    let row = &mut data[y * stride..y * stride + w];
-                    if y % 2 == 0 {
-                        for v in row {
-                            *v *= KAPPA;
-                        }
-                    } else {
-                        for v in row {
-                            *v /= KAPPA;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Deinterleave vertically: low-pass rows into the top half, high-pass
-    // rows into the bottom half, via a block permute of whole rows.
-    let half = h.div_ceil(2);
-    for y in 0..h {
-        let dst = if y % 2 == 0 { y / 2 } else { half + y / 2 };
-        block[dst * w..dst * w + w].copy_from_slice(&data[y * stride..y * stride + w]);
-    }
-    for y in 0..h {
-        data[y * stride..y * stride + w].copy_from_slice(&block[y * w..y * w + w]);
+    analyze(block, w, wavelet);
+    for (row, plane) in data.chunks_mut(stride).zip(block.chunks_exact(w)) {
+        row[..w].copy_from_slice(plane);
     }
 }
 
-/// One vertical lifting pass as row-vector operations: for every other
-/// row starting at `start`, `row[i] = f(row[i], row[up], row[down])`
-/// elementwise, with symmetric boundary extension (mirrors
-/// [`lift_pass`]'s index handling, transposed).
-#[inline(always)]
-fn col_lift_pass<F: Fn(f32, f32, f32) -> f32>(
-    data: &mut [f32],
-    stride: usize,
-    w: usize,
-    h: usize,
-    start: usize,
-    f: F,
-) {
-    let mut i = start;
-    if i == 0 {
-        // up = down = row 1 (symmetric extension at the top edge).
-        let (top, rest) = data.split_at_mut(stride);
-        let neighbour = &rest[..w];
-        for (c, &n) in top[..w].iter_mut().zip(neighbour) {
-            *c = f(*c, n, n);
-        }
-        i = 2;
-    }
-    while i + 1 < h {
-        let (head, tail) = data.split_at_mut(i * stride);
-        let up = &head[(i - 1) * stride..(i - 1) * stride + w];
-        let (mid, below) = tail.split_at_mut(stride);
-        let down = &below[..w];
-        for x in 0..w {
-            mid[x] = f(mid[x], up[x], down[x]);
-        }
-        i += 2;
-    }
-    if i < h {
-        // i == h - 1: down = row h - 2 (symmetric extension at the bottom).
-        let (head, tail) = data.split_at_mut(i * stride);
-        let up = &head[(i - 1) * stride..(i - 1) * stride + w];
-        for (c, &u) in tail[..w].iter_mut().zip(up) {
-            *c = f(*c, u, u);
-        }
-    }
-}
-
-fn deinterleave(dst: &mut [f32], interleaved: &[f32]) {
-    let n = interleaved.len();
-    let half = n.div_ceil(2);
-    for i in 0..n {
-        let v = interleaved[i];
-        let dst_idx = if i % 2 == 0 { i / 2 } else { half + i / 2 };
-        dst[dst_idx] = v;
-    }
-}
-
-fn interleave(dst: &mut [f32], planar: &[f32]) {
-    let n = planar.len();
-    let half = n.div_ceil(2);
-    for i in 0..n {
-        let v = if i % 2 == 0 {
-            planar[i / 2]
-        } else {
-            planar[half + i / 2]
-        };
-        dst[i] = v;
-    }
-}
-
-fn inverse_single(
+/// One synthesis level (mirror of [`forward_level`]): the columns are
+/// lifted over a planar copy of the region, then each row is lifted in
+/// its block slot and interleaved straight back into place.
+fn inverse_level(
     data: &mut [f32],
     stride: usize,
     wavelet: Wavelet,
     w: usize,
     h: usize,
-    line: &mut [f32],
-    planar: &mut [f32],
+    block: &mut [f32],
 ) {
-    // Columns first (mirror of the forward order), as whole-row vector
-    // operations instead of a per-column gather/lift/scatter: interleave
-    // vertically via a block permute of whole rows (undoing the forward
-    // deinterleave), then run the inverse lifting steps with
-    // [`col_lift_pass`]. Column `x` sees the exact operation sequence of
-    // the gathered per-column `lift_inverse`, so the output is
-    // bit-identical while the inner loops stay contiguous and
-    // auto-vectorize.
-    if h >= 2 {
-        let half = h.div_ceil(2);
-        for y in 0..h {
-            let src = if y % 2 == 0 { y / 2 } else { half + y / 2 };
-            planar[y * w..y * w + w].copy_from_slice(&data[src * stride..src * stride + w]);
-        }
-        for y in 0..h {
-            data[y * stride..y * stride + w].copy_from_slice(&planar[y * w..y * w + w]);
-        }
-        match wavelet {
-            Wavelet::Cdf53 => {
-                col_lift_pass(data, stride, w, h, 0, |c, u, d| {
-                    c - ((u + d + 2.0) / 4.0).floor()
-                });
-                col_lift_pass(data, stride, w, h, 1, |c, u, d| c + ((u + d) / 2.0).floor());
-            }
-            Wavelet::Cdf97 => {
-                for y in 0..h {
-                    let row = &mut data[y * stride..y * stride + w];
-                    if y % 2 == 0 {
-                        for v in row {
-                            *v /= KAPPA;
-                        }
-                    } else {
-                        for v in row {
-                            *v *= KAPPA;
-                        }
-                    }
-                }
-                for (step, coef) in [(0usize, DELTA), (1, GAMMA), (0, BETA), (1, ALPHA)] {
-                    col_lift_pass(data, stride, w, h, step, |c, u, d| c - coef * (u + d));
-                }
-            }
-        }
+    for (plane, row) in block.chunks_exact_mut(w).zip(data.chunks(stride)) {
+        plane.copy_from_slice(&row[..w]);
     }
-    // Rows.
-    for y in 0..h {
-        planar[..w].copy_from_slice(&data[y * stride..y * stride + w]);
-        interleave(&mut line[..w], &planar[..w]);
-        lift_inverse(&mut line[..w], wavelet);
-        data[y * stride..y * stride + w].copy_from_slice(&line[..w]);
+    synthesize(block, w, wavelet);
+    for (r, plane) in block.chunks_exact_mut(w).enumerate() {
+        synthesize(plane, 1, wavelet);
+        let y = source_row(r, h);
+        interleave(&mut data[y * stride..y * stride + w], plane);
     }
 }
 
-/// Symmetric extension index for out-of-range neighbours ([`lift_pass`]
-/// open-codes the two boundary cases; this reference form documents them
-/// and anchors the tests).
-#[cfg(test)]
-#[inline]
-fn sym(i: isize, n: isize) -> usize {
-    let mut i = i;
-    if i < 0 {
-        i = -i;
-    }
-    if i >= n {
-        i = 2 * (n - 1) - i;
-    }
-    i.max(0) as usize
-}
-
-/// Applies `f(center, left, right)` to every other element starting at
-/// `start`, with symmetric boundary extension. The interior runs without
-/// the [`sym`] index reflection (for `0 < i < n - 1`, `sym` is the
-/// identity), so only the first and last touched elements pay for
-/// boundary handling — the per-element arithmetic is unchanged.
+/// Forward 1-D lifting of a planar line of `n = plane.len() / lanes`
+/// samples, each `lanes` floats wide: the low-pass samples `s` fill the
+/// first `ceil(n/2)` slots, the high-pass samples `d` the rest.
 #[inline(always)]
-fn lift_pass<F: Fn(f32, f32, f32) -> f32>(line: &mut [f32], start: usize, f: F) {
-    let n = line.len();
-    let mut i = start;
-    if i == 0 {
-        // left = line[sym(-1)] = line[1]; right = line[sym(1)] = line[1].
-        line[0] = f(line[0], line[1], line[1]);
-        i = 2;
-    }
-    while i + 1 < n {
-        line[i] = f(line[i], line[i - 1], line[i + 1]);
-        i += 2;
-    }
-    if i < n {
-        // i == n - 1: right = line[sym(n)] = line[n - 2].
-        line[i] = f(line[i], line[i - 1], line[n - 2]);
-    }
-}
-
-fn lift_forward(line: &mut [f32], wavelet: Wavelet) {
-    let n = line.len();
+fn analyze(plane: &mut [f32], lanes: usize, wavelet: Wavelet) {
+    let n = plane.len() / lanes;
     if n < 2 {
         return;
     }
+    let (s, d) = plane.split_at_mut(n.div_ceil(2) * lanes);
     match wavelet {
         Wavelet::Cdf53 => {
-            // Predict: d[i] = x[2i+1] - floor((x[2i] + x[2i+2]) / 2)
-            lift_pass(line, 1, |c, l, r| c - ((l + r) / 2.0).floor());
-            // Update: s[i] = x[2i] + floor((d[i-1] + d[i] + 2) / 4)
-            lift_pass(line, 0, |c, l, r| c + ((l + r + 2.0) / 4.0).floor());
+            // Predict: d[k] -= floor((s[k] + s[k+1]) / 2)
+            odd_step(d, s, lanes, |c, l, r| c - ((l + r) / 2.0).floor());
+            // Update: s[k] += floor((d[k-1] + d[k] + 2) / 4)
+            even_step(s, d, lanes, |c, l, r| c + ((l + r + 2.0) / 4.0).floor());
         }
         Wavelet::Cdf97 => {
-            for (step, coef) in [(1usize, ALPHA), (0, BETA), (1, GAMMA), (0, DELTA)] {
-                lift_pass(line, step, |c, l, r| c + coef * (l + r));
-            }
-            for (i, v) in line.iter_mut().enumerate() {
-                if i % 2 == 0 {
-                    *v *= KAPPA;
-                } else {
-                    *v /= KAPPA;
-                }
-            }
+            odd_step(d, s, lanes, |c, l, r| c + ALPHA * (l + r));
+            even_step(s, d, lanes, |c, l, r| c + BETA * (l + r));
+            odd_step(d, s, lanes, |c, l, r| c + GAMMA * (l + r));
+            even_step(s, d, lanes, |c, l, r| c + DELTA * (l + r));
+            s.iter_mut().for_each(|v| *v *= KAPPA);
+            d.iter_mut().for_each(|v| *v /= KAPPA);
         }
     }
 }
 
-fn lift_inverse(line: &mut [f32], wavelet: Wavelet) {
-    let n = line.len();
+/// Inverse 1-D lifting of a planar line (mirror of [`analyze`]).
+#[inline(always)]
+fn synthesize(plane: &mut [f32], lanes: usize, wavelet: Wavelet) {
+    let n = plane.len() / lanes;
     if n < 2 {
         return;
     }
+    let (s, d) = plane.split_at_mut(n.div_ceil(2) * lanes);
     match wavelet {
         Wavelet::Cdf53 => {
-            lift_pass(line, 0, |c, l, r| c - ((l + r + 2.0) / 4.0).floor());
-            lift_pass(line, 1, |c, l, r| c + ((l + r) / 2.0).floor());
+            even_step(s, d, lanes, |c, l, r| c - ((l + r + 2.0) / 4.0).floor());
+            odd_step(d, s, lanes, |c, l, r| c + ((l + r) / 2.0).floor());
         }
         Wavelet::Cdf97 => {
-            for (i, v) in line.iter_mut().enumerate() {
-                if i % 2 == 0 {
-                    *v /= KAPPA;
-                } else {
-                    *v *= KAPPA;
-                }
-            }
-            for (step, coef) in [(0usize, DELTA), (1, GAMMA), (0, BETA), (1, ALPHA)] {
-                lift_pass(line, step, |c, l, r| c - coef * (l + r));
-            }
+            s.iter_mut().for_each(|v| *v /= KAPPA);
+            d.iter_mut().for_each(|v| *v *= KAPPA);
+            even_step(s, d, lanes, |c, l, r| c - DELTA * (l + r));
+            odd_step(d, s, lanes, |c, l, r| c - GAMMA * (l + r));
+            even_step(s, d, lanes, |c, l, r| c - BETA * (l + r));
+            odd_step(d, s, lanes, |c, l, r| c - ALPHA * (l + r));
         }
+    }
+}
+
+/// `t[i] = f(t[i], a[i], b[i])` elementwise: the one loop every lifting
+/// step runs, contiguous so it auto-vectorizes.
+#[inline(always)]
+fn lift(t: &mut [f32], a: &[f32], b: &[f32], f: &impl Fn(f32, f32, f32) -> f32) {
+    for ((t, &a), &b) in t.iter_mut().zip(a).zip(b) {
+        *t = f(*t, a, b);
+    }
+}
+
+/// Lifts the odd (high-pass) samples from their even neighbours:
+/// `d[k] = f(d[k], s[k], s[k+1])`. On an even-length line the last `d`
+/// has no right neighbour; symmetric extension reflects it to `s[k]`.
+#[inline(always)]
+fn odd_step(d: &mut [f32], s: &[f32], lanes: usize, f: impl Fn(f32, f32, f32) -> f32) {
+    let inner = (s.len() - lanes).min(d.len());
+    let (body, end) = d.split_at_mut(inner);
+    lift(body, &s[..inner], &s[lanes..lanes + inner], &f);
+    if !end.is_empty() {
+        let last = &s[inner..];
+        lift(end, last, last, &f);
+    }
+}
+
+/// Lifts the even (low-pass) samples from their odd neighbours:
+/// `s[k] = f(s[k], d[k-1], d[k])`. Symmetric extension reflects `d[-1]`
+/// to `d[0]` at the start and, on an odd-length line, the missing right
+/// neighbour of the last `s` to `d[k-1]`.
+#[inline(always)]
+fn even_step(s: &mut [f32], d: &[f32], lanes: usize, f: impl Fn(f32, f32, f32) -> f32) {
+    let (first, rest) = s.split_at_mut(lanes);
+    lift(first, &d[..lanes], &d[..lanes], &f);
+    let inner = (d.len() - lanes).min(rest.len());
+    let (body, end) = rest.split_at_mut(inner);
+    lift(body, &d[..inner], &d[lanes..lanes + inner], &f);
+    if !end.is_empty() {
+        let last = &d[d.len() - lanes..];
+        lift(end, last, last, &f);
+    }
+}
+
+/// Splits an interleaved line into planar form: even samples first, then
+/// odd ones.
+fn deinterleave(dst: &mut [f32], interleaved: &[f32]) {
+    let (even, odd) = dst.split_at_mut(interleaved.len().div_ceil(2));
+    for ((e, o), pair) in even
+        .iter_mut()
+        .zip(odd.iter_mut())
+        .zip(interleaved.chunks_exact(2))
+    {
+        *e = pair[0];
+        *o = pair[1];
+    }
+    if let [.., last] = interleaved.chunks_exact(2).remainder() {
+        even[even.len() - 1] = *last;
+    }
+}
+
+/// Inverse of [`deinterleave`].
+fn interleave(dst: &mut [f32], planar: &[f32]) {
+    let (even, odd) = planar.split_at(planar.len().div_ceil(2));
+    for (pair, (&e, &o)) in dst.chunks_exact_mut(2).zip(even.iter().zip(odd)) {
+        pair[0] = e;
+        pair[1] = o;
+    }
+    if let [last] = dst.chunks_exact_mut(2).into_remainder() {
+        *last = even[even.len() - 1];
     }
 }
 
@@ -684,9 +579,8 @@ mod tests {
 
     #[test]
     fn buffer_entry_points_match_coefficients_path() {
-        // Reusing (and over-sized, dirty) scratch lines must not change a
+        // Reusing (and over-sized, dirty) scratch buffers must not change a
         // single bit of the transform.
-        let mut line = vec![123.0f32; 500];
         let mut block = vec![55.0f32; 3];
         let mut planar = vec![-9.0f32; 1];
         for &(w, h, levels) in &[(64usize, 64usize, 5u8), (67, 41, 3), (5, 3, 1)] {
@@ -695,10 +589,10 @@ mod tests {
                 let mut reference = Coefficients::new(w, h, original.clone());
                 forward(&mut reference, wavelet, levels);
                 let mut buf = original.clone();
-                forward_into(&mut buf, w, h, wavelet, levels, &mut line, &mut block);
+                forward_into(&mut buf, w, h, wavelet, levels, &mut block);
                 assert_eq!(buf, reference.as_slice(), "forward {w}x{h} {wavelet:?}");
                 inverse(&mut reference, wavelet, levels);
-                inverse_into(&mut buf, w, h, wavelet, levels, &mut line, &mut planar);
+                inverse_into(&mut buf, w, h, wavelet, levels, &mut planar);
                 assert_eq!(buf, reference.as_slice(), "inverse {w}x{h} {wavelet:?}");
             }
         }
@@ -710,7 +604,6 @@ mod tests {
         // through quantized bytes, which can hide a 1-ulp drift; compare
         // the raw coefficients bit for bit instead, through dirty and
         // over-sized scratch, at every legal depth.
-        let mut line = vec![f32::NAN; 700];
         let mut block = vec![-3.5f32; 20_000];
         for &(w, h) in &[
             (1usize, 16usize),
@@ -728,7 +621,7 @@ mod tests {
                     let mut expect = Coefficients::new(w, h, original.clone());
                     crate::reference::forward_reference(&mut expect, wavelet, levels);
                     let mut got = original;
-                    forward_into(&mut got, w, h, wavelet, levels, &mut line, &mut block);
+                    forward_into(&mut got, w, h, wavelet, levels, &mut block);
                     let bits_equal = got
                         .iter()
                         .zip(expect.as_slice())
@@ -739,9 +632,68 @@ mod tests {
         }
     }
 
+    /// Symmetric extension index for out-of-range neighbours.
+    fn sym(i: isize, n: isize) -> usize {
+        let mut i = i;
+        if i < 0 {
+            i = -i;
+        }
+        if i >= n {
+            i = 2 * (n - 1) - i;
+        }
+        i.max(0) as usize
+    }
+
+    /// Scalar inverse lifting of one interleaved line, every neighbour
+    /// resolved through [`sym`]: the pre-planar form of [`synthesize`].
+    fn lift_inverse(line: &mut [f32], wavelet: Wavelet) {
+        let n = line.len();
+        if n < 2 {
+            return;
+        }
+        let pass = |line: &mut [f32], start: usize, f: &dyn Fn(f32, f32, f32) -> f32| {
+            for i in (start..n).step_by(2) {
+                let left = line[sym(i as isize - 1, n as isize)];
+                let right = line[sym(i as isize + 1, n as isize)];
+                line[i] = f(line[i], left, right);
+            }
+        };
+        match wavelet {
+            Wavelet::Cdf53 => {
+                pass(line, 0, &|c, l, r| c - ((l + r + 2.0) / 4.0).floor());
+                pass(line, 1, &|c, l, r| c + ((l + r) / 2.0).floor());
+            }
+            Wavelet::Cdf97 => {
+                for (i, v) in line.iter_mut().enumerate() {
+                    if i % 2 == 0 {
+                        *v /= KAPPA;
+                    } else {
+                        *v *= KAPPA;
+                    }
+                }
+                for (step, coef) in [(0usize, DELTA), (1, GAMMA), (0, BETA), (1, ALPHA)] {
+                    pass(line, step, &|c, l, r| c - coef * (l + r));
+                }
+            }
+        }
+    }
+
+    /// Index-form interleave (evens from the first half, odds from the
+    /// second), independent of the production [`interleave`].
+    fn interleave_scalar(dst: &mut [f32], planar: &[f32]) {
+        let half = planar.len().div_ceil(2);
+        for (i, v) in dst.iter_mut().enumerate() {
+            *v = if i % 2 == 0 {
+                planar[i / 2]
+            } else {
+                planar[half + i / 2]
+            };
+        }
+    }
+
     /// The pre-vectorization inverse level: per-column gather, interleave,
     /// lift, scatter. Kept as the ground truth for bit-exactness of the
-    /// row-vector column pass.
+    /// planar kernel.
     fn inverse_single_per_column(
         data: &mut [f32],
         stride: usize,
@@ -755,7 +707,7 @@ mod tests {
             for y in 0..h {
                 planar[y] = data[y * stride + x];
             }
-            interleave(&mut line[..h], &planar[..h]);
+            interleave_scalar(&mut line[..h], &planar[..h]);
             lift_inverse(&mut line[..h], wavelet);
             for y in 0..h {
                 data[y * stride + x] = line[y];
@@ -763,7 +715,7 @@ mod tests {
         }
         for y in 0..h {
             planar[..w].copy_from_slice(&data[y * stride..y * stride + w]);
-            interleave(&mut line[..w], &planar[..w]);
+            interleave_scalar(&mut line[..w], &planar[..w]);
             lift_inverse(&mut line[..w], wavelet);
             data[y * stride..y * stride + w].copy_from_slice(&line[..w]);
         }
@@ -773,7 +725,6 @@ mod tests {
     fn vectorized_inverse_is_bit_identical_to_per_column_lifting() {
         // Odd sizes, tiny sizes, degenerate single-row/column regions, and
         // multi-level nesting (where w/h shrink below the stride).
-        let mut line = vec![0.0f32; 512];
         let mut planar = vec![0.0f32; 1];
         for &(w, h, levels) in &[
             (64usize, 64usize, 5u8),
@@ -787,15 +738,7 @@ mod tests {
         ] {
             for wavelet in [Wavelet::Cdf53, Wavelet::Cdf97] {
                 let mut forwarded = test_image(w, h, 13);
-                forward_into(
-                    &mut forwarded,
-                    w,
-                    h,
-                    wavelet,
-                    levels,
-                    &mut line,
-                    &mut planar,
-                );
+                forward_into(&mut forwarded, w, h, wavelet, levels, &mut planar);
                 let mut expect = forwarded.clone();
                 {
                     // Mirror inverse_into's level schedule with the
@@ -812,7 +755,7 @@ mod tests {
                     }
                 }
                 let mut got = forwarded.clone();
-                inverse_into(&mut got, w, h, wavelet, levels, &mut line, &mut planar);
+                inverse_into(&mut got, w, h, wavelet, levels, &mut planar);
                 let bits_equal = got
                     .iter()
                     .zip(&expect)
@@ -923,10 +866,10 @@ mod tests {
     fn low_pass_dc_gain_matches_lifting_on_constants() {
         for wavelet in [Wavelet::Cdf53, Wavelet::Cdf97] {
             let mut line = vec![100.0f32; 64];
-            lift_forward(&mut line, wavelet);
+            analyze(&mut line, 1, wavelet);
             let gain = low_pass_dc_gain(wavelet);
-            // Even positions hold the low-pass samples before deinterleave.
-            for i in (0..64).step_by(2) {
+            // The low-pass samples fill the first half of the planar line.
+            for i in 0..32 {
                 assert!(
                     (line[i] / 100.0 - gain).abs() < 1e-4,
                     "{wavelet:?} sample {i}: {} vs gain {gain}",

@@ -670,7 +670,6 @@ fn encode_view_impl(
         h,
         config.wavelet,
         levels,
-        &mut scratch.dwt_line,
         &mut scratch.dwt_block,
     );
     scratch.stages.dwt += t.elapsed();
@@ -887,7 +886,7 @@ pub fn decode(encoded: &EncodedImage) -> Result<Raster, DecodeError> {
 }
 
 /// Full decode through a reusable [`DecodeScratch`] arena: coefficient
-/// planes, traversal lists, and inverse-DWT line buffers persist across
+/// planes, traversal lists, and the inverse-DWT block buffer persist across
 /// calls, so steady-state decoding allocates only the returned raster
 /// (which must be owned).
 ///
@@ -1021,10 +1020,7 @@ pub fn decode_into(
     let t = std::time::Instant::now();
     {
         let DecodeScratch {
-            coeffs,
-            dwt_line,
-            dwt_planar,
-            ..
+            coeffs, dwt_block, ..
         } = &mut *scratch;
         dwt::inverse_into(
             &mut coeffs[..rw * rh],
@@ -1032,8 +1028,7 @@ pub fn decode_into(
             rh,
             encoded.wavelet,
             keep,
-            dwt_line,
-            dwt_planar,
+            dwt_block,
         );
     }
     scratch.stages.dwt += t.elapsed();

@@ -72,9 +72,7 @@ pub struct CodecScratch {
     /// quantizes each subband straight into `sb_coeffs` and leaves this
     /// untouched.
     pub(crate) quantized: Vec<i32>,
-    /// Line buffer for the DWT row lifting passes.
-    pub(crate) dwt_line: Vec<f32>,
-    /// Block buffer for the DWT vertical deinterleave.
+    /// Planar block buffer the forward DWT lifts each level in.
     pub(crate) dwt_block: Vec<f32>,
     /// Significance mask, one bit per coefficient (live during a pass).
     pub(crate) sig_words: Vec<u64>,
@@ -131,7 +129,6 @@ impl CodecScratch {
     pub fn reserved_bytes(&self) -> usize {
         self.samples.capacity() * std::mem::size_of::<f32>()
             + self.quantized.capacity() * std::mem::size_of::<i32>()
-            + self.dwt_line.capacity() * std::mem::size_of::<f32>()
             + self.dwt_block.capacity() * std::mem::size_of::<f32>()
             + self.sig_words.capacity() * std::mem::size_of::<u64>()
             + self.snap_words.capacity() * std::mem::size_of::<u64>()
@@ -221,10 +218,8 @@ pub struct DecodeScratch {
     /// Decoded quantized coefficients (whole plane for EPC1, one subband
     /// chunk at a time for EPC2).
     pub(crate) quantized: Vec<i32>,
-    /// Line buffer for the inverse-DWT lifting passes.
-    pub(crate) dwt_line: Vec<f32>,
-    /// Planar buffer for the inverse-DWT interleave.
-    pub(crate) dwt_planar: Vec<f32>,
+    /// Planar block buffer the inverse DWT lifts each level in.
+    pub(crate) dwt_block: Vec<f32>,
     /// Decoded magnitude bits per coefficient.
     pub(crate) mag: Vec<u32>,
     /// Significance mask, one bit per coefficient (live during a pass).
@@ -274,8 +269,7 @@ impl DecodeScratch {
     pub fn reserved_bytes(&self) -> usize {
         self.coeffs.capacity() * std::mem::size_of::<f32>()
             + self.quantized.capacity() * std::mem::size_of::<i32>()
-            + self.dwt_line.capacity() * std::mem::size_of::<f32>()
-            + self.dwt_planar.capacity() * std::mem::size_of::<f32>()
+            + self.dwt_block.capacity() * std::mem::size_of::<f32>()
             + self.mag.capacity() * std::mem::size_of::<u32>()
             + self.sig_words.capacity() * std::mem::size_of::<u64>()
             + self.snap_words.capacity() * std::mem::size_of::<u64>()

@@ -188,15 +188,7 @@ fn lossless_level_limited_equals_wavelet_downsample_exactly() {
                 .iter()
                 .map(|&v| (v * 4095.0).round())
                 .collect();
-            dwt::forward_into(
-                &mut buf,
-                96,
-                64,
-                dwt::Wavelet::Cdf53,
-                k,
-                &mut Vec::new(),
-                &mut Vec::new(),
-            );
+            dwt::forward_into(&mut buf, 96, 64, dwt::Wavelet::Cdf53, k, &mut Vec::new());
             let (rw, rh) = dwt::reduced_dims(96, 64, k);
             let expect = Raster::from_fn(rw, rh, |x, y| (buf[y * 96 + x] / 4095.0).clamp(0.0, 1.0));
             assert_eq!(
