@@ -336,3 +336,112 @@ fn one_probe_per_target_one_read_per_stale_key_on_every_backend() {
     assert!(skipped > 0, "no scenario ran a budget dry");
     assert!(evictions > 0, "no scenario evicted from a bounded cache");
 }
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn word(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+}
+
+/// Everything one in-memory run of `scenario` plans, folded into one
+/// hash: every round's reports, then every satellite's cache contents
+/// (key, capture day, low-resolution bits) and counters after the round.
+fn outcome_hash(scenario: &Scenario) -> u64 {
+    let store = ShardedReferenceStore::new(SHARDS);
+    let scheduler = ConstellationScheduler::new(THETA);
+    let mut caches: HashMap<SatelliteId, EvictingReferenceCache> = HashMap::new();
+    let mut hash = Fnv::new();
+    for round in &scenario.rounds {
+        for offer in &round.offers {
+            store.offer(offer.clone());
+        }
+        let reports = scheduler.plan_pass(
+            &store,
+            &mut caches,
+            &scenario.targets,
+            &round.contacts,
+            || EvictingReferenceCache::new(scenario.capacity),
+        );
+        for report in &reports {
+            hash.word(report.bytes_used);
+            hash.word(report.bytes_budget);
+            hash.word(report.deltas_sent as u64);
+            hash.word(report.deltas_skipped as u64);
+        }
+        let mut satellites: Vec<SatelliteId> = caches.keys().copied().collect();
+        satellites.sort();
+        for satellite in satellites {
+            let cache = &caches[&satellite];
+            hash.word(u64::from(satellite.0));
+            for reference in cache.iter() {
+                hash.word(u64::from(reference.location.0));
+                hash.bytes(reference.band.name().as_bytes());
+                hash.word(reference.captured_day.to_bits());
+                let (w, h) = reference.lowres.dimensions();
+                hash.word(w as u64);
+                hash.word(h as u64);
+                for &sample in reference.lowres.as_slice() {
+                    hash.word(u64::from(sample.to_bits()));
+                }
+            }
+            let stats = cache.stats();
+            hash.word(stats.installs);
+            hash.word(stats.delta_applies);
+            hash.word(stats.evictions);
+        }
+    }
+    hash.0
+}
+
+/// The plans of the 24 seeded scenarios, pinned: a planner optimisation
+/// must leave every report, cached pixel and cache counter where it was.
+const GOLDEN_OUTCOMES: [u64; 24] = [
+    0x62c2_0312_9387_21c2,
+    0xe9e0_35ce_7958_7522,
+    0x115c_121b_4239_a3bd,
+    0x80e5_23a4_71d3_371b,
+    0xe3f2_13b4_a360_181b,
+    0x3802_4957_c003_1bb2,
+    0x7b06_a517_47ae_2646,
+    0xfa06_b710_8e0b_5b0f,
+    0x73ba_7b73_a3fa_fd52,
+    0x065a_57d2_80d1_282c,
+    0xdf46_8ebf_4134_9e55,
+    0x2fb2_1ad5_2b2a_d475,
+    0x5ede_8a7b_5474_6154,
+    0x99ed_df7d_af69_5eb7,
+    0xdd3c_3063_0186_6707,
+    0x6205_bfc0_3c24_bb68,
+    0x5945_bfc3_39e6_2a8a,
+    0x3f3c_a421_6326_8e50,
+    0xcc29_f0ee_d452_20c2,
+    0x6c44_28d6_080e_2e8d,
+    0x631b_68d9_eaa9_d7e9,
+    0x2eb2_f260_51cf_8bb4,
+    0xfbbb_98b7_5548_8aa0,
+    0x327f_c7cf_3968_3dac,
+];
+
+#[test]
+fn plan_outcomes_match_golden() {
+    let hashes: Vec<u64> = (0..24u64)
+        .map(|seed| outcome_hash(&scenario(seed)))
+        .collect();
+    for (seed, (&hash, &golden)) in hashes.iter().zip(&GOLDEN_OUTCOMES).enumerate() {
+        assert_eq!(hash, golden, "seed {seed}: plan outcome changed");
+    }
+}
