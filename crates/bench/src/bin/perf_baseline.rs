@@ -85,6 +85,14 @@
 //! fsync count), and through the synchronous vs pipelined two-station
 //! ship path (pipelined timed through `quiesce()`, so it pays for the
 //! same completed transfers).
+//!
+//! Since schema 9 the baseline also times the constellation pass planner
+//! (`plan_pass`): 48 satellites × 7 windows over 1024 in-memory keys with
+//! 8×8 references, one warm pass after each day's 128 ground updates.
+//! `--check` fails when `plan_pass.passes_per_s` drops below
+//! [`CHECK_MIN_RATIO`]× of the committed value, or when
+//! `plan_pass.deltas_sent` (a count of a deterministic plan) differs
+//! from it.
 
 use earthplus::prelude::*;
 use earthplus::{CaptureContext, ContactWindow, StageTimings};
@@ -95,10 +103,11 @@ use earthplus_codec::{
     CodecConfig, CodecScratch, DecodeScratch, FormatVersion, StageBreakdown,
 };
 use earthplus_ground::{
-    ReferenceBackend, ReferenceImage, ReplicatedReferenceStore, ShipQueueConfig, StationSetConfig,
+    ConstellationScheduler, EvictingReferenceCache, ReferenceBackend, ReferenceImage,
+    ReplicatedReferenceStore, ShardedReferenceStore, ShipQueueConfig, StationSetConfig,
 };
 use earthplus_orbit::SatelliteId;
-use earthplus_raster::{downsample_box, LocationId, Raster, TileGrid, TileMask};
+use earthplus_raster::{downsample_box, Band, LocationId, Raster, TileGrid, TileMask};
 use earthplus_refstore::RefLogConfig;
 use earthplus_scene::terrain::LocationArchetype;
 use earthplus_scene::{LocationScene, SceneConfig};
@@ -619,13 +628,86 @@ fn main() {
     let ship_sync_s = median(&mut ship_sync_times);
     let ship_pipelined_s = median(&mut ship_pipelined_times);
 
+    // 7. The constellation pass planner: 48 satellites x 7 windows over
+    //    1024 in-memory keys with 8x8 references. A cold pass installs
+    //    every key on every satellite; each timed pass follows one day's
+    //    128 ground updates, of which one in eight changes no pixel (the
+    //    cached day advances for free instead of an update being sent).
+    let plan_band = scene.config().bands[0];
+    let plan_keys: Vec<(LocationId, Band)> =
+        (0..1024u32).map(|l| (LocationId(l), plan_band)).collect();
+    let mut plan_content: Vec<Raster> = (0..1024)
+        .map(|k| Raster::filled(8, 8, (k % 13) as f32 / 13.0))
+        .collect();
+    let plan_store = ShardedReferenceStore::default();
+    let offer_day = |content: &mut [Raster], day: u32| {
+        for (k, raster) in content.iter_mut().enumerate() {
+            if day > 0 && k % 8 != day as usize % 8 {
+                continue;
+            }
+            if day > 0 && (k / 8) % 8 != 0 {
+                let lowres = raster.as_mut_slice();
+                for j in 0..1 + k % 6 {
+                    let i = (day as usize * 5 + j * 9) % lowres.len();
+                    lowres[i] = (lowres[i] + 0.25) % 1.0;
+                }
+            }
+            plan_store.offer(ReferenceImage {
+                location: LocationId(k as u32),
+                band: plan_band,
+                captured_day: f64::from(day),
+                lowres: raster.clone(),
+                downsample: 8,
+                full_width: 64,
+                full_height: 64,
+            });
+        }
+    };
+    let pass_windows = |day: u32| -> Vec<ContactWindow> {
+        (0..48u32)
+            .flat_map(|s| {
+                (0..7u32).map(move |w| ContactWindow {
+                    satellite: SatelliteId(s),
+                    day: f64::from(day) + 0.5 + f64::from(w) / 16.0,
+                    budget_bytes: 1 << 16,
+                })
+            })
+            .collect()
+    };
+    let planner = ConstellationScheduler::new(0.01);
+    let mut plan_caches = std::collections::HashMap::new();
+    offer_day(&mut plan_content, 0);
+    planner.plan_pass(
+        &plan_store,
+        &mut plan_caches,
+        &plan_keys,
+        &pass_windows(0),
+        EvictingReferenceCache::default,
+    );
+    let (mut pass_times, mut plan_deltas_sent) = (Vec::new(), 0usize);
+    for day in 1..=if quick { 15 } else { 45 } {
+        offer_day(&mut plan_content, day);
+        let windows = pass_windows(day);
+        let t = Instant::now();
+        let reports = planner.plan_pass(
+            &plan_store,
+            &mut plan_caches,
+            &plan_keys,
+            &windows,
+            EvictingReferenceCache::default,
+        );
+        pass_times.push(t.elapsed().as_secs_f64());
+        plan_deltas_sent = reports.iter().map(|r| r.deltas_sent).sum();
+    }
+    let plan_pass_s = median(&mut pass_times);
+
     let (enc_dwt_s, enc_bitplane_s, enc_quant_s, enc_other_s) = enc_stages.report(epc2_s);
     let (dec_dwt_s, dec_bitplane_s, dec_quant_s, dec_other_s) = dec_stages.report(dec_full_s);
     let (dec1_dwt_s, dec1_bitplane_s, dec1_quant_s, dec1_other_s) =
         dec_epc1_stages.report(dec_epc1_s);
     let json = format!(
         r#"{{
-  "schema": 8,
+  "schema": 9,
   "scenario": "pipeline_runtime quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
   "mode": "{mode}",
   "samples": {reps},
@@ -721,6 +803,15 @@ fn main() {
     "ship_sync_s": {ship_sync_s:.6},
     "ship_pipelined_s": {ship_pipelined_s:.6}
   }},
+  "plan_pass": {{
+    "satellites": 48,
+    "windows": 336,
+    "keys": 1024,
+    "updates_per_pass": 128,
+    "pass_ms": {plan_pass_ms:.3},
+    "passes_per_s": {plan_passes_per_s:.3},
+    "deltas_sent": {plan_deltas_sent}
+  }},
   "codec_scratch": {{
     "reserved_bytes": {reserved},
     "steady_state_grow_events": {steady_grow_events}
@@ -734,6 +825,8 @@ fn main() {
         mode = if quick { "quick" } else { "full" },
         pipeline_rate = capture_mpix / total_s,
         fsync_amortization = per_record_fsyncs as f64 / grouped_fsyncs.max(1) as f64,
+        plan_pass_ms = plan_pass_s * 1e3,
+        plan_passes_per_s = 1.0 / plan_pass_s,
         tel_on_rate = band_mpix / telemetry_on_s,
         tel_off_rate = band_mpix / telemetry_off_s,
         reserved = scratch.reserved_bytes(),
@@ -861,6 +954,33 @@ fn main() {
             eprintln!(
                 "ERROR: EPC2 header overhead grew — {header_bytes_per_tile:.3} B/tile exceeds \
                  the committed {committed_header:.3}"
+            );
+            failed = true;
+        }
+        let committed_passes = committed_value(&committed, "plan_pass", "passes_per_s")
+            .unwrap_or_else(|| panic!("--check: no plan_pass.passes_per_s in {path}"));
+        let passes_per_s = 1.0 / plan_pass_s;
+        let floor = committed_passes * CHECK_MIN_RATIO;
+        eprintln!(
+            "check: plan_pass {passes_per_s:.3} passes/s vs committed {committed_passes:.3} \
+             (floor {floor:.3})"
+        );
+        if passes_per_s < floor {
+            eprintln!(
+                "ERROR: plan_pass regression — {passes_per_s:.3} passes/s is below \
+                 {CHECK_MIN_RATIO}x the committed {committed_passes:.3}"
+            );
+            failed = true;
+        }
+        let committed_sent = committed_value(&committed, "plan_pass", "deltas_sent")
+            .unwrap_or_else(|| panic!("--check: no plan_pass.deltas_sent in {path}"));
+        eprintln!("check: plan_pass {plan_deltas_sent} deltas sent vs committed {committed_sent}");
+        // A count of a deterministic plan: any difference is a changed
+        // plan, not noise.
+        if plan_deltas_sent as f64 != committed_sent {
+            eprintln!(
+                "ERROR: plan_pass sent {plan_deltas_sent} deltas, the committed plan sent \
+                 {committed_sent}"
             );
             failed = true;
         }
