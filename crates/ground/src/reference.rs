@@ -211,7 +211,7 @@ impl ReferenceImage {
         let (full_width, full_height, downsample) = (dim(0), dim(1), dim(2));
         let (w, h) = (dim(3), dim(4));
         let samples = &payload[Self::RECORD_PAYLOAD_HEADER..];
-        if samples.len() != 4 * w.checked_mul(h)? {
+        if samples.len() != w.checked_mul(h)?.checked_mul(4)? {
             return None;
         }
         let data: Vec<f32> = samples
@@ -597,6 +597,18 @@ mod tests {
         payload.truncate(payload.len() - 3); // length no longer matches w*h
         assert!(ReferenceImage::from_record_payload(r.location, r.band, 1.0, &payload).is_none());
         assert!(ReferenceImage::from_record_payload(r.location, r.band, 1.0, &[0; 7]).is_none());
+    }
+
+    #[test]
+    fn hostile_header_dimensions_are_refused_not_overflowed() {
+        // w * h fits a usize but the 4-byte sample count does not.
+        let mut payload = vec![0u8; ReferenceImage::RECORD_PAYLOAD_HEADER];
+        for (i, dim) in [64u32, 64, 1, 1 << 31, 1 << 31].into_iter().enumerate() {
+            payload[4 * i..4 * i + 4].copy_from_slice(&dim.to_le_bytes());
+        }
+        assert!(
+            ReferenceImage::from_record_payload(LocationId(0), band(), 1.0, &payload).is_none()
+        );
     }
 
     #[test]

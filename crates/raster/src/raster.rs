@@ -101,9 +101,9 @@ impl Raster {
     /// # Errors
     ///
     /// Returns [`RasterError::InvalidDimensions`] if `data.len() != width *
-    /// height`.
+    /// height`, or if `width * height` overflows.
     pub fn from_vec(width: usize, height: usize, data: Vec<f32>) -> Result<Self, RasterError> {
-        if data.len() != width * height {
+        if width.checked_mul(height) != Some(data.len()) {
             return Err(RasterError::InvalidDimensions {
                 reason: format!("data length {} does not equal {width}x{height}", data.len()),
             });
@@ -362,6 +362,11 @@ mod tests {
         assert!(Raster::from_vec(2, 2, vec![0.0; 4]).is_ok());
         let err = Raster::from_vec(2, 2, vec![0.0; 5]).unwrap_err();
         assert!(matches!(err, RasterError::InvalidDimensions { .. }));
+    }
+
+    #[test]
+    fn from_vec_refuses_overflowing_dimensions() {
+        assert!(Raster::from_vec(usize::MAX, 2, Vec::new()).is_err());
     }
 
     #[test]
