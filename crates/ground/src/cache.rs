@@ -6,11 +6,19 @@
 //! model bounds the cache in bytes, evicts with an age/LRU hybrid policy,
 //! and counts hits / misses / evictions so experiments can report cache
 //! behaviour instead of asserting it.
+//!
+//! Entries are shared: each holds an `Arc<ReferenceImage>`, and the pass
+//! planner hands every satellite whose copy of a key is identical the
+//! same allocation — one full install, or one patched copy per distinct
+//! cached copy, however many satellites hold it. A shared entry is never
+//! written through: [`EvictingReferenceCache::apply_delta`] patches via
+//! [`Arc::make_mut`], so a write copies first and no other cache sees it.
 
 use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
 use earthplus_telemetry::{names, Counter, TelemetrySink};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Relative weights of the two eviction signals.
 ///
@@ -136,7 +144,8 @@ impl Default for CacheCounters {
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    reference: ReferenceImage,
+    /// Possibly shared with other satellites' caches; copied on write.
+    reference: Arc<ReferenceImage>,
     last_access: u64,
 }
 
@@ -207,12 +216,18 @@ impl EvictingReferenceCache {
     /// untouched — the scheduler's staleness probe, which must not distort
     /// the on-board serving statistics.
     pub fn peek(&self, location: LocationId, band: Band) -> Option<&ReferenceImage> {
-        self.entries.get(&(location, band)).map(|e| &e.reference)
+        self.entries.get(&(location, band)).map(|e| &*e.reference)
     }
 
     /// Every cached reference in `(location, band)` order, with the same
     /// no-side-effects contract as [`Self::peek`].
     pub fn iter(&self) -> impl Iterator<Item = &ReferenceImage> {
+        self.entries.values().map(|e| &*e.reference)
+    }
+
+    /// [`Self::iter`] over the shared handles, so the pass planner can
+    /// tell two satellites' identical copies apart from equal ones.
+    pub(crate) fn iter_shared(&self) -> impl Iterator<Item = &Arc<ReferenceImage>> {
         self.entries.values().map(|e| &e.reference)
     }
 
@@ -221,6 +236,11 @@ impl EvictingReferenceCache {
     /// is kept anyway (the uplink already spent the bytes; dropping it
     /// would serve nothing).
     pub fn install(&mut self, reference: ReferenceImage) {
+        self.install_shared(Arc::new(reference));
+    }
+
+    /// [`Self::install`] of a reference other caches may hold too.
+    pub(crate) fn install_shared(&mut self, reference: Arc<ReferenceImage>) {
         self.tick += 1;
         self.now_day = self.now_day.max(reference.captured_day);
         let key = (reference.location, reference.band);
@@ -244,7 +264,8 @@ impl EvictingReferenceCache {
     /// and advances the capture day. A message carrying a full reference
     /// replaces the entry outright — that is what the ground sends on a
     /// cold cache *and* on a resolution reconfiguration, where patching
-    /// the old-geometry raster would corrupt it.
+    /// the old-geometry raster would corrupt it. A patched entry that
+    /// other caches share is copied first, so only this cache changes.
     pub fn apply_delta(
         &mut self,
         location: LocationId,
@@ -259,13 +280,27 @@ impl EvictingReferenceCache {
             return;
         }
         if let Some(entry) = self.entries.get_mut(&(location, band)) {
+            let reference = Arc::make_mut(&mut entry.reference);
             for &(idx, value) in pixels {
                 let i = idx as usize;
-                if i < entry.reference.lowres.len() {
-                    entry.reference.lowres.as_mut_slice()[i] = value;
+                if i < reference.lowres.len() {
+                    reference.lowres.as_mut_slice()[i] = value;
                 }
             }
-            entry.reference.captured_day = day;
+            reference.captured_day = day;
+            self.counters.delta_applies.inc();
+        }
+    }
+
+    /// [`Self::apply_delta`] without a full reference, given the already
+    /// patched copy: it replaces the cached entry for its key (if any)
+    /// outright, so every cache it is handed to shares one allocation.
+    pub(crate) fn replace_shared(&mut self, reference: Arc<ReferenceImage>) {
+        self.now_day = self.now_day.max(reference.captured_day);
+        let key = (reference.location, reference.band);
+        if let Some(entry) = self.entries.get_mut(&key) {
+            self.bytes = self.bytes - entry.reference.size_bytes() + reference.size_bytes();
+            entry.reference = reference;
             self.counters.delta_applies.inc();
         }
     }
@@ -498,6 +533,23 @@ mod tests {
         assert_eq!(entry.captured_day, 4.0);
         assert_eq!(cache.size_bytes(), expected);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn apply_delta_on_a_shared_entry_copies_on_write() {
+        let shared = Arc::new(reference(0, 1.0));
+        let mut a = EvictingReferenceCache::new(None);
+        let mut b = EvictingReferenceCache::new(None);
+        a.install_shared(Arc::clone(&shared));
+        b.install_shared(shared);
+        a.apply_delta(LocationId(0), red(), 4.0, &[(0, 0.9)], None);
+        let patched = a.peek(LocationId(0), red()).unwrap();
+        assert_eq!(
+            (patched.captured_day, patched.lowres.as_slice()[0]),
+            (4.0, 0.9)
+        );
+        let other = b.peek(LocationId(0), red()).unwrap();
+        assert_eq!((other.captured_day, other.lowres.as_slice()[0]), (1.0, 0.5));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! hours later has slack. [`ConstellationScheduler`] plans a whole *pass*
 //! — every satellite's contact windows since the last planning round —
 //! against one sweep of the store: each target is probed once and each
-//! stale reference is read once, however many satellites need it, and
-//! each satellite's updates form a staleness-weighted queue packed into
-//! that satellite's windows, earliest first. Per-contact byte budgets are
+//! stale reference is read once, however many satellites need it. Each
+//! distinct cached copy of it is diffed once, and every satellite holding
+//! that copy shares the result. Each satellite's updates form a
+//! staleness-weighted queue packed into that satellite's windows,
+//! earliest first. Per-contact byte budgets are
 //! supplied by the caller (the link model, clamped by any injected
 //! mid-pass uplink drop), so a degraded contact (§5, *Handling bandwidth
 //! fluctuation*) simply offers fewer bytes, and whatever does not fit is
@@ -20,8 +22,8 @@ use crate::reference::ReferenceImage;
 use crate::uplink::{changed_pixels, install_bytes, patch_bytes, UplinkReport};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId};
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// One satellite ground-contact window offered to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,16 +43,73 @@ struct Probe {
     day: f64,
     /// That reference, read from the store by the first satellite that
     /// finds the key stale and shared by every later one: its delta, its
-    /// full install, and its mid-pass re-validation all borrow this copy.
-    reference: OnceCell<ReferenceImage>,
+    /// full install, and its mid-pass re-validation all use this copy.
+    reference: Option<Arc<ReferenceImage>>,
+    /// The update each distinct cached copy needs, worked out for the
+    /// first satellite holding that copy and reused by every later one.
+    /// Holding the copy keeps its address from being reused during the
+    /// pass, so [`Arc::ptr_eq`] identifies it.
+    updates: Vec<(Arc<ReferenceImage>, Update)>,
+}
+
+/// What brings one cached copy up to the store's freshest reference.
+#[derive(Clone)]
+enum Update {
+    /// Nothing changed beyond the threshold: the copy with its capture
+    /// day advanced, applied for free.
+    Unchanged(Arc<ReferenceImage>),
+    /// The copy with the changed pixels patched in, and the patch's
+    /// uplink cost.
+    Patched(Arc<ReferenceImage>, u64),
+    /// The geometry changed: the reference goes up in full.
+    Reconfigured,
+}
+
+impl Probe {
+    /// The update `cached` needs, diffed against the probed reference on
+    /// the first call for that copy and reused by every later one.
+    fn update_for(&mut self, cached: &Arc<ReferenceImage>, theta: f32) -> Update {
+        if let Some((_, update)) = self.updates.iter().find(|(c, _)| Arc::ptr_eq(c, cached)) {
+            return update.clone();
+        }
+        let pool_ref = self
+            .reference
+            .as_ref()
+            .expect("stale key read before diffing");
+        let update = Update::new(pool_ref, cached, theta);
+        self.updates.push((Arc::clone(cached), update.clone()));
+        update
+    }
+}
+
+impl Update {
+    /// The update bringing `cached` up to `pool_ref`.
+    fn new(pool_ref: &ReferenceImage, cached: &ReferenceImage, theta: f32) -> Update {
+        let Some(pixels) = changed_pixels(pool_ref, cached, theta) else {
+            return Update::Reconfigured;
+        };
+        let mut copy = cached.clone();
+        copy.captured_day = pool_ref.captured_day;
+        let lowres = copy.lowres.as_mut_slice();
+        for &(i, value) in &pixels {
+            lowres[i as usize] = value;
+        }
+        if pixels.is_empty() {
+            Update::Unchanged(Arc::new(copy))
+        } else {
+            let cost = patch_bytes(pool_ref.lowres.len(), pixels.len());
+            Update::Patched(Arc::new(copy), cost)
+        }
+    }
 }
 
 /// One pending update for one satellite.
-struct Candidate<'p> {
-    pool_ref: &'p ReferenceImage,
-    /// Changed pixels against the copy the satellite caches; `None` sends
-    /// the reference in full (cold cache or resolution reconfiguration).
-    patch: Option<Vec<(u32, f32)>>,
+struct Candidate {
+    pool_ref: Arc<ReferenceImage>,
+    /// The patched copy replacing the one the satellite caches; `None`
+    /// sends the reference in full (cold cache or resolution
+    /// reconfiguration).
+    patched: Option<Arc<ReferenceImage>>,
     /// Freshness gain in days; infinite for a cold cache (a full install
     /// outranks any delta, matching the legacy greedy planner).
     staleness: f64,
@@ -85,7 +144,9 @@ impl ConstellationScheduler {
     /// Store traffic per pass: one `fresh_day` probe per distinct target,
     /// and one `get` — a disk read on the durable backends — per target
     /// that is stale on at least one satellite, however many satellites
-    /// that is.
+    /// that is. Planning work per pass: one diff per distinct cached copy
+    /// of a stale target. Satellites whose caches hold the same copy share
+    /// its diff and end up sharing one patched (or fully installed) copy.
     ///
     /// Returns one [`UplinkReport`] per contact window, in input order.
     /// An update that fits in none of its satellite's windows is counted
@@ -127,13 +188,14 @@ impl ConstellationScheduler {
         let mut keys = targets.to_vec();
         keys.sort_unstable();
         keys.dedup();
-        let probes: Vec<Probe> = keys
+        let mut probes: Vec<Probe> = keys
             .into_iter()
             .filter_map(|key| {
                 Some(Probe {
                     key,
                     day: store.fresh_day(key.0, key.1)?,
-                    reference: OnceCell::new(),
+                    reference: None,
+                    updates: Vec::new(),
                 })
             })
             .collect();
@@ -143,7 +205,7 @@ impl ConstellationScheduler {
         let mut remaining: Vec<u64> = contacts.iter().map(|c| c.budget_bytes).collect();
         for (satellite, windows) in windows_of {
             let cache = caches.entry(satellite).or_insert_with(&new_cache);
-            let mut queue = self.stale_updates(store, cache, &probes);
+            let mut queue = self.stale_updates(store, cache, &mut probes);
             // Largest freshness gain first; cheaper first among equals so
             // a constricted pass freshens as many locations as possible.
             queue.sort_unstable_by(|a, b| {
@@ -156,17 +218,16 @@ impl ConstellationScheduler {
             });
             for candidate in queue {
                 let pool_ref = candidate.pool_ref;
-                let (location, band) = (pool_ref.location, pool_ref.band);
                 // Re-validate against the cache *now*: a capacity-bounded
                 // cache may have evicted this entry while an earlier update
                 // in the same pass was installed, in which case the pixel
                 // delta would patch nothing — re-send in full at its real
                 // cost.
-                let (patch, cost) = match candidate.patch {
-                    Some(_) if cache.peek(location, band).is_none() => {
-                        (None, install_bytes(pool_ref))
+                let (patched, cost) = match candidate.patched {
+                    Some(_) if cache.peek(pool_ref.location, pool_ref.band).is_none() => {
+                        (None, install_bytes(&pool_ref))
                     }
-                    patch => (patch, candidate.cost),
+                    patched => (patched, candidate.cost),
                 };
                 let Some(i) = windows.iter().copied().find(|&i| remaining[i] >= cost) else {
                     let last = *windows.last().expect("satellite has a window");
@@ -176,11 +237,9 @@ impl ConstellationScheduler {
                 remaining[i] -= cost;
                 reports[i].bytes_used += cost;
                 reports[i].deltas_sent += 1;
-                match patch {
-                    Some(pixels) => {
-                        cache.apply_delta(location, band, pool_ref.captured_day, &pixels, None)
-                    }
-                    None => cache.install(pool_ref.clone()),
+                match patched {
+                    Some(copy) => cache.replace_shared(copy),
+                    None => cache.install_shared(pool_ref),
                 }
             }
         }
@@ -191,15 +250,15 @@ impl ConstellationScheduler {
     /// unordered. A stale entry whose content is identical (nothing
     /// changed on the ground) has its timestamp advanced here, for free,
     /// instead of becoming an update.
-    fn stale_updates<'p>(
+    fn stale_updates(
         &self,
         store: &dyn ReferenceBackend,
         cache: &mut EvictingReferenceCache,
-        probes: &'p [Probe],
-    ) -> Vec<Candidate<'p>> {
+        probes: &mut [Probe],
+    ) -> Vec<Candidate> {
         let mut queue = Vec::new();
-        let mut unchanged: Vec<&ReferenceImage> = Vec::new();
-        let mut cached_refs = cache.iter().peekable();
+        let mut unchanged = Vec::new();
+        let mut cached_refs = cache.iter_shared().peekable();
         for probe in probes {
             while cached_refs
                 .next_if(|c| (c.location, c.band) < probe.key)
@@ -209,36 +268,37 @@ impl ConstellationScheduler {
             if cached.is_some_and(|c| c.captured_day >= probe.day) {
                 continue;
             }
-            let pool_ref = probe.reference.get_or_init(|| {
-                store
-                    .get(probe.key.0, probe.key.1)
-                    .expect("probed reference still present")
-            });
-            let patch = cached.and_then(|c| changed_pixels(pool_ref, c, self.theta));
-            let cost = match &patch {
-                Some(pixels) if pixels.is_empty() => {
-                    unchanged.push(pool_ref);
-                    continue;
+            let pool_ref = Arc::clone(probe.reference.get_or_insert_with(|| {
+                Arc::new(
+                    store
+                        .get(probe.key.0, probe.key.1)
+                        .expect("probed reference still present"),
+                )
+            }));
+            let (patched, cost, staleness) = match cached {
+                None => (None, install_bytes(&pool_ref), f64::INFINITY),
+                Some(cached) => {
+                    let staleness = pool_ref.captured_day - cached.captured_day;
+                    match probe.update_for(cached, self.theta) {
+                        Update::Unchanged(copy) => {
+                            unchanged.push(copy);
+                            continue;
+                        }
+                        Update::Patched(copy, cost) => (Some(copy), cost, staleness),
+                        Update::Reconfigured => (None, install_bytes(&pool_ref), staleness),
+                    }
                 }
-                Some(pixels) => patch_bytes(pool_ref.lowres.len(), pixels.len()),
-                None => install_bytes(pool_ref),
             };
             queue.push(Candidate {
                 pool_ref,
-                patch,
-                staleness: cached.map_or(f64::INFINITY, |c| pool_ref.captured_day - c.captured_day),
+                patched,
+                staleness,
                 cost,
             });
         }
         drop(cached_refs);
-        for pool_ref in unchanged {
-            cache.apply_delta(
-                pool_ref.location,
-                pool_ref.band,
-                pool_ref.captured_day,
-                &[],
-                None,
-            );
+        for copy in unchanged {
+            cache.replace_shared(copy);
         }
         queue
     }
@@ -466,6 +526,98 @@ mod tests {
             .unwrap()
             .captured_day;
         assert_eq!(survivor_day, 20.0);
+    }
+
+    /// Whether every cache holds the same allocation for every key.
+    fn one_copy_per_key(caches: &HashMap<SatelliteId, EvictingReferenceCache>) -> bool {
+        let mut caches = caches.values();
+        let first: Vec<&Arc<ReferenceImage>> = caches.next().unwrap().iter_shared().collect();
+        caches.all(|cache| {
+            cache.iter_shared().count() == first.len()
+                && cache
+                    .iter_shared()
+                    .zip(&first)
+                    .all(|(a, b)| Arc::ptr_eq(a, b))
+        })
+    }
+
+    #[test]
+    fn in_sync_satellites_share_one_copy_per_key() {
+        let store = ShardedReferenceStore::default();
+        for location in 0..3 {
+            store.offer(make_ref(location, 5.0, |i| (i % 5) as f32 / 5.0));
+        }
+        let targets: Vec<_> = (0..3).map(|l| (LocationId(l), red())).collect();
+        let windows: Vec<_> = (0..4).map(|s| window(s, 5.5, 1 << 20)).collect();
+        let mut caches = HashMap::new();
+        let scheduler = ConstellationScheduler::new(0.01);
+        // Cold pass: every satellite installs the pool's one copy.
+        scheduler.plan_pass(
+            &store,
+            &mut caches,
+            &targets,
+            &windows,
+            EvictingReferenceCache::default,
+        );
+        assert_eq!(caches.len(), 4);
+        assert!(one_copy_per_key(&caches));
+        // Delta pass: location 0 changes pixels, location 1 only its day.
+        store.offer(make_ref(0, 6.0, |i| (i % 7) as f32 / 7.0));
+        store.offer(make_ref(1, 6.0, |i| (i % 5) as f32 / 5.0));
+        let windows: Vec<_> = (0..4).map(|s| window(s, 6.5, 1 << 20)).collect();
+        let reports = scheduler.plan_pass(
+            &store,
+            &mut caches,
+            &targets,
+            &windows,
+            EvictingReferenceCache::default,
+        );
+        assert!(reports.iter().all(|r| r.deltas_sent == 1));
+        assert!(one_copy_per_key(&caches));
+        let cache = &caches[&SatelliteId(0)];
+        assert_eq!(cache.peek(LocationId(0), red()).unwrap().captured_day, 6.0);
+        assert_eq!(cache.peek(LocationId(1), red()).unwrap().captured_day, 6.0);
+        assert_eq!(cache.stats().delta_applies, 2);
+    }
+
+    #[test]
+    fn same_day_copies_with_different_pixels_get_their_own_delta() {
+        // Both satellites cache location 0 from day 3, with different
+        // pixels: satellite 1's odd pixels sit within theta of the pool's,
+        // so they must survive its patch, and satellite 0's must not leak
+        // into it.
+        let store = ShardedReferenceStore::default();
+        store.offer(make_ref(0, 9.0, |i| if i % 2 == 0 { 0.9 } else { 0.4 }));
+        let targets = vec![(LocationId(0), red())];
+        let mut caches: HashMap<SatelliteId, EvictingReferenceCache> = HashMap::new();
+        caches
+            .entry(SatelliteId(0))
+            .or_default()
+            .install(make_ref(0, 3.0, |_| 0.4));
+        caches
+            .entry(SatelliteId(1))
+            .or_default()
+            .install(make_ref(0, 3.0, |_| 0.405));
+        let scheduler = ConstellationScheduler::new(0.01);
+        let reports = scheduler.plan_pass(
+            &store,
+            &mut caches,
+            &targets,
+            &[window(0, 9.5, 1 << 20), window(1, 9.5, 1 << 20)],
+            EvictingReferenceCache::default,
+        );
+        for report in &reports {
+            assert_eq!(report.deltas_sent, 1);
+            assert_eq!(report.bytes_used, patch_bytes(100, 50));
+        }
+        for (satellite, odd) in [(0, 0.4), (1, 0.405)] {
+            let cached = caches[&SatelliteId(satellite)]
+                .peek(LocationId(0), red())
+                .unwrap();
+            assert_eq!(cached.captured_day, 9.0);
+            assert_eq!(cached.lowres.as_slice()[0], 0.9);
+            assert_eq!(cached.lowres.as_slice()[1], odd, "satellite {satellite}");
+        }
     }
 
     #[test]
