@@ -226,7 +226,7 @@ impl EvictingReferenceCache {
     }
 
     /// [`Self::iter`] over the shared handles, so the pass planner can
-    /// tell two satellites' identical copies apart from equal ones.
+    /// recognise a copy that another satellite's cache also holds.
     pub(crate) fn iter_shared(&self) -> impl Iterator<Item = &Arc<ReferenceImage>> {
         self.entries.values().map(|e| &e.reference)
     }
@@ -295,11 +295,11 @@ impl EvictingReferenceCache {
     /// [`Self::apply_delta`] without a full reference, given the already
     /// patched copy: it replaces the cached entry for its key (if any)
     /// outright, so every cache it is handed to shares one allocation.
+    /// The copy must have the entry's geometry, as a patch does, so the
+    /// cache's byte count does not move.
     pub(crate) fn replace_shared(&mut self, reference: Arc<ReferenceImage>) {
         self.now_day = self.now_day.max(reference.captured_day);
-        let key = (reference.location, reference.band);
-        if let Some(entry) = self.entries.get_mut(&key) {
-            self.bytes = self.bytes - entry.reference.size_bytes() + reference.size_bytes();
+        if let Some(entry) = self.entries.get_mut(&(reference.location, reference.band)) {
             entry.reference = reference;
             self.counters.delta_applies.inc();
         }
