@@ -64,13 +64,8 @@ pub trait ReferenceBackend: Send + Sync + std::fmt::Debug {
 }
 
 /// Routes a batch into per-shard groups (index `i` holds shard `i`'s
-/// references, arrival order preserved) — the grouping step behind the
-/// durable backend's group-commit ingest: one batch append (and one ship)
-/// per touched shard instead of one per reference.
-pub(crate) fn shard_batches(
-    references: Vec<ReferenceImage>,
-    shards: usize,
-) -> Vec<Vec<ReferenceImage>> {
+/// references, arrival order preserved).
+fn shard_batches(references: Vec<ReferenceImage>, shards: usize) -> Vec<Vec<ReferenceImage>> {
     let shards = shards.max(1);
     let mut groups: Vec<Vec<ReferenceImage>> = (0..shards).map(|_| Vec::new()).collect();
     for reference in references {
@@ -78,6 +73,58 @@ pub(crate) fn shard_batches(
         groups[idx].push(reference);
     }
     groups
+}
+
+/// The batch ingest both backends share: routes `references` into
+/// per-shard groups ([`shard_index`], arrival order kept within each
+/// group) and hands each non-empty group, whole, to
+/// `write_group(shard, group)` on one of up to `threads` scoped workers.
+/// A key lives
+/// in exactly one shard and its group keeps arrival order, so the store
+/// ends where sequential offers would leave it at any thread count —
+/// ties included. `write_group` returns the group's
+/// `(accepted, rejected)` counts.
+pub(crate) fn ingest_sharded<F>(
+    references: Vec<ReferenceImage>,
+    shards: usize,
+    threads: usize,
+    write_group: F,
+) -> IngestReport
+where
+    F: Fn(usize, Vec<ReferenceImage>) -> (u64, u64) + Sync,
+{
+    let groups: Vec<(usize, Vec<ReferenceImage>)> = shard_batches(references, shards)
+        .into_iter()
+        .enumerate()
+        .filter(|(_, group)| !group.is_empty())
+        .collect();
+    let workers = threads.max(1).min(groups.len().max(1));
+    let per_worker = groups.len().div_ceil(workers).max(1);
+    let mut groups = groups.into_iter();
+    let write_group = &write_group;
+    let mut report = IngestReport::default();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
+        loop {
+            let chunk: Vec<(usize, Vec<ReferenceImage>)> =
+                groups.by_ref().take(per_worker).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            handles.push(scope.spawn(move || {
+                chunk.into_iter().fold((0, 0), |(acc, rej), (idx, group)| {
+                    let (a, r) = write_group(idx, group);
+                    (acc + a, rej + r)
+                })
+            }));
+        }
+        for handle in handles {
+            let (accepted, rejected) = handle.join().expect("ingest worker panicked");
+            report.accepted += accepted;
+            report.rejected += rejected;
+        }
+    });
+    report
 }
 
 impl ReferenceBackend for ShardedReferenceStore {

@@ -75,7 +75,7 @@
 //! truncates or wipes whatever diverged, and re-ships — the same path
 //! that heals the fault plan's injected replica-segment decay.
 
-use crate::backend::{shard_batches, ReferenceBackend};
+use crate::backend::{ingest_sharded, ReferenceBackend};
 use crate::fault::{SegmentCorruption, SharedFaultInjector};
 use crate::reference::ReferenceImage;
 use crate::store::{shard_index, IngestReport};
@@ -89,7 +89,6 @@ use earthplus_telemetry::{names, Counter, Gauge, TelemetrySink, TraceSink, Trace
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
@@ -840,73 +839,49 @@ impl StoreInner {
         let key = (reference.location, reference.band);
         let idx = shard_index(reference.location, reference.band, self.shards.len());
         let payload = reference.to_record_payload();
-        let (accepted, station) = {
-            let mut home = self.shards[idx].write().expect("shard poisoned");
-            let accepted = home
-                .log
+        let (accepted, _) = self.write_shard(idx, |log| {
+            let accepted = log
                 .append(key, reference.captured_day, &payload)
                 .expect("refstore append failed");
-            if accepted && self.pipeline.is_none() {
+            (accepted as u64, !accepted as u64)
+        });
+        accepted > 0
+    }
+
+    /// Grouped ingest: one group-commit batch append per touched shard
+    /// ([`append_reference_batch`]), so one ship per shard instead of one
+    /// per reference. Accept/reject counts are identical to sequential
+    /// offers at any thread count, because the batch path resolves
+    /// within-batch supersedes exactly as sequential appends would.
+    fn ingest_grouped(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
+        ingest_sharded(references, self.shards.len(), threads, |idx, group| {
+            self.write_shard(idx, |log| append_reference_batch(log, &group))
+        })
+    }
+
+    /// The one write into a shard: runs `write` on the shard's primary log
+    /// under its write lock and, when it accepted anything, ships the new
+    /// tail. Returns `write`'s `(accepted, rejected)` counts.
+    fn write_shard(&self, idx: usize, write: impl FnOnce(&mut RefLog) -> (u64, u64)) -> (u64, u64) {
+        let (counts, station) = {
+            let mut home = self.shards[idx].write().expect("shard poisoned");
+            let counts = write(&mut home.log);
+            if counts.0 > 0 && self.pipeline.is_none() {
                 // Synchronous replication: the tail ships before the
-                // offer returns, so an outage at any later instant loses
+                // write returns, so an outage at any later instant loses
                 // nothing acknowledged (modulo transfers whose every
                 // retry failed — those carry in the ledger and re-ship
                 // next pass).
                 self.ship_shard(idx, &mut home);
             }
-            (accepted, home.station)
+            (counts, home.station)
         };
-        if accepted && self.pipeline.is_some() {
+        if counts.0 > 0 && self.pipeline.is_some() {
             // Pipelined: hand the shard to the station's drain worker
             // after releasing the shard lock (the drain takes it).
             self.enqueue_ship(station, idx);
         }
-        accepted
-    }
-
-    /// Grouped ingest: one group-commit batch append per touched shard
-    /// ([`append_reference_batch`]), then one ship (inline or enqueued)
-    /// per shard instead of one per reference. Accept/reject counts are
-    /// identical to sequential offers at any thread count, because the
-    /// batch path resolves within-batch supersedes exactly as sequential
-    /// appends would.
-    fn ingest_grouped(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
-        let groups: Vec<(usize, Vec<ReferenceImage>)> =
-            shard_batches(references, self.shards.len())
-                .into_iter()
-                .enumerate()
-                .filter(|(_, group)| !group.is_empty())
-                .collect();
-        let accepted = AtomicU64::new(0);
-        let rejected = AtomicU64::new(0);
-        let workers = threads.max(1).min(groups.len().max(1));
-        let per_worker = groups.len().div_ceil(workers).max(1);
-        std::thread::scope(|scope| {
-            for chunk in groups.chunks(per_worker) {
-                let (accepted, rejected) = (&accepted, &rejected);
-                scope.spawn(move || {
-                    for (idx, group) in chunk {
-                        let (acc, rej, station) = {
-                            let mut home = self.shards[*idx].write().expect("shard poisoned");
-                            let (acc, rej) = append_reference_batch(&mut home.log, group);
-                            if acc > 0 && self.pipeline.is_none() {
-                                self.ship_shard(*idx, &mut home);
-                            }
-                            (acc, rej, home.station)
-                        };
-                        if acc > 0 && self.pipeline.is_some() {
-                            self.enqueue_ship(station, *idx);
-                        }
-                        accepted.fetch_add(acc, Ordering::Relaxed);
-                        rejected.fetch_add(rej, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        IngestReport {
-            accepted: accepted.into_inner(),
-            rejected: rejected.into_inner(),
-        }
+        counts
     }
 
     fn get_reference(&self, location: LocationId, band: Band) -> Option<ReferenceImage> {

@@ -7,11 +7,11 @@
 //! writers only contend when they land on the same shard and readers (the
 //! uplink scheduler) never block each other.
 
+use crate::backend::ingest_sharded;
 use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// Cheap FNV-1a hasher for shard selection. Shard routing only needs a
@@ -113,16 +113,8 @@ impl ShardedReferenceStore {
     /// Offers a new cloud-free reference; kept if fresher than the current
     /// one. Returns whether the store updated.
     pub fn offer(&self, reference: ReferenceImage) -> bool {
-        let key = (reference.location, reference.band);
         let shard = self.shard_of(reference.location, reference.band);
-        let mut map = shard.write().expect("store shard poisoned");
-        match map.get(&key) {
-            Some(existing) if existing.captured_day >= reference.captured_day => false,
-            _ => {
-                map.insert(key, reference);
-                true
-            }
-        }
+        insert_fresher(&mut shard.write().expect("store shard poisoned"), reference)
     }
 
     /// The freshest reference for a location/band, cloned out of the
@@ -185,49 +177,36 @@ impl ShardedReferenceStore {
     /// Ingests a batch of downlinked references on a `std::thread` worker
     /// pool of `threads` workers (clamped to at least 1).
     ///
-    /// Work is split into contiguous chunks; each worker offers its chunk
-    /// directly against the sharded map, so two workers only contend when
-    /// their keys hash to the same shard. Freshest-wins semantics are
-    /// preserved under any interleaving because `offer` re-checks
-    /// freshness under the shard's write lock.
-    pub fn ingest_batch(
-        &self,
-        mut references: Vec<ReferenceImage>,
-        threads: usize,
-    ) -> IngestReport {
-        let threads = threads.max(1).min(references.len().max(1));
-        let accepted = AtomicU64::new(0);
-        let rejected = AtomicU64::new(0);
-        // Split into owned chunks so workers move references into the
-        // store instead of cloning them.
-        let chunk = references.len().div_ceil(threads).max(1);
-        let mut chunks: Vec<Vec<ReferenceImage>> = Vec::with_capacity(threads);
-        while references.len() > chunk {
-            let tail = references.split_off(references.len() - chunk);
-            chunks.push(tail);
-        }
-        chunks.push(references);
-        std::thread::scope(|scope| {
-            for chunk in chunks {
-                let (accepted, rejected) = (&accepted, &rejected);
-                scope.spawn(move || {
-                    let mut local_accepted = 0u64;
-                    let mut local_rejected = 0u64;
-                    for reference in chunk {
-                        if self.offer(reference) {
-                            local_accepted += 1;
-                        } else {
-                            local_rejected += 1;
-                        }
-                    }
-                    accepted.fetch_add(local_accepted, Ordering::Relaxed);
-                    rejected.fetch_add(local_rejected, Ordering::Relaxed);
-                });
+    /// References are grouped per shard in arrival order, and each group
+    /// is inserted by one worker under one hold of its shard's write lock,
+    /// so the store ends exactly where sequential
+    /// [`ShardedReferenceStore::offer`]s would leave it.
+    pub fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
+        ingest_sharded(references, self.shards.len(), threads, |idx, group| {
+            let mut map = self.shards[idx].write().expect("store shard poisoned");
+            let offered = group.len() as u64;
+            let mut accepted = 0;
+            for reference in group {
+                accepted += insert_fresher(&mut map, reference) as u64;
             }
-        });
-        IngestReport {
-            accepted: accepted.into_inner(),
-            rejected: rejected.into_inner(),
+            (accepted, offered - accepted)
+        })
+    }
+}
+
+/// Freshest-wins insert into one shard's map: keeps `reference` only if
+/// strictly fresher than the stored generation. Returns whether it was
+/// kept.
+fn insert_fresher(
+    map: &mut HashMap<(LocationId, Band), ReferenceImage>,
+    reference: ReferenceImage,
+) -> bool {
+    let key = (reference.location, reference.band);
+    match map.get(&key) {
+        Some(existing) if existing.captured_day >= reference.captured_day => false,
+        _ => {
+            map.insert(key, reference);
+            true
         }
     }
 }
@@ -290,6 +269,35 @@ mod tests {
         assert_eq!(store.len(), 32);
         for loc in 0..32u32 {
             assert_eq!(store.fresh_day(LocationId(loc), red()), Some(9.0));
+        }
+    }
+
+    #[test]
+    fn parallel_ingest_keeps_first_equal_day_copy_like_sequential_offers() {
+        // Two copies of every key at the same day: sequential offers keep
+        // the first (an equal day does not supersede), so a parallel
+        // ingest must too, whichever worker gets to a shard first.
+        let copy = |loc: u32, value: f32| {
+            let full = Raster::filled(64, 64, value);
+            ReferenceImage::from_capture(LocationId(loc), red(), 5.0, &full, 8).unwrap()
+        };
+        let batch: Vec<ReferenceImage> = [0.25, 0.75]
+            .into_iter()
+            .flat_map(|value| (0..64u32).map(move |loc| copy(loc, value)))
+            .collect();
+        let sequential = ShardedReferenceStore::new(8);
+        for reference in batch.clone() {
+            sequential.offer(reference);
+        }
+        let parallel = ShardedReferenceStore::new(8);
+        let report = parallel.ingest_batch(batch, 8);
+        assert_eq!((report.accepted, report.rejected), (64, 64));
+        for loc in 0..64u32 {
+            assert_eq!(
+                parallel.get(LocationId(loc), red()),
+                sequential.get(LocationId(loc), red()),
+                "location {loc} kept a later equal-day copy"
+            );
         }
     }
 
