@@ -29,8 +29,6 @@
 use crate::index::IndexEntry;
 use crate::record::RecordKey;
 use crate::segment::SegmentWriter;
-use std::collections::HashMap;
-use std::fs::File;
 
 /// Per-step bounds on how much work one [`compaction_step`] may do.
 ///
@@ -109,9 +107,6 @@ pub struct CompactionDriver {
     /// ran.
     pub(crate) freed_dead_bytes: u64,
     pub(crate) freed_dead_records: u64,
-    /// One read handle per source segment (live entries arrive in key
-    /// order, not segment order).
-    pub(crate) sources: HashMap<u64, File>,
 }
 
 impl CompactionDriver {

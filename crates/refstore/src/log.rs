@@ -32,7 +32,10 @@ use crate::compaction::{CompactionBudget, CompactionDriver, CompactionStepReport
 use crate::error::{RefStoreError, Result};
 use crate::index::{IndexEntry, MemIndex};
 use crate::manifest::{sync_dir, Manifest};
-use crate::record::{decode_frame, encode_frame, Record, RecordKey, BODY_FIXED_LEN, MAX_BODY_LEN};
+use crate::record::{
+    decode_frame, encode_frame, encode_frame_into, framed_len, Record, RecordKey, BODY_FIXED_LEN,
+    MAX_BODY_LEN,
+};
 use crate::segment::{
     list_segments, scan_segment, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
 };
@@ -41,7 +44,6 @@ use earthplus_telemetry::{
 };
 use std::collections::{hash_map, HashMap};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -510,6 +512,9 @@ impl RefLog {
 
     /// Appends a record under freshest-wins semantics. Returns `false`
     /// (writing nothing) when the stored generation is at least as fresh.
+    /// An accepted record is a batch of one: it lands with its own write
+    /// and, with `fsync_appends` enabled, its own data sync before this
+    /// returns.
     ///
     /// # Errors
     ///
@@ -519,9 +524,7 @@ impl RefLog {
     /// failures; on error the index is unchanged (the partially written
     /// frame, if any, is healed by the next recovery).
     pub fn append(&mut self, key: RecordKey, day: f64, payload: &[u8]) -> Result<bool> {
-        if BODY_FIXED_LEN + payload.len() as u64 > MAX_BODY_LEN {
-            return Err(RefStoreError::TooLarge(payload.len() as u64));
-        }
+        check_committable(payload)?;
         if !self.index.is_fresher(&key, day) {
             return Ok(false);
         }
@@ -534,52 +537,7 @@ impl RefLog {
             .span_on(TraceTrack::Station(0), "refstore", "append");
         trace.arg("payload_bytes", payload.len());
         trace.arg("day", day);
-        let frame = encode_frame(key, day, payload);
-        if self.active.len + frame.len() as u64 > self.config.segment_max_bytes
-            && self.active.len > SEGMENT_HEADER_LEN
-        {
-            self.rotate()?;
-        }
-        let offset = self.active.append_frame(&frame)?;
-        if self.config.fsync_appends {
-            self.active.sync()?;
-            self.fsyncs_issued += 1;
-        }
-        let entry = IndexEntry {
-            segment: self.active.id,
-            offset,
-            framed_len: frame.len() as u64,
-            day,
-        };
-        if let Some(old) = self.index.install(key, entry) {
-            self.dead_records += 1;
-            self.dead_bytes += old.framed_len;
-            self.live_bytes -= old.framed_len;
-            if let Some(driver) = self.driver.as_mut() {
-                // The superseded generation lives in a compaction input
-                // (appends only ever write post-begin segments), so its
-                // bytes die with the inputs at commit.
-                if driver.is_input(old.segment) {
-                    driver.freed_dead_bytes += old.framed_len;
-                    driver.freed_dead_records += 1;
-                }
-            }
-        }
-        self.live_bytes += frame.len() as u64;
-        if self.config.auto_compact {
-            // Background maintenance rides the append path in bounded
-            // slices: pump the in-progress compaction, or start one once
-            // the dead-byte thresholds trip. Either way the stall is
-            // capped by the step budget, not the live-set size.
-            let budget = self.config.compaction_step;
-            if self.driver.is_some() {
-                self.compaction_step(budget)?;
-            } else if self.should_compact() {
-                self.begin_compaction()?;
-                self.compaction_step(budget)?;
-            }
-        }
-        self.publish_byte_gauges();
+        self.commit(&[(key, day, payload)])?;
         Ok(true)
     }
 
@@ -606,120 +564,122 @@ impl RefLog {
     ///
     /// Returns [`RefStoreError::TooLarge`] — before writing anything —
     /// when *any* payload in the batch is uncommittable. Propagates
-    /// write failures; runs already flushed stay committed, the failed
+    /// write failures; runs already landed stay committed, the failed
     /// run installs nothing.
     pub fn append_batch(&mut self, records: &[(RecordKey, f64, &[u8])]) -> Result<Vec<bool>> {
         for (_, _, payload) in records {
-            if BODY_FIXED_LEN + payload.len() as u64 > MAX_BODY_LEN {
-                return Err(RefStoreError::TooLarge(payload.len() as u64));
-            }
+            check_committable(payload)?;
         }
         let mut trace = self
             .tracing
             .span_on(TraceTrack::Station(0), "refstore", "append_batch");
         trace.arg("records", records.len());
+        let accepted = self.commit(records)?;
+        let committed = accepted.iter().filter(|&&kept| kept).count() as u64;
+        if committed > 0 {
+            self.batch_records.record(committed);
+        }
+        trace.arg("committed", committed);
+        Ok(accepted)
+    }
+
+    /// The one write path behind [`RefLog::append`] and
+    /// [`RefLog::append_batch`]. Frames every record fresher than both
+    /// the index and any earlier record of the call into a staging
+    /// buffer, one buffer per segment run; lands each run with a single
+    /// write plus, with `fsync_appends` enabled, one data sync; then
+    /// installs the run's index entries in order, so the dead-byte
+    /// accounting of supersedes matches record-at-a-time appends. A
+    /// failed write or sync installs nothing from its run — the partial
+    /// frames are healed as a torn tail by the next recovery. After
+    /// anything landed, auto-compaction pumps one bounded step and the
+    /// byte gauges are published. Returns one accepted flag per record.
+    fn commit(&mut self, records: &[(RecordKey, f64, &[u8])]) -> Result<Vec<bool>> {
         let mut accepted = vec![false; records.len()];
-        let mut committed = 0u64;
-        // Frames staged for the current segment: landed in one write when
-        // the segment fills or the batch drains. `pending` carries the
-        // freshest staged day per key so within-batch supersedes resolve
-        // exactly as sequential appends would.
-        let mut run: Vec<(RecordKey, f64, Vec<u8>)> = Vec::new();
-        let mut run_bytes = 0u64;
-        let mut pending: HashMap<RecordKey, f64> = HashMap::new();
-        let mut active_dirty = false;
+        // The run being staged for the active segment: its frames, and
+        // each record's entry with the offset relative to the run start.
+        let mut frames: Vec<u8> = Vec::new();
+        let mut run: Vec<(RecordKey, IndexEntry)> = Vec::new();
+        // Freshest staged day per key, so supersedes within the call
+        // resolve exactly as sequential appends would.
+        let mut staged: HashMap<RecordKey, f64> = HashMap::new();
         for (i, &(key, day, payload)) in records.iter().enumerate() {
-            let fresher = match pending.get(&key) {
+            let fresher = match staged.get(&key) {
                 Some(&staged_day) => day > staged_day,
                 None => self.index.is_fresher(&key, day),
             };
             if !fresher {
                 continue;
             }
-            let frame = encode_frame(key, day, payload);
-            if self.active.len + run_bytes + frame.len() as u64 > self.config.segment_max_bytes
-                && self.active.len + run_bytes > SEGMENT_HEADER_LEN
-            {
-                if self.flush_batch_run(&mut run)? {
-                    active_dirty = true;
-                }
-                run_bytes = 0;
-                if self.config.fsync_appends && active_dirty {
-                    // The filling segment seals here; its share of the
-                    // batch must be durable before writes move on — the
-                    // end-of-batch sync only covers the final active file.
-                    self.active.sync()?;
-                    self.fsyncs_issued += 1;
-                }
+            let framed = framed_len(payload.len() as u64);
+            let filled = self.active.len + frames.len() as u64;
+            if filled + framed > self.config.segment_max_bytes && filled > SEGMENT_HEADER_LEN {
+                self.land_run(&mut frames, &mut run)?;
                 self.rotate()?;
-                active_dirty = false;
             }
-            run_bytes += frame.len() as u64;
-            pending.insert(key, day);
-            run.push((key, day, frame));
+            run.push((
+                key,
+                IndexEntry {
+                    segment: self.active.id,
+                    offset: frames.len() as u64,
+                    framed_len: framed,
+                    day,
+                },
+            ));
+            encode_frame_into(&mut frames, key, day, payload);
+            staged.insert(key, day);
             accepted[i] = true;
-            committed += 1;
         }
-        if self.flush_batch_run(&mut run)? {
-            active_dirty = true;
+        if run.is_empty() {
+            return Ok(accepted);
         }
-        if self.config.fsync_appends && active_dirty {
-            // The group commit: one data sync covers every record the
-            // batch staged into the final active segment.
-            self.active.sync()?;
-            self.fsyncs_issued += 1;
+        self.land_run(&mut frames, &mut run)?;
+        if self.config.auto_compact {
+            // Background maintenance rides the write path in bounded
+            // slices, so the stall is capped by the step budget, not the
+            // live-set size.
+            self.maintain(self.config.compaction_step)?;
         }
-        if committed > 0 {
-            self.batch_records.record(committed);
-            if self.config.auto_compact {
-                let budget = self.config.compaction_step;
-                if self.driver.is_some() {
-                    self.compaction_step(budget)?;
-                } else if self.should_compact() {
-                    self.begin_compaction()?;
-                    self.compaction_step(budget)?;
-                }
-            }
-            self.publish_byte_gauges();
-        }
-        trace.arg("committed", committed);
+        self.publish_byte_gauges();
         Ok(accepted)
     }
 
-    /// Lands one staged segment run of [`RefLog::append_batch`]: a single
-    /// multi-frame write, then index installs in batch order (so the
-    /// dead-byte accounting of within-batch supersedes matches the
-    /// sequential path). Installs nothing when the write fails — the
-    /// partial frames are healed as a torn tail by the next recovery.
-    /// Returns whether anything was written.
-    fn flush_batch_run(&mut self, run: &mut Vec<(RecordKey, f64, Vec<u8>)>) -> Result<bool> {
+    /// Lands one staged run of [`RefLog::commit`] in the active segment
+    /// and installs its entries (see there); a no-op for an empty run.
+    fn land_run(
+        &mut self,
+        frames: &mut Vec<u8>,
+        run: &mut Vec<(RecordKey, IndexEntry)>,
+    ) -> Result<()> {
         if run.is_empty() {
-            return Ok(false);
+            return Ok(());
         }
-        let frames: Vec<&[u8]> = run.iter().map(|(_, _, f)| f.as_slice()).collect();
-        let mut offset = self.active.append_frames(&frames)?;
-        for (key, day, frame) in run.drain(..) {
-            let entry = IndexEntry {
-                segment: self.active.id,
-                offset,
-                framed_len: frame.len() as u64,
-                day,
-            };
-            offset += frame.len() as u64;
+        let start = self.active.append_frame(frames)?;
+        frames.clear();
+        if self.config.fsync_appends {
+            self.active.sync()?;
+            self.fsyncs_issued += 1;
+        }
+        for (key, mut entry) in run.drain(..) {
+            entry.offset += start;
             if let Some(old) = self.index.install(key, entry) {
                 self.dead_records += 1;
                 self.dead_bytes += old.framed_len;
                 self.live_bytes -= old.framed_len;
                 if let Some(driver) = self.driver.as_mut() {
+                    // The superseded generation lives in a compaction
+                    // input (writes only ever land in post-begin
+                    // segments), so its bytes die with the inputs at
+                    // commit.
                     if driver.is_input(old.segment) {
                         driver.freed_dead_bytes += old.framed_len;
                         driver.freed_dead_records += 1;
                     }
                 }
             }
-            self.live_bytes += frame.len() as u64;
+            self.live_bytes += entry.framed_len;
         }
-        Ok(true)
+        Ok(())
     }
 
     fn rotate(&mut self) -> Result<()> {
@@ -759,9 +719,15 @@ impl RefLog {
     /// the committed bytes no longer pass their CRC or decode to a
     /// different key (storage decay).
     pub fn get(&self, key: &RecordKey) -> Result<Option<Record>> {
-        let Some(entry) = self.index.get(key) else {
-            return Ok(None);
-        };
+        match self.index.get(key) {
+            Some(entry) => self.read_record(key, entry).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Reads and validates the record `entry` points at — the one read
+    /// path, shared by [`RefLog::get`] and compaction's relocation.
+    fn read_record(&self, key: &RecordKey, entry: &IndexEntry) -> Result<Record> {
         let frame = self.read_frame(entry).map_err(|e| {
             RefStoreError::Corrupt(format!(
                 "live record at segment {} offset {} unreadable: {e}",
@@ -774,7 +740,7 @@ impl RefLog {
                 "index entry points at a record with a different key".into(),
             ));
         }
-        Ok(Some(record))
+        Ok(record)
     }
 
     /// Fetches one framed record — through the shared handle cache with a
@@ -932,11 +898,10 @@ impl RefLog {
             relocations: Vec::new(),
             // Every dead byte at begin lives in an input (the post-begin
             // active is empty), so the whole current dead set dies with
-            // the inputs at commit. Appends that supersede an input entry
-            // while the driver runs add to this (see `append`).
+            // the inputs at commit. Writes that supersede an input entry
+            // while the driver runs add to this (see `land_run`).
             freed_dead_bytes: self.dead_bytes,
             freed_dead_records: self.dead_records,
-            sources: HashMap::new(),
         });
         Ok(())
     }
@@ -1026,13 +991,7 @@ impl RefLog {
                 report.skipped_records += 1;
                 continue;
             }
-            let source = match driver.sources.entry(old.segment) {
-                hash_map::Entry::Occupied(o) => o.into_mut(),
-                hash_map::Entry::Vacant(v) => {
-                    v.insert(File::open(self.dir.join(segment_file_name(old.segment)))?)
-                }
-            };
-            let record = read_entry_at(source, &key, &old)?;
+            let record = self.read_record(&key, &old)?;
             let frame = encode_frame(key, record.day, &record.payload);
             let rotate = driver.writer.as_ref().is_none_or(|w| {
                 w.len + frame.len() as u64 > self.config.segment_max_bytes
@@ -1145,25 +1104,13 @@ impl RefLog {
     }
 }
 
-/// Reads and validates one indexed record from an already-open segment
-/// file — shared by [`RefLog::get`] and compaction (which holds one
-/// handle per source segment instead of reopening per record).
-fn read_entry_at(file: &mut File, key: &RecordKey, entry: &IndexEntry) -> Result<Record> {
-    file.seek(SeekFrom::Start(entry.offset))?;
-    let mut frame = vec![0u8; entry.framed_len as usize];
-    file.read_exact(&mut frame).map_err(|e| {
-        RefStoreError::Corrupt(format!(
-            "live record at segment {} offset {} unreadable: {e}",
-            entry.segment, entry.offset
-        ))
-    })?;
-    let record = decode_frame(&frame)?;
-    if record.key != *key {
-        return Err(RefStoreError::Corrupt(
-            "index entry points at a record with a different key".into(),
-        ));
+/// Refuses a payload whose frame recovery could not tell from framing
+/// corruption.
+fn check_committable(payload: &[u8]) -> Result<()> {
+    if BODY_FIXED_LEN + payload.len() as u64 > MAX_BODY_LEN {
+        return Err(RefStoreError::TooLarge(payload.len() as u64));
     }
-    Ok(record)
+    Ok(())
 }
 
 #[cfg(test)]

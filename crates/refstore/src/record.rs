@@ -84,18 +84,25 @@ pub struct Record {
 
 /// Encodes one record as a complete frame ready to append.
 pub fn encode_frame(key: RecordKey, day: f64, payload: &[u8]) -> Vec<u8> {
-    let body_len = BODY_FIXED_LEN as usize + payload.len();
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + body_len);
-    frame.extend_from_slice(&(body_len as u32).to_le_bytes());
-    frame.extend_from_slice(&[0u8; 4]); // crc placeholder
-    frame.push(KIND_PUT);
-    frame.extend_from_slice(&key.0 .0.to_le_bytes());
-    frame.push(band_tag(key.1));
-    frame.extend_from_slice(&day.to_bits().to_le_bytes());
-    frame.extend_from_slice(payload);
-    let crc = crc32(&frame[FRAME_HEADER_LEN as usize..]);
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    let mut frame = Vec::with_capacity(framed_len(payload.len() as u64) as usize);
+    encode_frame_into(&mut frame, key, day, payload);
     frame
+}
+
+/// Appends one record's complete frame to `out` — how a write run stages
+/// its frames back to back in one buffer.
+pub(crate) fn encode_frame_into(out: &mut Vec<u8>, key: RecordKey, day: f64, payload: &[u8]) {
+    let start = out.len();
+    let body_len = BODY_FIXED_LEN as usize + payload.len();
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.extend_from_slice(&[0u8; 4]); // crc placeholder
+    out.push(KIND_PUT);
+    out.extend_from_slice(&key.0 .0.to_le_bytes());
+    out.push(band_tag(key.1));
+    out.extend_from_slice(&day.to_bits().to_le_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc32(&out[start + FRAME_HEADER_LEN as usize..]);
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Decodes the body of a frame whose CRC already checked out.

@@ -91,39 +91,20 @@ impl SegmentWriter {
         Ok(SegmentWriter { id, file, len })
     }
 
-    /// Appends one pre-encoded frame. The record is *committed* once this
-    /// returns: the frame is fully handed to the OS, and recovery accepts
-    /// exactly the CRC-valid prefix of the file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn append_frame(&mut self, frame: &[u8]) -> Result<u64> {
-        let offset = self.len;
-        self.file.write_all(frame)?;
-        self.len += frame.len() as u64;
-        Ok(offset)
-    }
-
-    /// Appends several pre-encoded frames back to back with one write,
-    /// returning the offset of the first — the group-commit batch path
-    /// lands a whole staged segment run in a single syscall. Commit
-    /// semantics are per frame, exactly as [`SegmentWriter::append_frame`]:
-    /// a crash mid-write recovers to the CRC-valid frame prefix.
+    /// Appends pre-encoded frames — one, or a staged run back to back —
+    /// with a single write, returning the offset of the first. Each
+    /// record is *committed* once its frame is fully handed to the OS:
+    /// recovery accepts exactly the CRC-valid frame prefix of the file,
+    /// so a crash mid-write loses only whole trailing records.
     ///
     /// # Errors
     ///
     /// Propagates write failures; any partially written tail is healed
     /// by the next recovery scan.
-    pub fn append_frames(&mut self, frames: &[&[u8]]) -> Result<u64> {
+    pub fn append_frame(&mut self, frame: &[u8]) -> Result<u64> {
         let offset = self.len;
-        let total: usize = frames.iter().map(|f| f.len()).sum();
-        let mut buf = Vec::with_capacity(total);
-        for frame in frames {
-            buf.extend_from_slice(frame);
-        }
-        self.file.write_all(&buf)?;
-        self.len += total as u64;
+        self.file.write_all(frame)?;
+        self.len += frame.len() as u64;
         Ok(offset)
     }
 
