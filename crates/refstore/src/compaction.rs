@@ -5,8 +5,9 @@
 //! full rewrite is a latency spike proportional to the live set. The
 //! [`CompactionDriver`] splits the same rewrite into bounded steps:
 //!
-//! * [`RefLog::begin_compaction`](crate::RefLog::begin_compaction) seals
-//!   the active segment and snapshots the live index (key order, so the
+//! * beginning one — from [`RefLog::maintain`](crate::RefLog::maintain)
+//!   once the dead-byte thresholds trip, or from `compact` — seals the
+//!   active segment and snapshots the live index (key order, so the
 //!   output layout is deterministic and byte-identical to a
 //!   stop-the-world compaction of the same state);
 //! * each [`RefLog::compaction_step`](crate::RefLog::compaction_step)

@@ -18,8 +18,7 @@ pub enum RefStoreError {
     /// A committed record failed validation on read.
     Corrupt(String),
     /// An append was rejected because its payload exceeds what the frame
-    /// format can commit ([`crate::record::MAX_BODY_LEN`]); nothing was
-    /// written.
+    /// format can commit (a 2^28-byte frame body); nothing was written.
     TooLarge(u64),
 }
 

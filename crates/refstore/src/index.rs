@@ -50,7 +50,7 @@ impl MemIndex {
 
     /// Whether `day` would supersede the current generation of `key`
     /// (true also when the key is absent).
-    pub fn is_fresher(&self, key: &RecordKey, day: f64) -> bool {
+    pub(crate) fn is_fresher(&self, key: &RecordKey, day: f64) -> bool {
         self.map.get(key).is_none_or(|e| e.day < day)
     }
 
@@ -79,7 +79,7 @@ impl MemIndex {
     /// All live `(key, entry)` pairs sorted by key — the deterministic
     /// order used by compaction and by byte-identity comparisons in
     /// recovery tests.
-    pub fn entries_sorted(&self) -> Vec<(RecordKey, IndexEntry)> {
+    pub(crate) fn entries_sorted(&self) -> Vec<(RecordKey, IndexEntry)> {
         let mut entries: Vec<(RecordKey, IndexEntry)> =
             self.map.iter().map(|(k, e)| (*k, *e)).collect();
         entries.sort_by_key(|&(key, _)| key);
@@ -87,7 +87,7 @@ impl MemIndex {
     }
 
     /// All live keys, sorted.
-    pub fn keys_sorted(&self) -> Vec<RecordKey> {
+    pub(crate) fn keys_sorted(&self) -> Vec<RecordKey> {
         let mut keys: Vec<RecordKey> = self.map.keys().copied().collect();
         keys.sort();
         keys

@@ -16,14 +16,13 @@
 //!   replay, enforcing freshest-wins before any byte is written;
 //! * [`manifest`] — the atomically swapped segment-set description that
 //!   makes compaction crash-safe;
-//! * [`log`] — [`RefLog`], the engine: open/replay, append, read,
-//!   snapshot + compaction (which drops superseded reference
-//!   generations), accounting, and [`RecoveryReport`];
+//! * [`log`] — [`RefLog`], the engine: open/replay, one commit core
+//!   behind single and batched appends (a single append is a batch of
+//!   one), one read path, snapshot + compaction (which drops superseded
+//!   reference generations), accounting, and [`RecoveryReport`];
 //! * [`compaction`] — the incremental [`CompactionDriver`]: the same
 //!   rewrite split into [`CompactionBudget`]-bounded steps off the
 //!   append hot path;
-//! * [`capacity`] — the closed-form [`CapacityModel`] tying disk growth
-//!   to mission length, retention, and capture cadence;
 //! * [`mod@crc32`] / [`error`] — the integrity primitive and error type.
 //!
 //! One `RefLog` is single-writer; the ground segment runs one per shard
@@ -56,7 +55,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod capacity;
 pub mod compaction;
 pub mod crc32;
 pub mod error;
@@ -66,7 +64,6 @@ pub mod manifest;
 pub mod record;
 pub mod segment;
 
-pub use capacity::{CapacityModel, CapacityProjection};
 pub use compaction::{CompactionBudget, CompactionDriver, CompactionStepReport};
 pub use crc32::crc32;
 pub use error::{RefStoreError, Result};

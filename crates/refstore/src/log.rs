@@ -6,11 +6,20 @@
 //! one `RefLog` per shard directory behind an `RwLock`, mirroring the
 //! in-memory store's shard routing.
 //!
+//! There is one write path and one read path. [`RefLog::append`] and
+//! [`RefLog::append_batch`] share one commit core: it stages the fresher
+//! records' frames in one buffer per segment run and lands each run with
+//! one write (plus one data sync with `fsync_appends`), so a single
+//! append is a batch of one with per-record durability. [`RefLog::get`]
+//! and compaction's relocation read through the same handle-cached
+//! positioned read.
+//!
 //! ## Durability contract
 //!
 //! * **Commit point** — a record is committed once its CRC-framed bytes
 //!   are fully in the segment file. With `fsync_appends` enabled the
-//!   append also forces the file to stable storage before returning;
+//!   write also forces the file to stable storage before returning —
+//!   once per `append`, once per segment run of an `append_batch`;
 //!   without it (the default, matching the simulation's needs) the OS may
 //!   hold the tail in its page cache, and the commit point is
 //!   process-crash-safe but not power-loss-safe.
@@ -443,22 +452,6 @@ impl RefLog {
         ))
     }
 
-    /// Opens the log and immediately wires it to `sink` — see
-    /// [`RefLog::attach_telemetry`].
-    ///
-    /// # Errors
-    ///
-    /// As [`RefLog::open`].
-    pub fn open_with_telemetry(
-        dir: &Path,
-        config: RefLogConfig,
-        sink: &TelemetrySink,
-    ) -> Result<(Self, RecoveryReport)> {
-        let (mut log, report) = RefLog::open(dir, config)?;
-        log.attach_telemetry(sink);
-        Ok((log, report))
-    }
-
     /// Wires this log's instrumentation to `sink`: committed appends and
     /// compaction runs start recording latency spans
     /// ([`names::REFSTORE_APPEND_NS`] / [`names::REFSTORE_COMPACTION_NS`]),
@@ -875,7 +868,7 @@ impl RefLog {
     /// # Errors
     ///
     /// Propagates the rotation I/O failure; no driver is started.
-    pub fn begin_compaction(&mut self) -> Result<()> {
+    pub(crate) fn begin_compaction(&mut self) -> Result<()> {
         if self.driver.is_some() {
             return Ok(());
         }
@@ -904,11 +897,6 @@ impl RefLog {
             freed_dead_records: self.dead_records,
         });
         Ok(())
-    }
-
-    /// Whether an incremental compaction is between steps.
-    pub fn compaction_in_progress(&self) -> bool {
-        self.driver.is_some()
     }
 
     /// Runs one slice of background maintenance regardless of the
@@ -1385,8 +1373,8 @@ mod tests {
         use earthplus_telemetry::MetricsRegistry;
         let dir = test_dir("telemetry");
         let registry = MetricsRegistry::new();
-        let (mut log, _) =
-            RefLog::open_with_telemetry(&dir, no_autocompact(), &registry.sink()).unwrap();
+        let (mut log, _) = RefLog::open(&dir, no_autocompact()).unwrap();
+        log.attach_telemetry(&registry.sink());
         for loc in 0..5u32 {
             log.append(key(loc), 1.0, &[loc as u8; 32]).unwrap();
         }
@@ -1407,8 +1395,8 @@ mod tests {
         // Reopening through the same sink contributes a second replay
         // sample to the shared histogram.
         drop(log);
-        let _reopened =
-            RefLog::open_with_telemetry(&dir, no_autocompact(), &registry.sink()).unwrap();
+        let (mut reopened, _) = RefLog::open(&dir, no_autocompact()).unwrap();
+        reopened.attach_telemetry(&registry.sink());
         let s = registry.snapshot();
         assert_eq!(s.histogram(names::REFSTORE_REPLAY_NS).unwrap().count, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1571,7 +1559,7 @@ mod tests {
         }
         // Drain whatever is still mid-flight so the assertions see a
         // quiesced store.
-        while log.compaction_in_progress() {
+        while log.driver.is_some() {
             log.compaction_step(config.compaction_step).unwrap();
         }
         let stats = log.stats();

@@ -22,17 +22,17 @@ use earthplus_raster::{Band, LocationId, PlanetBand, Sentinel2Band};
 pub type RecordKey = (LocationId, Band);
 
 /// Bytes of the frame header (`body_len` + `crc32`).
-pub const FRAME_HEADER_LEN: u64 = 8;
+pub(crate) const FRAME_HEADER_LEN: u64 = 8;
 /// Fixed body bytes before the payload (`kind` + `location` + `band` + `day`).
-pub const BODY_FIXED_LEN: u64 = 14;
+pub(crate) const BODY_FIXED_LEN: u64 = 14;
 /// Sanity bound on a single body; anything larger is treated as framing
 /// corruption rather than attempted as an allocation.
-pub const MAX_BODY_LEN: u64 = 1 << 28;
+pub(crate) const MAX_BODY_LEN: u64 = 1 << 28;
 
 /// Record kind tag. Only `Put` exists today — freshest-wins semantics
 /// need no tombstones (superseded generations die at compaction) — but
 /// the tag keeps the format extensible without a version bump.
-pub const KIND_PUT: u8 = 1;
+pub(crate) const KIND_PUT: u8 = 1;
 
 /// Total file bytes one record with `payload_len` payload bytes occupies.
 pub const fn framed_len(payload_len: u64) -> u64 {
@@ -111,7 +111,7 @@ pub(crate) fn encode_frame_into(out: &mut Vec<u8>, key: RecordKey, day: f64, pay
 ///
 /// Returns [`RefStoreError::Corrupt`] for an unknown record kind or band
 /// tag — a CRC-valid body from a future format version.
-pub fn decode_body(body: &[u8]) -> Result<Record> {
+pub(crate) fn decode_body(body: &[u8]) -> Result<Record> {
     if body.len() < BODY_FIXED_LEN as usize {
         return Err(RefStoreError::Corrupt(format!(
             "record body of {} bytes is shorter than the fixed fields",

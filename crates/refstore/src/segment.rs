@@ -3,9 +3,11 @@
 //! A segment is a 16-byte header followed by a run of CRC32-framed records
 //! (see [`crate::record`]). Appends go to the *active* (highest-id)
 //! segment until it reaches the configured size, then a new segment is
-//! started; compaction rewrites live records into fresh segments and
-//! retires the old ones. Segment files are never modified in place except
-//! for the single recovery-time truncation of a torn tail.
+//! started; each write lands with one [`SegmentWriter`] call, whether it
+//! carries one record or a batch's whole staged run. Compaction rewrites
+//! live records into fresh segments and retires the old ones. Segment
+//! files are never modified in place except for the single recovery-time
+//! truncation of a torn tail.
 
 use crate::crc32::crc32;
 use crate::error::Result;
@@ -15,9 +17,9 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file ("Earth+ Reference Store").
-pub const SEGMENT_MAGIC: [u8; 4] = *b"EPRS";
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"EPRS";
 /// Current segment format version.
-pub const SEGMENT_VERSION: u16 = 1;
+pub(crate) const SEGMENT_VERSION: u16 = 1;
 /// Bytes of the segment header (magic + version + flags + segment id).
 pub const SEGMENT_HEADER_LEN: u64 = 16;
 
@@ -101,7 +103,7 @@ impl SegmentWriter {
     ///
     /// Propagates write failures; any partially written tail is healed
     /// by the next recovery scan.
-    pub fn append_frame(&mut self, frame: &[u8]) -> Result<u64> {
+    pub(crate) fn append_frame(&mut self, frame: &[u8]) -> Result<u64> {
         let offset = self.len;
         self.file.write_all(frame)?;
         self.len += frame.len() as u64;
