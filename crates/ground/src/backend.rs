@@ -79,10 +79,9 @@ fn shard_batches(references: Vec<ReferenceImage>, shards: usize) -> Vec<Vec<Refe
 /// per-shard groups ([`shard_index`], arrival order kept within each
 /// group) and hands each non-empty group, whole, to
 /// `write_group(shard, group)` on one of up to `threads` scoped workers.
-/// A key lives
-/// in exactly one shard and its group keeps arrival order, so the store
-/// ends where sequential offers would leave it at any thread count —
-/// ties included. `write_group` returns the group's
+/// A key lives in exactly one shard and its group keeps arrival order, so
+/// the store ends where sequential offers would leave it at any thread
+/// count, ties included. `write_group` returns the group's
 /// `(accepted, rejected)` counts.
 pub(crate) fn ingest_sharded<F>(
     references: Vec<ReferenceImage>,

@@ -712,10 +712,10 @@ impl RefLog {
     /// the committed bytes no longer pass their CRC or decode to a
     /// different key (storage decay).
     pub fn get(&self, key: &RecordKey) -> Result<Option<Record>> {
-        match self.index.get(key) {
-            Some(entry) => self.read_record(key, entry).map(Some),
-            None => Ok(None),
-        }
+        let Some(entry) = self.index.get(key) else {
+            return Ok(None);
+        };
+        self.read_record(key, entry).map(Some)
     }
 
     /// Reads and validates the record `entry` points at — the one read
