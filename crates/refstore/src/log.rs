@@ -620,7 +620,10 @@ impl RefLog {
                 },
             ));
             encode_frame_into(&mut frames, key, day, payload);
-            staged.insert(key, day);
+            if records.len() > 1 {
+                // A batch of one has nothing later to supersede.
+                staged.insert(key, day);
+            }
             accepted[i] = true;
         }
         if run.is_empty() {

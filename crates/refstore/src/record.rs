@@ -84,7 +84,7 @@ pub struct Record {
 
 /// Encodes one record as a complete frame ready to append.
 pub fn encode_frame(key: RecordKey, day: f64, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(framed_len(payload.len() as u64) as usize);
+    let mut frame = Vec::new();
     encode_frame_into(&mut frame, key, day, payload);
     frame
 }
@@ -94,6 +94,7 @@ pub fn encode_frame(key: RecordKey, day: f64, payload: &[u8]) -> Vec<u8> {
 pub(crate) fn encode_frame_into(out: &mut Vec<u8>, key: RecordKey, day: f64, payload: &[u8]) {
     let start = out.len();
     let body_len = BODY_FIXED_LEN as usize + payload.len();
+    out.reserve(FRAME_HEADER_LEN as usize + body_len);
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
     out.extend_from_slice(&[0u8; 4]); // crc placeholder
     out.push(KIND_PUT);
