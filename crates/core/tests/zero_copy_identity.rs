@@ -105,6 +105,37 @@ fn golden_full_encode_bytes_unchanged() {
     );
 }
 
+/// The vendored reference encoders alone reproduce the frozen EPC1
+/// goldens: the EPC1 wire bytes are pinned against the oracle, not
+/// against whichever optimized encoder happens to emit them.
+#[test]
+fn reference_encoders_hash_to_the_epc1_goldens() {
+    let (_, capture) = quickstart_scene();
+    let red = capture
+        .image
+        .require_band(Band::Planet(PlanetBand::Red))
+        .unwrap();
+    let config = EarthPlusConfig::paper();
+    let grid = TileGrid::new(256, 256, config.tile_size).unwrap();
+    let mut all = TileMask::new(&grid);
+    all.fill();
+    let codec = CodecConfig::lossy();
+    let roi = reference::encode_roi_reference(red, &grid, &all, &codec, config.tile_budget_bytes())
+        .unwrap();
+    let mut hash = FNV_OFFSET;
+    for tile in roi.tiles() {
+        hash = fnv1a64(&tile.flat_index.to_be_bytes(), hash);
+        hash = fnv1a64(&tile.image.to_bytes(), hash);
+    }
+    assert_eq!(hash, GOLDEN_ROI_HASH, "reference ROI encoder drifted");
+    let full = reference::encode_reference(red, &codec).unwrap();
+    assert_eq!(
+        fnv1a64(&full.to_bytes(), FNV_OFFSET),
+        GOLDEN_ENCODE_HASH,
+        "reference full-rate encoder drifted"
+    );
+}
+
 #[test]
 fn golden_epc2_roi_bytes_and_roundtrip() {
     let (_, capture) = quickstart_scene();
