@@ -139,10 +139,19 @@ fn lift_forward_reference(line: &mut [f32], wavelet: Wavelet) {
 /// The original dense bitplane encoder: scans all `n` coefficients twice
 /// per plane, allocating the significance map and per-plane lists.
 ///
+/// # Errors
+///
+/// Returns [`CodecError::TooManyPlanes`] when the largest magnitude needs
+/// more than [`MAX_PLANES`] bitplanes: a stream of fewer planes would not
+/// represent the coefficients.
+///
 /// # Panics
 ///
 /// Panics if `width` is zero or does not divide `coefficients.len()`.
-pub fn encode_planes_reference(coefficients: &[i32], width: usize) -> EncodedPlanes {
+pub fn encode_planes_reference(
+    coefficients: &[i32],
+    width: usize,
+) -> Result<EncodedPlanes, CodecError> {
     assert!(width > 0, "width must be positive");
     assert_eq!(
         coefficients.len() % width,
@@ -155,7 +164,10 @@ pub fn encode_planes_reference(coefficients: &[i32], width: usize) -> EncodedPla
         .map(|&c| c.unsigned_abs())
         .max()
         .unwrap_or(0);
-    let planes = (32 - max_mag.leading_zeros()).min(MAX_PLANES as u32) as u8;
+    let planes = (32 - max_mag.leading_zeros()) as u8;
+    if planes > MAX_PLANES {
+        return Err(CodecError::TooManyPlanes { planes });
+    }
 
     let mut enc = RangeEncoder::new();
     let mut ctx = crate::bitplane::Contexts::new();
@@ -205,11 +217,11 @@ pub fn encode_planes_reference(coefficients: &[i32], width: usize) -> EncodedPla
             payload.resize(last as usize, 0);
         }
     }
-    EncodedPlanes {
+    Ok(EncodedPlanes {
         payload,
         planes,
         pass_offsets,
-    }
+    })
 }
 
 /// The original whole-raster encode: allocates the scaled-sample and
@@ -217,7 +229,9 @@ pub fn encode_planes_reference(coefficients: &[i32], width: usize) -> EncodedPla
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::EmptyImage`] for a zero-sized raster.
+/// Returns [`CodecError::EmptyImage`] for a zero-sized raster, and
+/// [`CodecError::TooManyPlanes`] when `config.quant_step` is too fine for
+/// the input's dynamic range.
 pub fn encode_reference(image: &Raster, config: &CodecConfig) -> Result<EncodedImage, CodecError> {
     if image.is_empty() {
         return Err(CodecError::EmptyImage);
@@ -245,7 +259,7 @@ pub fn encode_reference(image: &Raster, config: &CodecConfig) -> Result<EncodedI
             }
         })
         .collect();
-    let planes = encode_planes_reference(&quantized, w);
+    let planes = encode_planes_reference(&quantized, w)?;
     Ok(EncodedImage::from_parts(
         w as u32,
         h as u32,

@@ -7,10 +7,10 @@
 
 use earthplus_codec::bitplane::MAX_PLANES;
 use earthplus_codec::{
-    decode, encode, encode_view, encode_view_with_budget, encode_with_budget, CodecConfig,
-    CodecError, CodecScratch, EncodedImage, FormatVersion,
+    decode, encode, encode_view, encode_view_with_budget, encode_with_budget, reference,
+    CodecConfig, CodecError, CodecScratch, EncodedImage, FormatVersion,
 };
-use earthplus_raster::{psnr, Raster};
+use earthplus_raster::{psnr, Raster, TileGrid, TileMask};
 
 struct Rng(u64);
 
@@ -110,6 +110,23 @@ fn plane_overflow_is_an_encode_error_in_both_formats() {
             )),
             "{format:?}, scratch view"
         );
+    }
+    // The vendored reference encoders emit EPC1 and must refuse the same
+    // input instead of clamping the plane count.
+    let overflow = CodecConfig {
+        quant_step: 1e-4,
+        ..CodecConfig::lossy()
+    };
+    match reference::encode_reference(&img, &overflow) {
+        Err(CodecError::TooManyPlanes { planes }) => assert!(planes > MAX_PLANES),
+        other => panic!("reference encode of 31 planes: {other:?}"),
+    }
+    let grid = TileGrid::new(64, 64, 32).unwrap();
+    let mut all = TileMask::new(&grid);
+    all.fill();
+    match reference::encode_roi_reference(&img, &grid, &all, &overflow, 4096) {
+        Err(CodecError::TooManyPlanes { planes }) => assert!(planes > MAX_PLANES),
+        other => panic!("reference ROI encode of 31 planes: {other:?}"),
     }
 }
 

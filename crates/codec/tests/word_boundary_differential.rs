@@ -120,7 +120,7 @@ fn epc1_encoder_matches_reference_at_word_seams() {
     for (si, &(width, rows)) in SHAPES.iter().enumerate() {
         for (name, coeffs) in populations(width, rows, 0xA5A5 + si as u64) {
             let word = encode_planes(&coeffs, width, FormatVersion::Epc1).unwrap();
-            let reference = reference::encode_planes_reference(&coeffs, width);
+            let reference = reference::encode_planes_reference(&coeffs, width).unwrap();
             assert_eq!(
                 word.payload, reference.payload,
                 "payload drift at {width}x{rows}/{name}"
