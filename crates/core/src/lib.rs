@@ -73,8 +73,8 @@ pub use baselines::{KodanStrategy, SatRoiStrategy};
 pub use change::{ChangeDetection, ChangeDetector};
 pub use config::{DovesSpec, EarthPlusConfig};
 pub use earthplus_ground::{
-    CacheStats, ConstellationScheduler, ContactWindow, EvictingReferenceCache, EvictionPolicy,
-    GroundService, GroundServiceConfig, GroundServiceStats, IngestReport, ReferenceBackend,
+    CacheStats, ConstellationScheduler, ContactWindow, EvictingReferenceCache, GroundService,
+    GroundServiceConfig, GroundServiceStats, IngestReport, ReferenceBackend,
     ReferenceBackendConfig, ReplicatedReferenceStore, ShardedReferenceStore, ShipQueueConfig,
     StationSetConfig,
 };

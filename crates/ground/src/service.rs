@@ -62,8 +62,6 @@ pub struct GroundServiceConfig {
     /// Byte bound of each satellite's modelled on-board cache (`None` =
     /// unbounded, the paper's assumption).
     pub cache_capacity_bytes: Option<u64>,
-    /// Eviction policy of the on-board cache model.
-    pub eviction: EvictionPolicy,
     /// Worker threads for batch ingest.
     pub ingest_threads: usize,
     /// The (location, band) pairs the uplink serves; empty means "every
@@ -98,7 +96,6 @@ impl Default for GroundServiceConfig {
             backend: ReferenceBackendConfig::InMemory,
             theta: 0.01,
             cache_capacity_bytes: None,
-            eviction: EvictionPolicy::default(),
             ingest_threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             targets: Vec::new(),
             reference_downsample: DEFAULT_REFERENCE_DOWNSAMPLE,
@@ -435,7 +432,7 @@ impl GroundService {
     fn new_cache(&self) -> EvictingReferenceCache {
         EvictingReferenceCache::with_counters(
             self.config.cache_capacity_bytes,
-            self.config.eviction,
+            EvictionPolicy::default(),
             self.cache_counters.clone(),
         )
     }
