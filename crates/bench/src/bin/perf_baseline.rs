@@ -13,14 +13,15 @@
 //!
 //! * `--quick` — fewer samples (CI smoke: proves the emitter works).
 //! * `--out <path>` — where to write the JSON (default
-//!   `BENCH_pipeline.json` in the current directory).
+//!   `BENCH_pipeline.json` in the current directory, unless `--check` is
+//!   given: a check run without `--out` writes no file).
 //! * `--telemetry <path>` — also write the telemetry registry's snapshot
 //!   (the metrics recorded by the instrumented runs) as JSON lines.
-//! * `--check <path>` — after measuring, compare this run's encode and
-//!   full-decode throughput in **both formats** (`encode_full_band`,
-//!   `encode_full_band_epc1`, `decode_full`, `decode_full_epc1`, each's
-//!   `mpix_per_s`) against the committed baseline at `<path>` and exit
-//!   non-zero below [`CHECK_MIN_RATIO`]× of any. The generous ratio absorbs machine
+//! * `--check <path>` — read the committed baseline at `<path>` before
+//!   anything is measured or written, then compare this run's encode and
+//!   full-decode throughput (`encode_full_band`, `decode_full`,
+//!   `decode_full_epc1`, each's `mpix_per_s`) against it and exit non-zero
+//!   below [`CHECK_MIN_RATIO`]× of any. The generous ratio absorbs machine
 //!   differences (CI runners vs the container the baseline was committed
 //!   from) while still catching catastrophic codec regressions. The same
 //!   flag gates wire overhead exactly: the run fails when
@@ -29,15 +30,16 @@
 //!
 //! Per-stage seconds come from the strategy's own [`StageTimings`] (the
 //! quantities of the paper's Figure 16); throughput is reported in
-//! megapixels per second of capture data processed. Since the EPC2 format
-//! bump the encoder microbenchmark times **both formats** — the EPC2
-//! default and the frozen EPC1 path — against the vendored pre-refactor
-//! reference encoder, interleaved in-process so machine-load drift cancels
-//! out of the ratios. EPC1 output is asserted bit-identical to the
-//! reference before timing; EPC2 output is asserted to decode and patch.
+//! megapixels per second of capture data processed. The encoder
+//! microbenchmark times the library's EPC2 ROI encode against the vendored
+//! reference encoder (the one EPC1 encoder, kept as the test oracle),
+//! interleaved in-process so machine-load drift cancels out of the
+//! `speedup_vs_reference` ratio. EPC2 output is asserted to decode and
+//! patch before timing.
 //!
 //! Since the streaming partial-decode pipeline the baseline also times the
-//! decode stage: full-rate EPC2 **and EPC1** full-band decodes through the
+//! decode stage: full-rate EPC2 **and EPC1** full-band decodes (the EPC1
+//! stream from the reference encoder) through the
 //! zero-allocation [`decode_into`] entry point (steady state: reused
 //! scratch arena and output raster), and the LL-only partial decode
 //! interleaved with full-decode + `downsample_box` (the historical
@@ -100,7 +102,7 @@ use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_codec::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use earthplus_codec::{
     decode_into, decode_ll_only, decode_with_scratch, encode_roi_with_scratch, reference,
-    CodecConfig, CodecScratch, DecodeScratch, FormatVersion, StageBreakdown,
+    CodecConfig, CodecScratch, DecodeScratch, StageBreakdown,
 };
 use earthplus_ground::{
     ConstellationScheduler, EvictingReferenceCache, ReferenceBackend, ReferenceImage,
@@ -113,8 +115,8 @@ use earthplus_scene::terrain::LocationArchetype;
 use earthplus_scene::{LocationScene, SceneConfig};
 use std::time::Instant;
 
-/// `--check` fails when this run's encode or full-decode throughput, in
-/// either format, drops below this fraction of the committed baseline's.
+/// `--check` fails when this run's encode or full-decode throughput (either
+/// decode format) drops below this fraction of the committed baseline's.
 const CHECK_MIN_RATIO: f64 = 0.4;
 
 /// Minimum in-process speedup of `decode_ll_only` over full decode +
@@ -210,27 +212,151 @@ fn committed_value(json: &str, section: &str, key: &str) -> Option<f64> {
     value.split([',', '}', '\n']).next()?.trim().parse().ok()
 }
 
-fn main() {
-    let mut quick = false;
-    let mut out = String::from("BENCH_pipeline.json");
-    let mut check: Option<String> = None;
-    let mut telemetry_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--check" => check = Some(args.next().expect("--check needs a path")),
-            "--telemetry" => telemetry_out = Some(args.next().expect("--telemetry needs a path")),
-            other => {
-                eprintln!(
-                    "unknown argument {other:?} (expected --quick / --out <path> / \
-                     --check <path> / --telemetry <path>)"
-                );
-                std::process::exit(2);
+/// The command line (see the module docs).
+struct Options {
+    quick: bool,
+    /// Where the report goes: `--out`, else `BENCH_pipeline.json` unless
+    /// `--check` is given (`None`: a check run writes no file).
+    out: Option<String>,
+    /// `--check`'s path and the baseline it held when the options were
+    /// parsed — before the run measured or wrote anything.
+    check: Option<(String, String)>,
+    telemetry_out: Option<String>,
+}
+
+impl Options {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+        let mut quick = false;
+        let mut out = None;
+        let mut check = None;
+        let mut telemetry_out = None;
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut path = || args.next().ok_or(format!("{arg} needs a path"));
+            match arg.as_str() {
+                "--quick" => quick = true,
+                "--out" => out = Some(path()?),
+                "--check" => check = Some(path()?),
+                "--telemetry" => telemetry_out = Some(path()?),
+                other => {
+                    return Err(format!(
+                        "unknown argument {other:?} (expected --quick / --out <path> / \
+                         --check <path> / --telemetry <path>)"
+                    ))
+                }
             }
         }
+        let check = match check {
+            Some(path) => {
+                let committed = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("--check: cannot read {path}: {e}"))?;
+                Some((path, committed))
+            }
+            None => {
+                out.get_or_insert_with(|| String::from("BENCH_pipeline.json"));
+                None
+            }
+        };
+        Ok(Options {
+            quick,
+            out,
+            check,
+            telemetry_out,
+        })
     }
+
+    /// Writes the report to `out`, if the run has one.
+    fn emit(&self, json: &str) {
+        if let Some(out) = &self.out {
+            std::fs::write(out, json).expect("write baseline JSON");
+            eprintln!("wrote {out}");
+        }
+    }
+}
+
+/// What `--check` compares with the committed baseline.
+struct Checked {
+    encode_mpix_s: f64,
+    decode_full_mpix_s: f64,
+    decode_epc1_mpix_s: f64,
+    header_bytes_per_tile: f64,
+    passes_per_s: f64,
+    deltas_sent: usize,
+}
+
+/// Compares `run` with `committed`, the baseline read from `path`,
+/// printing one line per gate; false when any gate fails.
+fn check_against(committed: &str, path: &str, run: &Checked) -> bool {
+    let mut ok = true;
+    for (section, measured) in [
+        ("encode_full_band", run.encode_mpix_s),
+        ("decode_full", run.decode_full_mpix_s),
+        ("decode_full_epc1", run.decode_epc1_mpix_s),
+    ] {
+        let committed_rate = committed_value(committed, section, "mpix_per_s")
+            .unwrap_or_else(|| panic!("--check: no {section}.mpix_per_s in {path}"));
+        let floor = committed_rate * CHECK_MIN_RATIO;
+        eprintln!(
+            "check: {section} {measured:.3} MPix/s vs committed {committed_rate:.3} \
+             (floor {floor:.3})"
+        );
+        if measured < floor {
+            eprintln!(
+                "ERROR: {section} regression — {measured:.3} MPix/s is below \
+                 {CHECK_MIN_RATIO}x the committed {committed_rate:.3}"
+            );
+            ok = false;
+        }
+    }
+    let header = run.header_bytes_per_tile;
+    let committed_header = committed_value(committed, "encode_full_band", "header_bytes_per_tile")
+        .unwrap_or_else(|| panic!("--check: no encode_full_band.header_bytes_per_tile in {path}"));
+    eprintln!(
+        "check: encode_full_band header {header:.3} B/tile vs committed {committed_header:.3}"
+    );
+    // The committed value is printed with three decimals; compare at
+    // that precision.
+    if (header * 1e3).round() > (committed_header * 1e3).round() {
+        eprintln!(
+            "ERROR: EPC2 header overhead grew — {header:.3} B/tile exceeds the committed \
+             {committed_header:.3}"
+        );
+        ok = false;
+    }
+    let passes_per_s = run.passes_per_s;
+    let committed_passes = committed_value(committed, "plan_pass", "passes_per_s")
+        .unwrap_or_else(|| panic!("--check: no plan_pass.passes_per_s in {path}"));
+    let floor = committed_passes * CHECK_MIN_RATIO;
+    eprintln!(
+        "check: plan_pass {passes_per_s:.3} passes/s vs committed {committed_passes:.3} \
+         (floor {floor:.3})"
+    );
+    if passes_per_s < floor {
+        eprintln!(
+            "ERROR: plan_pass regression — {passes_per_s:.3} passes/s is below \
+             {CHECK_MIN_RATIO}x the committed {committed_passes:.3}"
+        );
+        ok = false;
+    }
+    let sent = run.deltas_sent;
+    let committed_sent = committed_value(committed, "plan_pass", "deltas_sent")
+        .unwrap_or_else(|| panic!("--check: no plan_pass.deltas_sent in {path}"));
+    eprintln!("check: plan_pass {sent} deltas sent vs committed {committed_sent}");
+    // A count of a deterministic plan: any difference is a changed plan,
+    // not noise.
+    if sent as f64 != committed_sent {
+        eprintln!("ERROR: plan_pass sent {sent} deltas, the committed plan sent {committed_sent}");
+        ok = false;
+    }
+    ok
+}
+
+fn main() {
+    let options = Options::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let quick = options.quick;
     let reps = if quick { 3 } else { 15 };
 
     // Scenario: identical to benches/pipeline_runtime.rs.
@@ -292,9 +418,9 @@ fn main() {
     let encoded_mpix = tile_fraction * capture_mpix;
 
     // 2. Encoder throughput in isolation: every tile of one band through
-    //    the γ-budgeted ROI path — EPC2 (default), EPC1 (frozen format),
-    //    and the reference (pre-refactor EPC1) implementation, interleaved
-    //    so the ratios are load-immune.
+    //    the γ-budgeted ROI path — the library's EPC2 encoder and the
+    //    vendored reference (EPC1) encoder, interleaved so the ratio is
+    //    load-immune.
     let band_raster = capture
         .image
         .iter()
@@ -306,17 +432,13 @@ fn main() {
     let mut all = TileMask::new(&grid);
     all.fill();
     let budget = config.tile_budget_bytes();
-    let epc1 = CodecConfig::lossy().with_format(FormatVersion::Epc1);
-    let epc2 = CodecConfig::lossy().with_format(FormatVersion::Epc2);
+    let codec = CodecConfig::lossy();
     let mut scratch = CodecScratch::new();
-    // Warm all paths and prove correctness before timing: EPC1 must be
-    // bit-identical to the reference; EPC2 must decode and patch.
-    let roi_ref = reference::encode_roi_reference(&band_raster, &grid, &all, &epc1, budget)
+    // Warm both paths and prove correctness before timing: EPC2 must
+    // decode and patch.
+    reference::encode_roi_reference(&band_raster, &grid, &all, &codec, budget)
         .expect("image matches grid");
-    let roi_epc1 = encode_roi_with_scratch(&band_raster, &grid, &all, &epc1, budget, &mut scratch)
-        .expect("image matches grid");
-    assert_eq!(roi_ref, roi_epc1, "optimized EPC1 encoder output drifted");
-    let roi_epc2 = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch)
+    let roi_epc2 = encode_roi_with_scratch(&band_raster, &grid, &all, &codec, budget, &mut scratch)
         .expect("image matches grid");
     let tiles = grid.tile_count();
     let wire_bytes_per_tile = roi_epc2.size_bytes() as f64 / tiles as f64;
@@ -330,45 +452,37 @@ fn main() {
     roi_epc2
         .patch_into(&mut canvas)
         .expect("EPC2 stream must decode");
-    let (mut ref_times, mut epc1_times, mut epc2_times) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut epc2_vs_ref, mut epc2_vs_epc1) = (Vec::new(), Vec::new());
+    let (mut ref_times, mut epc2_times, mut epc2_vs_ref) = (Vec::new(), Vec::new(), Vec::new());
     let mut enc_stages = StageSamples::default();
     for _ in 0..reps.max(8) {
         let t = Instant::now();
-        let _ = reference::encode_roi_reference(&band_raster, &grid, &all, &epc1, budget);
+        let _ = reference::encode_roi_reference(&band_raster, &grid, &all, &codec, budget);
         let r = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc1, budget, &mut scratch);
-        let n1 = t.elapsed().as_secs_f64();
         let s0 = scratch.stages();
         let t = Instant::now();
-        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch);
+        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &codec, budget, &mut scratch);
         let n2 = t.elapsed().as_secs_f64();
         enc_stages.push(stage_delta(s0, scratch.stages()));
         ref_times.push(r);
-        epc1_times.push(n1);
         epc2_times.push(n2);
         epc2_vs_ref.push(r / n2);
-        epc2_vs_epc1.push(n1 / n2);
     }
     let ref_s = median(&mut ref_times);
-    let epc1_s = median(&mut epc1_times);
     let epc2_s = median(&mut epc2_times);
     let speedup_vs_reference = median(&mut epc2_vs_ref);
-    let speedup_vs_epc1 = median(&mut epc2_vs_epc1);
     let band_mpix = (w * h) as f64 / 1e6;
     let full_encode_mpix_s = band_mpix / epc2_s;
-    let epc1_mpix_s = band_mpix / epc1_s;
 
     // 3. Decode throughput: the full band as one full-rate stream per
-    //    format, decoded through the zero-allocation `decode_into` entry
-    //    point (reused scratch arena and output raster — steady state, no
-    //    per-rep allocation). EPC2 and EPC1 full decodes, plus the LL-only
-    //    partial decode, are interleaved with the historical full-decode +
-    //    downsample_box reference-ingest path so every ratio is
-    //    load-immune.
-    let full_enc = earthplus_codec::encode(&band_raster, &epc2).expect("full-band encode");
-    let full_enc1 = earthplus_codec::encode(&band_raster, &epc1).expect("full-band EPC1 encode");
+    //    format (EPC1 from the reference encoder), decoded through the
+    //    zero-allocation `decode_into` entry point (reused scratch arena
+    //    and output raster — steady state, no per-rep allocation). EPC2
+    //    and EPC1 full decodes, plus the LL-only partial decode, are
+    //    interleaved with the historical full-decode + downsample_box
+    //    reference-ingest path so every ratio is load-immune.
+    let full_enc = earthplus_codec::encode(&band_raster, &codec).expect("full-band encode");
+    let full_enc1 =
+        reference::encode_reference(&band_raster, &codec).expect("full-band EPC1 encode");
     let mut dscratch = DecodeScratch::new();
     let mut dec_out = Raster::new(0, 0);
     // Warm every path and prove correctness before timing.
@@ -475,7 +589,7 @@ fn main() {
     dscratch_on.set_telemetry(&registry.sink());
     scratch.set_tracing(&earthplus::TraceSink::disabled());
     dscratch.set_tracing(&earthplus::TraceSink::disabled());
-    let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch_on)
+    let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &codec, budget, &mut scratch_on)
         .expect("image matches grid");
     let _ = decode_with_scratch(&full_enc, &mut dscratch_on).expect("full decode");
     let (mut tel_on_times, mut tel_off_times, mut tel_ratios) =
@@ -483,7 +597,7 @@ fn main() {
     let (mut tel_dec_on_times, mut tel_dec_off_times, mut tel_dec_ratios) =
         (Vec::new(), Vec::new(), Vec::new());
     let encode = |scratch: &mut CodecScratch| {
-        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, scratch);
+        let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &codec, budget, scratch);
     };
     let decode = |scratch: &mut DecodeScratch| {
         decode_with_scratch(&full_enc, scratch).expect("full decode");
@@ -513,7 +627,7 @@ fn main() {
     scratch_tr.set_tracing(&flight.sink());
     let mut dscratch_tr = DecodeScratch::new();
     dscratch_tr.set_tracing(&flight.sink());
-    let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch_tr)
+    let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &codec, budget, &mut scratch_tr)
         .expect("image matches grid");
     let _ = decode_with_scratch(&full_enc, &mut dscratch_tr).expect("full decode");
     let (mut trace_enc_ratios, mut trace_dec_ratios) = (Vec::new(), Vec::new());
@@ -707,7 +821,7 @@ fn main() {
         dec_epc1_stages.report(dec_epc1_s);
     let json = format!(
         r#"{{
-  "schema": 9,
+  "schema": 10,
   "scenario": "pipeline_runtime quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
   "mode": "{mode}",
   "samples": {reps},
@@ -726,7 +840,6 @@ fn main() {
     "mpix_per_s": {full_encode_mpix_s:.3},
     "reference_seconds": {ref_s:.6},
     "speedup_vs_reference": {speedup_vs_reference:.3},
-    "speedup_vs_epc1": {speedup_vs_epc1:.3},
     "tiles": {tiles},
     "budget_bytes_per_tile": {budget},
     "wire_bytes_per_tile": {wire_bytes_per_tile:.3},
@@ -737,11 +850,6 @@ fn main() {
       "quantize_s": {enc_quant_s:.6},
       "other_s": {enc_other_s:.6}
     }}
-  }},
-  "encode_full_band_epc1": {{
-    "format": "EPC1",
-    "seconds": {epc1_s:.6},
-    "mpix_per_s": {epc1_mpix_s:.3}
   }},
   "decode_full": {{
     "format": "EPC2",
@@ -833,11 +941,10 @@ fn main() {
         ll_pixels = ll.len(),
         decode_reserved = dscratch.reserved_bytes(),
     );
-    std::fs::write(&out, &json).expect("write baseline JSON");
+    options.emit(&json);
     print!("{json}");
-    eprintln!("wrote {out}");
-    if let Some(path) = telemetry_out {
-        std::fs::write(&path, registry.snapshot().to_jsonl()).expect("write telemetry snapshot");
+    if let Some(path) = &options.telemetry_out {
+        std::fs::write(path, registry.snapshot().to_jsonl()).expect("write telemetry snapshot");
         eprintln!("wrote {path}");
     }
     if telemetry_ratio < TELEMETRY_MIN_RATIO {
@@ -914,78 +1021,66 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if let Some(path) = check {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {path}: {e}"));
-        let mut failed = false;
-        for (section, measured) in [
-            ("encode_full_band", full_encode_mpix_s),
-            ("encode_full_band_epc1", epc1_mpix_s),
-            ("decode_full", decode_full_mpix_s),
-            ("decode_full_epc1", decode_epc1_mpix_s),
-        ] {
-            let committed_rate = committed_value(&committed, section, "mpix_per_s")
-                .unwrap_or_else(|| panic!("--check: no {section}.mpix_per_s in {path}"));
-            let floor = committed_rate * CHECK_MIN_RATIO;
-            eprintln!(
-                "check: {section} {measured:.3} MPix/s vs committed {committed_rate:.3} \
-                 (floor {floor:.3})"
-            );
-            if measured < floor {
-                eprintln!(
-                    "ERROR: {section} regression — {measured:.3} MPix/s is below \
-                     {CHECK_MIN_RATIO}x the committed {committed_rate:.3}"
-                );
-                failed = true;
-            }
-        }
-        let committed_header =
-            committed_value(&committed, "encode_full_band", "header_bytes_per_tile")
-                .unwrap_or_else(|| {
-                    panic!("--check: no encode_full_band.header_bytes_per_tile in {path}")
-                });
-        eprintln!(
-            "check: encode_full_band header {header_bytes_per_tile:.3} B/tile vs committed \
-             {committed_header:.3}"
-        );
-        // The committed value is printed with three decimals; compare at
-        // that precision.
-        if (header_bytes_per_tile * 1e3).round() > (committed_header * 1e3).round() {
-            eprintln!(
-                "ERROR: EPC2 header overhead grew — {header_bytes_per_tile:.3} B/tile exceeds \
-                 the committed {committed_header:.3}"
-            );
-            failed = true;
-        }
-        let committed_passes = committed_value(&committed, "plan_pass", "passes_per_s")
-            .unwrap_or_else(|| panic!("--check: no plan_pass.passes_per_s in {path}"));
-        let passes_per_s = 1.0 / plan_pass_s;
-        let floor = committed_passes * CHECK_MIN_RATIO;
-        eprintln!(
-            "check: plan_pass {passes_per_s:.3} passes/s vs committed {committed_passes:.3} \
-             (floor {floor:.3})"
-        );
-        if passes_per_s < floor {
-            eprintln!(
-                "ERROR: plan_pass regression — {passes_per_s:.3} passes/s is below \
-                 {CHECK_MIN_RATIO}x the committed {committed_passes:.3}"
-            );
-            failed = true;
-        }
-        let committed_sent = committed_value(&committed, "plan_pass", "deltas_sent")
-            .unwrap_or_else(|| panic!("--check: no plan_pass.deltas_sent in {path}"));
-        eprintln!("check: plan_pass {plan_deltas_sent} deltas sent vs committed {committed_sent}");
-        // A count of a deterministic plan: any difference is a changed
-        // plan, not noise.
-        if plan_deltas_sent as f64 != committed_sent {
-            eprintln!(
-                "ERROR: plan_pass sent {plan_deltas_sent} deltas, the committed plan sent \
-                 {committed_sent}"
-            );
-            failed = true;
-        }
-        if failed {
+    if let Some((path, committed)) = &options.check {
+        let run = Checked {
+            encode_mpix_s: full_encode_mpix_s,
+            decode_full_mpix_s,
+            decode_epc1_mpix_s,
+            header_bytes_per_tile,
+            passes_per_s: 1.0 / plan_pass_s,
+            deltas_sent: plan_deltas_sent,
+        };
+        if !check_against(committed, path, &run) {
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--check X` alone, the documented gate, compares the run against
+    /// X's committed values and leaves X byte-identical; only a run
+    /// without `--check` writes the baseline file by default.
+    #[test]
+    fn check_alone_gates_against_the_baseline_and_leaves_it_unchanged() {
+        let options = Options::parse(["--quick".to_owned()]).unwrap();
+        assert_eq!(options.out.as_deref(), Some("BENCH_pipeline.json"));
+        assert!(Options::parse(["--bogus".to_owned()]).is_err());
+        assert!(Options::parse(["--check".to_owned()]).is_err());
+
+        let dir = std::env::temp_dir().join(format!(
+            "earthplus-perf-baseline-check-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_pipeline.json");
+        let baseline = include_str!("../../../../BENCH_pipeline.json");
+        std::fs::write(&path, baseline).unwrap();
+        let path = path.to_str().unwrap().to_owned();
+
+        let options = Options::parse(["--quick".to_owned(), "--check".to_owned(), path.clone()])
+            .expect("options parse");
+        assert_eq!(options.out, None, "a check run must not write a report");
+        let (check_path, committed) = options.check.as_ref().expect("--check is set");
+        assert_eq!(committed, baseline, "the baseline is read before the run");
+        options.emit("{}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), baseline);
+
+        // A run at the committed values passes; one at a third of every
+        // committed rate fails.
+        let value = |section, key| committed_value(baseline, section, key).unwrap();
+        let run_at = |scale: f64| Checked {
+            encode_mpix_s: value("encode_full_band", "mpix_per_s") * scale,
+            decode_full_mpix_s: value("decode_full", "mpix_per_s") * scale,
+            decode_epc1_mpix_s: value("decode_full_epc1", "mpix_per_s") * scale,
+            header_bytes_per_tile: value("encode_full_band", "header_bytes_per_tile"),
+            passes_per_s: value("plan_pass", "passes_per_s") * scale,
+            deltas_sent: value("plan_pass", "deltas_sent") as usize,
+        };
+        assert!(check_against(committed, check_path, &run_at(1.0)));
+        assert!(!check_against(committed, check_path, &run_at(1.0 / 3.0)));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

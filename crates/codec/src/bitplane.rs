@@ -8,14 +8,17 @@
 //! 2. **refinement pass** — for already-significant coefficients, code the
 //!    plane's magnitude bit.
 //!
-//! Both stream formats ([`FormatVersion`]) run one traversal per direction:
-//! the same mask setup, per-plane snapshot and context derivation,
-//! refinement pass, pass-offset recording and truncation check. They
-//! differ only in the significance pass, picked once per plane:
+//! The encoder emits EPC2 only; the decoder reads both stream formats
+//! ([`FormatVersion`]) with one traversal: the same mask setup, per-plane
+//! snapshot and context derivation, refinement pass, pass-offset check and
+//! truncation stop. The formats differ only in the significance pass,
+//! picked once per plane:
 //!
-//! * **EPC1, dense** — one adaptive decision per not-yet-significant
-//!   coefficient in raster order, in one of three neighbour contexts (0, 1
-//!   or 2+ significant causal neighbours).
+//! * **EPC1, dense** (frozen, decode-only here) — one adaptive decision per
+//!   not-yet-significant coefficient in raster order, in one of three
+//!   neighbour contexts (0, 1 or 2+ significant causal neighbours). The
+//!   vendored [`reference`](crate::reference) encoder is the one EPC1
+//!   encoder.
 //! * **EPC2, zero-run** — a candidate with a significant neighbour is coded
 //!   as in EPC1, but a stretch of context-0 candidates is grouped into
 //!   chunks of up to `RUN_MAX` (64) that cost one adaptive "all clear"
@@ -32,8 +35,8 @@
 //! is skipped with one load. Contexts and the refinement set are frozen
 //! from a snapshot taken at the start of each plane, so the context
 //! modelling reproduces the per-coefficient probe in `neighbor_context`
-//! bit for bit (EPC1 is byte-identical to the `reference` encoder), and
-//! EPC2's chunk boundaries are a pure function of pass-start state that
+//! bit for bit (the EPC1 decoder reads the `reference` encoder's streams),
+//! and EPC2's chunk boundaries are a pure function of pass-start state that
 //! the decoder regathers exactly.
 //!
 //! The encoder records a truncation offset after every pass. Cutting the
@@ -74,7 +77,7 @@ pub struct EncodedPlanes {
 impl EncodedPlanes {
     /// The number of passes whose data is entirely contained within
     /// `available_bytes` of payload.
-    pub fn passes_within(&self, available_bytes: usize) -> usize {
+    fn passes_within(&self, available_bytes: usize) -> usize {
         self.pass_offsets
             .iter()
             .take_while(|&&o| o as usize <= available_bytes)
@@ -83,7 +86,7 @@ impl EncodedPlanes {
 
     /// The largest payload length `<= budget` that ends exactly at a pass
     /// boundary (0 when even the first pass does not fit).
-    pub fn truncation_point(&self, budget: usize) -> usize {
+    fn truncation_point(&self, budget: usize) -> usize {
         self.pass_offsets
             .iter()
             .map(|&o| o as usize)
@@ -142,9 +145,9 @@ pub(crate) fn neighbor_context(sig: &[bool], width: usize, idx: usize) -> usize 
     n.min(2)
 }
 
-/// Encodes quantized coefficients in `format` (`width` is the row length
-/// used for neighbour context modelling). Allocating wrapper over
-/// [`encode_planes_into`].
+/// Encodes quantized coefficients as an EPC2 zero-run plane stream
+/// (`width` is the row length used for neighbour context modelling).
+/// Allocating wrapper over [`encode_planes_into`].
 ///
 /// # Errors
 ///
@@ -153,13 +156,9 @@ pub(crate) fn neighbor_context(sig: &[bool], width: usize, idx: usize) -> usize 
 /// # Panics
 ///
 /// Panics if `width` is zero or does not divide `coefficients.len()`.
-pub fn encode_planes(
-    coefficients: &[i32],
-    width: usize,
-    format: FormatVersion,
-) -> Result<EncodedPlanes, CodecError> {
+pub fn encode_planes(coefficients: &[i32], width: usize) -> Result<EncodedPlanes, CodecError> {
     let mut scratch = CodecScratch::new();
-    let planes = encode_planes_into(coefficients, width, format, &mut scratch)?;
+    let planes = encode_planes_into(coefficients, width, &mut scratch)?;
     Ok(EncodedPlanes {
         payload: std::mem::take(&mut scratch.payload),
         planes,
@@ -173,12 +172,12 @@ pub fn encode_planes(
 /// up in `scratch.payload` with per-pass offsets (lookahead included) in
 /// `scratch.pass_offsets`; the number of magnitude bitplanes is returned.
 ///
-/// This is the encoder's one plane loop for both formats: pack the plane's
-/// magnitude bits, snapshot the significance mask and derive the frozen
-/// contexts, run the format's significance pass, then the refinement pass
-/// over the snapshot — exactly the coefficients significant *before* this
-/// plane, so the "skip those that became significant in THIS plane" rule
-/// needs no per-coefficient check. An offset is recorded after each pass.
+/// This is the encoder's one plane loop: pack the plane's magnitude bits,
+/// snapshot the significance mask and derive the frozen contexts, run the
+/// zero-run significance pass, then the refinement pass over the snapshot
+/// — exactly the coefficients significant *before* this plane, so the
+/// "skip those that became significant in THIS plane" rule needs no
+/// per-coefficient check. An offset is recorded after each pass.
 ///
 /// # Errors
 ///
@@ -191,10 +190,9 @@ pub fn encode_planes(
 pub fn encode_planes_into(
     coefficients: &[i32],
     width: usize,
-    format: FormatVersion,
     scratch: &mut CodecScratch,
 ) -> Result<u8, CodecError> {
-    encode_planes_until(coefficients, width, format, usize::MAX, scratch)
+    encode_planes_until(coefficients, width, usize::MAX, scratch)
 }
 
 /// [`encode_planes_into`] that stops coding once the payload's first `cut`
@@ -209,7 +207,6 @@ pub fn encode_planes_into(
 pub(crate) fn encode_planes_until(
     coefficients: &[i32],
     width: usize,
-    format: FormatVersion,
     cut: usize,
     scratch: &mut CodecScratch,
 ) -> Result<u8, CodecError> {
@@ -266,14 +263,7 @@ pub(crate) fn encode_planes_until(
             two: &*two,
             last,
         };
-        have_sig |= match format {
-            FormatVersion::Epc1 => {
-                encode_dense_pass(coefficients, bits, &mut w, &mut enc, &mut ctx)
-            }
-            FormatVersion::Epc2 => {
-                encode_run_pass(coefficients, bits, &mut w, &mut scan, &mut enc, &mut ctx)
-            }
-        };
+        have_sig |= encode_run_pass(coefficients, bits, &mut w, &mut scan, &mut enc, &mut ctx);
         pass_offsets.push((enc.len() + LOOKAHEAD) as u32);
         if enc.committed() >= cut {
             break;
@@ -612,48 +602,9 @@ fn run_entry_at(scan: &RunScan, p: usize) -> (usize, u32) {
     }
 }
 
-/// EPC1 significance pass (encoder): one decision per not-yet-significant
-/// coefficient in raster order, in the context read from the frozen
-/// masks; `magnitude & bit_mask` is folded 64 coefficients at a time into
-/// `becomes_w`. Returns whether any coefficient became significant.
-#[inline(always)]
-fn encode_dense_pass(
-    coefficients: &[i32],
-    bits: &[u64],
-    w: &mut SignificanceWords,
-    enc: &mut RangeEncoder,
-    ctx: &mut Contexts,
-) -> bool {
-    let wc = w.sig.len();
-    let mut became = false;
-    for i in 0..wc {
-        let cand = w.candidates(i);
-        if cand == 0 {
-            continue;
-        }
-        let becomes_w = cand & bits[i];
-        let (a, t) = (w.any[i], w.two[i]);
-        let mut b = cand;
-        while b != 0 {
-            let j = b.trailing_zeros();
-            let c = (((a >> j) & 1) + ((t >> j) & 1)) as usize;
-            let becomes = (becomes_w >> j) & 1 != 0;
-            enc.encode_biased(&mut ctx.significance[c], becomes);
-            if becomes {
-                enc.encode_raw(coefficients[i * 64 + j as usize] < 0);
-            }
-            b &= b - 1;
-        }
-        if becomes_w != 0 {
-            w.sig[i] |= becomes_w;
-            became = true;
-        }
-    }
-    became
-}
-
 /// EPC2 significance pass (encoder): the cursor walks candidate words; a
-/// candidate with a significant neighbour is coded as in EPC1, and a
+/// candidate with a significant neighbour costs one decision in its
+/// context (as in EPC1's dense pass), and a
 /// context-0 candidate opens a [`gather_run`] chunk whose hit test is one
 /// `u64` AND per segment. Returns whether any coefficient became
 /// significant.
@@ -716,8 +667,9 @@ fn encode_run_pass(
     became
 }
 
-/// Decodes a `format` payload produced by [`encode_planes_into`]
-/// (optionally truncated). Allocating wrapper over
+/// Decodes a `format` payload (optionally truncated): EPC2 as produced by
+/// [`encode_planes_into`], EPC1 as produced by the vendored
+/// [`reference`](crate::reference) encoder. Allocating wrapper over
 /// [`decode_planes_with`].
 ///
 /// Only passes entirely contained in `payload` (per `pass_offsets`) are
@@ -890,8 +842,9 @@ pub(crate) fn decode_planes_core(
     pass_idx
 }
 
-/// EPC1 significance pass (decoder): the mirror of [`encode_dense_pass`].
-/// Arrivals and signs are gathered per word and merged after it. Returns
+/// EPC1 significance pass (decoder): one decision per not-yet-significant
+/// coefficient in raster order, mirroring the reference encoder's dense
+/// pass. Arrivals and signs are gathered per word and merged after it. Returns
 /// whether any coefficient became significant.
 #[inline(always)]
 fn decode_dense_pass(
@@ -1019,8 +972,21 @@ mod tests {
             .collect()
     }
 
+    /// EPC2 from the library encoder, EPC1 from the vendored reference
+    /// (the one EPC1 encoder).
+    fn try_encode(
+        coeffs: &[i32],
+        width: usize,
+        format: FormatVersion,
+    ) -> Result<EncodedPlanes, CodecError> {
+        match format {
+            FormatVersion::Epc1 => crate::reference::encode_planes_reference(coeffs, width),
+            FormatVersion::Epc2 => encode_planes(coeffs, width),
+        }
+    }
+
     fn encode(coeffs: &[i32], width: usize, format: FormatVersion) -> EncodedPlanes {
-        encode_planes(coeffs, width, format).unwrap()
+        try_encode(coeffs, width, format).unwrap()
     }
 
     /// Decodes the first `cut` payload bytes of `enc`.
@@ -1095,74 +1061,54 @@ mod tests {
         coeffs[3] = 1 << MAX_PLANES;
         for format in FORMATS {
             assert_eq!(
-                encode_planes(&coeffs, 8, format),
+                try_encode(&coeffs, 8, format),
                 Err(CodecError::TooManyPlanes {
                     planes: MAX_PLANES + 1
                 })
             );
         }
         coeffs[3] = i32::MIN;
-        assert_eq!(
-            encode_planes(&coeffs, 8, FormatVersion::Epc2),
-            Err(CodecError::TooManyPlanes { planes: 32 })
-        );
+        for format in FORMATS {
+            assert_eq!(
+                try_encode(&coeffs, 8, format),
+                Err(CodecError::TooManyPlanes { planes: 32 })
+            );
+        }
     }
 
-    /// Encodes blocks of different sizes, shapes and sparsity through one
-    /// arena: every output must match a fresh encode, and repeating the
-    /// largest block must grow nothing.
-    fn check_scratch_reuse(format: FormatVersion, scratch: &mut CodecScratch) {
+    #[test]
+    fn v2_scratch_reuse_is_byte_identical() {
+        // A dirty arena (last used on another shape) still matches a fresh
+        // encode.
+        let mut scratch = CodecScratch::new();
+        encode_planes_into(&sample_coefficients(40 * 25, 3), 40, &mut scratch).unwrap();
+        let coeffs = sample_coefficients(64 * 64, 9);
+        let fresh = encode(&coeffs, 64, FormatVersion::Epc2);
+        let planes = encode_planes_into(&coeffs, 64, &mut scratch).unwrap();
+        assert_eq!(planes, fresh.planes);
+        assert_eq!(scratch.payload, fresh.payload);
+        assert_eq!(scratch.pass_offsets, fresh.pass_offsets);
+        // Blocks of different sizes, shapes and sparsity through the same
+        // arena: every output matches a fresh encode, and repeating the
+        // largest block grows nothing.
         for (i, &(n, w)) in [(64 * 64, 64usize), (16 * 16, 16), (40 * 25, 40), (8, 4)]
             .iter()
             .enumerate()
         {
             let coeffs = sample_coefficients(n, i as u64 * 31 + 7);
-            let fresh = encode(&coeffs, w, format);
-            let planes = encode_planes_into(&coeffs, w, format, scratch).unwrap();
+            let fresh = encode(&coeffs, w, FormatVersion::Epc2);
+            let planes = encode_planes_into(&coeffs, w, &mut scratch).unwrap();
             assert_eq!(planes, fresh.planes);
-            assert_eq!(scratch.payload, fresh.payload, "{format:?} block {i}");
-            assert_eq!(
-                scratch.pass_offsets, fresh.pass_offsets,
-                "{format:?} block {i}"
-            );
+            assert_eq!(scratch.payload, fresh.payload, "block {i}");
+            assert_eq!(scratch.pass_offsets, fresh.pass_offsets, "block {i}");
         }
         let coeffs = sample_coefficients(64 * 64, 7);
-        encode_planes_into(&coeffs, 64, format, scratch).unwrap();
+        encode_planes_into(&coeffs, 64, &mut scratch).unwrap();
         scratch.track_growth();
         let grown = scratch.grow_events();
-        encode_planes_into(&coeffs, 64, format, scratch).unwrap();
+        encode_planes_into(&coeffs, 64, &mut scratch).unwrap();
         scratch.track_growth();
-        assert_eq!(
-            scratch.grow_events(),
-            grown,
-            "{format:?} steady-state reuse grew"
-        );
-    }
-
-    #[test]
-    fn scratch_reuse_is_byte_identical_across_blocks() {
-        check_scratch_reuse(FormatVersion::Epc1, &mut CodecScratch::new());
-    }
-
-    #[test]
-    fn v2_scratch_reuse_is_byte_identical() {
-        // A dirty arena (last used by the other format on another shape)
-        // still matches a fresh encode.
-        let mut scratch = CodecScratch::new();
-        encode_planes_into(
-            &sample_coefficients(40 * 25, 3),
-            40,
-            FormatVersion::Epc1,
-            &mut scratch,
-        )
-        .unwrap();
-        let coeffs = sample_coefficients(64 * 64, 9);
-        let fresh = encode(&coeffs, 64, FormatVersion::Epc2);
-        let planes = encode_planes_into(&coeffs, 64, FormatVersion::Epc2, &mut scratch).unwrap();
-        assert_eq!(planes, fresh.planes);
-        assert_eq!(scratch.payload, fresh.payload);
-        assert_eq!(scratch.pass_offsets, fresh.pass_offsets);
-        check_scratch_reuse(FormatVersion::Epc2, &mut scratch);
+        assert_eq!(scratch.grow_events(), grown, "steady-state reuse grew");
     }
 
     fn check_offsets(format: FormatVersion) {
@@ -1274,7 +1220,7 @@ mod tests {
     #[test]
     fn width_must_divide_count() {
         for format in FORMATS {
-            let r = std::panic::catch_unwind(|| encode_planes(&[1, 2, 3], 2, format));
+            let r = std::panic::catch_unwind(|| try_encode(&[1, 2, 3], 2, format));
             assert!(r.is_err(), "{format:?}");
         }
     }

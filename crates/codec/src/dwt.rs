@@ -34,8 +34,8 @@
 //! Each coefficient sees exactly the f32 operation sequence of the
 //! textbook in-place lifting on an interleaved line (a predict step reads
 //! only even samples and writes only odd ones, and vice versa), so the
-//! output is bit-identical to the vendored
-//! [`forward_reference`](crate::reference::forward_reference).
+//! output is bit-identical to the vendored reference transform
+//! (`reference::forward_reference`).
 
 /// Which wavelet to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,7 +105,7 @@ impl Coefficients {
 
 /// One subband's rectangle within the Mallat coefficient layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubbandRect {
+pub(crate) struct SubbandRect {
     /// Left edge in the coefficient buffer.
     pub x0: usize,
     /// Top edge in the coefficient buffer.
@@ -134,7 +134,12 @@ impl SubbandRect {
 /// This enumeration *is* the EPC2 chunk order: both the encoder and the
 /// decoder derive it from `(width, height, levels)`, so the stream never
 /// serializes subband geometry.
-pub fn subband_rects_into(width: usize, height: usize, levels: u8, out: &mut Vec<SubbandRect>) {
+pub(crate) fn subband_rects_into(
+    width: usize,
+    height: usize,
+    levels: u8,
+    out: &mut Vec<SubbandRect>,
+) {
     out.clear();
     if width == 0 || height == 0 {
         return;
@@ -178,7 +183,7 @@ pub fn subband_rects_into(width: usize, height: usize, levels: u8, out: &mut Vec
 }
 
 /// Allocating convenience wrapper around [`subband_rects_into`].
-pub fn subband_rects(width: usize, height: usize, levels: u8) -> Vec<SubbandRect> {
+pub(crate) fn subband_rects(width: usize, height: usize, levels: u8) -> Vec<SubbandRect> {
     let mut out = Vec::new();
     subband_rects_into(width, height, levels, &mut out);
     out
@@ -207,7 +212,7 @@ pub fn reduced_dims(width: usize, height: usize, levels: u8) -> (usize, usize) {
 /// The reversible 5/3 chain is gain-free on constants (`floor((c+c)/2)`
 /// cancels exactly); the 9/7 value follows from composing the lifting
 /// steps on a constant line.
-pub fn low_pass_dc_gain(wavelet: Wavelet) -> f32 {
+pub(crate) fn low_pass_dc_gain(wavelet: Wavelet) -> f32 {
     match wavelet {
         Wavelet::Cdf53 => 1.0,
         Wavelet::Cdf97 => {
@@ -222,7 +227,7 @@ pub fn low_pass_dc_gain(wavelet: Wavelet) -> f32 {
 
 /// Maximum usable decomposition depth for the given dimensions (each level
 /// halves the LL band; stop before a dimension reaches 1).
-pub fn max_levels(width: usize, height: usize) -> u8 {
+pub(crate) fn max_levels(width: usize, height: usize) -> u8 {
     let mut levels = 0u8;
     let (mut w, mut h) = (width, height);
     while w >= 2 && h >= 2 && levels < 12 {
@@ -237,7 +242,7 @@ pub fn max_levels(width: usize, height: usize) -> u8 {
 ///
 /// # Panics
 ///
-/// Panics if `levels` exceeds [`max_levels`] for the buffer.
+/// Panics if `levels` exceeds `max_levels` for the buffer.
 pub fn forward(coeffs: &mut Coefficients, wavelet: Wavelet, levels: u8) {
     let (w, h) = (coeffs.width, coeffs.height);
     forward_into(&mut coeffs.data, w, h, wavelet, levels, &mut Vec::new());
@@ -250,7 +255,7 @@ pub fn forward(coeffs: &mut Coefficients, wavelet: Wavelet, levels: u8) {
 /// # Panics
 ///
 /// Panics if `data.len() != width * height` or `levels` exceeds
-/// [`max_levels`].
+/// `max_levels`.
 pub fn forward_into(
     data: &mut [f32],
     width: usize,
@@ -276,7 +281,7 @@ pub fn forward_into(
 ///
 /// # Panics
 ///
-/// Panics if `levels` exceeds [`max_levels`] for the buffer.
+/// Panics if `levels` exceeds `max_levels` for the buffer.
 pub fn inverse(coeffs: &mut Coefficients, wavelet: Wavelet, levels: u8) {
     let (w, h) = (coeffs.width, coeffs.height);
     inverse_into(&mut coeffs.data, w, h, wavelet, levels, &mut Vec::new());
@@ -288,8 +293,8 @@ pub fn inverse(coeffs: &mut Coefficients, wavelet: Wavelet, levels: u8) {
 /// # Panics
 ///
 /// Panics if `data.len() != width * height` or `levels` exceeds
-/// [`max_levels`].
-pub fn inverse_into(
+/// `max_levels`.
+pub(crate) fn inverse_into(
     data: &mut [f32],
     width: usize,
     height: usize,

@@ -6,10 +6,12 @@
 //! version byte ([`FormatVersion`]):
 //!
 //! * **EPC1** — one range-coder chain over the whole Mallat layout, with
-//!   global per-pass truncation offsets. The original format; still fully
-//!   decodable, and still produced bit-identically when requested (the
-//!   golden-hash compatibility tests pin it).
-//! * **EPC2** — the stream is split into independently decodable
+//!   global per-pass truncation offsets. The original format, frozen: the
+//!   library only decodes it, and the vendored
+//!   [`reference`](crate::reference) encoder is the one encoder that still
+//!   emits it (the golden-hash compatibility tests pin its bytes).
+//! * **EPC2** — the format every library encoder emits. The stream is
+//!   split into independently decodable
 //!   *subband chunks* (coarsest first: LL, then each level's detail
 //!   bands), each with its own range-coder chain and *subband-local* pass
 //!   offsets, and the significance pass batches runs of insignificant
@@ -22,11 +24,12 @@
 //!
 //! EPC1 streams keep their historical wire quirk: a budget-truncated
 //! encode carries the full pass-offset table even for passes beyond the
-//! payload. EPC2 headers always describe exactly the payload present, and
+//! payload ([`EncodedImage::wire_truncated`]). EPC2 headers always describe
+//! exactly the payload present, and
 //! [`EncodedImage::truncated`] clamps offsets for both formats, so size
 //! accounting agrees with the bytes.
 
-use crate::bitplane::{self, encode_planes_into, encode_planes_until, MAX_PLANES};
+use crate::bitplane::{self, encode_planes_until, MAX_PLANES};
 use crate::dwt::{self, Wavelet};
 use crate::exp_golomb::{self, BitReader, BitWriter};
 use crate::scratch::{CodecScratch, DecodeScratch};
@@ -58,7 +61,7 @@ pub enum FormatVersion {
 
 impl FormatVersion {
     /// The wire value of the header version byte.
-    pub fn wire_byte(self) -> u8 {
+    pub(crate) fn wire_byte(self) -> u8 {
         match self {
             FormatVersion::Epc1 => 1,
             FormatVersion::Epc2 => 2,
@@ -81,8 +84,6 @@ pub struct CodecConfig {
     /// Input scaling: `[0, 1]` samples are multiplied by this and rounded;
     /// 4095 matches a 12-bit sensor.
     pub input_levels: u16,
-    /// Bitstream format to emit (EPC2 by default; both decode).
-    pub format: FormatVersion,
 }
 
 impl CodecConfig {
@@ -93,7 +94,6 @@ impl CodecConfig {
             levels: 5,
             quant_step: 1.0,
             input_levels: 4095,
-            format: FormatVersion::Epc2,
         }
     }
 
@@ -105,14 +105,7 @@ impl CodecConfig {
             levels: 5,
             quant_step: 1.0,
             input_levels: 4095,
-            format: FormatVersion::Epc2,
         }
-    }
-
-    /// Overrides the emitted bitstream format.
-    pub fn with_format(mut self, format: FormatVersion) -> Self {
-        self.format = format;
-        self
     }
 }
 
@@ -165,8 +158,9 @@ pub struct EncodedImage {
 }
 
 impl EncodedImage {
-    /// Assembles an EPC1 image from already-encoded parts (the reference
-    /// encoder uses this; the payload is copied into shared storage).
+    /// Assembles an EPC1 image from already-encoded parts (the vendored
+    /// reference encoder, the only EPC1 encoder, uses this; the payload is
+    /// copied into shared storage).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         width: u32,
@@ -247,7 +241,7 @@ impl EncodedImage {
     }
 
     /// Number of quality layers (coding passes) in the stream.
-    pub fn layer_count(&self) -> usize {
+    pub(crate) fn layer_count(&self) -> usize {
         match self.format {
             FormatVersion::Epc1 => self.pass_offsets.len(),
             FormatVersion::Epc2 => self.subbands.iter().map(|c| c.offsets.len()).sum(),
@@ -309,7 +303,7 @@ impl EncodedImage {
     /// dropping both use this). O(1) payload handling: the storage is
     /// shared, not cloned. The header metadata is clamped to the cut, so
     /// the result's [`EncodedImage::size_bytes`] and
-    /// [`EncodedImage::layer_count`] describe exactly the surviving bytes,
+    /// [`EncodedImage::pass_boundaries`] describe exactly the surviving bytes,
     /// and truncating twice at the same budget is a no-op.
     pub fn truncated(&self, max_payload_bytes: usize) -> EncodedImage {
         let mut out = self.wire_truncated(max_payload_bytes);
@@ -341,10 +335,11 @@ impl EncodedImage {
     /// `max_payload_bytes` while keeping the header metadata untouched —
     /// the historical EPC1 on-board wire form, where a budgeted encode
     /// advertises every pass offset and the decoder derives availability
-    /// from the payload length. Only the vendored reference encoder uses
-    /// this; downlink-side truncation goes through
+    /// from the payload length. A budgeted EPC1 encode is
+    /// [`reference::encode_reference`](crate::reference::encode_reference)
+    /// followed by this cut; downlink-side truncation goes through
     /// [`EncodedImage::truncated`], which clamps.
-    pub(crate) fn wire_truncated(&self, max_payload_bytes: usize) -> EncodedImage {
+    pub fn wire_truncated(&self, max_payload_bytes: usize) -> EncodedImage {
         let cut = self
             .pass_boundaries()
             .into_iter()
@@ -547,7 +542,9 @@ fn parse_epc2_table(
     Ok(subbands)
 }
 
-/// Encodes a `[0, 1]` raster into a fully-embedded stream (all bitplanes).
+/// Encodes a `[0, 1]` raster into a fully-embedded EPC2 stream (all
+/// bitplanes). The library encodes EPC2 only; EPC1 streams come from the
+/// vendored [`reference`](crate::reference) encoder.
 ///
 /// Combine with [`EncodedImage::truncated`] for rate control, or use
 /// [`encode_with_budget`]. Hot paths that encode many tiles should use
@@ -641,17 +638,8 @@ fn encode_view_impl(
     }
     // The span clones its histogram handle, so the borrow of `scratch`
     // ends immediately; a disabled handle never reads the clock.
-    let _span = SpanTimer::start(match config.format {
-        FormatVersion::Epc1 => &scratch.enc_epc1_ns,
-        FormatVersion::Epc2 => &scratch.enc_epc2_ns,
-    });
-    let mut trace = scratch.tracing.span(
-        "codec",
-        match config.format {
-            FormatVersion::Epc1 => "encode.epc1",
-            FormatVersion::Epc2 => "encode.epc2",
-        },
-    );
+    let _span = SpanTimer::start(&scratch.enc_epc2_ns);
+    let mut trace = scratch.tracing.span("codec", "encode.epc2");
     let levels = config.levels.min(dwt::max_levels(w, h));
     let scale = config.input_levels as f32;
     // Gather + scale in one pass (this replaces the old extract-tile copy
@@ -674,51 +662,7 @@ fn encode_view_impl(
     );
     scratch.stages.dwt += t.elapsed();
     let step = config.quant_step.max(1e-6);
-    let image = match config.format {
-        FormatVersion::Epc1 => {
-            let t = std::time::Instant::now();
-            scratch.quantized.clear();
-            quantize_extend(&scratch.samples, step, &mut scratch.quantized);
-            scratch.stages.quantize += t.elapsed();
-            // The coefficient buffer moves out of the arena for the borrow
-            // and straight back in — no allocation.
-            let quantized = std::mem::take(&mut scratch.quantized);
-            let t = std::time::Instant::now();
-            let planes = encode_planes_into(&quantized, w, FormatVersion::Epc1, scratch);
-            scratch.stages.bitplane += t.elapsed();
-            scratch.quantized = quantized;
-            let planes = planes?;
-            // Historical EPC1 wire form: the payload is cut at the largest
-            // pass boundary inside the budget, but the header keeps the
-            // full offset table (availability is derived from the payload
-            // length). Preserved byte-for-byte for golden compatibility.
-            let cut = match budget {
-                None => scratch.payload.len(),
-                Some(max) => scratch
-                    .pass_offsets
-                    .iter()
-                    .map(|&o| o as usize)
-                    .take_while(|&o| o <= max)
-                    .last()
-                    .unwrap_or(0)
-                    .min(scratch.payload.len()),
-            };
-            EncodedImage {
-                width: w as u32,
-                height: h as u32,
-                wavelet: config.wavelet,
-                levels,
-                planes,
-                quant_step: step,
-                input_levels: config.input_levels,
-                format: FormatVersion::Epc1,
-                pass_offsets: scratch.pass_offsets.clone(),
-                subbands: Vec::new(),
-                payload: Bytes::copy_from_slice(&scratch.payload[..cut]),
-            }
-        }
-        FormatVersion::Epc2 => encode_epc2(w, h, levels, step, config, budget, scratch)?,
-    };
+    let image = encode_epc2(w, h, levels, step, config, budget, scratch)?;
     scratch.enc_bytes.record(image.payload.len() as u64);
     trace.arg("payload_bytes", image.payload.len());
     scratch.track_growth();
@@ -731,10 +675,10 @@ fn encode_view_impl(
 /// payload with subband-local pass offsets in the header.
 ///
 /// With a byte budget the encoder does only the work whose bytes survive
-/// the cut (the format-level win over EPC1, which must code every plane
-/// before truncating). Subbands whose chunk would start at or beyond the
-/// budget are neither quantized nor coded, and the chunk that straddles
-/// the budget stops coding once its range coder has committed the bytes up
+/// the cut (the format-level win over EPC1's single chain, which must code
+/// every plane before truncating). Subbands whose chunk would start at or
+/// beyond the budget are neither quantized nor coded, and the chunk that
+/// straddles the budget stops coding once its range coder has committed the bytes up
 /// to the cut (see `encode_planes_until`). The result is byte-identical to
 /// encoding everything and calling [`EncodedImage::truncated`] with the
 /// same budget.
@@ -813,7 +757,7 @@ fn encode_subband_chunks(
         let quantized = std::time::Instant::now();
         scratch.stages.quantize += quantized - t;
         let sb_coeffs = std::mem::take(&mut scratch.sb_coeffs);
-        let planes = encode_planes_until(&sb_coeffs, rect.w, FormatVersion::Epc2, cut, scratch);
+        let planes = encode_planes_until(&sb_coeffs, rect.w, cut, scratch);
         scratch.stages.bitplane += quantized.elapsed();
         scratch.sb_coeffs = sb_coeffs;
         let planes = planes?;
@@ -1328,8 +1272,10 @@ mod tests {
     #[test]
     fn more_layers_never_hurt() {
         let img = natural_image(64, 64, 6);
-        for format in [FormatVersion::Epc1, FormatVersion::Epc2] {
-            let enc = encode(&img, &CodecConfig::lossy().with_format(format)).unwrap();
+        let epc1 = crate::reference::encode_reference(&img, &CodecConfig::lossy()).unwrap();
+        let epc2 = encode(&img, &CodecConfig::lossy()).unwrap();
+        for enc in [epc1, epc2] {
+            let format = enc.format();
             let mut last = -1.0;
             let cuts = enc.pass_boundaries();
             for layers in [2, 6, 10, enc.layer_count()] {

@@ -14,11 +14,13 @@
 //!   ([`EncodedImage::pass_boundaries`]), so a shorter prefix of the same
 //!   stream is a lower-quality layer.
 //!
-//! Streams are versioned ([`FormatVersion`]): the EPC2 default splits the
-//! payload into independently seekable subband chunks with subband-local
-//! pass offsets and zero-run significance coding; the original EPC1 format
-//! remains fully decodable (and bit-stable when pinned). See the
-//! [`image_codec`] module docs for the wire layouts.
+//! Streams are versioned ([`FormatVersion`]). The library encodes EPC2,
+//! which splits the payload into independently seekable subband chunks
+//! with subband-local pass offsets and zero-run significance coding. The
+//! original EPC1 format is frozen: every decode path still reads it, and
+//! the vendored [`reference`](mod@reference) encoder, the test oracle, is the one encoder
+//! that emits it. See the [`image_codec`] module docs for the wire
+//! layouts.
 //!
 //! # Example
 //!
@@ -51,7 +53,7 @@ pub mod reference;
 pub mod roi;
 pub mod scratch;
 
-pub use dwt::{subband_rects, SubbandRect, Wavelet};
+pub use dwt::Wavelet;
 pub use image_codec::{
     decode, decode_into, decode_level_limited, decode_ll_only, decode_with_scratch, encode,
     encode_view, encode_view_with_budget, encode_with_budget, CodecConfig, EncodedImage,
@@ -183,18 +185,18 @@ pub(crate) mod test_util {
     //! Deterministic pseudo-random helpers for codec tests (no external
     //! RNG dependency needed in unit tests).
 
-    pub fn mix(mut z: u64) -> u64 {
+    pub(crate) fn mix(mut z: u64) -> u64 {
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
 
-    pub fn hash_unit(i: u64, seed: u64) -> f32 {
+    pub(crate) fn hash_unit(i: u64, seed: u64) -> f32 {
         (mix(i ^ seed.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)) >> 40) as f32 / (1u64 << 24) as f32
     }
 
-    pub fn hash_bit(i: u64, seed: u64) -> bool {
+    pub(crate) fn hash_bit(i: u64, seed: u64) -> bool {
         mix(i ^ seed.wrapping_mul(0x1656_67B1_9E37_79F9)) & 1 == 1
     }
 }

@@ -113,7 +113,7 @@ impl RangeEncoder {
     /// for near-random bits (refinement, signs), where this branch would
     /// mispredict half the time.
     #[inline(always)]
-    pub fn encode_biased(&mut self, model: &mut BitModel, bit: bool) {
+    pub(crate) fn encode_biased(&mut self, model: &mut BitModel, bit: bool) {
         let bound = (self.range >> PROB_BITS) * model.p0;
         if bit {
             self.low += bound as u64;
@@ -131,7 +131,7 @@ impl RangeEncoder {
     /// Encodes one bit with fixed probability 1/2 and no adaptation (used
     /// for signs, which are nearly incompressible).
     #[inline(always)]
-    pub fn encode_raw(&mut self, bit: bool) {
+    pub(crate) fn encode_raw(&mut self, bit: bool) {
         let bound = self.range >> 1;
         let m = (bit as u32).wrapping_neg();
         self.low += (bound & m) as u64;
@@ -279,7 +279,7 @@ impl<'a> RangeDecoder<'a> {
     /// branchless form cannot do. Use `decode` for near-random bits
     /// (refinement), where this branch would mispredict half the time.
     #[inline]
-    pub fn decode_biased(&mut self, model: &mut BitModel) -> bool {
+    pub(crate) fn decode_biased(&mut self, model: &mut BitModel) -> bool {
         let bound = (self.range >> PROB_BITS) * model.p0;
         let bit = self.code >= bound;
         if bit {
@@ -296,7 +296,7 @@ impl<'a> RangeDecoder<'a> {
     /// Decodes one fixed-probability bit (mirror of
     /// [`RangeEncoder::encode_raw`]).
     #[inline]
-    pub fn decode_raw(&mut self) -> bool {
+    pub(crate) fn decode_raw(&mut self) -> bool {
         let bound = self.range >> 1;
         let bit = self.code >= bound;
         // Same forced-branchless form as `decode`: raw bits are signs and

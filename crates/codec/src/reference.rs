@@ -1,18 +1,22 @@
-//! Reference (pre-optimization) encoder implementations.
+//! The vendored reference encoder: the one EPC1 encoder.
 //!
 //! These are the original dense-traversal, allocate-per-call encode paths,
-//! kept verbatim as executable documentation of the stream format and as
-//! the ground truth for differential testing: the optimized scratch-arena
-//! encoder in [`bitplane`](crate::bitplane) / [`image_codec`](crate::image_codec)
-//! must produce **byte-identical** output (see
-//! `tests/zero_copy_identity.rs` and the `codec_rd` / `perf_baseline`
-//! benches, which also report the old-vs-new throughput ratio measured
-//! in-process, immune to machine-load drift).
+//! kept verbatim as executable documentation of the stream format. EPC1 is
+//! frozen — archived streams must keep decoding and its goldens never
+//! move — so the library itself only decodes it, and every test, bench
+//! and baseline that needs EPC1 bytes takes them from here:
+//! [`encode_reference`] for a whole image (a budgeted encode is
+//! `encode_reference(..)?.wire_truncated(budget)`), [`encode_roi_reference`]
+//! for the γ-budgeted ROI path, and [`encode_planes_reference`] for one
+//! coefficient block. The frozen hashes in
+//! `crates/core/tests/zero_copy_identity.rs` and
+//! `tests/word_boundary_differential.rs` pin their output.
 //!
-//! Nothing here is used by the production pipeline. The reference encoder
-//! predates format versioning and always emits **EPC1** streams — it
-//! ignores [`CodecConfig::format`]; differential tests pin the optimized
-//! side to EPC1 when comparing against it.
+//! Nothing here is used by the production pipeline, which encodes EPC2.
+//! Its forward transform (`forward_reference`) is also the bit-exact
+//! oracle of the optimized forward DWT (`dwt.rs`'s unit tests), and `perf_baseline` times the
+//! reference ROI encode in-process against the EPC2 encoder
+//! (`speedup_vs_reference`).
 
 use crate::bitplane::{neighbor_context, EncodedPlanes, MAX_PLANES};
 use crate::dwt::{self, Coefficients, Wavelet};
@@ -38,7 +42,7 @@ const KAPPA: f32 = 1.230_174_1;
 /// # Panics
 ///
 /// Panics if `levels` exceeds [`dwt::max_levels`] for the buffer.
-pub fn forward_reference(coeffs: &mut Coefficients, wavelet: Wavelet, levels: u8) {
+pub(crate) fn forward_reference(coeffs: &mut Coefficients, wavelet: Wavelet, levels: u8) {
     let (width, height) = (coeffs.width(), coeffs.height());
     assert!(
         levels <= dwt::max_levels(width, height),

@@ -25,8 +25,8 @@ use earthplus_telemetry::{names, Histogram, TelemetrySink, TraceSink};
 
 /// Cumulative wall-clock time per codec stage, accumulated across every
 /// encode or decode call threaded through the owning arena. A measured
-/// window is `reset()` + N calls + read: `perf_baseline` divides the
-/// accumulated durations by N for its per-stage report. The bracketing
+/// window is the difference of two reads: `perf_baseline` snapshots the
+/// breakdown around each timed call for its per-stage report. The bracketing
 /// `Instant` reads (at most three per subband chunk: an EPC2 encode reads
 /// the clock before quantizing a subband, between quantizing and coding
 /// it, and after) are noise against the millisecond-scale stages they
@@ -40,23 +40,10 @@ pub struct StageBreakdown {
     /// per-decision rate is characterized separately (see the
     /// `range_coder` section of the `perf_baseline` report).
     pub bitplane: std::time::Duration,
-    /// Deadzone quantization (encode: the whole plane for EPC1, each coded
-    /// subband as it is gathered for EPC2) or fused dequantization plus
-    /// output normalization (decode).
+    /// Deadzone quantization (encode: each coded subband as it is
+    /// gathered) or fused dequantization plus output normalization
+    /// (decode).
     pub quantize: std::time::Duration,
-}
-
-impl StageBreakdown {
-    /// Zeroes the accumulators (start of a measured window).
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Sum of the tracked stages; subtract from end-to-end wall clock to
-    /// get the untracked remainder (headers, gathers, copies).
-    pub fn tracked(&self) -> std::time::Duration {
-        self.dwt + self.bitplane + self.quantize
-    }
 }
 
 /// Reusable buffers for the DWT → quantize → bitplane → range-code path.
@@ -68,10 +55,6 @@ impl StageBreakdown {
 pub struct CodecScratch {
     /// Scaled input samples; transformed in place into DWT coefficients.
     pub(crate) samples: Vec<f32>,
-    /// EPC1: deadzone-quantized coefficients of the whole plane. EPC2
-    /// quantizes each subband straight into `sb_coeffs` and leaves this
-    /// untouched.
-    pub(crate) quantized: Vec<i32>,
     /// Planar block buffer the forward DWT lifts each level in.
     pub(crate) dwt_block: Vec<f32>,
     /// Significance mask, one bit per coefficient (live during a pass).
@@ -92,21 +75,18 @@ pub struct CodecScratch {
     /// Bit set at every row-end position (last column: no up-right
     /// neighbour).
     pub(crate) rowend_words: Vec<u64>,
-    /// Range-coder output, reused across tiles via `clear()`. For EPC2
-    /// this holds one subband chunk at a time.
+    /// Range-coder output, reused across tiles via `clear()`: one subband
+    /// chunk at a time.
     pub(crate) payload: Vec<u8>,
-    /// Per-pass payload offsets of the tile (EPC1) or subband chunk (EPC2)
-    /// being encoded.
+    /// Per-pass payload offsets of the subband chunk being encoded.
     pub(crate) pass_offsets: Vec<u32>,
-    /// EPC2: gathered, quantized coefficients of the subband being coded.
+    /// Gathered, quantized coefficients of the subband being coded.
     pub(crate) sb_coeffs: Vec<i32>,
-    /// EPC2: concatenated subband chunks of the tile being encoded.
+    /// Concatenated subband chunks of the tile being encoded.
     pub(crate) stream: Vec<u8>,
-    /// EPC2: the tile's subband rectangles (enumeration reused per tile).
+    /// The tile's subband rectangles (enumeration reused per tile).
     pub(crate) sb_rects: Vec<crate::dwt::SubbandRect>,
-    /// Per-call EPC1 encode latency span target (disabled by default).
-    pub(crate) enc_epc1_ns: Histogram,
-    /// Per-call EPC2 encode latency span target (disabled by default).
+    /// Per-call encode latency span target (disabled by default).
     pub(crate) enc_epc2_ns: Histogram,
     /// Encoded payload size per encode call (disabled by default).
     pub(crate) enc_bytes: Histogram,
@@ -128,7 +108,6 @@ impl CodecScratch {
     /// Total bytes currently reserved across all scratch buffers.
     pub fn reserved_bytes(&self) -> usize {
         self.samples.capacity() * std::mem::size_of::<f32>()
-            + self.quantized.capacity() * std::mem::size_of::<i32>()
             + self.dwt_block.capacity() * std::mem::size_of::<f32>()
             + self.sig_words.capacity() * std::mem::size_of::<u64>()
             + self.snap_words.capacity() * std::mem::size_of::<u64>()
@@ -151,16 +130,14 @@ impl CodecScratch {
     }
 
     /// Wires this arena's encode instrumentation to `sink`: every encode
-    /// call through it then records a per-format latency span
-    /// ([`CODEC_ENCODE_EPC1_NS`](earthplus_telemetry::names::CODEC_ENCODE_EPC1_NS)
-    /// / [`CODEC_ENCODE_EPC2_NS`](earthplus_telemetry::names::CODEC_ENCODE_EPC2_NS))
-    /// and a payload-size sample
+    /// call through it then records a latency span
+    /// ([`CODEC_ENCODE_EPC2_NS`](earthplus_telemetry::names::CODEC_ENCODE_EPC2_NS):
+    /// the library encodes EPC2 only) and a payload-size sample
     /// ([`CODEC_ENCODE_BYTES`](earthplus_telemetry::names::CODEC_ENCODE_BYTES)).
     /// The handles live in the scratch arena — resolved once here, not per
     /// call — and a disabled sink leaves them as no-ops, so uninstrumented
     /// encoding pays one pointer check per call.
     pub fn set_telemetry(&mut self, sink: &TelemetrySink) {
-        self.enc_epc1_ns = sink.histogram(names::CODEC_ENCODE_EPC1_NS);
         self.enc_epc2_ns = sink.histogram(names::CODEC_ENCODE_EPC2_NS);
         self.enc_bytes = sink.histogram(names::CODEC_ENCODE_BYTES);
     }
@@ -182,15 +159,10 @@ impl CodecScratch {
         }
     }
 
-    /// Per-stage wall-clock time accumulated by every encode call since
-    /// the last [`reset_stages`](Self::reset_stages).
+    /// Per-stage wall-clock time accumulated by every encode call through
+    /// this arena.
     pub fn stages(&self) -> StageBreakdown {
         self.stages
-    }
-
-    /// Starts a new stage-timing window.
-    pub fn reset_stages(&mut self) {
-        self.stages.reset();
     }
 }
 
@@ -327,15 +299,10 @@ impl DecodeScratch {
         }
     }
 
-    /// Per-stage wall-clock time accumulated by every decode call since
-    /// the last [`reset_stages`](Self::reset_stages).
+    /// Per-stage wall-clock time accumulated by every decode call through
+    /// this arena.
     pub fn stages(&self) -> StageBreakdown {
         self.stages
-    }
-
-    /// Starts a new stage-timing window.
-    pub fn reset_stages(&mut self) {
-        self.stages.reset();
     }
 }
 
@@ -362,7 +329,8 @@ mod tests {
 
     #[test]
     fn telemetry_spans_record_per_format_and_partial() {
-        use crate::{decode_ll_only, decode_with_scratch, encode_view, CodecConfig, FormatVersion};
+        use crate::reference::encode_reference;
+        use crate::{decode_ll_only, decode_with_scratch, encode_view, CodecConfig};
         use earthplus_raster::Raster;
         use earthplus_telemetry::MetricsRegistry;
 
@@ -374,20 +342,20 @@ mod tests {
 
         let img = Raster::from_fn(16, 16, |x, y| ((x * 7 + y * 3) % 11) as f32 / 11.0);
         let view = img.view(0, 0, 16, 16);
-        for format in [FormatVersion::Epc1, FormatVersion::Epc2] {
-            let config = CodecConfig {
-                format,
-                ..CodecConfig::default()
-            };
-            let encoded = encode_view(&view, &config, &mut enc).unwrap();
+        let config = CodecConfig::default();
+        // The EPC1 stream comes from the vendored reference encoder, which
+        // records nothing; only the library's EPC2 encode is timed.
+        let epc1 = encode_reference(&img, &config).unwrap();
+        let epc2 = encode_view(&view, &config, &mut enc).unwrap();
+        for encoded in [epc1, epc2] {
             decode_with_scratch(&encoded, &mut dec).unwrap();
             decode_ll_only(&encoded, &mut dec).unwrap();
         }
 
         let s = registry.snapshot();
-        assert_eq!(s.histogram(names::CODEC_ENCODE_EPC1_NS).unwrap().count, 1);
+        assert!(s.histogram(names::CODEC_ENCODE_EPC1_NS).is_none());
         assert_eq!(s.histogram(names::CODEC_ENCODE_EPC2_NS).unwrap().count, 1);
-        assert_eq!(s.histogram(names::CODEC_ENCODE_BYTES).unwrap().count, 2);
+        assert_eq!(s.histogram(names::CODEC_ENCODE_BYTES).unwrap().count, 1);
         assert_eq!(s.histogram(names::CODEC_DECODE_EPC1_NS).unwrap().count, 1);
         assert_eq!(s.histogram(names::CODEC_DECODE_EPC2_NS).unwrap().count, 1);
         assert_eq!(

@@ -1,5 +1,7 @@
 //! Cross-version format tests: EPC1 ↔ EPC2 coexistence, truncation
-//! metadata consistency, and budgeted-encode equivalence.
+//! metadata consistency, and budgeted-encode equivalence. The library
+//! encodes EPC2; EPC1 streams come from the vendored reference encoder,
+//! the one EPC1 encoder.
 //!
 //! Randomized cases use a deterministic splitmix64 PRNG (the workspace has
 //! no proptest dependency; see `tests/property_invariants.rs` at the repo
@@ -45,27 +47,42 @@ fn natural_image(w: usize, h: usize, seed: u64) -> Raster {
     })
 }
 
-fn epc1() -> CodecConfig {
-    CodecConfig::lossy().with_format(FormatVersion::Epc1)
+const FORMATS: [FormatVersion; 2] = [FormatVersion::Epc1, FormatVersion::Epc2];
+
+/// Encodes `img` in `format`: EPC2 through the library, EPC1 through the
+/// vendored reference encoder.
+fn encode_as(
+    img: &Raster,
+    config: &CodecConfig,
+    format: FormatVersion,
+) -> Result<EncodedImage, CodecError> {
+    match format {
+        FormatVersion::Epc1 => reference::encode_reference(img, config),
+        FormatVersion::Epc2 => encode(img, config),
+    }
+}
+
+fn epc1(img: &Raster) -> EncodedImage {
+    reference::encode_reference(img, &CodecConfig::lossy()).unwrap()
 }
 
 fn epc2() -> CodecConfig {
-    CodecConfig::lossy().with_format(FormatVersion::Epc2)
+    CodecConfig::lossy()
 }
 
 #[test]
 fn default_format_is_epc2() {
-    assert_eq!(CodecConfig::lossy().format, FormatVersion::Epc2);
-    assert_eq!(CodecConfig::lossless().format, FormatVersion::Epc2);
-    let enc = encode(&natural_image(32, 32, 1), &CodecConfig::lossy()).unwrap();
-    assert_eq!(enc.format(), FormatVersion::Epc2);
-    assert_eq!(enc.to_bytes()[4], 2, "version byte");
+    for config in [CodecConfig::lossy(), CodecConfig::lossless()] {
+        let enc = encode(&natural_image(32, 32, 1), &config).unwrap();
+        assert_eq!(enc.format(), FormatVersion::Epc2);
+        assert_eq!(enc.to_bytes()[4], 2, "version byte");
+    }
 }
 
 #[test]
 fn epc1_streams_still_encode_and_decode() {
     let img = natural_image(64, 64, 2);
-    let enc = encode(&img, &epc1()).unwrap();
+    let enc = epc1(&img);
     assert_eq!(enc.format(), FormatVersion::Epc1);
     assert_eq!(enc.to_bytes()[4], 1, "version byte");
     let q = psnr(&img, &decode(&enc).unwrap()).unwrap();
@@ -80,77 +97,68 @@ fn plane_overflow_is_an_encode_error_in_both_formats() {
     let img = Raster::from_fn(64, 64, |x, y| {
         0.5 + 0.4 * (x as f32 / 64.0 * 3.0).sin() * (y as f32 / 64.0 * 2.0).cos()
     });
-    for format in [FormatVersion::Epc1, FormatVersion::Epc2] {
-        let fine = |quant_step| CodecConfig {
-            quant_step,
-            ..CodecConfig::lossy().with_format(format)
-        };
+    let fine = |quant_step| CodecConfig {
+        quant_step,
+        ..CodecConfig::lossy()
+    };
+    let too_many = |r: Result<EncodedImage, CodecError>| match r {
+        Err(CodecError::TooManyPlanes { planes }) => planes > MAX_PLANES,
+        _ => false,
+    };
+    for format in FORMATS {
         // A step of 1e-3 still fits and decodes back at full quality.
-        let enc = encode(&img, &fine(1e-3)).unwrap();
+        let enc = encode_as(&img, &fine(1e-3), format).unwrap();
         assert!(enc.planes() <= MAX_PLANES, "{format:?}");
         let q = psnr(&img, &decode(&enc).unwrap()).unwrap();
         assert!(q > 60.0, "{format:?}: full-rate PSNR {q} at step 1e-3");
         // 1e-4 needs 31 planes: the quantizer's `as i32` cast saturates.
-        let overflow = fine(1e-4);
-        let too_many = |r: Result<EncodedImage, CodecError>| match r {
-            Err(CodecError::TooManyPlanes { planes }) => planes > MAX_PLANES,
-            _ => false,
-        };
-        assert!(too_many(encode(&img, &overflow)), "{format:?}");
-        assert!(
-            too_many(encode_with_budget(&img, &overflow, 4096)),
-            "{format:?}, budgeted"
-        );
-        let mut scratch = CodecScratch::new();
-        assert!(
-            too_many(encode_view(
-                &img.view(0, 0, 64, 64),
-                &overflow,
-                &mut scratch
-            )),
-            "{format:?}, scratch view"
-        );
+        assert!(too_many(encode_as(&img, &fine(1e-4), format)), "{format:?}");
     }
-    // The vendored reference encoders emit EPC1 and must refuse the same
-    // input instead of clamping the plane count.
-    let overflow = CodecConfig {
-        quant_step: 1e-4,
-        ..CodecConfig::lossy()
-    };
-    match reference::encode_reference(&img, &overflow) {
-        Err(CodecError::TooManyPlanes { planes }) => assert!(planes > MAX_PLANES),
-        other => panic!("reference encode of 31 planes: {other:?}"),
-    }
+    let overflow = fine(1e-4);
+    assert!(
+        too_many(encode_with_budget(&img, &overflow, 4096)),
+        "budgeted"
+    );
+    let mut scratch = CodecScratch::new();
+    assert!(
+        too_many(encode_view(
+            &img.view(0, 0, 64, 64),
+            &overflow,
+            &mut scratch
+        )),
+        "scratch view"
+    );
+    // The reference ROI encoder refuses it too instead of clamping the
+    // plane count.
     let grid = TileGrid::new(64, 64, 32).unwrap();
     let mut all = TileMask::new(&grid);
     all.fill();
-    match reference::encode_roi_reference(&img, &grid, &all, &overflow, 4096) {
-        Err(CodecError::TooManyPlanes { planes }) => assert!(planes > MAX_PLANES),
-        other => panic!("reference ROI encode of 31 planes: {other:?}"),
-    }
+    assert!(matches!(
+        reference::encode_roi_reference(&img, &grid, &all, &overflow, 4096),
+        Err(CodecError::TooManyPlanes { planes }) if planes > MAX_PLANES
+    ));
 }
 
 #[test]
 fn cross_version_serialization_roundtrip() {
     let img = natural_image(48, 32, 3);
-    for config in [epc1(), epc2()] {
-        let enc = encode(&img, &config).unwrap();
+    for format in FORMATS {
+        let enc = encode_as(&img, &CodecConfig::lossy(), format).unwrap();
         let bytes = enc.to_bytes();
-        assert_eq!(bytes.len(), enc.size_bytes(), "{:?}", config.format);
+        assert_eq!(bytes.len(), enc.size_bytes(), "{format:?}");
         let parsed = EncodedImage::from_bytes(&bytes).unwrap();
-        assert_eq!(parsed, enc, "{:?}", config.format);
+        assert_eq!(parsed, enc, "{format:?}");
         assert_eq!(
             decode(&parsed).unwrap().as_slice(),
             decode(&enc).unwrap().as_slice(),
-            "{:?}",
-            config.format
+            "{format:?}"
         );
         // The header length is computed, not measured: it must match the
         // serialization at every pass cut, including the empty stream.
         for cut in std::iter::once(0).chain(enc.pass_boundaries()) {
             let t = enc.truncated(cut);
             let bytes = t.to_bytes();
-            assert_eq!(bytes.len(), t.size_bytes(), "{:?} cut {cut}", config.format);
+            assert_eq!(bytes.len(), t.size_bytes(), "{format:?} cut {cut}");
             assert_eq!(EncodedImage::from_bytes(&bytes).unwrap(), t);
         }
     }
@@ -159,8 +167,7 @@ fn cross_version_serialization_roundtrip() {
 #[test]
 fn epc2_lossless_roundtrips_bit_exact() {
     let img = natural_image(67, 41, 4).map(|v| (v * 4095.0).round() / 4095.0);
-    let config = CodecConfig::lossless().with_format(FormatVersion::Epc2);
-    let enc = encode(&img, &config).unwrap();
+    let enc = encode(&img, &CodecConfig::lossless()).unwrap();
     let dec = decode(&enc).unwrap();
     let max_err = img
         .as_slice()
@@ -180,7 +187,7 @@ fn epc2_handles_all_zero_subbands_without_chunk_misalignment() {
     // few bytes — those must not enter the payload, or every later
     // chunk's derived start shifts and the decode collapses.
     let img = Raster::from_fn(64, 64, |x, _| if x % 2 == 0 { 0.25 } else { 0.75 });
-    let q1 = psnr(&img, &decode(&encode(&img, &epc1()).unwrap()).unwrap()).unwrap();
+    let q1 = psnr(&img, &decode(&epc1(&img)).unwrap()).unwrap();
     let q2 = psnr(&img, &decode(&encode(&img, &epc2()).unwrap()).unwrap()).unwrap();
     assert!(
         (q1 - q2).abs() < 0.01,
@@ -194,7 +201,7 @@ fn epc2_handles_all_zero_subbands_without_chunk_misalignment() {
     ] {
         let enc = encode(&img, &epc2()).unwrap();
         let dec = decode(&enc).unwrap();
-        let e1 = decode(&encode(&img, &epc1()).unwrap()).unwrap();
+        let e1 = decode(&epc1(&img)).unwrap();
         let max_diff = e1
             .as_slice()
             .iter()
@@ -210,15 +217,16 @@ fn epc2_handles_all_zero_subbands_without_chunk_misalignment() {
 #[test]
 fn from_bytes_rejects_corrupt_levels_byte_without_panicking() {
     let img = natural_image(32, 32, 6);
-    for config in [epc1(), epc2()] {
-        let mut bytes = encode(&img, &config).unwrap().to_bytes();
+    for format in FORMATS {
+        let mut bytes = encode_as(&img, &CodecConfig::lossy(), format)
+            .unwrap()
+            .to_bytes();
         // Header layout: magic(4) ver(1) wavelet(1) levels(1) ...
         bytes[6] = 200;
         let result = EncodedImage::from_bytes(&bytes);
         assert!(
             result.is_err(),
-            "{:?}: corrupt levels byte must be Malformed, not a panic",
-            config.format
+            "{format:?}: corrupt levels byte must be Malformed, not a panic"
         );
         bytes[6] = 13; // just past the valid cap
         assert!(EncodedImage::from_bytes(&bytes).is_err());
@@ -228,7 +236,7 @@ fn from_bytes_rejects_corrupt_levels_byte_without_panicking() {
 #[test]
 fn both_formats_decode_to_equivalent_quality_at_full_rate() {
     let img = natural_image(128, 128, 5);
-    let q1 = psnr(&img, &decode(&encode(&img, &epc1()).unwrap()).unwrap()).unwrap();
+    let q1 = psnr(&img, &decode(&epc1(&img)).unwrap()).unwrap();
     let q2 = psnr(&img, &decode(&encode(&img, &epc2()).unwrap()).unwrap()).unwrap();
     // Same quantizer, same transform: full-rate reconstructions match to
     // within float noise of the identical dequantized coefficients.
@@ -290,8 +298,8 @@ fn truncation_is_idempotent_and_metadata_consistent() {
     let mut rng = Rng(0x1DE0);
     for case in 0..12 {
         let img = natural_image(rng.range(8, 80), rng.range(8, 80), 200 + case);
-        for config in [epc1(), epc2()] {
-            let enc = encode(&img, &config).unwrap();
+        for format in FORMATS {
+            let enc = encode_as(&img, &CodecConfig::lossy(), format).unwrap();
             for _ in 0..6 {
                 let budget = rng.range(0, enc.payload_len() + 16);
                 let t = enc.truncated(budget);
@@ -302,7 +310,7 @@ fn truncation_is_idempotent_and_metadata_consistent() {
                     assert_eq!(t.pass_boundaries().last().copied(), Some(t.payload_len()));
                 }
                 // …double truncation is the identity…
-                assert_eq!(t.truncated(budget), t, "{:?} case {case}", config.format);
+                assert_eq!(t.truncated(budget), t, "{format:?} case {case}");
                 assert_eq!(t.truncated(t.payload_len()), t);
                 // …and the cut stream round-trips through serialization.
                 let parsed = EncodedImage::from_bytes(&t.to_bytes()).unwrap();

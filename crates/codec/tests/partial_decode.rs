@@ -8,7 +8,7 @@
 
 use earthplus_codec::{
     decode, decode_into, decode_level_limited, decode_ll_only, decode_with_scratch, dwt, encode,
-    encode_with_budget, CodecConfig, DecodeScratch, EncodedImage, FormatVersion,
+    encode_with_budget, reference, CodecConfig, DecodeScratch, EncodedImage, FormatVersion,
 };
 use earthplus_raster::{downsample_box, mean_abs_diff, Raster};
 
@@ -45,13 +45,40 @@ fn natural_image(w: usize, h: usize, seed: u64) -> Raster {
     })
 }
 
-fn all_configs() -> Vec<CodecConfig> {
-    vec![
-        CodecConfig::lossy(),
-        CodecConfig::lossy().with_format(FormatVersion::Epc1),
-        CodecConfig::lossless(),
-        CodecConfig::lossless().with_format(FormatVersion::Epc1),
-    ]
+/// One encoder per wavelet and format: the library for EPC2, the vendored
+/// reference (the one EPC1 encoder) for EPC1.
+#[derive(Clone, Copy, Debug)]
+struct Subject {
+    config: CodecConfig,
+    format: FormatVersion,
+}
+
+impl Subject {
+    fn encode(&self, img: &Raster) -> EncodedImage {
+        match self.format {
+            FormatVersion::Epc1 => reference::encode_reference(img, &self.config),
+            FormatVersion::Epc2 => encode(img, &self.config),
+        }
+        .unwrap()
+    }
+
+    /// A budgeted encode; EPC1's historical wire form keeps the full
+    /// offset table.
+    fn encode_with_budget(&self, img: &Raster, budget: usize) -> EncodedImage {
+        match self.format {
+            FormatVersion::Epc1 => self.encode(img).wire_truncated(budget),
+            FormatVersion::Epc2 => encode_with_budget(img, &self.config, budget).unwrap(),
+        }
+    }
+}
+
+fn all_subjects() -> Vec<Subject> {
+    [CodecConfig::lossy(), CodecConfig::lossless()]
+        .into_iter()
+        .flat_map(|config| {
+            [FormatVersion::Epc2, FormatVersion::Epc1].map(|format| Subject { config, format })
+        })
+        .collect()
 }
 
 #[test]
@@ -59,16 +86,16 @@ fn zero_discard_is_bit_identical_to_full_decode() {
     let mut scratch = DecodeScratch::new();
     for &(w, h) in &[(64usize, 64usize), (67, 41), (96, 33)] {
         let img = natural_image(w, h, 11);
-        for config in all_configs() {
-            let enc = encode(&img, &config).unwrap();
+        for subject in all_subjects() {
+            let enc = subject.encode(&img);
             let full = decode(&enc).unwrap();
             let limited = decode_level_limited(&enc, 0, &mut scratch).unwrap();
             assert_eq!(
                 full.as_slice(),
                 limited.as_slice(),
                 "{w}x{h} {:?} {:?}",
-                config.format,
-                config.wavelet
+                subject.format,
+                subject.config.wavelet
             );
             // And for a truncated stream.
             let t = enc.truncated(enc.payload_len() / 3);
@@ -112,13 +139,13 @@ fn ll_only_approximates_full_decode_plus_downsampling() {
     let mut scratch = DecodeScratch::new();
     for seed in [1u64, 2, 3] {
         let img = natural_image(128, 128, seed);
-        for config in all_configs() {
-            let enc = encode(&img, &config).unwrap();
+        for subject in all_subjects() {
+            let enc = subject.encode(&img);
             let ll = decode_ll_only(&enc, &mut scratch).unwrap();
             let full = decode(&enc).unwrap();
             let stride = 1usize << enc.levels();
             let boxed = downsample_box(&full, stride).unwrap();
-            assert_eq!(ll.dimensions(), boxed.dimensions(), "{:?}", config.format);
+            assert_eq!(ll.dimensions(), boxed.dimensions(), "{:?}", subject.format);
             assert_eq!(ll.dimensions(), enc.reduced_dimensions(enc.levels()));
             let (lw, lh) = ll.dimensions();
             let mut sum = 0.0f64;
@@ -135,8 +162,8 @@ fn ll_only_approximates_full_decode_plus_downsampling() {
             assert!(
                 mae < 0.05,
                 "seed {seed} {:?} {:?}: LL vs centred downsample MAE {mae}",
-                config.format,
-                config.wavelet
+                subject.format,
+                subject.config.wavelet
             );
         }
     }
@@ -149,8 +176,8 @@ fn ll_only_is_exact_on_constant_content() {
     for value in [0.0f32, 0.25, 0.5, 1.0] {
         let img = Raster::filled(96, 64, value);
         let mut scratch = DecodeScratch::new();
-        for config in all_configs() {
-            let enc = encode(&img, &config).unwrap();
+        for subject in all_subjects() {
+            let enc = subject.encode(&img);
             for k in 0..=enc.levels() {
                 let dec = decode_level_limited(&enc, k, &mut scratch).unwrap();
                 let max_err = dec
@@ -161,8 +188,8 @@ fn ll_only_is_exact_on_constant_content() {
                 assert!(
                     max_err < 2.0 / 4095.0,
                     "{:?} {:?} value {value} discard {k}: max err {max_err}",
-                    config.format,
-                    config.wavelet
+                    subject.format,
+                    subject.config.wavelet
                 );
             }
         }
@@ -177,7 +204,7 @@ fn lossless_level_limited_equals_wavelet_downsample_exactly() {
     let img = natural_image(96, 64, 7).map(|v| (v * 4095.0).round() / 4095.0);
     let config = CodecConfig::lossless();
     for format in [FormatVersion::Epc2, FormatVersion::Epc1] {
-        let enc = encode(&img, &config.with_format(format)).unwrap();
+        let enc = Subject { config, format }.encode(&img);
         let mut scratch = DecodeScratch::new();
         for k in 0..=enc.levels() {
             let got = decode_level_limited(&enc, k, &mut scratch).unwrap();
@@ -208,8 +235,8 @@ fn epc1_and_epc2_partial_decodes_agree() {
     // so they stay close.
     for wavelet_config in [CodecConfig::lossy(), CodecConfig::lossless()] {
         let img = natural_image(128, 96, 21);
-        let e1 = encode(&img, &wavelet_config.with_format(FormatVersion::Epc1)).unwrap();
-        let e2 = encode(&img, &wavelet_config.with_format(FormatVersion::Epc2)).unwrap();
+        let e1 = reference::encode_reference(&img, &wavelet_config).unwrap();
+        let e2 = encode(&img, &wavelet_config).unwrap();
         let mut scratch = DecodeScratch::new();
         for k in 0..=e1.levels() {
             let d1 = decode_level_limited(&e1, k, &mut scratch).unwrap();
@@ -345,11 +372,11 @@ fn corrupt_streams_never_panic() {
     let mut exercised = 0usize;
     for case in 0..220 {
         let img = &images[case % images.len()];
-        let config = all_configs()[case % 4];
+        let subject = all_subjects()[case % 4];
         let enc = if case % 3 == 0 {
-            encode_with_budget(img, &config, rng.range(16, 4096)).unwrap()
+            subject.encode_with_budget(img, rng.range(16, 4096))
         } else {
-            encode(img, &config).unwrap()
+            subject.encode(img)
         };
         let mut bytes = enc.to_bytes();
         match case % 4 {
@@ -389,17 +416,14 @@ fn corrupt_streams_never_panic() {
 #[test]
 fn from_bytes_rejects_corrupt_plane_counts() {
     let img = natural_image(32, 32, 77);
-    for config in [
-        CodecConfig::lossy(),
-        CodecConfig::lossy().with_format(FormatVersion::Epc1),
-    ] {
-        let mut bytes = encode(&img, &config).unwrap().to_bytes();
+    for subject in &all_subjects()[..2] {
+        let mut bytes = subject.encode(&img).to_bytes();
         // Header layout: magic(4) ver(1) wavelet(1) levels(1) planes(1).
         bytes[7] = 200;
         assert!(
             EncodedImage::from_bytes(&bytes).is_err(),
             "{:?}: corrupt plane count must be rejected",
-            config.format
+            subject.format
         );
     }
 }

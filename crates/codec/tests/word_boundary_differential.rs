@@ -4,10 +4,10 @@
 //! optimization-level- or shape-dependent bug would hide are the word
 //! seams: blocks of 1, 63, 64, 65, 255... coefficients, the partial last
 //! word, all-zero and all-significant populations, and truncation at every
-//! coded pass boundary. Every case here runs the real coders:
+//! coded pass boundary. Every case here runs the real coders — the
+//! library's EPC2 encoder and, for EPC1, the vendored `reference` encoder
+//! (the one EPC1 encoder) — and the one decoder traversal of both formats:
 //!
-//! * EPC1 output is asserted **byte-identical** to the vendored
-//!   pre-refactor `reference` encoder (payload, offsets, and plane count).
 //! * EPC2 plane-coder output is pinned by frozen FNV-1a goldens (captured
 //!   when the word-parallel coder landed; the image-level EPC2 goldens in
 //!   `crates/core/tests/zero_copy_identity.rs` reach back further).
@@ -112,29 +112,14 @@ fn populations(width: usize, rows: usize, seed: u64) -> Vec<(&'static str, Vec<i
     ]
 }
 
-/// EPC1 word-parallel encoder vs the vendored pre-refactor reference:
-/// payload bytes, pass offsets, and plane count all identical at every
-/// word-seam shape and population.
-#[test]
-fn epc1_encoder_matches_reference_at_word_seams() {
-    for (si, &(width, rows)) in SHAPES.iter().enumerate() {
-        for (name, coeffs) in populations(width, rows, 0xA5A5 + si as u64) {
-            let word = encode_planes(&coeffs, width, FormatVersion::Epc1).unwrap();
-            let reference = reference::encode_planes_reference(&coeffs, width).unwrap();
-            assert_eq!(
-                word.payload, reference.payload,
-                "payload drift at {width}x{rows}/{name}"
-            );
-            assert_eq!(
-                word.pass_offsets, reference.pass_offsets,
-                "offsets drift at {width}x{rows}/{name}"
-            );
-            assert_eq!(
-                word.planes, reference.planes,
-                "plane count drift at {width}x{rows}/{name}"
-            );
-        }
+/// Encodes a coefficient block in `format`: EPC2 through the library,
+/// EPC1 through the vendored reference encoder.
+fn encode_as(coeffs: &[i32], width: usize, format: FormatVersion) -> EncodedPlanes {
+    match format {
+        FormatVersion::Epc1 => reference::encode_planes_reference(coeffs, width),
+        FormatVersion::Epc2 => encode_planes(coeffs, width),
     }
+    .unwrap()
 }
 
 /// FNV-1a over an encoded plane set (payload, then offsets, then planes).
@@ -175,7 +160,7 @@ fn epc2_plane_coder_matches_frozen_goldens() {
             .find(|(n, _)| *n == name)
             .expect("golden population exists")
             .1;
-        let enc = encode_planes(&coeffs, width, FormatVersion::Epc2).unwrap();
+        let enc = encode_planes(&coeffs, width).unwrap();
         assert_eq!(
             fnv_planes(&enc),
             golden,
@@ -198,7 +183,8 @@ fn fnv_coeffs(coeffs: &[i32], mut hash: u64) -> u64 {
 /// Decoder goldens: one FNV-1a hash per format over the plane decoder's
 /// output at every recorded pass cut, across every shape and population.
 /// The encoder goldens above cannot see a change in how a *truncated*
-/// stream reconstructs; these can.
+/// stream reconstructs; these can. The EPC1 hash also pins the reference
+/// encoder's planes, the only EPC1 planes there are.
 #[test]
 fn truncated_decodes_match_frozen_goldens() {
     const GOLDENS: [(FormatVersion, u64); 2] = [
@@ -210,7 +196,7 @@ fn truncated_decodes_match_frozen_goldens() {
         for (si, &(width, rows)) in SHAPES.iter().enumerate() {
             for (_, coeffs) in populations(width, rows, 0xA5A5 + si as u64) {
                 let n = coeffs.len();
-                let enc = encode_planes(&coeffs, width, format).unwrap();
+                let enc = encode_as(&coeffs, width, format);
                 for &cut in &enc.pass_offsets {
                     let cut = (cut as usize).min(enc.payload.len());
                     let dec = decode_planes(
@@ -238,7 +224,7 @@ fn roundtrip_and_every_truncation_point_at_word_seams() {
         for (name, coeffs) in populations(width, rows, 0x5A5A + si as u64) {
             let n = coeffs.len();
             for format in FORMATS {
-                let enc = encode_planes(&coeffs, width, format).unwrap();
+                let enc = encode_as(&coeffs, width, format);
                 let decode_at = |cut: usize| {
                     decode_planes(
                         &enc.payload[..cut],
@@ -281,9 +267,9 @@ fn word_mask_arenas_steady_state_no_growth() {
         for (si, &(width, rows)) in SHAPES.iter().enumerate() {
             for (_, coeffs) in populations(width, rows, 0x7777 + si as u64) {
                 let n = coeffs.len();
+                encode_planes_into(&coeffs, width, enc_scratch).unwrap();
                 for format in FORMATS {
-                    let enc = encode_planes(&coeffs, width, format).unwrap();
-                    encode_planes_into(&coeffs, width, format, enc_scratch).unwrap();
+                    let enc = encode_as(&coeffs, width, format);
                     decode_planes_with(
                         &enc.payload,
                         n,
@@ -315,10 +301,10 @@ fn word_mask_arenas_steady_state_no_growth() {
 
 /// Image-level truncation equivalence on an odd-sized image, at **every**
 /// pass-boundary layer of both formats. EPC2's budgeted encoder emits the
-/// byte-identical truncated full stream; EPC1's budgeted path keeps the
-/// historical full offset table in its header, so equivalence there is the
-/// payload bytes plus a pixel-exact decode match. Every truncated stream
-/// must decode.
+/// byte-identical truncated full stream; EPC1's budgeted wire form (the
+/// reference encode cut by `wire_truncated`) keeps the historical full
+/// offset table in its header, so equivalence there is the payload bytes
+/// plus a pixel-exact decode match. Every truncated stream must decode.
 #[test]
 fn image_truncation_points_match_budgeted_encode() {
     let mut rng = Rng(42);
@@ -332,13 +318,21 @@ fn image_truncation_points_match_budgeted_encode() {
         let texture = (noise[y * 48 + x] / (1u64 << 24) as f32 - 0.5) * 0.05;
         (smooth + texture).clamp(0.0, 1.0)
     });
+    let config = CodecConfig::lossy();
     for format in FORMATS {
-        let config = CodecConfig::lossy().with_format(format);
-        let full = encode(&img, &config).unwrap();
+        let full = match format {
+            FormatVersion::Epc1 => reference::encode_reference(&img, &config).unwrap(),
+            FormatVersion::Epc2 => encode(&img, &config).unwrap(),
+        };
         let cuts = std::iter::once(0).chain(full.pass_boundaries());
         for (k, cut_bytes) in cuts.enumerate() {
             let cut = full.truncated(cut_bytes);
-            let budgeted = encode_with_budget(&img, &config, cut.payload_len()).unwrap();
+            let budgeted = match format {
+                FormatVersion::Epc1 => full.wire_truncated(cut.payload_len()),
+                FormatVersion::Epc2 => {
+                    encode_with_budget(&img, &config, cut.payload_len()).unwrap()
+                }
+            };
             match format {
                 FormatVersion::Epc2 => assert_eq!(
                     budgeted.to_bytes(),

@@ -98,9 +98,6 @@ pub struct EarthPlusConfig {
     /// detect more changed tiles" (§4.3). Detection fires at
     /// `theta * detection_margin`.
     pub detection_margin: f32,
-    /// Bitstream format the on-board encoder emits (EPC2 by default; the
-    /// ground decodes both, so a mixed constellation mid-rollout works).
-    pub codec_format: earthplus_codec::FormatVersion,
 }
 
 impl EarthPlusConfig {
@@ -116,7 +113,6 @@ impl EarthPlusConfig {
             guaranteed_period_days: 30.0,
             cloud_score_threshold: 0.95,
             detection_margin: 0.6,
-            codec_format: earthplus_codec::FormatVersion::Epc2,
         }
     }
 
@@ -142,13 +138,6 @@ impl EarthPlusConfig {
     /// Overrides θ.
     pub fn with_theta(mut self, theta: f32) -> Self {
         self.theta = theta;
-        self
-    }
-
-    /// Overrides the emitted bitstream format (EPC1 for compatibility
-    /// comparisons; EPC2 is the default).
-    pub fn with_codec_format(mut self, format: earthplus_codec::FormatVersion) -> Self {
-        self.codec_format = format;
         self
     }
 
@@ -207,12 +196,6 @@ mod tests {
         assert_eq!(c.guaranteed_period_days, 30.0);
         // 2601x pixel reduction (Appendix A).
         assert_eq!(c.reference_downsample * c.reference_downsample, 2601);
-        assert_eq!(c.codec_format, earthplus_codec::FormatVersion::Epc2);
-        assert_eq!(
-            c.with_codec_format(earthplus_codec::FormatVersion::Epc1)
-                .codec_format,
-            earthplus_codec::FormatVersion::Epc1
-        );
     }
 
     #[test]

@@ -61,8 +61,8 @@ struct CaptureTally {
 }
 
 impl CapturePipeline {
-    /// A pipeline encoding in `config`'s bitstream format at its γ, with
-    /// both arenas reporting through `sink` and `tracing`.
+    /// A pipeline encoding EPC2 at `config`'s γ, with both arenas
+    /// reporting through `sink` and `tracing`.
     pub(crate) fn new(config: &EarthPlusConfig, sink: &TelemetrySink, tracing: &TraceSink) -> Self {
         let mut codec_scratch = CodecScratch::new();
         codec_scratch.set_telemetry(sink);
@@ -71,7 +71,7 @@ impl CapturePipeline {
         decode_scratch.set_telemetry(sink);
         decode_scratch.set_tracing(tracing);
         CapturePipeline {
-            codec: CodecConfig::lossy().with_format(config.codec_format),
+            codec: CodecConfig::lossy(),
             tile_budget: config.tile_budget_bytes(),
             codec_scratch,
             decode_scratch,

@@ -6,10 +6,11 @@
 //! 1. **Golden hashes** — FNV-1a hashes of encoder output, change scores,
 //!    and cloud masks on the quickstart scene, captured from the
 //!    pre-refactor implementation. Any stream-format or numeric drift
-//!    fails these.
-//! 2. **Differential tests** — the vendored reference implementations
-//!    (`earthplus_codec::reference`) are the original copy-path encoders;
-//!    the optimized paths must match them byte for byte.
+//!    fails these. The frozen EPC1 bytes come from the vendored reference
+//!    encoders (`earthplus_codec::reference`), the one EPC1 encoder.
+//! 2. **Differential tests** — the zero-copy paths (tile views through
+//!    one shared scratch arena) must match the copy path (materialized
+//!    tiles, fresh arenas) byte for byte.
 //! 3. **Steady-state allocation accounting** — a second capture through
 //!    the same strategy must not grow the codec scratch arena.
 
@@ -17,7 +18,8 @@ use earthplus::prelude::*;
 use earthplus::{CaptureContext, ChangeDetector, ContactWindow, ReferenceImage};
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_codec::{
-    decode, encode_roi_with_scratch, reference, CodecConfig, CodecScratch, FormatVersion,
+    decode, encode_roi_with_scratch, encode_with_budget, reference, CodecConfig, CodecScratch,
+    EncodedImage, FormatVersion,
 };
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, PlanetBand, Raster, TileGrid, TileMask};
@@ -42,11 +44,6 @@ const GOLDEN_EPC2_ROI_HASH: u64 = 0x210f329eac6e5666;
 const GOLDEN_EPC2_ENCODE_HASH: u64 = 0x3eb4d988fdd3805f;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The frozen-format configuration the golden EPC1 hashes pin.
-fn epc1_lossy() -> CodecConfig {
-    CodecConfig::lossy().with_format(FormatVersion::Epc1)
-}
-
 fn fnv1a64(bytes: &[u8], mut hash: u64) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
@@ -61,6 +58,9 @@ fn quickstart_scene() -> (LocationScene, Capture) {
     (scene, capture)
 }
 
+/// The frozen EPC1 ROI bytes survive the library's parser: every
+/// budget-truncated tile parses back equal and re-serializes to the
+/// golden bytes.
 #[test]
 fn golden_roi_bytes_unchanged() {
     let (_, capture) = quickstart_scene();
@@ -72,24 +72,25 @@ fn golden_roi_bytes_unchanged() {
     let grid = TileGrid::new(256, 256, config.tile_size).unwrap();
     let mut all = TileMask::new(&grid);
     all.fill();
-    let mut scratch = CodecScratch::new();
-    let roi = encode_roi_with_scratch(
+    let roi = reference::encode_roi_reference(
         red,
         &grid,
         &all,
-        &epc1_lossy(),
+        &CodecConfig::lossy(),
         config.tile_budget_bytes(),
-        &mut scratch,
     )
     .unwrap();
     let mut hash = FNV_OFFSET;
     for tile in roi.tiles() {
+        let parsed = EncodedImage::from_bytes(&tile.image.to_bytes()).unwrap();
+        assert_eq!(parsed, tile.image, "tile {}", tile.flat_index);
         hash = fnv1a64(&tile.flat_index.to_be_bytes(), hash);
-        hash = fnv1a64(&tile.image.to_bytes(), hash);
+        hash = fnv1a64(&parsed.to_bytes(), hash);
     }
-    assert_eq!(hash, GOLDEN_ROI_HASH, "ROI encoder output drifted");
+    assert_eq!(hash, GOLDEN_ROI_HASH, "EPC1 ROI bytes drifted");
 }
 
+/// The frozen full-rate EPC1 stream survives the library's parser.
 #[test]
 fn golden_full_encode_bytes_unchanged() {
     let (_, capture) = quickstart_scene();
@@ -97,11 +98,13 @@ fn golden_full_encode_bytes_unchanged() {
         .image
         .require_band(Band::Planet(PlanetBand::Red))
         .unwrap();
-    let full = earthplus_codec::encode(red, &epc1_lossy()).unwrap();
+    let full = reference::encode_reference(red, &CodecConfig::lossy()).unwrap();
+    let parsed = EncodedImage::from_bytes(&full.to_bytes()).unwrap();
+    assert_eq!(parsed, full);
     assert_eq!(
-        fnv1a64(&full.to_bytes(), FNV_OFFSET),
+        fnv1a64(&parsed.to_bytes(), FNV_OFFSET),
         GOLDEN_ENCODE_HASH,
-        "full-rate encoder output drifted"
+        "full-rate EPC1 bytes drifted"
     );
 }
 
@@ -190,10 +193,11 @@ fn golden_epc2_full_encode_roundtrips_bit_exact() {
     // Bit-exact through serialization, and decode agrees with the EPC1
     // decode of the same capture to within float noise (same quantizer,
     // same transform).
-    let parsed = earthplus_codec::EncodedImage::from_bytes(&full.to_bytes()).unwrap();
+    let parsed = EncodedImage::from_bytes(&full.to_bytes()).unwrap();
     assert_eq!(parsed, full);
     let epc2_dec = decode(&parsed).unwrap();
-    let epc1_dec = decode(&earthplus_codec::encode(red, &epc1_lossy()).unwrap()).unwrap();
+    let epc1_dec =
+        decode(&reference::encode_reference(red, &CodecConfig::lossy()).unwrap()).unwrap();
     let max_err = epc1_dec
         .as_slice()
         .iter()
@@ -216,7 +220,7 @@ const GOLDEN_EPC2_ENCODE_PAYLOAD_HASH: u64 = 0x3e6b687c88399378;
 
 /// Hashes an EPC2 stream's payload (the trailing `payload_len` bytes of
 /// its serialization) and its chunk table as plain integers.
-fn epc2_payload_and_offsets_hash(image: &earthplus_codec::EncodedImage, mut hash: u64) -> u64 {
+fn epc2_payload_and_offsets_hash(image: &EncodedImage, mut hash: u64) -> u64 {
     let bytes = image.to_bytes();
     hash = fnv1a64(&bytes[bytes.len() - image.payload_len()..], hash);
     for chunk in image.subbands() {
@@ -283,27 +287,22 @@ fn golden_roi_decodes_unchanged() {
     let grid = TileGrid::new(256, 256, config.tile_size).unwrap();
     let mut all = TileMask::new(&grid);
     all.fill();
-    let mut scratch = CodecScratch::new();
-    for (codec, golden) in [
-        (epc1_lossy(), GOLDEN_EPC1_ROI_DECODE_HASH),
-        (CodecConfig::lossy(), GOLDEN_EPC2_ROI_DECODE_HASH),
-    ] {
-        let roi = encode_roi_with_scratch(
-            red,
-            &grid,
-            &all,
-            &codec,
-            config.tile_budget_bytes(),
-            &mut scratch,
-        )
+    let (codec, budget) = (CodecConfig::lossy(), config.tile_budget_bytes());
+    let epc1 = reference::encode_roi_reference(red, &grid, &all, &codec, budget).unwrap();
+    let epc2 = encode_roi_with_scratch(red, &grid, &all, &codec, budget, &mut CodecScratch::new())
         .unwrap();
+    for (roi, golden) in [
+        (epc1, GOLDEN_EPC1_ROI_DECODE_HASH),
+        (epc2, GOLDEN_EPC2_ROI_DECODE_HASH),
+    ] {
+        let format = roi.tiles()[0].image.format();
         let mut hash = FNV_OFFSET;
         for tile in roi.tiles() {
             for &v in decode(&tile.image).unwrap().as_slice() {
                 hash = fnv1a64(&v.to_bits().to_le_bytes(), hash);
             }
         }
-        assert_eq!(hash, golden, "{:?} ROI decode drifted", codec.format);
+        assert_eq!(hash, golden, "{format:?} ROI decode drifted");
     }
 }
 
@@ -344,6 +343,9 @@ fn golden_cloud_mask_unchanged() {
     assert_eq!(hash, GOLDEN_CLOUD_HASH, "view-based cloud features drifted");
 }
 
+/// The zero-copy ROI path (tile views through one arena shared by every
+/// band) emits the bytes of the copy path: each tile materialized and
+/// encoded to the budget through a fresh arena.
 #[test]
 fn scratch_path_matches_reference_on_every_band() {
     let (_, capture) = quickstart_scene();
@@ -351,14 +353,21 @@ fn scratch_path_matches_reference_on_every_band() {
     let grid = TileGrid::new(256, 256, config.tile_size).unwrap();
     let mut all = TileMask::new(&grid);
     all.fill();
-    let codec = epc1_lossy();
+    let codec = CodecConfig::lossy();
     let budget = config.tile_budget_bytes();
     let mut scratch = CodecScratch::new();
     for (band, raster) in capture.image.iter() {
-        let old = reference::encode_roi_reference(raster, &grid, &all, &codec, budget).unwrap();
-        let new =
+        let roi =
             encode_roi_with_scratch(raster, &grid, &all, &codec, budget, &mut scratch).unwrap();
-        assert_eq!(old, new, "band {band:?}: scratch path diverged");
+        assert_eq!(roi.tile_count(), grid.tile_count());
+        for (t, tile) in grid.iter().zip(roi.tiles()) {
+            let copied = grid.extract_tile(raster, t).unwrap();
+            let old = encode_with_budget(&copied, &codec, budget).unwrap();
+            assert_eq!(
+                old, tile.image,
+                "band {band:?} tile {t}: scratch path diverged"
+            );
+        }
     }
 }
 
@@ -367,11 +376,11 @@ fn view_encode_matches_copy_encode_on_partial_tiles() {
     // Odd dimensions exercise clipped edge tiles through both paths.
     let img = Raster::from_fn(200, 137, |x, y| ((x * 31 + y * 57) % 101) as f32 / 101.0);
     let grid = TileGrid::new(200, 137, 64).unwrap();
-    let codec = epc1_lossy();
+    let codec = CodecConfig::lossy();
     let mut scratch = CodecScratch::new();
     for t in grid.iter() {
         let copied = grid.extract_tile(&img, t).unwrap();
-        let old = reference::encode_reference(&copied, &codec).unwrap();
+        let old = earthplus_codec::encode(&copied, &codec).unwrap();
         let view = grid.tile_view(&img, t).unwrap();
         let new = earthplus_codec::encode_view(&view, &codec, &mut scratch).unwrap();
         assert_eq!(old, new, "tile {t}");

@@ -5,7 +5,6 @@ use earthplus::metrics;
 use earthplus::prelude::*;
 use earthplus::UplinkReport;
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
-use earthplus_codec::FormatVersion;
 use earthplus_orbit::LinkModel;
 use earthplus_raster::{Band, LocationId};
 use earthplus_scene::large_constellation;
@@ -258,31 +257,4 @@ fn strategy_uplink_reports_match_golden() {
         ],
         "uplink reports drifted (earth+, kodan, satroi): {hashes:#018x?}"
     );
-}
-
-/// The baselines encode in the configured bitstream format, like Earth+:
-/// an EPC1-pinned comparison must not encode the baselines as EPC2.
-#[test]
-fn baselines_encode_in_the_configured_format() {
-    let (sim, _) = small_mission();
-    let band_bytes = |format: FormatVersion| {
-        let config = EarthPlusConfig::default().with_codec_format(format);
-        let detector = train_onboard_detector(&sim.scenes()[0], &TrainingConfig::default());
-        let mut kodan = KodanStrategy::new(config);
-        let mut satroi = SatRoiStrategy::new(config, detector);
-        let report = sim.run(&mut [&mut kodan, &mut satroi]);
-        ["kodan", "satroi"].map(|name| {
-            report
-                .records(name)
-                .iter()
-                .flat_map(|r| r.band_bytes.iter().map(|&(_, b)| b))
-                .collect::<Vec<u64>>()
-        })
-    };
-    let epc1 = band_bytes(FormatVersion::Epc1);
-    let epc2 = band_bytes(FormatVersion::Epc2);
-    for (name, (a, b)) in ["kodan", "satroi"].iter().zip(epc1.iter().zip(&epc2)) {
-        assert!(!a.is_empty(), "{name} encoded nothing");
-        assert_ne!(a, b, "{name} ignores codec_format");
-    }
 }
