@@ -1657,6 +1657,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Pins the synchronous ship path's retry, resume, backoff and fault
+    /// accounting for one seeded faulted run, so a change to the retry
+    /// loop that shifts any count (attempt limit, backoff curve, jitter
+    /// draws) shows up as a diff.
+    #[test]
+    fn faulted_sync_ship_stats_are_pinned() {
+        let root = test_root("pinned-faults");
+        let injector = shared_injector(FaultPlan {
+            seed: 42,
+            ship_interrupt_probability: 0.4,
+            ship_corrupt_probability: 0.2,
+            disk_stall_probability: 0.1,
+            ..FaultPlan::default()
+        });
+        let store = open_set(&root, 2, StationSetConfig::default(), Some(injector));
+        for loc in 0..32u32 {
+            assert!(store.offer(reference(loc, 2.0, 0.4)));
+        }
+        store.replicate();
+        let stats = store.stats();
+        let got = (
+            stats.ship_retries,
+            stats.ship_resumed,
+            stats.ship_backoff_us,
+            stats.ship_corrupt_detected,
+            stats.disk_stalls,
+            stats.faults_injected,
+            stats.ship_bytes,
+        );
+        assert_eq!(got, (37, 28, 75_521, 8, 4, 43, 9_568));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn injected_faults_reach_queued_transfers_too() {
         let root = test_root("queued-faults");
