@@ -1,8 +1,7 @@
 //! Committed perf baseline: the on-board pipeline's throughput trajectory.
 //!
-//! Runs the same scenario as the `pipeline_runtime` criterion bench (one
-//! warmed Earth+ strategy processing a fresh capture) plus a full-image
-//! ROI-encode microbenchmark, and writes the numbers to
+//! Runs one warmed Earth+ strategy processing a fresh capture plus a
+//! full-image ROI-encode microbenchmark, and writes the numbers to
 //! `BENCH_pipeline.json` so every PR has a committed baseline to beat.
 //!
 //! ```text
@@ -359,7 +358,7 @@ fn main() {
     let quick = options.quick;
     let reps = if quick { 3 } else { 15 };
 
-    // Scenario: identical to benches/pipeline_runtime.rs.
+    // Scenario: one warmed Earth+ strategy on the quick agriculture scene.
     let scene = LocationScene::new(SceneConfig::quick(7, LocationArchetype::Agriculture));
     let detector = train_onboard_detector(&scene, &TrainingConfig::default());
     let capture = scene.capture_with_coverage(60.0, 0.1);

@@ -1,16 +1,16 @@
 //! Experiment harness for the Earth+ reproduction.
 //!
 //! Every table and figure of the paper's evaluation section maps to one
-//! experiment id (see `DESIGN.md` for the index). Experiments print the
-//! paper's rows/series to stdout and write `results/<id>.csv`.
+//! experiment id (`experiments -- --list` prints the index). Experiments
+//! print the paper's rows/series to stdout and write `results/<id>.csv`.
 //!
 //! ```text
 //! cargo run -p earthplus-bench --release --bin experiments -- all
 //! cargo run -p earthplus-bench --release --bin experiments -- fig11b
 //! ```
 //!
-//! Criterion micro-benchmarks for the runtime experiments live under
-//! `benches/` (`cargo bench -p earthplus-bench`).
+//! Runtime numbers are committed by the `perf_baseline` binary
+//! (`BENCH_pipeline.json`) and by the `fig16` experiment.
 
 pub mod experiments;
 

@@ -1,8 +1,8 @@
 //! Synthetic Earth-observation scene model for the Earth+ reproduction.
 //!
 //! The paper evaluates on real Sentinel-2 and Planet imagery; this crate is
-//! the documented substitution (see `DESIGN.md`): a deterministic procedural
-//! Earth whose *statistics* match what Earth+'s gains depend on —
+//! the substitute: a deterministic procedural Earth whose *statistics*
+//! match what Earth+'s gains depend on —
 //!
 //! * how many 64×64 tiles change as a function of the time gap between two
 //!   captures (§3, Figure 4);
