@@ -11,38 +11,14 @@
 //! planner hands every satellite whose copy of a key is identical the
 //! same allocation — one full install, or one patched copy per distinct
 //! cached copy, however many satellites hold it. A shared entry is never
-//! written through: [`EvictingReferenceCache::apply_delta`] patches via
-//! [`Arc::make_mut`], so a write copies first and no other cache sees it.
+//! written through: a patch lands on a copy (via [`Arc::make_mut`]), so
+//! no other cache sees it.
 
 use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
 use earthplus_telemetry::{names, Counter, TelemetrySink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Relative weights of the two eviction signals.
-///
-/// The victim is the entry with the highest
-/// `lru_weight * ticks_since_last_access + age_weight * reference_age_days`.
-/// Both terms favour evicting references that are old and unused; the
-/// weights trade "protect what I read recently" (pure LRU) against
-/// "protect what the ground refreshed recently" (pure age).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EvictionPolicy {
-    /// Weight on ticks since the entry was last served.
-    pub lru_weight: f64,
-    /// Weight on the reference's age in days.
-    pub age_weight: f64,
-}
-
-impl Default for EvictionPolicy {
-    fn default() -> Self {
-        EvictionPolicy {
-            lru_weight: 1.0,
-            age_weight: 1.0,
-        }
-    }
-}
 
 /// Hit/miss/eviction counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,7 +43,7 @@ impl CacheStats {
 
     /// What happened since `earlier` was taken (counters subtract,
     /// saturating so a reset earlier snapshot cannot underflow).
-    pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
+    pub(crate) fn delta(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
@@ -88,7 +64,7 @@ impl CacheStats {
 /// (and the same atomics surface in telemetry snapshots under the
 /// `ground.cache.*` names when the sink is registry-backed).
 #[derive(Debug, Clone)]
-pub struct CacheCounters {
+pub(crate) struct CacheCounters {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -99,7 +75,7 @@ pub struct CacheCounters {
 impl CacheCounters {
     /// Standalone counters private to one cache — the default for a cache
     /// constructed outside a service.
-    pub fn live() -> Self {
+    pub(crate) fn live() -> Self {
         CacheCounters {
             hits: Counter::live(),
             misses: Counter::live(),
@@ -113,7 +89,7 @@ impl CacheCounters {
     /// names. With a disabled sink this still counts (the caller's stats
     /// must not go dark just because observability is off): the sink is
     /// upgraded to a private registry first.
-    pub fn from_sink(sink: &TelemetrySink) -> Self {
+    pub(crate) fn from_sink(sink: &TelemetrySink) -> Self {
         let sink = sink.or_private();
         CacheCounters {
             hits: sink.counter(names::GROUND_CACHE_HITS),
@@ -125,7 +101,7 @@ impl CacheCounters {
     }
 
     /// A point-in-time copy of the counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.value(),
             misses: self.misses.value(),
@@ -133,12 +109,6 @@ impl CacheCounters {
             installs: self.installs.value(),
             delta_applies: self.delta_applies.value(),
         }
-    }
-}
-
-impl Default for CacheCounters {
-    fn default() -> Self {
-        Self::live()
     }
 }
 
@@ -151,13 +121,17 @@ struct CacheEntry {
 
 /// Capacity-bounded on-board cache of reference images with an age/LRU
 /// hybrid eviction policy and instrumentation.
+///
+/// The victim is the entry with the highest
+/// `ticks_since_last_access + reference_age_days`: both terms favour
+/// evicting references that are old and unused, so an entry the ground
+/// refreshed recently survives one read long ago, and vice versa.
 #[derive(Debug)]
 pub struct EvictingReferenceCache {
     /// Ordered by key so the scheduler's staleness sweep can walk the
     /// cache in step with a sorted target list ([`Self::iter`]).
     entries: BTreeMap<(LocationId, Band), CacheEntry>,
     capacity_bytes: Option<u64>,
-    policy: EvictionPolicy,
     bytes: u64,
     tick: u64,
     now_day: f64,
@@ -168,26 +142,16 @@ impl EvictingReferenceCache {
     /// Creates a cache bounded to `capacity_bytes` (`None` = unbounded,
     /// matching the legacy `OnboardReferenceCache` behaviour).
     pub fn new(capacity_bytes: Option<u64>) -> Self {
-        Self::with_policy(capacity_bytes, EvictionPolicy::default())
-    }
-
-    /// Creates a cache with an explicit eviction policy.
-    pub fn with_policy(capacity_bytes: Option<u64>, policy: EvictionPolicy) -> Self {
-        Self::with_counters(capacity_bytes, policy, CacheCounters::live())
+        Self::with_counters(capacity_bytes, CacheCounters::live())
     }
 
     /// Creates a cache recording into `counters` — pass clones of one set
     /// to aggregate across caches without per-cache merge walks (see
     /// [`CacheCounters`]).
-    pub fn with_counters(
-        capacity_bytes: Option<u64>,
-        policy: EvictionPolicy,
-        counters: CacheCounters,
-    ) -> Self {
+    pub(crate) fn with_counters(capacity_bytes: Option<u64>, counters: CacheCounters) -> Self {
         EvictingReferenceCache {
             entries: BTreeMap::new(),
             capacity_bytes,
-            policy,
             bytes: 0,
             tick: 0,
             now_day: f64::NEG_INFINITY,
@@ -197,7 +161,7 @@ impl EvictingReferenceCache {
 
     /// The cached reference for a location/band, recorded as a hit or a
     /// miss and counted as a use for the LRU signal.
-    pub fn get(&mut self, location: LocationId, band: Band) -> Option<&ReferenceImage> {
+    pub(crate) fn get(&mut self, location: LocationId, band: Band) -> Option<&ReferenceImage> {
         self.tick += 1;
         match self.entries.get_mut(&(location, band)) {
             Some(entry) => {
@@ -231,15 +195,16 @@ impl EvictingReferenceCache {
         self.entries.values().map(|e| &e.reference)
     }
 
-    /// Installs a full reference, evicting as needed to stay under the
-    /// capacity bound. A single reference larger than the whole capacity
-    /// is kept anyway (the uplink already spent the bytes; dropping it
-    /// would serve nothing).
-    pub fn install(&mut self, reference: ReferenceImage) {
+    /// [`Self::install_shared`] of a reference no other cache holds.
+    #[cfg(test)]
+    pub(crate) fn install(&mut self, reference: ReferenceImage) {
         self.install_shared(Arc::new(reference));
     }
 
-    /// [`Self::install`] of a reference other caches may hold too.
+    /// Installs a full reference other caches may hold too, evicting as
+    /// needed to stay under the capacity bound. A single reference larger
+    /// than the whole capacity is kept anyway (the uplink already spent
+    /// the bytes; dropping it would serve nothing).
     pub(crate) fn install_shared(&mut self, reference: Arc<ReferenceImage>) {
         self.tick += 1;
         self.now_day = self.now_day.max(reference.captured_day);
@@ -266,7 +231,10 @@ impl EvictingReferenceCache {
     /// cold cache *and* on a resolution reconfiguration, where patching
     /// the old-geometry raster would corrupt it. A patched entry that
     /// other caches share is copied first, so only this cache changes.
-    pub fn apply_delta(
+    /// The pass planner patches through [`Self::replace_shared`]; this is
+    /// the per-cache form its tests compare against.
+    #[cfg(test)]
+    pub(crate) fn apply_delta(
         &mut self,
         location: LocationId,
         band: Band,
@@ -292,7 +260,7 @@ impl EvictingReferenceCache {
         }
     }
 
-    /// [`Self::apply_delta`] without a full reference, given the already
+    /// A delta update without a full reference, given the already
     /// patched copy: it replaces the cached entry for its key (if any)
     /// outright, so every cache it is handed to shares one allocation.
     /// The copy must have the entry's geometry, as a patch does, so the
@@ -316,8 +284,8 @@ impl EvictingReferenceCache {
                 .filter(|(key, _)| **key != protect)
                 .max_by(|a, b| {
                     let score = |e: &CacheEntry| {
-                        self.policy.lru_weight * (self.tick - e.last_access) as f64
-                            + self.policy.age_weight * (self.now_day - e.reference.captured_day)
+                        (self.tick - e.last_access) as f64
+                            + (self.now_day - e.reference.captured_day)
                     };
                     // Equal scores fall to the key, so the victim never
                     // depends on iteration order.
@@ -336,28 +304,19 @@ impl EvictingReferenceCache {
     }
 
     /// Number of cached references.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Total cache footprint in bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// The capacity bound, if any.
-    pub fn capacity_bytes(&self) -> Option<u64> {
-        self.capacity_bytes
-    }
-
-    /// The instrumentation counters. When this cache shares a
-    /// [`CacheCounters`] set with others, the values are the shared
-    /// totals, not this cache's alone.
+    /// The instrumentation counters. When this cache shares its counters
+    /// with others (every cache a ground service hands out does), the
+    /// values are the shared totals, not this cache's alone.
     pub fn stats(&self) -> CacheStats {
         self.counters.stats()
     }
@@ -399,16 +358,8 @@ mod tests {
         use earthplus_telemetry::MetricsRegistry;
         let registry = MetricsRegistry::new();
         let counters = CacheCounters::from_sink(&registry.sink());
-        let mut a = EvictingReferenceCache::with_counters(
-            None,
-            EvictionPolicy::default(),
-            counters.clone(),
-        );
-        let mut b = EvictingReferenceCache::with_counters(
-            None,
-            EvictionPolicy::default(),
-            counters.clone(),
-        );
+        let mut a = EvictingReferenceCache::with_counters(None, counters.clone());
+        let mut b = EvictingReferenceCache::with_counters(None, counters.clone());
         a.install(reference(0, 1.0));
         a.get(LocationId(0), red());
         b.get(LocationId(1), red());
@@ -456,16 +407,14 @@ mod tests {
     #[test]
     fn age_weight_breaks_lru_ties() {
         let one = reference(0, 1.0).size_bytes();
-        let policy = EvictionPolicy {
-            lru_weight: 0.0,
-            age_weight: 1.0,
-        };
-        let mut cache = EvictingReferenceCache::with_policy(Some(2 * one), policy);
-        cache.install(reference(0, 9.0)); // fresh reference
-        cache.install(reference(1, 2.0)); // stale reference
+        let mut cache = EvictingReferenceCache::new(Some(2 * one));
+        cache.install(reference(0, 9.0)); // fresh reference, tick 1
+        cache.install(reference(1, 2.0)); // stale reference, tick 2
         cache.install(reference(2, 8.0));
-        // Pure age policy: the day-2 reference is the victim even though
-        // it was installed more recently than the day-9 one.
+        // Evicting at tick 3, day 9: location 0 scores (3 - 1) + (9 - 9)
+        // = 2 and location 1 scores (3 - 2) + (9 - 2) = 8. Pure LRU would
+        // drop location 0; the age term makes the day-2 reference the
+        // victim even though it was installed more recently.
         assert!(cache.peek(LocationId(1), red()).is_none());
         assert!(cache.peek(LocationId(0), red()).is_some());
     }

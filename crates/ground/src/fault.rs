@@ -37,7 +37,7 @@ pub struct OutageWindow {
 
 impl OutageWindow {
     /// Whether `day` falls inside the outage.
-    pub fn contains(&self, day: f64) -> bool {
+    pub(crate) fn contains(&self, day: f64) -> bool {
         day >= self.from_day && day < self.to_day
     }
 }
@@ -140,7 +140,7 @@ impl SplitMix64 {
 /// corruption → interrupt → stall (see
 /// [`FaultInjector::transfer_faults`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferFaults {
+pub(crate) struct TransferFaults {
     /// Byte offset (within the transfer) flipped in flight, if any.
     pub corrupt_at: Option<u64>,
     /// Bytes delivered before the transfer is cut, if it is cut.
@@ -165,7 +165,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Builds the injector; the storage-side stream starts at
     /// `plan.seed`, the uplink-drop stream at a salted copy of it.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let fired = vec![false; plan.corruptions.len()];
         let seed = plan.seed;
         FaultInjector {
@@ -179,20 +179,16 @@ impl FaultInjector {
         }
     }
 
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Fault events handed out so far (outage transitions are counted by
     /// the station set, which observes them).
-    pub fn injected(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn injected(&self) -> u64 {
         self.injected
     }
 
     /// Whether `station` is inside any outage window on `day`. Pure —
     /// consumes no randomness, so outage state is a function of the day.
-    pub fn station_down(&self, station: usize, day: f64) -> bool {
+    pub(crate) fn station_down(&self, station: usize, day: f64) -> bool {
         self.plan
             .outages
             .iter()
@@ -200,7 +196,7 @@ impl FaultInjector {
     }
 
     /// One-shot corruption events due by `day` that have not fired yet.
-    pub fn due_corruptions(&mut self, day: f64) -> Vec<SegmentCorruption> {
+    pub(crate) fn due_corruptions(&mut self, day: f64) -> Vec<SegmentCorruption> {
         let mut due = Vec::new();
         for (i, c) in self.plan.corruptions.iter().enumerate() {
             if !self.fired[i] && c.day <= day {
@@ -245,7 +241,7 @@ impl FaultInjector {
     /// Rolls a mid-pass uplink drop on the uplink stream; on a hit,
     /// returns the fraction of the window's byte budget that still gets
     /// through.
-    pub fn uplink_interrupt(&mut self) -> Option<f64> {
+    pub(crate) fn uplink_interrupt(&mut self) -> Option<f64> {
         if !self
             .uplink_rng
             .chance(self.plan.uplink_interrupt_probability)
@@ -263,7 +259,7 @@ impl FaultInjector {
     /// worker queue cannot shift the PRNG stream — the property the
     /// byte-identity tests between synchronous and pipelined missions
     /// rely on.
-    pub fn transfer_faults(&mut self, len: u64) -> TransferFaults {
+    pub(crate) fn transfer_faults(&mut self, len: u64) -> TransferFaults {
         TransferFaults {
             corrupt_at: self.ship_corrupt(len),
             cut_at: self.ship_interrupt(len),
@@ -274,7 +270,7 @@ impl FaultInjector {
     /// A uniform draw for jitter in `[0, bound)` — shares the
     /// storage-side stream so backoff schedules are as reproducible as
     /// the transfer faults themselves.
-    pub fn jitter(&mut self, bound: u64) -> u64 {
+    pub(crate) fn jitter(&mut self, bound: u64) -> u64 {
         self.rng.below(bound)
     }
 }
@@ -284,7 +280,7 @@ impl FaultInjector {
 pub type SharedFaultInjector = Arc<Mutex<FaultInjector>>;
 
 /// Wraps a plan in the shared handle both consumers take.
-pub fn shared_injector(plan: FaultPlan) -> SharedFaultInjector {
+pub(crate) fn shared_injector(plan: FaultPlan) -> SharedFaultInjector {
     Arc::new(Mutex::new(FaultInjector::new(plan)))
 }
 

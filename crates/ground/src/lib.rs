@@ -80,11 +80,9 @@ pub mod uplink;
 
 pub use backend::ReferenceBackend;
 // The storage-engine types that appear in this crate's public API.
-pub use cache::{CacheCounters, CacheStats, EvictingReferenceCache, EvictionPolicy};
+pub use cache::{CacheStats, EvictingReferenceCache};
 pub use earthplus_refstore::{RecoveryReport, RefLogConfig};
-pub use fault::{
-    FaultInjector, FaultPlan, OutageWindow, SegmentCorruption, SharedFaultInjector, TransferFaults,
-};
+pub use fault::{FaultInjector, FaultPlan, OutageWindow, SegmentCorruption, SharedFaultInjector};
 pub use reference::{
     OnboardReferenceCache, ReferenceFromEncodedError, ReferenceImage, ReferencePool,
     DEFAULT_REFERENCE_DOWNSAMPLE,
@@ -92,7 +90,7 @@ pub use reference::{
 pub use scheduler::{ConstellationScheduler, ContactWindow};
 pub use service::{GroundService, GroundServiceConfig, GroundServiceStats, ReferenceBackendConfig};
 pub use station::{
-    PersistentStoreStats, ReplicatedReferenceStore, ShipPolicy, ShipQueueConfig, StationSetConfig,
+    PersistentStoreStats, ReplicatedReferenceStore, ShipQueueConfig, StationSetConfig,
     StationSetStats,
 };
 pub use store::{shard_index, IngestReport, ShardedReferenceStore};

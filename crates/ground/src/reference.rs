@@ -111,7 +111,7 @@ impl ReferenceImage {
     ///
     /// Propagates decode errors from a malformed stream and resampling
     /// errors (e.g. an empty capture).
-    pub fn from_encoded(
+    pub(crate) fn from_encoded(
         location: LocationId,
         band: Band,
         day: f64,
@@ -167,14 +167,14 @@ impl ReferenceImage {
         (self.lowres.len() as u64 * 12).div_ceil(8)
     }
 
-    /// Fixed bytes a serialized reference occupies before its samples
-    /// (see [`ReferenceImage::to_record_payload`]).
+    /// Fixed bytes a serialized reference occupies before its samples:
+    /// five `u32` dimensions.
     pub const RECORD_PAYLOAD_HEADER: usize = 20;
 
     /// Serializes the image fields a storage record does not already
     /// carry (location, band, and day live in the record key/day):
     /// five `u32` dimensions then the raw little-endian `f32` samples.
-    pub fn to_record_payload(&self) -> Vec<u8> {
+    pub(crate) fn to_record_payload(&self) -> Vec<u8> {
         let (w, h) = self.lowres.dimensions();
         let mut payload = Vec::with_capacity(Self::RECORD_PAYLOAD_HEADER + 4 * self.lowres.len());
         for dim in [
@@ -196,7 +196,7 @@ impl ReferenceImage {
     /// is malformed (its length disagrees with the encoded dimensions) —
     /// which a CRC-checked storage layer turns into "never", but the
     /// decoder refuses to guess rather than panic.
-    pub fn from_record_payload(
+    pub(crate) fn from_record_payload(
         location: LocationId,
         band: Band,
         day: f64,
@@ -320,19 +320,9 @@ impl ReferencePool {
     }
 
     /// Number of (location, band) entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.current.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// Total stored bytes (ground-side storage is not a bottleneck, but
-    /// the accounting supports Figure 15-style breakdowns).
-    pub fn size_bytes(&self) -> u64 {
-        self.current.values().map(|r| r.size_bytes()).sum()
     }
 }
 
@@ -389,19 +379,9 @@ impl OnboardReferenceCache {
     }
 
     /// Number of cached references.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total cache footprint in bytes (12-bit samples) — the ~9 % storage
-    /// overhead Appendix A budgets for.
-    pub fn size_bytes(&self) -> u64 {
-        self.entries.values().map(|r| r.size_bytes()).sum()
     }
 }
 

@@ -450,7 +450,7 @@ mod tests {
         );
         assert_eq!(reports[0].deltas_sent, 0);
         assert_eq!(reports[0].deltas_skipped, 1);
-        assert!(caches[&SatelliteId(0)].is_empty());
+        assert_eq!(caches[&SatelliteId(0)].len(), 0);
     }
 
     #[test]

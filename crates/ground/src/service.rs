@@ -9,7 +9,7 @@
 //! constellation needs.
 
 use crate::backend::ReferenceBackend;
-use crate::cache::{CacheCounters, CacheStats, EvictingReferenceCache, EvictionPolicy};
+use crate::cache::{CacheCounters, CacheStats, EvictingReferenceCache};
 use crate::fault::{shared_injector, FaultPlan, SharedFaultInjector};
 use crate::reference::{ReferenceFromEncodedError, ReferenceImage, DEFAULT_REFERENCE_DOWNSAMPLE};
 use crate::scheduler::{ConstellationScheduler, ContactWindow};
@@ -270,10 +270,6 @@ pub struct GroundService {
     /// lock, and returns it — so concurrent archive backfills decode in
     /// parallel while steady-state ingest still allocates no scratch.
     ingest_scratch: Mutex<Vec<DecodeScratch>>,
-    /// The sink every handle below was resolved from — always registry
-    /// backed (`or_private` at construction), so [`GroundService::stats`]
-    /// reads real counts even when the caller disabled telemetry.
-    sink: TelemetrySink,
     /// Trace sink (disabled unless the caller wired a flight recorder).
     tracing: TraceSink,
     /// On-board cache counters, shared by every satellite's cache.
@@ -371,17 +367,9 @@ impl GroundService {
             ingest_ns: sink.histogram(names::GROUND_INGEST_NS),
             ingest_encoded_ns: sink.histogram(names::GROUND_INGEST_ENCODED_NS),
             plan_pass_ns: sink.histogram(names::GROUND_PLAN_PASS_NS),
-            sink,
             tracing: config.tracing.clone(),
             config,
         })
-    }
-
-    /// The registry-backed sink the service records into — snapshot it to
-    /// export every `ground.*` (and, on the durable backend,
-    /// `refstore.*`) metric.
-    pub fn telemetry(&self) -> &TelemetrySink {
-        &self.sink
     }
 
     /// The trace sink the service records into (disabled unless the
@@ -432,7 +420,6 @@ impl GroundService {
     fn new_cache(&self) -> EvictingReferenceCache {
         EvictingReferenceCache::with_counters(
             self.config.cache_capacity_bytes,
-            EvictionPolicy::default(),
             self.cache_counters.clone(),
         )
     }
@@ -458,7 +445,7 @@ impl GroundService {
 
     /// Admits one archived *encoded* capture as a reference candidate: the
     /// low-resolution reference is built straight from the stream's coarse
-    /// subband chunks ([`ReferenceImage::from_encoded`]) — at the default
+    /// subband chunks (`ReferenceImage::from_encoded`) — at the default
     /// 51× operating point that decodes only the LL band, so ingest never
     /// materializes a full frame. Returns whether the store updated.
     ///
@@ -660,8 +647,8 @@ impl GroundService {
     }
 
     /// A snapshot of every counter the service tracks. The cache counters
-    /// are constellation totals read straight off the shared
-    /// [`CacheCounters`] — no per-satellite merge walk.
+    /// are constellation totals read straight off the counters every
+    /// satellite's cache shares — no per-satellite merge walk.
     pub fn stats(&self) -> GroundServiceStats {
         let caches = self.caches.lock().expect("cache table poisoned");
         let cache_bytes = caches.values().map(|c| c.size_bytes()).sum();

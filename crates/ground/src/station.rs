@@ -57,7 +57,7 @@
 //! explicit [`ReplicatedReferenceStore::pump_station`] calls, the
 //! single-threaded mode the drain-order interleaving tests permute.
 //!
-//! **Failover.** [`ReplicatedReferenceStore::advance_to_day`] applies the
+//! **Failover.** `ReplicatedReferenceStore::advance_to_day` applies the
 //! fault plan's outage transitions eagerly: when a primary's station goes
 //! down, each of its shards promotes the first live ring member by
 //! replaying that replica's shipped segments (`RefLog::open`), merging
@@ -92,27 +92,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-/// Retry/backoff policy for one cross-station transfer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShipPolicy {
-    /// Attempts per transfer before giving up until the next shipping
-    /// pass (the shipped-length ledger carries the shortfall forward).
-    pub max_attempts: u32,
-    /// First retry backoff, microseconds (doubles per retry).
-    pub backoff_base_us: u64,
-    /// Backoff ceiling, microseconds.
-    pub backoff_cap_us: u64,
-}
-
-impl Default for ShipPolicy {
-    fn default() -> Self {
-        ShipPolicy {
-            max_attempts: 8,
-            backoff_base_us: 500,
-            backoff_cap_us: 50_000,
-        }
-    }
-}
+/// Attempts per transfer before giving up until the next shipping pass
+/// (the shipped-length ledger carries the shortfall forward).
+const SHIP_MAX_ATTEMPTS: u32 = 8;
+/// First retry backoff, microseconds (doubles per retry).
+const SHIP_BACKOFF_BASE_US: u64 = 500;
+/// Backoff ceiling, microseconds.
+const SHIP_BACKOFF_CAP_US: u64 = 50_000;
 
 /// Configuration of the pipelined ship path (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,8 +142,6 @@ pub struct StationSetConfig {
     pub replicas: usize,
     /// Per-shard storage-engine knobs.
     pub log: RefLogConfig,
-    /// Transfer retry policy.
-    pub ship: ShipPolicy,
     /// Pipelined ship-queue knobs (synchronous shipping when disabled).
     pub queue: ShipQueueConfig,
 }
@@ -168,7 +152,6 @@ impl Default for StationSetConfig {
             stations: 2,
             replicas: 1,
             log: RefLogConfig::default(),
-            ship: ShipPolicy::default(),
             queue: ShipQueueConfig::default(),
         }
     }
@@ -487,13 +470,13 @@ impl ReplicatedReferenceStore {
 
     /// Number of stations.
     #[cfg(test)]
-    pub fn station_count(&self) -> usize {
+    pub(crate) fn station_count(&self) -> usize {
         self.inner.config.stations
     }
 
     /// The station currently holding `shard`'s primary log.
     #[cfg(test)]
-    pub fn shard_station(&self, shard: usize) -> usize {
+    pub(crate) fn shard_station(&self, shard: usize) -> usize {
         self.inner.shards[shard]
             .read()
             .expect("shard poisoned")
@@ -510,14 +493,14 @@ impl ReplicatedReferenceStore {
     /// eagerly promoting a replica for every shard whose primary station
     /// just went down, so reads and writes stay day-unaware. The ship
     /// queues drain first, so an outage never races a queued transfer.
-    pub fn advance_to_day(&self, day: f64) {
+    pub(crate) fn advance_to_day(&self, day: f64) {
         self.inner.advance_to_day(day)
     }
 
     /// Marks `station` down (outage), promoting replicas for every shard
     /// it was primary for, after draining the ship queues. Test/manual
-    /// override; the fault plan drives the same path via
-    /// [`ReplicatedReferenceStore::advance_to_day`].
+    /// override; the fault plan drives the same path when the ground
+    /// service advances the mission day.
     pub fn fail_station(&self, station: usize) {
         self.inner.quiesce();
         self.inner.set_station_state(station, true);
@@ -526,7 +509,7 @@ impl ReplicatedReferenceStore {
     /// Marks `station` back up. Its files are re-verified (and any
     /// diverged tail truncated) by the next shipping pass.
     #[cfg(test)]
-    pub fn restore_station(&self, station: usize) {
+    pub(crate) fn restore_station(&self, station: usize) {
         self.inner.set_station_state(station, false);
     }
 
@@ -540,7 +523,7 @@ impl ReplicatedReferenceStore {
     /// Pumps one budgeted compaction step per shard (whether or not
     /// auto-compaction is enabled), re-shipping any shard whose file set
     /// a commit just changed.
-    pub fn maintain(&self) {
+    pub(crate) fn maintain(&self) {
         self.inner.maintain()
     }
 
@@ -1142,7 +1125,6 @@ impl StoreInner {
     /// injection covers both paths through one draw
     /// ([`crate::fault::FaultInjector::transfer_faults`]).
     fn ship_range(&self, src: &Path, dst: &Path, from: u64, to: u64) -> u64 {
-        let policy = self.config.ship;
         let mut shipped = from;
         let mut attempt: u32 = 0;
         loop {
@@ -1200,7 +1182,7 @@ impl StoreInner {
                 return shipped;
             }
             attempt += 1;
-            if attempt >= policy.max_attempts.max(1) {
+            if attempt >= SHIP_MAX_ATTEMPTS {
                 return shipped;
             }
             self.counters.ship_retries.inc();
@@ -1209,10 +1191,7 @@ impl StoreInner {
                 // from it instead of starting over.
                 self.counters.ship_resumed.inc();
             }
-            let exp = policy
-                .backoff_base_us
-                .saturating_mul(1u64 << (attempt - 1).min(16));
-            let delay = exp.min(policy.backoff_cap_us.max(policy.backoff_base_us));
+            let delay = (SHIP_BACKOFF_BASE_US << (attempt - 1)).min(SHIP_BACKOFF_CAP_US);
             let jitter = self.injector.as_ref().map_or(0, |i| {
                 i.lock()
                     .expect("fault injector poisoned")

@@ -91,7 +91,7 @@ pub struct ShardedReferenceStore {
 impl ShardedReferenceStore {
     /// Default shard count: enough to make cross-thread collisions rare on
     /// workstation core counts without bloating iteration.
-    pub const DEFAULT_SHARDS: usize = 16;
+    pub(crate) const DEFAULT_SHARDS: usize = 16;
 
     /// Creates a store with `shards` shards (clamped to at least 1).
     pub fn new(shards: usize) -> Self {
@@ -102,7 +102,8 @@ impl ShardedReferenceStore {
     }
 
     /// Number of shards.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
@@ -112,7 +113,7 @@ impl ShardedReferenceStore {
 
     /// Offers a new cloud-free reference; kept if fresher than the current
     /// one. Returns whether the store updated.
-    pub fn offer(&self, reference: ReferenceImage) -> bool {
+    pub(crate) fn offer(&self, reference: ReferenceImage) -> bool {
         let shard = self.shard_of(reference.location, reference.band);
         insert_fresher(&mut shard.write().expect("store shard poisoned"), reference)
     }
@@ -120,7 +121,7 @@ impl ShardedReferenceStore {
     /// The freshest reference for a location/band, cloned out of the
     /// shard. References are heavily downsampled (~100 low-res pixels at
     /// the paper's 51× factor), so the clone is cheap.
-    pub fn get(&self, location: LocationId, band: Band) -> Option<ReferenceImage> {
+    pub(crate) fn get(&self, location: LocationId, band: Band) -> Option<ReferenceImage> {
         self.shard_of(location, band)
             .read()
             .expect("store shard poisoned")
@@ -130,7 +131,7 @@ impl ShardedReferenceStore {
 
     /// The capture day of the freshest reference, without cloning it —
     /// the scheduler's cheap staleness probe.
-    pub fn fresh_day(&self, location: LocationId, band: Band) -> Option<f64> {
+    pub(crate) fn fresh_day(&self, location: LocationId, band: Band) -> Option<f64> {
         self.shard_of(location, band)
             .read()
             .expect("store shard poisoned")
@@ -139,20 +140,15 @@ impl ShardedReferenceStore {
     }
 
     /// Number of (location, band) entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.read().expect("store shard poisoned").len())
             .sum()
     }
 
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total stored bytes across all shards.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| {
@@ -166,7 +162,7 @@ impl ShardedReferenceStore {
     }
 
     /// Every (location, band) key currently held.
-    pub fn keys(&self) -> Vec<(LocationId, Band)> {
+    pub(crate) fn keys(&self) -> Vec<(LocationId, Band)> {
         let mut out = Vec::with_capacity(self.len());
         for shard in &self.shards {
             out.extend(shard.read().expect("store shard poisoned").keys().copied());
@@ -181,7 +177,11 @@ impl ShardedReferenceStore {
     /// is inserted by one worker under one hold of its shard's write lock,
     /// so the store ends exactly where sequential
     /// [`ShardedReferenceStore::offer`]s would leave it.
-    pub fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
+    pub(crate) fn ingest_batch(
+        &self,
+        references: Vec<ReferenceImage>,
+        threads: usize,
+    ) -> IngestReport {
         ingest_sharded(references, self.shards.len(), threads, |idx, group| {
             let mut map = self.shards[idx].write().expect("store shard poisoned");
             let offered = group.len() as u64;

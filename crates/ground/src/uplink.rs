@@ -45,7 +45,7 @@ impl ReferenceDelta {
     }
 
     /// Whether this message changes nothing (fresh cache).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.full.is_none() && self.pixels.is_empty()
     }
 }

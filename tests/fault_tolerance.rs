@@ -111,7 +111,6 @@ fn two_station_config() -> StationSetConfig {
             ..RefLogConfig::default()
         },
         queue: ship_queue_from_env(),
-        ..StationSetConfig::default()
     }
 }
 
@@ -550,7 +549,6 @@ fn mission_ground_config(
             replicas: 1,
             log,
             queue,
-            ..StationSetConfig::default()
         },
     )
 }
