@@ -674,7 +674,6 @@ fn main() {
             dir,
             4,
             StationSetConfig::single(fsync_log),
-            None,
             &earthplus::TelemetrySink::disabled(),
             &earthplus::TraceSink::disabled(),
         )
@@ -721,7 +720,6 @@ fn main() {
                     },
                     ..StationSetConfig::default()
                 },
-                None,
                 &earthplus::TelemetrySink::disabled(),
                 &earthplus::TraceSink::disabled(),
             )

@@ -4,10 +4,10 @@
 //! wrong during a mission: station outages by day window, one-shot
 //! replica-segment corruptions, and probabilistic transfer faults
 //! (interrupted or corrupted segment ships, slow-disk stalls, mid-pass
-//! uplink drops). The [`FaultInjector`] turns the plan into concrete
-//! events with seeded splitmix64 PRNGs, so two runs of the same plan
-//! inject byte-identical faults — the property the failover tests lean
-//! on when they compare a faulted mission against a clean one.
+//! uplink drops). The crate-private `FaultInjector` turns the plan into
+//! concrete events with seeded splitmix64 PRNGs, so two runs of the same
+//! plan inject byte-identical faults — the property the failover tests
+//! lean on when they compare a faulted mission against a clean one.
 //!
 //! Storage-side faults (transfer faults and retry jitter) and mid-pass
 //! uplink drops draw from two separate streams derived from the one
@@ -152,7 +152,7 @@ pub(crate) struct TransferFaults {
 /// The stateful side of a [`FaultPlan`]: the PRNG streams and which
 /// one-shot events have fired.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     /// Storage-side stream: transfer faults and retry jitter.
     rng: SplitMix64,
@@ -277,7 +277,7 @@ impl FaultInjector {
 
 /// The injector handle shared between the replicated store (transfer and
 /// disk faults) and the ground service (uplink faults).
-pub type SharedFaultInjector = Arc<Mutex<FaultInjector>>;
+pub(crate) type SharedFaultInjector = Arc<Mutex<FaultInjector>>;
 
 /// Wraps a plan in the shared handle both consumers take.
 pub(crate) fn shared_injector(plan: FaultPlan) -> SharedFaultInjector {

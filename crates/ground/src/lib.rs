@@ -27,8 +27,8 @@
 //!   station with no replicas is the plain durable store
 //!   ([`GroundServiceConfig::with_persistence`]); the backend is selected
 //!   via [`ReferenceBackendConfig`] in the service config;
-//! * [`fault`] — the deterministic [`FaultPlan`]/[`FaultInjector`]
-//!   harness: station outages, replica-segment decay, dropped/corrupted
+//! * [`fault`] — the deterministic [`FaultPlan`] harness (applied via
+//!   [`GroundServiceConfig::with_fault_plan`]): station outages, replica-segment decay, dropped/corrupted
 //!   transfers, slow-disk stalls, and mid-pass uplink drops, all from
 //!   the plan's seed;
 //! * [`cache`] — [`EvictingReferenceCache`]: the capacity-bounded on-board
@@ -82,7 +82,7 @@ pub use backend::ReferenceBackend;
 // The storage-engine types that appear in this crate's public API.
 pub use cache::{CacheStats, EvictingReferenceCache};
 pub use earthplus_refstore::{RecoveryReport, RefLogConfig};
-pub use fault::{FaultInjector, FaultPlan, OutageWindow, SegmentCorruption, SharedFaultInjector};
+pub use fault::{FaultPlan, OutageWindow, SegmentCorruption};
 pub use reference::{
     OnboardReferenceCache, ReferenceFromEncodedError, ReferenceImage, ReferencePool,
     DEFAULT_REFERENCE_DOWNSAMPLE,
@@ -90,7 +90,7 @@ pub use reference::{
 pub use scheduler::{ConstellationScheduler, ContactWindow};
 pub use service::{GroundService, GroundServiceConfig, GroundServiceStats, ReferenceBackendConfig};
 pub use station::{
-    PersistentStoreStats, ReplicatedReferenceStore, ShipQueueConfig, StationSetConfig,
+    PersistentStoreStats, ReplicatedReferenceStore, ShipPolicy, ShipQueueConfig, StationSetConfig,
     StationSetStats,
 };
 pub use store::{shard_index, IngestReport, ShardedReferenceStore};

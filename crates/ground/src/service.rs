@@ -318,7 +318,7 @@ impl GroundService {
                 Backend::InMemory(ShardedReferenceStore::new(config.shards))
             }
             ReferenceBackendConfig::Replicated { dir, stations } => {
-                let (store, recovery) = ReplicatedReferenceStore::open(
+                let (store, recovery) = ReplicatedReferenceStore::open_faulted(
                     dir,
                     config.shards,
                     stations.clone(),

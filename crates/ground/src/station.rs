@@ -92,13 +92,27 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-/// Attempts per transfer before giving up until the next shipping pass
-/// (the shipped-length ledger carries the shortfall forward).
-const SHIP_MAX_ATTEMPTS: u32 = 8;
-/// First retry backoff, microseconds (doubles per retry).
-const SHIP_BACKOFF_BASE_US: u64 = 500;
-/// Backoff ceiling, microseconds.
-const SHIP_BACKOFF_CAP_US: u64 = 50_000;
+/// Retry/backoff policy for one cross-station transfer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShipPolicy {
+    /// Attempts per transfer before giving up until the next shipping
+    /// pass (the shipped-length ledger carries the shortfall forward).
+    pub max_attempts: u32,
+    /// First retry backoff, microseconds (doubles per retry).
+    pub backoff_base_us: u64,
+    /// Backoff ceiling, microseconds.
+    pub backoff_cap_us: u64,
+}
+
+impl Default for ShipPolicy {
+    fn default() -> Self {
+        ShipPolicy {
+            max_attempts: 8,
+            backoff_base_us: 500,
+            backoff_cap_us: 50_000,
+        }
+    }
+}
 
 /// Configuration of the pipelined ship path (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +156,8 @@ pub struct StationSetConfig {
     pub replicas: usize,
     /// Per-shard storage-engine knobs.
     pub log: RefLogConfig,
+    /// Transfer retry policy.
+    pub ship: ShipPolicy,
     /// Pipelined ship-queue knobs (synchronous shipping when disabled).
     pub queue: ShipQueueConfig,
 }
@@ -152,6 +168,7 @@ impl Default for StationSetConfig {
             stations: 2,
             replicas: 1,
             log: RefLogConfig::default(),
+            ship: ShipPolicy::default(),
             queue: ShipQueueConfig::default(),
         }
     }
@@ -404,6 +421,19 @@ impl ReplicatedReferenceStore {
     /// Propagates open-time I/O failures; corruption is healed and
     /// reported in the returned [`RecoveryReport`].
     pub fn open(
+        root: &Path,
+        shards: usize,
+        config: StationSetConfig,
+        sink: &TelemetrySink,
+        tracing: &TraceSink,
+    ) -> Result<(Self, RecoveryReport)> {
+        Self::open_faulted(root, shards, config, None, sink, tracing)
+    }
+
+    /// [`ReplicatedReferenceStore::open`] with transfer and disk faults
+    /// drawn from `injector`, the handle the ground service shares with
+    /// its uplink path.
+    pub(crate) fn open_faulted(
         root: &Path,
         shards: usize,
         config: StationSetConfig,
@@ -1125,6 +1155,7 @@ impl StoreInner {
     /// injection covers both paths through one draw
     /// ([`crate::fault::FaultInjector::transfer_faults`]).
     fn ship_range(&self, src: &Path, dst: &Path, from: u64, to: u64) -> u64 {
+        let policy = self.config.ship;
         let mut shipped = from;
         let mut attempt: u32 = 0;
         loop {
@@ -1182,7 +1213,7 @@ impl StoreInner {
                 return shipped;
             }
             attempt += 1;
-            if attempt >= SHIP_MAX_ATTEMPTS {
+            if attempt >= policy.max_attempts.max(1) {
                 return shipped;
             }
             self.counters.ship_retries.inc();
@@ -1191,7 +1222,10 @@ impl StoreInner {
                 // from it instead of starting over.
                 self.counters.ship_resumed.inc();
             }
-            let delay = (SHIP_BACKOFF_BASE_US << (attempt - 1)).min(SHIP_BACKOFF_CAP_US);
+            let exp = policy
+                .backoff_base_us
+                .saturating_mul(1u64 << (attempt - 1).min(16));
+            let delay = exp.min(policy.backoff_cap_us.max(policy.backoff_base_us));
             let jitter = self.injector.as_ref().map_or(0, |i| {
                 i.lock()
                     .expect("fault injector poisoned")
@@ -1354,7 +1388,7 @@ mod tests {
         injector: Option<SharedFaultInjector>,
     ) -> ReplicatedReferenceStore {
         let sink = TelemetrySink::default().or_private();
-        let (store, _) = ReplicatedReferenceStore::open(
+        let (store, _) = ReplicatedReferenceStore::open_faulted(
             root,
             shards,
             config,
@@ -1790,7 +1824,6 @@ mod tests {
             root,
             shards,
             StationSetConfig::single(RefLogConfig::default()),
-            None,
             &TelemetrySink::default(),
             &TraceSink::default(),
         )

@@ -291,7 +291,6 @@ fn durable_run(scenario: &Scenario, label: &str, seed: u64, stations: StationSet
         &dir,
         SHARDS,
         stations,
-        None,
         &TelemetrySink::default(),
         &TraceSink::default(),
     )

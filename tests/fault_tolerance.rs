@@ -111,6 +111,7 @@ fn two_station_config() -> StationSetConfig {
             ..RefLogConfig::default()
         },
         queue: ship_queue_from_env(),
+        ..StationSetConfig::default()
     }
 }
 
@@ -549,6 +550,7 @@ fn mission_ground_config(
             replicas: 1,
             log,
             queue,
+            ..StationSetConfig::default()
         },
     )
 }
