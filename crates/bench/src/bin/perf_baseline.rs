@@ -94,6 +94,15 @@
 //! [`CHECK_MIN_RATIO`]× of the committed value, or when
 //! `plan_pass.deltas_sent` (a count of a deterministic plan) differs
 //! from it.
+//!
+//! Since schema 11 the baseline also times the ground segment's
+//! pass boundary (`pass_boundary`): `quiesce` + `replicate` + `maintain`
+//! on a two-station, one-replica, 16-shard pipelined store whose replicas
+//! are already current, and counts the shard shipping passes those calls
+//! made ([`earthplus_ground::StationSetStats::ship_checks`]). Each shard's
+//! replication watermark turns every such pass into a no-op, so `--check`
+//! fails when `pass_boundary.ship_checks` differs from the committed
+//! count (0).
 
 use earthplus::prelude::*;
 use earthplus::{CaptureContext, ContactWindow, StageTimings};
@@ -281,6 +290,7 @@ struct Checked {
     header_bytes_per_tile: f64,
     passes_per_s: f64,
     deltas_sent: usize,
+    pass_boundary_checks: u64,
 }
 
 /// Compares `run` with `committed`, the baseline read from `path`,
@@ -345,6 +355,19 @@ fn check_against(committed: &str, path: &str, run: &Checked) -> bool {
     // not noise.
     if sent as f64 != committed_sent {
         eprintln!("ERROR: plan_pass sent {sent} deltas, the committed plan sent {committed_sent}");
+        ok = false;
+    }
+    let checks = run.pass_boundary_checks;
+    let committed_checks = committed_value(committed, "pass_boundary", "ship_checks")
+        .unwrap_or_else(|| panic!("--check: no pass_boundary.ship_checks in {path}"));
+    eprintln!("check: pass_boundary {checks} shard checks vs committed {committed_checks}");
+    // A count of deterministic work: an in-sync store's pass boundary
+    // touching the filesystem is a lost watermark, not noise.
+    if checks as f64 != committed_checks {
+        eprintln!(
+            "ERROR: in-sync pass boundaries checked {checks} shards, the committed run \
+             checked {committed_checks}"
+        );
         ok = false;
     }
     ok
@@ -733,7 +756,6 @@ fn main() {
             times.push(t.elapsed().as_secs_f64());
         }
     }
-    let _ = std::fs::remove_dir_all(&scratch_root);
     let ingest_per_record_s = median(&mut per_record_times);
     let ingest_grouped_s = median(&mut grouped_times);
     let ship_sync_s = median(&mut ship_sync_times);
@@ -812,14 +834,54 @@ fn main() {
     }
     let plan_pass_s = median(&mut pass_times);
 
+    // 8. The pass boundary on an in-sync replicated store with the mission
+    //    ground segment's topology and ship path (two stations, one
+    //    replica, pipelined workers) over 16 shards: after the burst is
+    //    ingested and shipped, every quiesce + replicate + maintain has
+    //    nothing to do.
+    let boundary_dir = scratch_root.join("pass-boundary");
+    let (boundary, _) = ReplicatedReferenceStore::open(
+        &boundary_dir,
+        16,
+        StationSetConfig {
+            stations: 2,
+            replicas: 1,
+            queue: ShipQueueConfig {
+                pipelined: true,
+                ..ShipQueueConfig::default()
+            },
+            ..StationSetConfig::default()
+        },
+        &earthplus::TelemetrySink::disabled(),
+        &earthplus::TraceSink::disabled(),
+    )
+    .expect("station set opens");
+    boundary.ingest_batch(burst.clone(), 1);
+    let pass_boundary = || {
+        boundary.quiesce();
+        boundary.replicate();
+        boundary.maintain();
+    };
+    pass_boundary();
+    let boundary_passes = if quick { 200 } else { 2000 };
+    let checks_before = boundary.stats().ship_checks;
+    let mut boundary_times = Vec::with_capacity(boundary_passes);
+    for _ in 0..boundary_passes {
+        boundary_times.push(seconds(pass_boundary));
+    }
+    let pass_boundary_checks = boundary.stats().ship_checks - checks_before;
+    let pass_boundary_s = median(&mut boundary_times);
+    drop(boundary);
+    let _ = std::fs::remove_dir_all(&scratch_root);
+
     let (enc_dwt_s, enc_bitplane_s, enc_quant_s, enc_other_s) = enc_stages.report(epc2_s);
     let (dec_dwt_s, dec_bitplane_s, dec_quant_s, dec_other_s) = dec_stages.report(dec_full_s);
     let (dec1_dwt_s, dec1_bitplane_s, dec1_quant_s, dec1_other_s) =
         dec_epc1_stages.report(dec_epc1_s);
     let json = format!(
         r#"{{
-  "schema": 10,
-  "scenario": "pipeline_runtime quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
+  "schema": 11,
+  "scenario": "Earth+ strategy on the quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
   "mode": "{mode}",
   "samples": {reps},
   "capture": {{
@@ -917,6 +979,14 @@ fn main() {
     "passes_per_s": {plan_passes_per_s:.3},
     "deltas_sent": {plan_deltas_sent}
   }},
+  "pass_boundary": {{
+    "stations": 2,
+    "replicas": 1,
+    "shards": 16,
+    "passes": {boundary_passes},
+    "pass_us": {pass_boundary_us:.3},
+    "ship_checks": {pass_boundary_checks}
+  }},
   "codec_scratch": {{
     "reserved_bytes": {reserved},
     "steady_state_grow_events": {steady_grow_events}
@@ -932,6 +1002,7 @@ fn main() {
         fsync_amortization = per_record_fsyncs as f64 / grouped_fsyncs.max(1) as f64,
         plan_pass_ms = plan_pass_s * 1e3,
         plan_passes_per_s = 1.0 / plan_pass_s,
+        pass_boundary_us = pass_boundary_s * 1e6,
         tel_on_rate = band_mpix / telemetry_on_s,
         tel_off_rate = band_mpix / telemetry_off_s,
         reserved = scratch.reserved_bytes(),
@@ -1026,6 +1097,7 @@ fn main() {
             header_bytes_per_tile,
             passes_per_s: 1.0 / plan_pass_s,
             deltas_sent: plan_deltas_sent,
+            pass_boundary_checks,
         };
         if !check_against(committed, path, &run) {
             std::process::exit(1);
@@ -1075,9 +1147,16 @@ mod tests {
             header_bytes_per_tile: value("encode_full_band", "header_bytes_per_tile"),
             passes_per_s: value("plan_pass", "passes_per_s") * scale,
             deltas_sent: value("plan_pass", "deltas_sent") as usize,
+            pass_boundary_checks: value("pass_boundary", "ship_checks") as u64,
         };
         assert!(check_against(committed, check_path, &run_at(1.0)));
         assert!(!check_against(committed, check_path, &run_at(1.0 / 3.0)));
+        // A pass boundary that checks one shard more fails the exact gate.
+        let run = Checked {
+            pass_boundary_checks: run_at(1.0).pass_boundary_checks + 1,
+            ..run_at(1.0)
+        };
+        assert!(!check_against(committed, check_path, &run));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -604,7 +604,10 @@ impl GroundService {
         drop(caches);
         // Pass boundary: drain the ship queues, catch up any transfer
         // shortfall, and pump one budgeted compaction step per shard off
-        // the append hot path.
+        // the append hot path. The catch-up and the maintenance re-ship
+        // skip, without a filesystem call, every shard whose replication
+        // watermark is current (the drain already shipped most of them),
+        // so the boundary costs what changed since the last pass.
         if let Some(stations) = self.stations() {
             stations.quiesce();
             stations.replicate();

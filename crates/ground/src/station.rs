@@ -39,6 +39,18 @@
 //! replays newer segments manifest-free, which the engine already
 //! handles.
 //!
+//! Each shard keeps a *replication watermark*: the primary log's
+//! [`RefLog::generation`] at which a pass last left every live replica
+//! byte-identical (every segment at the primary's length, the manifest
+//! current, no transfer cut short). A pass that finds the log still at
+//! its watermark returns before any filesystem call, so the
+//! pass-boundary catch-up, the maintenance re-ship and the queue drains
+//! cost what changed since the last pass, not the size of the store
+//! ([`StationSetStats::ship_checks`] counts the passes that did look).
+//! Whatever can change a replica behind the primary's back — a failover
+//! promotion, an injected replica corruption, a station going down or
+//! coming back — clears the watermark, and the next pass re-verifies.
+//!
 //! **Pipelined shipping.** With [`ShipQueueConfig::pipelined`] enabled,
 //! accepted offers instead push their shard onto the primary station's
 //! bounded *ship queue* (entries coalesce per shard; a full queue
@@ -266,6 +278,13 @@ struct ShardHome {
     shipped: HashMap<(usize, u64), u64>,
     /// CRC of the manifest last shipped per station.
     manifest_crc: HashMap<usize, u32>,
+    /// Replication watermark: the [`RefLog::generation`] at which a
+    /// shipping pass last left every live replica a byte-identical copy
+    /// of the primary's files. `None` until such a pass, and again after
+    /// anything that can make a replica stale behind the primary's back
+    /// (a failover, an injected replica corruption, a station going down
+    /// or coming back).
+    shipped_generation: Option<u64>,
 }
 
 /// The mutable half of one station's ship queue, under its mutex.
@@ -306,6 +325,7 @@ struct ShipPipeline {
 /// with the rest of the workspace registry).
 #[derive(Debug)]
 struct StationCounters {
+    ship_checks: Counter,
     ship_segments: Counter,
     ship_bytes: Counter,
     ship_retries: Counter,
@@ -325,6 +345,10 @@ struct StationCounters {
 impl StationCounters {
     fn resolve(sink: &TelemetrySink) -> Self {
         StationCounters {
+            // Live even on a disabled sink: `perf_baseline`'s
+            // pass-boundary gate reads it from a store opened without
+            // telemetry.
+            ship_checks: Counter::live(),
             ship_segments: sink.counter(names::STATION_SHIP_SEGMENTS),
             ship_bytes: sink.counter(names::STATION_SHIP_BYTES),
             ship_retries: sink.counter(names::STATION_SHIP_RETRIES),
@@ -350,6 +374,10 @@ pub struct StationSetStats {
     pub stations: u64,
     /// Storage-engine totals over the primary logs.
     pub store: PersistentStoreStats,
+    /// Shard shipping passes that reached the filesystem: the shard had
+    /// a live replica and its replication watermark was behind the
+    /// primary log (see the module docs' *Shipping*).
+    pub ship_checks: u64,
     /// Segment transfers that moved bytes.
     pub ship_segments: u64,
     /// Verified bytes copied primary → replica.
@@ -463,6 +491,7 @@ impl ReplicatedReferenceStore {
                 log,
                 shipped: HashMap::new(),
                 manifest_crc: HashMap::new(),
+                shipped_generation: None,
             }));
         }
         let pipeline = config.queue.pipelined.then(|| ShipPipeline {
@@ -553,7 +582,7 @@ impl ReplicatedReferenceStore {
     /// Pumps one budgeted compaction step per shard (whether or not
     /// auto-compaction is enabled), re-shipping any shard whose file set
     /// a commit just changed.
-    pub(crate) fn maintain(&self) {
+    pub fn maintain(&self) {
         self.inner.maintain()
     }
 
@@ -683,6 +712,7 @@ impl StoreInner {
         StationSetStats {
             stations: self.config.stations as u64,
             store,
+            ship_checks: self.counters.ship_checks.value(),
             ship_segments: self.counters.ship_segments.value(),
             ship_bytes: self.counters.ship_bytes.value(),
             ship_retries: self.counters.ship_retries.value(),
@@ -943,6 +973,14 @@ impl StoreInner {
         if was == want_down {
             return;
         }
+        // The set of live replicas changed: every shard placed on
+        // `station` re-checks its ring on the next pass.
+        for shard in &self.shards {
+            let mut home = shard.write().expect("shard poisoned");
+            if home.ring.contains(&station) {
+                home.shipped_generation = None;
+            }
+        }
         if want_down {
             self.counters.outages.inc();
             self.tracing.instant_on(
@@ -1006,6 +1044,7 @@ impl StoreInner {
             // CRC on its next shipping pass.
             home.shipped.clear();
             home.manifest_crc.clear();
+            home.shipped_generation = None;
         }
     }
 
@@ -1033,11 +1072,17 @@ impl StoreInner {
         if flip_last_byte(path).is_ok() {
             self.counters.faults.inc();
             home.shipped.remove(&(corruption.station, *id));
+            home.shipped_generation = None;
         }
     }
 
-    /// Ships `home`'s outstanding bytes to every live ring member.
+    /// Ships `home`'s outstanding bytes to every live ring member — at
+    /// once a no-op when the shard's replication watermark shows the
+    /// primary's files unchanged since a pass left every replica current.
     fn ship_shard(&self, idx: usize, home: &mut ShardHome) {
+        if home.shipped_generation == Some(home.log.generation()) {
+            return;
+        }
         let replicas: Vec<usize> = {
             let down = self.down.lock().expect("outage state poisoned");
             home.ring
@@ -1051,18 +1096,24 @@ impl StoreInner {
         if replicas.is_empty() {
             return;
         }
+        self.counters.ship_checks.inc();
         let primary_dir = self.shard_dir(home.station, idx);
         let Ok(files) = list_segments(&primary_dir) else {
             return;
         };
         let manifest = std::fs::read(primary_dir.join(MANIFEST_NAME)).ok();
+        // Whether every replica ends this pass a byte-identical copy:
+        // only then may the watermark advance.
+        let mut current = true;
         for replica in replicas {
             let rdir = self.shard_dir(replica, idx);
             if std::fs::create_dir_all(&rdir).is_err() {
+                current = false;
                 continue;
             }
             for (id, path) in &files {
                 let Ok(meta) = std::fs::metadata(path) else {
+                    current = false;
                     continue;
                 };
                 let src_len = meta.len();
@@ -1076,6 +1127,7 @@ impl StoreInner {
                     if shipped > start {
                         self.counters.ship_segments.inc();
                     }
+                    current &= shipped == src_len;
                     home.shipped.insert((replica, *id), shipped);
                 } else {
                     home.shipped.insert((replica, *id), start);
@@ -1087,33 +1139,41 @@ impl StoreInner {
             match &manifest {
                 Some(bytes) => {
                     let crc = crc32(bytes);
-                    if home.manifest_crc.get(&replica) != Some(&crc)
-                        && write_file_atomic(
+                    if home.manifest_crc.get(&replica) != Some(&crc) {
+                        if write_file_atomic(
                             &rdir,
                             MANIFEST_NAME,
                             bytes,
                             self.config.log.fsync_appends,
                         )
                         .is_ok()
-                    {
-                        home.manifest_crc.insert(replica, crc);
+                        {
+                            home.manifest_crc.insert(replica, crc);
+                        } else {
+                            current = false;
+                        }
                     }
                 }
                 None => {
-                    let _ = std::fs::remove_file(rdir.join(MANIFEST_NAME));
+                    current &= remove_if_present(&rdir.join(MANIFEST_NAME));
                     home.manifest_crc.remove(&replica);
                 }
             }
             // Sweep replica segments the primary compacted away (only
             // after the manifest stopped naming them).
-            if let Ok(replica_files) = list_segments(&rdir) {
-                for (rid, rpath) in replica_files {
-                    if !files.iter().any(|(id, _)| *id == rid) {
-                        let _ = std::fs::remove_file(&rpath);
-                        home.shipped.remove(&(replica, rid));
-                    }
+            let Ok(replica_files) = list_segments(&rdir) else {
+                current = false;
+                continue;
+            };
+            for (rid, rpath) in replica_files {
+                if !files.iter().any(|(id, _)| *id == rid) {
+                    current &= remove_if_present(&rpath);
+                    home.shipped.remove(&(replica, rid));
                 }
             }
+        }
+        if current {
+            home.shipped_generation = Some(home.log.generation());
         }
     }
 
@@ -1339,6 +1399,15 @@ fn truncate_to(path: &Path, len: u64) -> std::io::Result<()> {
     file.set_len(len)
 }
 
+/// Removes `path`; true when it is gone afterwards (removed, or never
+/// there).
+fn remove_if_present(path: &Path) -> bool {
+    match std::fs::remove_file(path) {
+        Ok(()) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::NotFound,
+    }
+}
+
 fn flip_last_byte(path: &Path) -> std::io::Result<()> {
     let mut file = std::fs::OpenOptions::new()
         .read(true)
@@ -1400,12 +1469,15 @@ mod tests {
         store
     }
 
-    /// Asserts every replica shard file under `store` is a byte-identical
-    /// copy of its primary.
+    /// Asserts every replica shard directory under `store` is a
+    /// byte-identical copy of its primary: the same segment files with the
+    /// same bytes, and the same manifest.
     fn assert_replicas_identical(store: &ReplicatedReferenceStore, shards: usize) {
         for shard in 0..shards {
             let primary = store.shard_station(shard);
             let pdir = store.shard_dir(primary, shard);
+            let segments = list_segments(&pdir).unwrap();
+            let ids: Vec<u64> = segments.iter().map(|(id, _)| *id).collect();
             for station in 0..store.station_count() {
                 if station == primary {
                     continue;
@@ -1414,12 +1486,37 @@ mod tests {
                 if !rdir.exists() {
                     continue;
                 }
-                for (id, path) in list_segments(&pdir).unwrap() {
-                    let src = std::fs::read(&path).unwrap();
-                    let dst = std::fs::read(rdir.join(segment_file_name(id))).unwrap();
+                let replica_ids: Vec<u64> = list_segments(&rdir)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(id, _)| id)
+                    .collect();
+                assert_eq!(replica_ids, ids, "shard {shard} station {station} files");
+                for (id, path) in &segments {
+                    let src = std::fs::read(path).unwrap();
+                    let dst = std::fs::read(rdir.join(segment_file_name(*id))).unwrap();
                     assert_eq!(src, dst, "shard {shard} segment {id} diverges");
                 }
+                assert_eq!(
+                    std::fs::read(pdir.join(MANIFEST_NAME)).ok(),
+                    std::fs::read(rdir.join(MANIFEST_NAME)).ok(),
+                    "shard {shard} station {station} manifest"
+                );
             }
+        }
+    }
+
+    /// A two-station, one-replica set whose ship queues drain only
+    /// through explicit `pump_station`/`quiesce` calls.
+    fn manual_pipelined(log: RefLogConfig) -> StationSetConfig {
+        StationSetConfig {
+            log,
+            queue: ShipQueueConfig {
+                pipelined: true,
+                workers: false,
+                ..ShipQueueConfig::default()
+            },
+            ..StationSetConfig::default()
         }
     }
 
@@ -1459,6 +1556,174 @@ mod tests {
         }
         assert!(store.stats().ship_bytes > 0, "workers must have shipped");
         assert_replicas_identical(&store, 4);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn in_sync_pass_inspects_no_shard() {
+        let root = test_root("watermark-idle");
+        let store = open_set(&root, 4, StationSetConfig::default(), None);
+        for loc in 0..16u32 {
+            assert!(store.offer(reference(loc, 2.0, 0.4)));
+        }
+        store.replicate();
+        let before = store.stats();
+        store.replicate();
+        store.maintain();
+        let after = store.stats();
+        assert_eq!(
+            after.ship_checks, before.ship_checks,
+            "no shard re-inspected"
+        );
+        assert_eq!(after.ship_bytes, before.ship_bytes);
+        assert_replicas_identical(&store, 4);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn one_accepted_offer_ships_exactly_its_shard() {
+        let root = test_root("watermark-one");
+        let store = open_set(&root, 4, manual_pipelined(RefLogConfig::default()), None);
+        for loc in 0..16u32 {
+            assert!(store.offer(reference(loc, 2.0, 0.4)));
+        }
+        store.quiesce();
+        store.replicate();
+        let before = store.stats();
+        assert!(store.offer(reference(3, 5.0, 0.6)));
+        assert!(!store.offer(reference(5, 1.0, 0.6)), "stale offer rejected");
+        store.replicate();
+        let after = store.stats();
+        assert_eq!(
+            after.ship_checks - before.ship_checks,
+            1,
+            "one shard checked"
+        );
+        assert_eq!(after.ship_segments - before.ship_segments, 1);
+        // The queued entry the offer left finds its shard already current.
+        store.quiesce();
+        assert_eq!(store.stats().ship_checks, after.ship_checks);
+        assert_replicas_identical(&store, 4);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn compaction_steps_reach_replicas_on_the_next_pass() {
+        let root = test_root("watermark-compaction");
+        // Any dead byte starts a compaction, and each step relocates one
+        // record: compactions run in slices, pumped inside appends (auto
+        // compaction) and by `maintain`, and most slices do not finish.
+        let log = RefLogConfig {
+            compact_min_dead_bytes: 1,
+            compact_min_dead_fraction: 0.0,
+            compaction_step: earthplus_refstore::CompactionBudget {
+                max_bytes: 1,
+                max_micros: u64::MAX,
+            },
+            ..RefLogConfig::default()
+        };
+        let store = open_set(&root, 2, manual_pipelined(log), None);
+        for generation in 1..=3 {
+            for loc in 0..6u32 {
+                assert!(store.offer(reference(loc, generation as f64, 0.3)));
+            }
+        }
+        assert!(
+            store.stats().store.compaction_steps > 0,
+            "appends pumped steps"
+        );
+        // Nothing drained yet: the pass ships what the appends' steps wrote.
+        store.replicate();
+        assert_replicas_identical(&store, 2);
+        store.quiesce();
+        for loc in 0..6u32 {
+            assert!(store.offer(reference(loc, 4.0, 0.5)));
+        }
+        store.quiesce();
+        let steps = store.stats().store.compaction_steps;
+        for _ in 0..6 {
+            store.maintain();
+            store.replicate();
+            assert_replicas_identical(&store, 2);
+        }
+        assert!(
+            store.stats().store.compaction_steps > steps,
+            "maintain stepped"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn short_transfer_keeps_the_watermark_behind() {
+        let root = test_root("watermark-short");
+        // Every transfer attempt lands corrupted, so no pass completes.
+        let injector = shared_injector(FaultPlan {
+            seed: 5,
+            ship_corrupt_probability: 1.0,
+            ..FaultPlan::default()
+        });
+        let store = open_set(&root, 1, StationSetConfig::default(), Some(injector));
+        assert!(store.offer(reference(0, 1.0, 0.3)));
+        for _ in 0..2 {
+            let before = store.stats();
+            store.replicate();
+            let after = store.stats();
+            assert_eq!(
+                after.ship_checks - before.ship_checks,
+                1,
+                "shard re-inspected"
+            );
+            assert!(after.ship_corrupt_detected > before.ship_corrupt_detected);
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn corruption_failover_and_restore_clear_the_watermark() {
+        let root = test_root("watermark-clear");
+        let injector = shared_injector(FaultPlan {
+            seed: 3,
+            corruptions: vec![SegmentCorruption {
+                station: 2,
+                shard: 0,
+                day: 3.0,
+            }],
+            ..FaultPlan::default()
+        });
+        let config = StationSetConfig {
+            stations: 3,
+            replicas: 2,
+            ..StationSetConfig::default()
+        };
+        let store = open_set(&root, 1, config, Some(injector));
+        assert!(store.offer(reference(0, 1.0, 0.3)));
+        // Runs one pass and returns how many shards it inspected.
+        let pass = || {
+            let before = store.stats().ship_checks;
+            store.replicate();
+            store.stats().ship_checks - before
+        };
+        assert_eq!(pass(), 0, "the offer left every replica current");
+
+        store.advance_to_day(3.5);
+        assert_eq!(pass(), 1, "a corrupted replica is re-verified");
+        assert!(
+            store.stats().ship_corrupt_detected > 0,
+            "and the decay healed"
+        );
+        assert_replicas_identical(&store, 1);
+
+        store.fail_station(0);
+        assert_eq!(store.shard_station(0), 1);
+        assert_eq!(pass(), 1, "a promoted primary re-derives its replicas");
+        assert_replicas_identical(&store, 1);
+
+        // The promoted timeline moves on while station 0 is dark.
+        assert!(store.offer(reference(0, 5.0, 0.4)));
+        store.restore_station(0);
+        assert_eq!(pass(), 1, "a returning station is re-verified");
+        assert_replicas_identical(&store, 1);
+        assert_eq!(pass(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -267,6 +267,8 @@ pub struct RefLog {
     max_step_copied_bytes: u64,
     /// Syncs issued since open (see [`RefLogStats::fsyncs_issued`]).
     fsyncs_issued: u64,
+    /// File-changing operations since open (see [`RefLog::generation`]).
+    generation: u64,
     /// Committed-append latency span target (disabled until
     /// [`RefLog::attach_telemetry`]).
     append_ns: Histogram,
@@ -436,6 +438,7 @@ impl RefLog {
                 compaction_steps: 0,
                 max_step_copied_bytes: 0,
                 fsyncs_issued,
+                generation: 0,
                 append_ns: Histogram::default(),
                 compaction_ns: Histogram::default(),
                 step_ns: Histogram::default(),
@@ -501,6 +504,18 @@ impl RefLog {
     /// The configuration in force.
     pub fn config(&self) -> &RefLogConfig {
         &self.config
+    }
+
+    /// A counter of the operations since open that may have changed a
+    /// file in [`RefLog::dir`]: every landed append run, segment
+    /// rotation and compaction step (whose relocation writes, manifest
+    /// swap and input sweep all fall inside the step) bumps it before
+    /// touching the disk. Two equal readings on one open log therefore
+    /// bracket an unchanged file set — the ground segment's replication
+    /// watermark compares it to skip shards whose replicas are already
+    /// current. A reopened log starts again at 0.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Appends a record under freshest-wins semantics. Returns `false`
@@ -650,6 +665,7 @@ impl RefLog {
         if run.is_empty() {
             return Ok(());
         }
+        self.generation += 1;
         let start = self.active.append_frame(frames)?;
         frames.clear();
         if self.config.fsync_appends {
@@ -679,6 +695,7 @@ impl RefLog {
     }
 
     fn rotate(&mut self) -> Result<()> {
+        self.generation += 1;
         let id = self.next_segment_id;
         self.next_segment_id += 1;
         self.active = SegmentWriter::create(&self.dir, id)?;
@@ -939,6 +956,7 @@ impl RefLog {
                 ..CompactionStepReport::default()
             });
         };
+        self.generation += 1;
         let started = Instant::now();
         let mut trace = self
             .tracing
@@ -1491,6 +1509,51 @@ mod tests {
         let (log, report) = RefLog::open(&dir, no_autocompact()).unwrap();
         assert!(report.manifest_loaded);
         assert_eq!(log.index_entries(), entries);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn generation_moves_exactly_when_files_may_change() {
+        let dir = test_dir("generation");
+        let config = RefLogConfig {
+            segment_max_bytes: 512,
+            compact_min_dead_bytes: 1,
+            compact_min_dead_fraction: 0.0,
+            ..no_autocompact()
+        };
+        let (mut log, _) = RefLog::open(&dir, config).unwrap();
+        let mut last = log.generation();
+        let mut step = |log: &RefLog, moved: bool, what: &str| {
+            let now = log.generation();
+            assert_eq!(now != last, moved, "{what}: generation {last} -> {now}");
+            last = now;
+        };
+        assert!(log.append(key(0), 1.0, &[1u8; 64]).unwrap());
+        step(&log, true, "append");
+        assert!(!log.append(key(0), 1.0, &[2u8; 64]).unwrap());
+        step(&log, false, "rejected append");
+        let batch: Vec<(RecordKey, f64, &[u8])> =
+            (1..8u32).map(|l| (key(l), 2.0, &[3u8; 64][..])).collect();
+        log.append_batch(&batch).unwrap();
+        step(&log, true, "batch spanning rotations");
+        assert!(log.stats().segments > 1, "the batch must have rotated");
+        log.append_batch(&[(key(0), 0.5, &[4u8; 64][..])]).unwrap();
+        step(&log, false, "batch with nothing fresher");
+        log.get(&key(3)).unwrap();
+        log.sync().unwrap();
+        step(&log, false, "read and sync");
+        assert!(log.append(key(0), 9.0, &[5u8; 64]).unwrap());
+        step(&log, true, "superseding append");
+        let budget = CompactionBudget {
+            max_bytes: 1,
+            max_micros: u64::MAX,
+        };
+        while !log.maintain(budget).unwrap().expect("dead bytes").finished {
+            step(&log, true, "compaction step");
+        }
+        step(&log, true, "compaction commit");
+        assert!(log.maintain(budget).unwrap().is_none());
+        step(&log, false, "idle maintain");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
