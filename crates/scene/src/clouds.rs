@@ -147,6 +147,11 @@ impl CloudField {
         &self.alpha
     }
 
+    /// The opacity field, without a copy.
+    pub(crate) fn into_alpha(self) -> Raster {
+        self.alpha
+    }
+
     /// Measured fraction of pixels with opacity > 0.5.
     pub fn fraction(&self) -> f64 {
         self.fraction

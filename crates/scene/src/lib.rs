@@ -40,6 +40,7 @@ pub mod noise;
 pub mod reflectance;
 pub mod scene;
 pub mod sensor;
+mod strips;
 pub mod temporal;
 pub mod terrain;
 

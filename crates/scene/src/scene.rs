@@ -6,9 +6,11 @@ use crate::reflectance::{
     base_reflectance, cloud_reflectance, grain_scale, snow_reflectance, texture_scale,
 };
 use crate::sensor::SensorModel;
+use crate::strips::{raster_from_fn, render_strips, strip_count};
 use crate::temporal::{EventSchedule, SeasonalModel, SnowModel};
-use crate::terrain::{LocationArchetype, TerrainMap};
+use crate::terrain::{LandCover, LocationArchetype, TerrainMap};
 use earthplus_raster::{Band, LocationId, MultiBandImage, Raster};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Everything needed to instantiate one location's scene.
@@ -24,7 +26,9 @@ pub struct SceneConfig {
     pub width: usize,
     /// Capture height in pixels.
     pub height: usize,
-    /// Ground sampling distance, metres per pixel.
+    /// Ground sampling distance, metres per pixel. Nothing in the
+    /// generator reads it yet: clouds, terrain, seasonal drift and change
+    /// events are all laid out in pixels or relative to the frame.
     pub gsd_m: f64,
     /// Spectral bands captured at this location.
     pub bands: Vec<Band>,
@@ -162,14 +166,29 @@ pub struct LocationScene {
     snow: SnowModel,
     events: EventSchedule,
     cache: Mutex<Option<EventFieldCache>>,
+    /// Row strips every per-pixel render of this scene is cut into.
+    strips: usize,
 }
 
 impl LocationScene {
-    /// Synthesizes the scene's static fields.
+    /// Synthesizes the scene's static fields, rendering them on all
+    /// available cores.
     pub fn new(config: SceneConfig) -> Self {
+        Self::in_strips(config, strip_count())
+    }
+
+    /// [`LocationScene::new`] for a scene that renders everything, its
+    /// static fields included, in `strips` row strips.
+    pub(crate) fn in_strips(config: SceneConfig, strips: usize) -> Self {
         let seed = config.location_seed();
-        let terrain = TerrainMap::generate(seed, config.archetype, config.width, config.height);
-        let seasonal = SeasonalModel::from_terrain(seed, &terrain);
+        let terrain = TerrainMap::generate_in_strips(
+            seed,
+            config.archetype,
+            config.width,
+            config.height,
+            strips,
+        );
+        let seasonal = SeasonalModel::from_terrain_in_strips(seed, &terrain, strips);
         let snow = SnowModel::new(seed, config.snow_max_extent, config.snow_peak_day);
         let events = EventSchedule::generate(seed, &terrain, config.horizon_days);
         LocationScene {
@@ -179,6 +198,7 @@ impl LocationScene {
             snow,
             events,
             cache: Mutex::new(None),
+            strips,
         }
     }
 
@@ -233,41 +253,18 @@ impl LocationScene {
     /// true change maps.
     pub fn ground_reflectance(&self, band: Band, day: f64) -> Raster {
         let field = self.event_field(day);
-        self.ground_reflectance_with_field(band, day, &field)
-    }
-
-    fn ground_reflectance_with_field(&self, band: Band, day: f64, field: &Raster) -> Raster {
-        let vol = band.volatility();
-        let tex_scale = texture_scale(band);
-        let grain_amp = grain_scale(band);
-        let cycle = self.seasonal.cycle(day);
-        let snow_base = snow_reflectance(band);
-        let snow_active = self.snow.extent(day) > 0.0;
-        let amp = self.seasonal.amplitude();
-        let tex = self.terrain.texture();
-        let grain = self.terrain.grain();
-        let elev = self.terrain.elevation();
+        let ground = Ground::new(self, day, &field);
+        let band = GroundBand::new(band);
         let (w, h) = (self.config.width, self.config.height);
-        let mut out = Raster::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                let v = if snow_active && self.snow.is_snow(elev.get(x, y), day) {
-                    snow_base * self.snow.albedo(x, y, day)
-                } else {
-                    base_reflectance(self.terrain.cover(x, y), band)
-                        + tex.get(x, y) * tex_scale
-                        + grain.get(x, y) * grain_amp
-                        + amp.get(x, y) * cycle * vol
-                        + field.get(x, y) * vol
-                };
-                out.set(x, y, v.clamp(0.0, 1.0));
-            }
-        }
-        out
+        raster_from_fn(w, h, self.strips, |x, y| band.reflectance(&ground.at(x, y)))
     }
 
     /// Simulates the full observation for `day`, drawing cloud coverage
     /// from the climate.
+    ///
+    /// Every band is rendered on all available cores, in row strips. Each
+    /// sample is a pure function of the scene seed, the pixel and the day,
+    /// so the capture is bit-identical whatever the core count.
     pub fn capture(&self, day: f64) -> Capture {
         let coverage = self.cloud_coverage(day);
         self.capture_with_coverage(day, coverage)
@@ -280,39 +277,42 @@ impl LocationScene {
         let seed = self.config.location_seed();
         let (w, h) = (self.config.width, self.config.height);
         let clouds = CloudField::generate(seed, day, w, h, coverage);
-        let alpha = clouds.alpha();
+        let cloud_fraction = clouds.fraction();
+        let alpha = clouds.into_alpha();
         let (gain, offset) = self.config.illumination.condition(seed, day);
         let field = self.event_field(day);
-
-        // Cloud shadow: the opacity field shifted diagonally, darkening
-        // non-cloudy ground (§5, Figure 9 shows shadows confound naive
-        // differencing).
-        let shadow_shift = (self.config.width / 32).max(4);
+        let frame = CaptureFrame {
+            ground: Ground::new(self, day, &field),
+            bands: self
+                .config
+                .bands
+                .iter()
+                .enumerate()
+                .map(|(band_tag, &band)| CaptureBand {
+                    ground: GroundBand::new(band),
+                    cloud: cloud_reflectance(band),
+                    noise_key: SensorModel::noise_key(seed, band_tag as u64 + 1),
+                })
+                .collect(),
+            alpha: alpha.as_slice(),
+            gain,
+            offset,
+            // Cloud shadow: the opacity field shifted diagonally, darkening
+            // non-cloudy ground (§5, Figure 9 shows shadows confound naive
+            // differencing).
+            shadow_shift: (w / 32).max(4),
+            day_idx: day.floor() as i64,
+        };
+        let mut planes: Vec<Vec<f32>> =
+            self.config.bands.iter().map(|_| vec![0.0; w * h]).collect();
+        let mut strips: Vec<&mut [f32]> = planes.iter_mut().map(|p| &mut p[..]).collect();
+        render_strips(w, h, &mut strips, self.strips, |rows, strip| {
+            frame.render_rows(rows, strip)
+        });
 
         let mut image = MultiBandImage::new(w, h);
-        for (band_tag, &band) in self.config.bands.iter().enumerate() {
-            let ground = self.ground_reflectance_with_field(band, day, &field);
-            let cloud_base = cloud_reflectance(band);
-            let mut observed = Raster::new(w, h);
-            for y in 0..h {
-                for x in 0..w {
-                    let g = gain * ground.get(x, y) + offset;
-                    let a = alpha.get(x, y);
-                    // Feathered cloud with a little internal structure.
-                    let cloud_v = cloud_base * (0.85 + 0.3 * a);
-                    let mut v = g * (1.0 - a) + cloud_v * a;
-                    let sx = (x + shadow_shift).min(w - 1);
-                    let sy = (y + shadow_shift).min(h - 1);
-                    let shadow = alpha.get(sx, sy);
-                    // Atmospherically-corrected products retain only a
-                    // mild shadow residue.
-                    v *= 1.0 - 0.12 * shadow * (1.0 - a);
-                    observed.set(x, y, v);
-                }
-            }
-            self.config
-                .sensor
-                .apply(&mut observed, seed, band_tag as u64 + 1, day);
+        for (&band, plane) in self.config.bands.iter().zip(planes) {
+            let observed = Raster::from_vec(w, h, plane).expect("plane matches the frame");
             image
                 .push_band(band, observed)
                 .expect("bands are unique and equally sized");
@@ -320,9 +320,181 @@ impl LocationScene {
         Capture {
             day,
             image,
-            cloud_alpha: alpha.clone(),
-            cloud_fraction: clouds.fraction(),
+            cloud_alpha: alpha,
+            cloud_fraction,
         }
+    }
+}
+
+/// What the ground at one pixel shows on one day, before a band weighs it.
+enum Surface {
+    /// Snow, at this albedo factor.
+    Snow(f32),
+    /// Snow-free land.
+    Land {
+        /// [`LandCover::index`] of the pixel.
+        cover: usize,
+        /// Albedo texture, `[-1, 1]`.
+        texture: f32,
+        /// Terrain grain, `[-0.5, 0.5]`.
+        grain: f32,
+        /// Seasonal amplitude times the day's cycle value.
+        seasonal: f32,
+        /// Cumulative change-event offset.
+        event: f32,
+    },
+}
+
+/// The ground of one scene on one day.
+struct Ground<'a> {
+    scene: &'a LocationScene,
+    day: f64,
+    cycle: f32,
+    snow_extent: f32,
+    events: &'a [f32],
+}
+
+impl<'a> Ground<'a> {
+    fn new(scene: &'a LocationScene, day: f64, events: &'a Raster) -> Self {
+        Ground {
+            scene,
+            day,
+            cycle: scene.seasonal.cycle(day),
+            snow_extent: scene.snow.extent(day),
+            events: events.as_slice(),
+        }
+    }
+
+    /// The surface at pixel `(x, y)`.
+    #[inline]
+    fn at(&self, x: usize, y: usize) -> Surface {
+        let terrain = &self.scene.terrain;
+        let i = y * terrain.width() + x;
+        if SnowModel::is_snow(terrain.elevation().as_slice()[i], self.snow_extent) {
+            Surface::Snow(self.scene.snow.albedo(x, y, self.day))
+        } else {
+            Surface::Land {
+                cover: terrain.cover_indices()[i] as usize,
+                texture: terrain.texture().as_slice()[i],
+                grain: terrain.grain().as_slice()[i],
+                seasonal: self.scene.seasonal.amplitude().as_slice()[i] * self.cycle,
+                event: self.events[i],
+            }
+        }
+    }
+}
+
+/// How one band sees the ground.
+struct GroundBand {
+    /// Base reflectance per [`LandCover::index`].
+    base: [f32; 6],
+    texture: f32,
+    grain: f32,
+    volatility: f32,
+    snow: f32,
+}
+
+impl GroundBand {
+    fn new(band: Band) -> Self {
+        GroundBand {
+            base: std::array::from_fn(|i| base_reflectance(LandCover::from_index(i as u8), band)),
+            texture: texture_scale(band),
+            grain: grain_scale(band),
+            volatility: band.volatility(),
+            snow: snow_reflectance(band),
+        }
+    }
+
+    /// Ground reflectance of `surface` in this band, in `[0, 1]`.
+    #[inline]
+    fn reflectance(&self, surface: &Surface) -> f32 {
+        let v = match *surface {
+            Surface::Snow(albedo) => self.snow * albedo,
+            Surface::Land {
+                cover,
+                texture,
+                grain,
+                seasonal,
+                event,
+            } => {
+                self.base[cover]
+                    + texture * self.texture
+                    + grain * self.grain
+                    + seasonal * self.volatility
+                    + event * self.volatility
+            }
+        };
+        v.clamp(0.0, 1.0)
+    }
+}
+
+/// One band of a capture.
+struct CaptureBand {
+    ground: GroundBand,
+    /// Cloud-top reflectance.
+    cloud: f32,
+    /// The band's [`SensorModel::noise_key`].
+    noise_key: u64,
+}
+
+/// Everything one capture's samples depend on besides the pixel.
+struct CaptureFrame<'a> {
+    ground: Ground<'a>,
+    bands: Vec<CaptureBand>,
+    /// Cloud opacity, row-major.
+    alpha: &'a [f32],
+    gain: f32,
+    offset: f32,
+    shadow_shift: usize,
+    day_idx: i64,
+}
+
+impl CaptureFrame<'_> {
+    /// Renders rows `rows` of every band: `strip[b]` holds those rows of
+    /// band `b`.
+    fn render_rows(&self, rows: Range<usize>, strip: &mut [&mut [f32]]) {
+        let config = &self.ground.scene.config;
+        let (w, h) = (config.width, config.height);
+        let mut i = 0;
+        for y in rows {
+            let shadow_row = (y + self.shadow_shift).min(h - 1) * w;
+            for x in 0..w {
+                let surface = self.ground.at(x, y);
+                let a = self.alpha[y * w + x];
+                let shadow = self.alpha[shadow_row + (x + self.shadow_shift).min(w - 1)];
+                for (plane, band) in strip.iter_mut().zip(&self.bands) {
+                    plane[i] = self.observe(band, &surface, a, shadow, x, y);
+                }
+                i += 1;
+            }
+        }
+    }
+
+    /// One observed sample: `surface` seen in `band` under the capture's
+    /// illumination, behind cloud opacity `a` and over cloud shadow
+    /// `shadow`, then through the sensor's noise and quantization.
+    #[inline]
+    fn observe(
+        &self,
+        band: &CaptureBand,
+        surface: &Surface,
+        a: f32,
+        shadow: f32,
+        x: usize,
+        y: usize,
+    ) -> f32 {
+        let g = self.gain * band.ground.reflectance(surface) + self.offset;
+        // Feathered cloud with a little internal structure.
+        let cloud_v = band.cloud * (0.85 + 0.3 * a);
+        let mut v = g * (1.0 - a) + cloud_v * a;
+        // Atmospherically-corrected products retain only a mild shadow
+        // residue.
+        v *= 1.0 - 0.12 * shadow * (1.0 - a);
+        self.ground
+            .scene
+            .config
+            .sensor
+            .observe(v, band.noise_key, x, y, self.day_idx)
     }
 }
 
@@ -343,6 +515,57 @@ mod tests {
             assert_eq!(raster.as_slice(), b.image.band(band).unwrap().as_slice());
         }
         assert_eq!(a.cloud_fraction, b.cloud_fraction);
+    }
+
+    fn bits(raster: &Raster) -> Vec<u32> {
+        raster.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn renders_are_independent_of_strip_count() {
+        // The public path cuts renders into one strip per host core; the
+        // same bits must come out of any other cut, so output does not
+        // depend on the machine.
+        for (w, h) in [(67, 41), (37, 1), (1, 37)] {
+            let config = SceneConfig::new(
+                42,
+                LocationId(5),
+                LocationArchetype::SnowyMountain,
+                w,
+                h,
+                Band::sentinel2_all(),
+            );
+            let public = LocationScene::new(config.clone());
+            let expected = public.capture_with_coverage(15.0, 0.4);
+            for strips in [1, 2, 3, 7, h + 1] {
+                let scene = LocationScene::in_strips(config.clone(), strips);
+                let (terrain, public_terrain) = (scene.terrain(), public.terrain());
+                assert_eq!(bits(terrain.elevation()), bits(public_terrain.elevation()));
+                assert_eq!(bits(terrain.texture()), bits(public_terrain.texture()));
+                assert_eq!(bits(terrain.grain()), bits(public_terrain.grain()));
+                assert_eq!(terrain.cover_indices(), public_terrain.cover_indices());
+                assert_eq!(
+                    bits(scene.seasonal.amplitude()),
+                    bits(public.seasonal.amplitude())
+                );
+                let capture = scene.capture_with_coverage(15.0, 0.4);
+                for (band, raster) in capture.image.iter() {
+                    let context = format!("{band} in {strips} strips at {w}x{h}");
+                    assert_eq!(
+                        bits(raster),
+                        bits(expected.image.band(band).unwrap()),
+                        "{context}"
+                    );
+                    assert_eq!(
+                        bits(&scene.ground_reflectance(band, 15.0)),
+                        bits(&public.ground_reflectance(band, 15.0)),
+                        "{context}"
+                    );
+                }
+                assert_eq!(bits(&capture.cloud_alpha), bits(&expected.cloud_alpha));
+                assert_eq!(capture.cloud_fraction, expected.cloud_fraction);
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! sensors.
 
 use crate::noise::{hash3, hash_normal};
-use earthplus_raster::Raster;
 
 /// Sensor configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,33 +35,28 @@ impl SensorModel {
         }
     }
 
-    /// Applies noise and quantization to a radiance raster in place.
+    /// The noise stream of band `band_tag` in captures seeded `seed`.
+    pub(crate) fn noise_key(seed: u64, band_tag: u64) -> u64 {
+        seed ^ band_tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// One observed sample: `radiance` plus Gaussian noise, clamped to
+    /// `[0, 1]` and quantized.
     ///
-    /// Deterministic per `(seed, band_tag, day, pixel)`.
-    pub fn apply(&self, image: &mut Raster, seed: u64, band_tag: u64, day: f64) {
-        let day_idx = day.floor() as i64;
-        let levels = if self.bit_depth == 0 {
-            0.0
-        } else {
-            ((1u64 << self.bit_depth) - 1) as f32
-        };
-        let width = image.width();
-        let sigma = self.noise_sigma;
-        let base = seed ^ band_tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for y in 0..image.height() {
-            for x in 0..width {
-                let mut v = image.get(x, y);
-                if sigma > 0.0 {
-                    let h = hash3(base, x as i64, y as i64, day_idx);
-                    v += sigma * hash_normal(h);
-                }
-                v = v.clamp(0.0, 1.0);
-                if levels > 0.0 {
-                    v = (v * levels).round() / levels;
-                }
-                image.set(x, y, v);
-            }
+    /// Deterministic per `(key, pixel, day_idx)`, where `key` is the
+    /// band's [`SensorModel::noise_key`] and `day_idx` the floored day.
+    #[inline]
+    pub(crate) fn observe(&self, radiance: f32, key: u64, x: usize, y: usize, day_idx: i64) -> f32 {
+        let mut v = radiance;
+        if self.noise_sigma > 0.0 {
+            v += self.noise_sigma * hash_normal(hash3(key, x as i64, y as i64, day_idx));
         }
+        v = v.clamp(0.0, 1.0);
+        if self.bit_depth > 0 {
+            let levels = ((1u64 << self.bit_depth) - 1) as f32;
+            v = (v * levels).round() / levels;
+        }
+        v
     }
 }
 
@@ -75,7 +69,18 @@ impl Default for SensorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use earthplus_raster::mean_abs_diff;
+    use earthplus_raster::{mean_abs_diff, Raster};
+
+    impl SensorModel {
+        /// Observes every sample of `image` as band `band_tag` on `day`.
+        fn apply(&self, image: &mut Raster, seed: u64, band_tag: u64, day: f64) {
+            let key = SensorModel::noise_key(seed, band_tag);
+            let width = image.width();
+            for (i, v) in image.as_mut_slice().iter_mut().enumerate() {
+                *v = self.observe(*v, key, i % width, i / width, day.floor() as i64);
+            }
+        }
+    }
 
     #[test]
     fn ideal_sensor_only_clamps() {

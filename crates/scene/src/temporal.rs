@@ -19,6 +19,7 @@
 //!    fresh snow, and dirty snow has a lower albedo than clean snow").
 
 use crate::noise::{fbm2, hash3, hash_unit};
+use crate::strips::{raster_from_fn, strip_count};
 use crate::terrain::{LandCover, TerrainMap};
 use earthplus_raster::Raster;
 
@@ -213,10 +214,15 @@ impl SeasonalModel {
     /// Builds the per-pixel amplitude field from the terrain: vegetation
     /// responds strongly to seasons, built/rock/water surfaces barely.
     pub fn from_terrain(seed: u64, terrain: &TerrainMap) -> Self {
+        Self::from_terrain_in_strips(seed, terrain, strip_count())
+    }
+
+    /// [`SeasonalModel::from_terrain`], rendered in `strips` row strips.
+    pub(crate) fn from_terrain_in_strips(seed: u64, terrain: &TerrainMap, strips: usize) -> Self {
         let width = terrain.width();
         let height = terrain.height();
         let scale = 1.0 / width.max(height) as f32;
-        let amplitude = Raster::from_fn(width, height, |x, y| {
+        let amplitude = raster_from_fn(width, height, strips, |x, y| {
             let class_amp = match terrain.cover(x, y) {
                 LandCover::Forest => 1.0,
                 LandCover::Agriculture => 0.9,
@@ -287,12 +293,12 @@ impl SnowModel {
         (phase.cos() as f32).max(0.0) * self.max_extent
     }
 
-    /// Whether a pixel at the given normalized elevation is snow-covered on
-    /// `day` (snow accumulates from the highest elevations downward).
+    /// Whether a pixel at the given normalized elevation is snow-covered
+    /// when the snow reaches `extent` (the day's [`SnowModel::extent`]):
+    /// snow accumulates from the highest elevations downward.
     #[inline]
-    pub fn is_snow(&self, elevation: f32, day: f64) -> bool {
-        let ext = self.extent(day);
-        ext > 0.0 && elevation > 1.0 - ext
+    pub fn is_snow(elevation: f32, extent: f32) -> bool {
+        extent > 0.0 && elevation > 1.0 - extent
     }
 
     /// Snow albedo at a pixel on `day`, in roughly `[0.62, 0.95]`.
@@ -444,9 +450,9 @@ mod tests {
         let snow = SnowModel::new(1, 0.8, 15.0);
         assert!(snow.extent(15.0) > 0.79);
         assert_eq!(snow.extent(15.0 + 182.5), 0.0);
-        assert!(snow.is_snow(0.9, 15.0));
-        assert!(!snow.is_snow(0.1, 15.0));
-        assert!(!snow.is_snow(0.9, 190.0));
+        assert!(SnowModel::is_snow(0.9, snow.extent(15.0)));
+        assert!(!SnowModel::is_snow(0.1, snow.extent(15.0)));
+        assert!(!SnowModel::is_snow(0.9, snow.extent(190.0)));
     }
 
     #[test]
@@ -468,6 +474,6 @@ mod tests {
     #[test]
     fn disabled_snow_never_snows() {
         let snow = SnowModel::new(1, 0.0, 15.0);
-        assert!(!snow.is_snow(1.0, 15.0));
+        assert!(!SnowModel::is_snow(1.0, snow.extent(15.0)));
     }
 }

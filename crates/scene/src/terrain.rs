@@ -9,6 +9,7 @@
 //! classifies every pixel into a [`LandCover`] class.
 
 use crate::noise::{fbm2, lattice_unit};
+use crate::strips::{raster_from_fn, render_strips, strip_count};
 use earthplus_raster::Raster;
 
 /// Dominant geographic context of a location (Figure 10 of the paper).
@@ -131,18 +132,29 @@ pub struct TerrainMap {
 impl TerrainMap {
     /// Synthesizes terrain for a location.
     pub fn generate(seed: u64, archetype: LocationArchetype, width: usize, height: usize) -> Self {
+        Self::generate_in_strips(seed, archetype, width, height, strip_count())
+    }
+
+    /// [`TerrainMap::generate`], rendered in `strips` row strips.
+    pub(crate) fn generate_in_strips(
+        seed: u64,
+        archetype: LocationArchetype,
+        width: usize,
+        height: usize,
+        strips: usize,
+    ) -> Self {
         let scale = 1.0 / width.max(height) as f32;
-        let elevation = Raster::from_fn(width, height, |x, y| {
+        let elevation = raster_from_fn(width, height, strips, |x, y| {
             let fx = x as f32 * scale;
             let fy = y as f32 * scale;
             fbm2(seed ^ 0x11, fx, fy, 0, 5, 3.0)
         });
-        let moisture = Raster::from_fn(width, height, |x, y| {
+        let moisture = raster_from_fn(width, height, strips, |x, y| {
             let fx = x as f32 * scale;
             let fy = y as f32 * scale;
             fbm2(seed ^ 0x22, fx, fy, 0, 4, 2.0)
         });
-        let texture = Raster::from_fn(width, height, |x, y| {
+        let texture = raster_from_fn(width, height, strips, |x, y| {
             let fx = x as f32 * scale;
             let fy = y as f32 * scale;
             fbm2(seed ^ 0x33, fx, fy, 0, 4, 24.0) * 2.0 - 1.0
@@ -150,7 +162,7 @@ impl TerrainMap {
         // Band-limited micro-texture (~2.5 px correlation) plus a small
         // white component: expensive to code at low bitrates but with a
         // real rate-distortion slope, like actual ground texture.
-        let grain = Raster::from_fn(width, height, |x, y| {
+        let grain = raster_from_fn(width, height, strips, |x, y| {
             let smooth =
                 crate::noise::value_noise2(seed ^ 0x6A11, x as f32 / 2.5, y as f32 / 2.5, 0) - 0.5;
             let white = lattice_unit(seed ^ 0x6A12, x as i64, y as i64, 0) - 0.5;
@@ -158,14 +170,17 @@ impl TerrainMap {
         });
 
         let mut cover = vec![0u8; width * height];
-        for y in 0..height {
-            for x in 0..width {
-                let e = elevation.get(x, y);
-                let m = moisture.get(x, y);
-                let c = classify(seed, archetype, x, y, width, height, e, m);
-                cover[y * width + x] = c.index();
+        render_strips(width, height, &mut [&mut cover], strips, |rows, strip| {
+            let mut i = 0;
+            for y in rows {
+                for x in 0..width {
+                    let e = elevation.get(x, y);
+                    let m = moisture.get(x, y);
+                    strip[0][i] = classify(seed, archetype, x, y, width, height, e, m).index();
+                    i += 1;
+                }
             }
-        }
+        });
         TerrainMap {
             width,
             height,
@@ -215,6 +230,11 @@ impl TerrainMap {
     #[inline]
     pub fn cover(&self, x: usize, y: usize) -> LandCover {
         LandCover::from_index(self.cover[y * self.width + x])
+    }
+
+    /// Land-cover indices ([`LandCover::index`]), row-major.
+    pub(crate) fn cover_indices(&self) -> &[u8] {
+        &self.cover
     }
 
     /// Fraction of pixels with the given cover.
