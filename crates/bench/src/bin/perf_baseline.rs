@@ -69,7 +69,7 @@
 //!
 //! Since the flight recorder the same treatment covers tracing: the
 //! measured encode/decode paths run with tracing *disabled* (the default
-//! — one pointer check per call site), so the `--check` gate against the
+//! — no event recorded and no clock read per call site), so the `--check` gate against the
 //! committed baseline also guards the disabled-tracing branch; and a
 //! recorder-enabled encode/decode pair is interleaved against the
 //! disabled arenas, failing below [`TRACING_MIN_RATIO`]×.
@@ -135,8 +135,9 @@ const DECODE_LL_MIN_SPEEDUP: f64 = 5.0;
 
 /// Minimum telemetry-enabled encode/decode throughput as a fraction of
 /// the disabled-telemetry throughput, measured interleaved in-process.
-/// The instrumentation is a handful of `SpanTimer`s per tile; anything
-/// below this floor means a hot-path regression, not noise.
+/// The instrumentation is one histogram-fed trace span per encode/decode
+/// call, reading the clock twice; anything below this floor means a
+/// hot-path regression, not noise.
 const TELEMETRY_MIN_RATIO: f64 = 0.9;
 
 /// Minimum recorder-enabled (tracing) encode/decode throughput as a

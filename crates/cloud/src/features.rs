@@ -43,12 +43,28 @@ pub fn tile_features(image: &MultiBandImage, grid: &TileGrid) -> Vec<FeatureVect
     } else {
         visible
     };
-    let mut vis_mean = Raster::new(image.width(), image.height());
-    for r in &visible {
-        vis_mean = vis_mean
-            .zip_map(r, |a, b| a + b / visible.len() as f32)
-            .expect("bands share dimensions");
+    // Built in one pass, block by block, into one buffer: each pixel sums
+    // `b / n` over the bands in band order, starting from zero, so every
+    // feature bit stays what the detector was trained on.
+    const BLOCK: usize = 4096;
+    let n = visible.len() as f32;
+    let len = image.width() * image.height();
+    let (first, rest) = visible.split_first().expect("image has bands");
+    let mut mean = Vec::with_capacity(len);
+    for start in (0..len).step_by(BLOCK) {
+        let block = start..(start + BLOCK).min(len);
+        mean.extend(first.as_slice()[block.clone()].iter().map(|&b| 0.0 + b / n));
+        for r in rest {
+            for (a, &b) in mean[block.clone()]
+                .iter_mut()
+                .zip(&r.as_slice()[block.clone()])
+            {
+                *a += b / n;
+            }
+        }
     }
+    let vis_mean =
+        Raster::from_vec(image.width(), image.height(), mean).expect("bands share dimensions");
 
     let cold: Option<&Raster> = cold_band(&bands).and_then(|b| image.band(b));
 

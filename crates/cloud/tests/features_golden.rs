@@ -1,50 +1,12 @@
-//! Feature golden: pins every bit of the tile features the cloud
-//! detectors classify.
-//!
-//! Each case hashes (FNV-1a over little-endian `f32` bits) the
-//! `tile_features` of one capture: a 512-px `large_constellation` scene
-//! (four Planet bands, three of them visible) at three cloud coverages,
-//! plus a small `rich_content` scene (thirteen Sentinel-2 bands). A change
-//! in how the visible-band mean is summed shows up here as a hash drift.
-//! On a mismatch the assertion message prints the whole recomputed table.
+//! Feature golden: pins every bit (FNV-1a over little-endian `f32` bits)
+//! of the `tile_features` the cloud detectors classify, on a 512-px
+//! `large_constellation` scene (three visible Planet bands) and a small
+//! `rich_content` one (thirteen Sentinel-2 bands) at three cloud
+//! coverages. On a mismatch the message prints the recomputed table.
 
 use earthplus_cloud::tile_features;
 use earthplus_raster::TileGrid;
-use earthplus_scene::{large_constellation, rich_content, DatasetConfig, LocationScene};
-
-const COVERAGES: [f64; 3] = [0.0, 0.3, 0.7];
-
-fn features_hash(dataset: &DatasetConfig, day: f64, coverage: f64) -> u64 {
-    let scene = LocationScene::new(dataset.locations[0].clone());
-    let capture = scene.capture_with_coverage(day, coverage);
-    let grid = TileGrid::new(capture.image.width(), capture.image.height(), 64).unwrap();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for feature in tile_features(&capture.image, &grid) {
-        for v in feature {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-    }
-    h
-}
-
-fn feature_table() -> Vec<String> {
-    let mut rows = Vec::new();
-    for (name, dataset, day) in [
-        ("large_constellation 512", large_constellation(7, 512), 41.0),
-        ("rich_content 128", rich_content(7, 128), 17.5),
-    ] {
-        for coverage in COVERAGES {
-            rows.push(format!(
-                "{name} coverage {coverage} {:016x}",
-                features_hash(&dataset, day, coverage)
-            ));
-        }
-    }
-    rows
-}
+use earthplus_scene::{large_constellation, rich_content, LocationScene};
 
 const GOLDEN: &[&str] = &[
     "large_constellation 512 coverage 0 f982698f0e21dd78",
@@ -57,11 +19,23 @@ const GOLDEN: &[&str] = &[
 
 #[test]
 fn tile_features_match_golden() {
-    let table = feature_table();
-    assert_eq!(
-        table,
-        GOLDEN,
-        "tile features drifted; recomputed table:\n{}",
-        table.join("\n")
-    );
+    let mut table = Vec::new();
+    for (name, dataset, day) in [
+        ("large_constellation 512", large_constellation(7, 512), 41.0),
+        ("rich_content 128", rich_content(7, 128), 17.5),
+    ] {
+        let scene = LocationScene::new(dataset.locations[0].clone());
+        for coverage in [0.0, 0.3, 0.7] {
+            let image = scene.capture_with_coverage(day, coverage).image;
+            let grid = TileGrid::new(image.width(), image.height(), 64).unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for v in tile_features(&image, &grid).into_iter().flatten() {
+                for b in v.to_bits().to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+            table.push(format!("{name} coverage {coverage} {h:016x}"));
+        }
+    }
+    assert_eq!(table, GOLDEN, "recomputed table:\n{}", table.join("\n"));
 }

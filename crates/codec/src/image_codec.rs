@@ -36,7 +36,6 @@ use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::{CodecError, DecodeError};
 use bytes::{Buf, BufMut, Bytes};
 use earthplus_raster::{Raster, TileView};
-use earthplus_telemetry::SpanTimer;
 
 /// Magic number identifying an encoded image ("EP" wavelet codec).
 const MAGIC: u32 = 0x4550_5743;
@@ -637,9 +636,11 @@ fn encode_view_impl(
         });
     }
     // The span clones its histogram handle, so the borrow of `scratch`
-    // ends immediately; a disabled handle never reads the clock.
-    let _span = SpanTimer::start(&scratch.enc_epc2_ns);
-    let mut trace = scratch.tracing.span("codec", "encode.epc2");
+    // ends immediately; with tracing and telemetry off it reads no clock.
+    let mut trace = scratch
+        .tracing
+        .span("codec", "encode.epc2")
+        .record_into(&scratch.enc_epc2_ns);
     let levels = config.levels.min(dwt::max_levels(w, h));
     let scale = config.input_levels as f32;
     // Gather + scale in one pass (this replaces the old extract-tile copy
@@ -921,27 +922,18 @@ pub fn decode_into(
     }
     let k = discard_levels.min(encoded.levels);
     // Partial decodes (any discarded level, including LL-only) share one
-    // histogram regardless of format; full decodes split per format. The
-    // span clones its handle, so the borrow of `scratch` ends immediately.
-    let _span = SpanTimer::start(if k > 0 {
-        &scratch.dec_partial_ns
+    // histogram and span name regardless of format; full decodes split per
+    // format. The span clones its handle, so the borrow of `scratch` ends
+    // immediately.
+    let (name, hist) = if k > 0 {
+        ("decode.partial", &scratch.dec_partial_ns)
     } else {
         match encoded.format {
-            FormatVersion::Epc1 => &scratch.dec_epc1_ns,
-            FormatVersion::Epc2 => &scratch.dec_epc2_ns,
+            FormatVersion::Epc1 => ("decode.epc1", &scratch.dec_epc1_ns),
+            FormatVersion::Epc2 => ("decode.epc2", &scratch.dec_epc2_ns),
         }
-    });
-    let mut trace = scratch.tracing.span(
-        "codec",
-        if k > 0 {
-            "decode.partial"
-        } else {
-            match encoded.format {
-                FormatVersion::Epc1 => "decode.epc1",
-                FormatVersion::Epc2 => "decode.epc2",
-            }
-        },
-    );
+    };
+    let mut trace = scratch.tracing.span("codec", name).record_into(hist);
     trace.arg("payload_bytes", encoded.payload_len());
     trace.arg("discard_levels", k);
     let keep = encoded.levels - k;

@@ -19,7 +19,8 @@
 //! The arenas are also where codec telemetry lives: latency/size histogram
 //! handles are resolved once per arena via `set_telemetry` and consulted by
 //! every encode/decode call threaded through it, keeping the hot path free
-//! of name lookups (a disabled handle costs one pointer check).
+//! of name lookups. Each call's one trace span feeds its latency
+//! histogram, and reads no clock while neither is enabled.
 
 use earthplus_telemetry::{names, Histogram, TelemetrySink, TraceSink};
 
@@ -135,8 +136,8 @@ impl CodecScratch {
     /// the library encodes EPC2 only) and a payload-size sample
     /// ([`CODEC_ENCODE_BYTES`](earthplus_telemetry::names::CODEC_ENCODE_BYTES)).
     /// The handles live in the scratch arena — resolved once here, not per
-    /// call — and a disabled sink leaves them as no-ops, so uninstrumented
-    /// encoding pays one pointer check per call.
+    /// call — and a disabled sink leaves them as no-ops: uninstrumented
+    /// encoding records nothing and, with tracing off too, reads no clock.
     pub fn set_telemetry(&mut self, sink: &TelemetrySink) {
         self.enc_epc2_ns = sink.histogram(names::CODEC_ENCODE_EPC2_NS);
         self.enc_bytes = sink.histogram(names::CODEC_ENCODE_BYTES);
@@ -145,7 +146,8 @@ impl CodecScratch {
     /// Wires this arena's trace events to `sink`: every encode call then
     /// records a begin/end span (lane `"codec"`) on whatever track/trace
     /// is in scope — the capture being encoded when the strategy opened
-    /// one. A disabled sink costs one pointer check per call.
+    /// one. A disabled sink records nothing, and the span reads the clock
+    /// only for an enabled latency histogram.
     pub fn set_tracing(&mut self, sink: &TraceSink) {
         self.tracing = sink.clone();
     }
@@ -277,7 +279,8 @@ impl DecodeScratch {
 
     /// Wires this arena's trace events to `sink`: every decode call then
     /// records a begin/end span (lane `"codec"`) on whatever track/trace
-    /// is in scope. A disabled sink costs one pointer check per call.
+    /// is in scope. A disabled sink records nothing, and the span reads
+    /// the clock only for an enabled latency histogram.
     pub fn set_tracing(&mut self, sink: &TraceSink) {
         self.tracing = sink.clone();
     }

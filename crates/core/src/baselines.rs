@@ -19,7 +19,7 @@ use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, IlluminationAligner, LocationId, Raster, TileGrid, TileMask};
 use earthplus_telemetry::{TelemetrySink, TraceId, TraceSink};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::Duration;
 
 /// A pipeline for a baseline: no telemetry, no tracing.
 fn untraced_pipeline(config: &EarthPlusConfig) -> CapturePipeline {
@@ -76,13 +76,13 @@ impl CompressionStrategy for KodanStrategy {
         let grid = TileGrid::new(w, h, self.config.tile_size).expect("capture is tileable");
 
         // Accurate on-board cloud detection (Kodan's expensive stage).
-        let t = Instant::now();
+        let span = self.pipeline.stage("cloud_detect");
         let (_, detection) = self
             .detector
             .detect(&capture.image)
             .expect("capture is tileable");
         let timings = StageTimings {
-            cloud_s: t.elapsed().as_secs_f64(),
+            cloud_s: span.finish().as_secs_f64(),
             ..StageTimings::default()
         };
         let non_cloudy = clear_tiles(&grid, &detection.tile_mask);
@@ -153,12 +153,12 @@ impl CompressionStrategy for SatRoiStrategy {
         let grid = TileGrid::new(w, h, self.config.tile_size).expect("capture is tileable");
         let mut timings = StageTimings::default();
 
-        let t = Instant::now();
+        let span = self.pipeline.stage("cloud_detect");
         let detection = self
             .cloud_detector
             .detect(&capture.image)
             .expect("capture is tileable");
-        timings.cloud_s = t.elapsed().as_secs_f64();
+        timings.cloud_s = span.finish().as_secs_f64();
         let cloudy_tiles = detection.tile_mask;
 
         if detection.coverage > self.config.cloud_drop_threshold {
@@ -168,13 +168,14 @@ impl CompressionStrategy for SatRoiStrategy {
 
         let aligner = IlluminationAligner::new();
         let may_become_reference = detection.coverage < self.config.reference_cloud_max;
+        let mut change = Duration::ZERO;
 
         for (band, band_raster) in capture.image.iter() {
             let key = (ctx.satellite, ctx.location, band);
             // Full-resolution change detection against the fixed reference;
             // with none yet, every non-cloudy tile is sent and this capture
             // defines the canonical illumination.
-            let t = Instant::now();
+            let span = self.pipeline.stage("change_detect");
             let (changed, alignment) = match self.references.get(&key) {
                 Some((ref_day, reference)) => {
                     self.pipeline.note_reference_age(ctx.day - ref_day);
@@ -190,7 +191,7 @@ impl CompressionStrategy for SatRoiStrategy {
                 }
                 None => (non_cloudy.clone(), None),
             };
-            timings.change_s += t.elapsed().as_secs_f64();
+            change += span.finish();
 
             let roi = self.pipeline.encode(band, band_raster, &grid, &changed);
             self.pipeline.patch_and_score(
@@ -210,6 +211,7 @@ impl CompressionStrategy for SatRoiStrategy {
             }
         }
 
+        timings.change_s = change.as_secs_f64();
         self.pipeline.report(ctx, timings, false, TraceId::NONE)
     }
 

@@ -17,9 +17,9 @@ use earthplus_orbit::SatelliteId;
 use earthplus_raster::{
     psnr_from_mse, AlignmentModel, Band, LocationId, Raster, TileGrid, TileMask,
 };
-use earthplus_telemetry::{TelemetrySink, TraceId, TraceSink};
+use earthplus_telemetry::{TelemetrySink, TraceId, TraceSink, TraceSpan};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::Duration;
 
 /// The tiles of `grid` not in `cloudy`: what a capture can send, and
 /// where its reconstruction is scored.
@@ -35,6 +35,7 @@ pub(crate) fn clear_tiles(grid: &TileGrid, cloudy: &TileMask) -> TileMask {
 pub(crate) struct CapturePipeline {
     codec: CodecConfig,
     tile_budget: usize,
+    tracing: TraceSink,
     // Reusable encoder and decoder arenas (and the decoded-tile buffer):
     // they persist across tiles, bands, and captures, so the steady-state
     // encode and decode paths allocate no scratch at all.
@@ -51,7 +52,7 @@ pub(crate) struct CapturePipeline {
 /// What the capture in progress has sent and scored so far, band by band.
 #[derive(Default)]
 struct CaptureTally {
-    encode_s: f64,
+    encode: Duration,
     band_bytes: Vec<(Band, u64)>,
     tile_fraction_sum: f64,
     mse_sum: f64,
@@ -73,6 +74,7 @@ impl CapturePipeline {
         CapturePipeline {
             codec: CodecConfig::lossy(),
             tile_budget: config.tile_budget_bytes(),
+            tracing: tracing.clone(),
             codec_scratch,
             decode_scratch,
             tile: Raster::new(0, 0),
@@ -81,6 +83,14 @@ impl CapturePipeline {
             peak_pending: 0,
             tally: CaptureTally::default(),
         }
+    }
+
+    /// Opens one timed stage of the capture in progress: a span on the
+    /// `"strategy"` lane that always reads the clock, so its
+    /// [`TraceSpan::finish`] gives the stage's [`StageTimings`] time. The
+    /// same pair of readings stamps its trace events when tracing is on.
+    pub(crate) fn stage(&self, name: &'static str) -> TraceSpan {
+        self.tracing.span("strategy", name).timed()
     }
 
     pub(crate) fn codec_scratch(&self) -> &CodecScratch {
@@ -105,7 +115,7 @@ impl CapturePipeline {
         grid: &TileGrid,
         tiles: &TileMask,
     ) -> RoiBitstream {
-        let t = Instant::now();
+        let span = self.stage("roi_encode");
         let roi = encode_roi_with_scratch(
             image,
             grid,
@@ -115,7 +125,7 @@ impl CapturePipeline {
             &mut self.codec_scratch,
         )
         .expect("image matches grid");
-        self.tally.encode_s += t.elapsed().as_secs_f64();
+        self.tally.encode += span.finish();
         self.tally.band_bytes.push((band, roi.size_bytes() as u64));
         self.tally.tile_fraction_sum += tiles.count_set() as f64 / grid.tile_count() as f64;
         roi
@@ -204,7 +214,7 @@ impl CapturePipeline {
             reference_age_days: (tally.ref_age_n > 0)
                 .then(|| tally.ref_age_sum / tally.ref_age_n as f64),
             timings: StageTimings {
-                encode_s: tally.encode_s,
+                encode_s: tally.encode.as_secs_f64(),
                 ..timings
             },
             band_bytes: tally.band_bytes,

@@ -29,7 +29,7 @@ use earthplus_ground::{ContactWindow, GroundService, GroundServiceConfig};
 use earthplus_raster::{Band, LocationId, TileGrid};
 use earthplus_telemetry::{names, Histogram, Snapshot, TelemetrySink, TraceSink, TraceTrack};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::Duration;
 
 /// The Earth+ system under simulation.
 ///
@@ -49,13 +49,15 @@ pub struct EarthPlusStrategy {
     // Telemetry: the sink shared with the ground service, plus the
     // per-stage histograms resolved from it once at construction. All of
     // them are no-op handles unless the caller wired a registry into the
-    // ground config, so the capture path pays one pointer check per stage
-    // when observability is off.
+    // ground config. Each stage is timed once, by its span: the same
+    // elapsed time becomes the report's StageTimings and, when enabled,
+    // the stage histogram's record.
     sink: TelemetrySink,
     // Tracing: the capture path mints one TraceId per capture and opens an
     // ambient scope on the satellite's track, so the codec / ground /
     // refstore spans recorded underneath all carry the same causal id.
-    // Disabled (the default) this is one pointer check per capture.
+    // Disabled (the default), no span records an event, and only the
+    // stages the report times read the clock.
     tracing: TraceSink,
     stage_cloud_ns: Histogram,
     stage_change_ns: Histogram,
@@ -179,18 +181,18 @@ impl CompressionStrategy for EarthPlusStrategy {
         capture_span.arg("cloud_fraction", capture.cloud_fraction);
 
         // 1. Cheap on-board cloud detection.
-        let t = Instant::now();
-        let mut cloud_span = self.tracing.span("strategy", "cloud_detect");
+        // Dropped captures still paid for detection, so the span records
+        // into the stage histogram before the drop decision.
+        let mut cloud_span = self
+            .pipeline
+            .stage("cloud_detect")
+            .record_into(&self.stage_cloud_ns);
         let detection = self
             .cloud_detector
             .detect(&capture.image)
             .expect("capture is tileable");
         cloud_span.arg("detected_coverage", detection.coverage);
-        drop(cloud_span);
-        timings.cloud_s = t.elapsed().as_secs_f64();
-        // Dropped captures still paid for detection, so record before the
-        // drop decision.
-        self.stage_cloud_ns.record_secs(timings.cloud_s);
+        timings.cloud_s = cloud_span.finish().as_secs_f64();
         let cloudy_tiles = detection.tile_mask;
 
         // 2. Image dropping (> 50 % detected cloud).
@@ -216,15 +218,15 @@ impl CompressionStrategy for EarthPlusStrategy {
 
         capture_span.arg("guaranteed", guaranteed);
         capture_span.arg("tile_budget_bytes", self.config.tile_budget_bytes() as u64);
-        let mut ground_patch_s = 0.0f64;
+        let mut change = Duration::ZERO;
+        let mut ground_patch = Duration::ZERO;
 
         for (band, band_raster) in capture.image.iter() {
             // 4. Change detection against the cached reference. The fitted
             // illumination model (reference radiometry -> this capture's)
             // rides along: the ground inverts it to keep its belief mosaic
             // in one canonical illumination ([72]).
-            let t = Instant::now();
-            let mut change_span = self.tracing.span("strategy", "change_detect");
+            let mut change_span = self.pipeline.stage("change_detect");
             let served = if guaranteed {
                 None
             } else {
@@ -253,8 +255,7 @@ impl CompressionStrategy for EarthPlusStrategy {
                 None => (non_cloudy.clone(), None),
             };
             change_span.arg("changed_tiles", changed.count_set());
-            drop(change_span);
-            timings.change_s += t.elapsed().as_secs_f64();
+            change += change_span.finish();
 
             // 5. ROI-encode the changed tiles at γ bits/pixel.
             let roi = self.pipeline.encode(band, band_raster, &grid, &changed);
@@ -262,13 +263,12 @@ impl CompressionStrategy for EarthPlusStrategy {
             // 6. Ground: decode, normalize tiles into the belief's
             // canonical illumination, patch, and score the rendered
             // reconstruction on non-cloudy tiles.
-            let t = Instant::now();
             // The decode + patch is ground-side work: move the ambient
             // track to the station for this step so the codec's decode
             // spans land on the ground timeline (the trace id rides along
             // unchanged).
             let ground_scope = self.tracing.scope(trace, TraceTrack::Station(0));
-            let mut patch_span = self.tracing.span("strategy", "ground.patch");
+            let mut patch_span = self.pipeline.stage("ground.patch");
             patch_span.arg("roi_bytes", roi.size_bytes() as u64);
             self.pipeline.patch_and_score(
                 ctx.location,
@@ -278,17 +278,17 @@ impl CompressionStrategy for EarthPlusStrategy {
                 &non_cloudy,
                 alignment.as_ref(),
             );
-            drop(patch_span);
+            ground_patch += patch_span.finish();
             drop(ground_scope);
-            ground_patch_s += t.elapsed().as_secs_f64();
         }
 
+        timings.change_s = change.as_secs_f64();
         let report = self.pipeline.report(ctx, timings, guaranteed, trace);
         // One record per capture (all bands), mirroring the StageTimings
         // this report carries.
-        self.stage_change_ns.record_secs(report.timings.change_s);
+        self.stage_change_ns.record_duration(change);
         self.stage_encode_ns.record_secs(report.timings.encode_s);
-        self.stage_ground_patch_ns.record_secs(ground_patch_s);
+        self.stage_ground_patch_ns.record_duration(ground_patch);
 
         if guaranteed {
             self.last_full.insert(ctx.location, ctx.day);

@@ -6,13 +6,18 @@
 //! every Begin has a matching End per track, and the JSON parses by
 //! construction rules simple enough to check here (balanced braces,
 //! event counts).
+//!
+//! The same mission pins the one-clock rule: each timed stage's span is
+//! its only timer, so the report's `StageTimings`, the stage and
+//! subsystem histograms, and the trace's Begin/End timestamps agree to
+//! the nanosecond.
 
 use earthplus::prelude::*;
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_ground::GroundServiceConfig;
 use earthplus_orbit::LinkModel;
 use earthplus_scene::large_constellation;
-use earthplus_telemetry::{MetricsRegistry, TraceEventKind};
+use earthplus_telemetry::{names, MetricsRegistry, TraceEvent, TraceEventKind};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -23,9 +28,10 @@ fn test_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn one_capture_trace_spans_strategy_ground_codec_and_refstore() {
-    let root = test_dir("mission");
+/// A traced, metered Earth+ mission on the persistent backend: the run's
+/// report, its registry and its flight recorder.
+fn traced_mission(tag: &str) -> (MissionReport, MetricsRegistry, FlightRecorder) {
+    let root = test_dir(tag);
     let mut dataset = large_constellation(7, 256);
     dataset.duration_days = 15;
     dataset.satellite_count = 8;
@@ -59,6 +65,101 @@ fn one_capture_trace_spans_strategy_ground_codec_and_refstore() {
         ground,
     );
     let report = sim.run(&mut [&mut strategy]);
+    drop(strategy);
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(
+        recorder.dropped_events(),
+        0,
+        "default rings must not overflow this mission"
+    );
+    (report, registry, recorder)
+}
+
+/// End − Begin (ns) of each `lane`/`name` span in `events`, in order
+/// (spans of one name never nest).
+fn span_ns<'a>(
+    events: impl IntoIterator<Item = &'a TraceEvent>,
+    lane: &str,
+    name: &str,
+) -> Vec<u64> {
+    let mut begin = 0;
+    let mut out = Vec::new();
+    for e in events
+        .into_iter()
+        .filter(|e| e.lane == lane && e.name == name)
+    {
+        match e.kind {
+            TraceEventKind::Begin => begin = e.ts_ns,
+            TraceEventKind::End => out.push(e.ts_ns - begin),
+            TraceEventKind::Instant => {}
+        }
+    }
+    out
+}
+
+/// Report seconds back in the nanoseconds they were taken in.
+fn ns(secs: f64) -> u64 {
+    (secs * 1e9).round() as u64
+}
+
+#[test]
+fn stage_times_trace_and_histograms_read_one_clock() {
+    let (report, registry, recorder) = traced_mission("one-clock");
+    let log = recorder.log();
+    let (mut kept, mut patch_ns) = (0, 0);
+    for c in report.records("earth+") {
+        let events = log.events_for(c.trace);
+        let cloud = span_ns(events.iter().copied(), "strategy", "cloud_detect");
+        assert_eq!(cloud, vec![ns(c.timings.cloud_s)], "capture {}", c.trace);
+        if c.dropped {
+            continue;
+        }
+        kept += 1;
+        for (name, secs) in [
+            ("change_detect", c.timings.change_s),
+            ("roi_encode", c.timings.encode_s),
+        ] {
+            let spans = span_ns(events.iter().copied(), "strategy", name);
+            assert_eq!(spans.len(), c.band_bytes.len(), "{name} spans per band");
+            assert_eq!(spans.iter().sum::<u64>(), ns(secs), "{name} of {}", c.trace);
+        }
+        patch_ns += span_ns(events.iter().copied(), "strategy", "ground.patch")
+            .iter()
+            .sum::<u64>();
+    }
+    assert!(kept > 0, "mission kept no capture");
+    let snapshot = registry.snapshot();
+    let patch = snapshot.histogram(names::STAGE_GROUND_PATCH_NS).unwrap();
+    assert_eq!((patch.count, patch.sum), (kept, patch_ns));
+
+    // Each histogram holds exactly the durations of its spans.
+    for (hist, lane, name) in [
+        (names::CODEC_ENCODE_EPC2_NS, "codec", "encode.epc2"),
+        (names::GROUND_INGEST_NS, "ground", "ingest"),
+        (names::REFSTORE_APPEND_NS, "refstore", "append"),
+    ] {
+        let spans = span_ns(&log.events, lane, name);
+        let h = snapshot.histogram(hist).expect("histogram registered");
+        assert!(!spans.is_empty(), "no {lane}/{name} spans");
+        let traced = (spans.len() as u64, spans.iter().sum::<u64>());
+        assert_eq!((h.count, h.sum), traced, "{hist} against its spans");
+    }
+
+    // The live stage histograms equal the rollup replayed from the
+    // reports' seconds.
+    let rollup = &report.telemetry("earth+").constellation;
+    for (hist, replayed) in [
+        (names::STAGE_CLOUD_NS, &rollup.cloud_ns),
+        (names::STAGE_CHANGE_NS, &rollup.change_ns),
+        (names::STAGE_ENCODE_NS, &rollup.encode_ns),
+    ] {
+        assert_eq!(snapshot.histogram(hist), Some(replayed), "{hist}");
+    }
+}
+
+#[test]
+fn one_capture_trace_spans_strategy_ground_codec_and_refstore() {
+    let (report, _registry, recorder) = traced_mission("mission");
 
     // Every capture report carries a minted trace id.
     let captures = report.records("earth+");
@@ -92,10 +193,6 @@ fn one_capture_trace_spans_strategy_ground_codec_and_refstore() {
     assert!(!rollup.health.is_empty(), "health verdicts missing");
 
     let log = recorder.log();
-    assert!(
-        recorder.dropped_events() == 0,
-        "default rings must not overflow this mission"
-    );
 
     // Pick a kept capture whose reconstruction reached the reference pool
     // (cloud-free enough to ingest) and follow its id across subsystems.
@@ -165,6 +262,4 @@ fn one_capture_trace_spans_strategy_ground_codec_and_refstore() {
     for lane in ["strategy", "ground", "refstore"] {
         assert!(explain.contains(lane), "explain misses {lane}:\n{explain}");
     }
-
-    let _ = std::fs::remove_dir_all(&root);
 }

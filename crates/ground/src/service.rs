@@ -20,9 +20,7 @@ use earthplus_codec::{DecodeScratch, EncodedImage};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId};
 use earthplus_refstore::{RecoveryReport, RefLogConfig, RefStoreError};
-use earthplus_telemetry::{
-    names, Counter, Gauge, Histogram, SpanTimer, TelemetrySink, TraceSink, TraceTrack,
-};
+use earthplus_telemetry::{names, Counter, Gauge, Histogram, TelemetrySink, TraceSink, TraceTrack};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -77,9 +75,11 @@ pub struct GroundServiceConfig {
     /// telemetry snapshots.
     pub telemetry: TelemetrySink,
     /// Where the service records trace events (ingest/planning spans,
-    /// cache-lookup instants, storage appends). Disabled by default:
-    /// tracing costs one pointer check per site until a
-    /// [`earthplus_telemetry::FlightRecorder`] sink is wired in.
+    /// cache-lookup instants, storage appends). Disabled by default: a
+    /// site records nothing until a
+    /// [`earthplus_telemetry::FlightRecorder`] sink is wired in, and its
+    /// span reads the clock only for that recorder or for the service's
+    /// own latency histogram.
     pub tracing: TraceSink,
     /// Deterministic fault schedule driven through the service: station
     /// outages and transfer faults reach the replicated backend, and
@@ -427,10 +427,10 @@ impl GroundService {
     /// Admits one downlinked cloud-free reference; returns whether the
     /// store updated (freshest-wins).
     pub fn ingest_downlink(&self, reference: ReferenceImage) -> bool {
-        let _span = SpanTimer::start(&self.ingest_ns);
         let mut trace = self
             .tracing
-            .span_on(TraceTrack::Station(0), "ground", "ingest");
+            .span_on(TraceTrack::Station(0), "ground", "ingest")
+            .record_into(&self.ingest_ns);
         let day = reference.captured_day;
         let accepted = self.store().offer(reference);
         trace.arg("accepted", accepted);
@@ -463,10 +463,10 @@ impl GroundService {
         // Spans the whole path — partial decode, resample, store offer —
         // so `ground.ingest_encoded_ns` answers "what does an archive
         // backfill cost per capture".
-        let _span = SpanTimer::start(&self.ingest_encoded_ns);
         let mut trace = self
             .tracing
-            .span_on(TraceTrack::Station(0), "ground", "ingest_encoded");
+            .span_on(TraceTrack::Station(0), "ground", "ingest_encoded")
+            .record_into(&self.ingest_encoded_ns);
         trace.arg("bytes", encoded.payload_len());
         // Pop an arena and decode outside the lock: concurrent ingests
         // each get their own scratch instead of serializing on one.
@@ -522,10 +522,10 @@ impl GroundService {
     /// the last planning round, against one sweep of the store (see
     /// [`ConstellationScheduler::plan_pass`]).
     pub fn plan_pass(&self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
-        let _span = SpanTimer::start(&self.plan_pass_ns);
         let mut trace = self
             .tracing
-            .span_on(TraceTrack::Station(0), "ground", "plan_pass");
+            .span_on(TraceTrack::Station(0), "ground", "plan_pass")
+            .record_into(&self.plan_pass_ns);
         trace.arg("contacts", contacts.len());
         // Fault epoch first: outage transitions (and their failovers)
         // land before scheduling, so the pass plans against whichever

@@ -49,7 +49,7 @@ use crate::segment::{
     list_segments, scan_segment, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
 };
 use earthplus_telemetry::{
-    names, Counter, Gauge, Histogram, SpanTimer, TelemetrySink, TraceSink, TraceTrack,
+    names, Counter, Gauge, Histogram, TelemetrySink, TraceSink, TraceSpan, TraceTrack,
 };
 use std::collections::{hash_map, HashMap};
 use std::fs::File;
@@ -539,10 +539,10 @@ impl RefLog {
         // Spans only committed appends (freshness rejections write
         // nothing); includes segment rotation and any auto-compaction the
         // append triggers — that tail is real append latency to a caller.
-        let _span = SpanTimer::start(&self.append_ns);
         let mut trace = self
             .tracing
-            .span_on(TraceTrack::Station(0), "refstore", "append");
+            .span_on(TraceTrack::Station(0), "refstore", "append")
+            .record_into(&self.append_ns);
         trace.arg("payload_bytes", payload.len());
         trace.arg("day", day);
         self.commit(&[(key, day, payload)])?;
@@ -866,10 +866,10 @@ impl RefLog {
     /// new ones are reclaimed via replay-and-recompact, see the module
     /// docs); after the rename, the retired segments are swept instead.
     pub fn compact(&mut self) -> Result<()> {
-        let _span = SpanTimer::start(&self.compaction_ns);
         let mut trace = self
             .tracing
-            .span_on(TraceTrack::Station(0), "refstore", "compact");
+            .span_on(TraceTrack::Station(0), "refstore", "compact")
+            .record_into(&self.compaction_ns);
         trace.arg("reclaimable_bytes", self.dead_bytes);
         trace.arg("live_records", self.index.len());
         self.begin_compaction()?;
@@ -957,25 +957,26 @@ impl RefLog {
             });
         };
         self.generation += 1;
-        let started = Instant::now();
+        // The step reports its own time, so its span always reads the clock.
         let mut trace = self
             .tracing
-            .span_on(TraceTrack::Station(0), "refstore", "compaction_step");
+            .span_on(TraceTrack::Station(0), "refstore", "compaction_step")
+            .timed();
         let mut report = CompactionStepReport::default();
         // An error drops `driver` here: outputs become unlisted
         // higher-id files that the next open replays benignly (losing
         // every equal-day tie to the originals) and then sweeps.
-        report.finished = self.drive_step(&mut driver, budget, started, &mut report)?;
+        report.finished = self.drive_step(&mut driver, budget, &trace, &mut report)?;
         if !report.finished {
             self.driver = Some(driver);
         }
-        report.step_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        trace.arg("copied_bytes", report.copied_bytes);
+        trace.arg("finished", report.finished);
+        report.step_ns = trace.finish().as_nanos().min(u64::MAX as u128) as u64;
         self.step_ns.record(report.step_ns);
         self.steps.inc();
         self.compaction_steps += 1;
         self.max_step_copied_bytes = self.max_step_copied_bytes.max(report.copied_bytes);
-        trace.arg("copied_bytes", report.copied_bytes);
-        trace.arg("finished", report.finished);
         Ok(report)
     }
 
@@ -984,7 +985,7 @@ impl RefLog {
         &mut self,
         driver: &mut CompactionDriver,
         budget: CompactionBudget,
-        started: Instant,
+        span: &TraceSpan,
         report: &mut CompactionStepReport,
     ) -> Result<bool> {
         loop {
@@ -1031,7 +1032,7 @@ impl RefLog {
             report.copied_records += 1;
             report.copied_bytes += frame.len() as u64;
             if report.copied_bytes >= budget.max_bytes
-                || started.elapsed().as_micros() as u64 >= budget.max_micros
+                || span.elapsed().as_micros() as u64 >= budget.max_micros
             {
                 return Ok(false);
             }

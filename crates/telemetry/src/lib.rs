@@ -9,15 +9,12 @@
 //!
 //! * [`metrics`] — [`Counter`], [`Gauge`], and [`Histogram`] handles.
 //!   Handles are cheap `Arc` clones recording with relaxed atomics; a
-//!   *disabled* handle is a `None` pointer, so instrumentation on hot
-//!   paths costs one pointer check when telemetry is off.
+//!   *disabled* handle is a `None` pointer that records nothing and makes
+//!   no timed stage read the clock.
 //! * [`registry`] — [`MetricsRegistry`], a name-interned (static `&str`
 //!   names only) get-or-create table of metrics, and [`TelemetrySink`],
 //!   the handle instrumented code holds: disabled by default, backed by a
 //!   registry when observability is on.
-//! * [`span`] — [`SpanTimer`], an RAII stage timer recording elapsed
-//!   nanoseconds into a histogram on drop. A span over a disabled
-//!   histogram never reads the clock.
 //! * [`export`] — [`Snapshot`]: a point-in-time copy of every metric,
 //!   with [`Snapshot::delta`] for per-pass rates, a JSON-lines serializer
 //!   (`to_jsonl`), and an aligned human-readable table (`to_table`).
@@ -26,7 +23,12 @@
 //!   collected by the [`FlightRecorder`] into bounded per-track rings,
 //!   and a Chrome trace-event / Perfetto exporter
 //!   ([`trace::TraceLog::to_chrome_trace`]). [`TraceSink`] mirrors
-//!   [`TelemetrySink`]: disabled costs one pointer check.
+//!   [`TelemetrySink`]: a disabled sink records nothing. A [`TraceSpan`]
+//!   is also the one stage timer: one pair of clock readings stamps its
+//!   Begin/End events, feeds the stage histogram attached with
+//!   [`TraceSpan::record_into`], and is the elapsed time
+//!   [`TraceSpan::finish`] returns. A stage reads no clock unless
+//!   something consumes its time.
 //! * [`series`] / [`health`] — windowed time-series over snapshot
 //!   deltas ([`SeriesRecorder`] → [`TelemetrySeries`]) and a
 //!   declarative [`HealthRule`] engine over them, so a mission report
@@ -44,14 +46,15 @@
 //! # Example
 //!
 //! ```
-//! use earthplus_telemetry::{MetricsRegistry, SpanTimer};
+//! use earthplus_telemetry::{MetricsRegistry, TraceSink};
 //!
 //! let registry = MetricsRegistry::new();
 //! let sink = registry.sink();
+//! let tracing = TraceSink::disabled();
 //! let encodes = sink.counter("codec.encode.count");
 //! let latency = sink.histogram("codec.encode_ns");
 //! for _ in 0..10 {
-//!     let _span = SpanTimer::start(&latency);
+//!     let _span = tracing.span("codec", "encode").record_into(&latency);
 //!     encodes.inc();
 //! }
 //! let snapshot = registry.snapshot();
@@ -70,7 +73,6 @@ pub mod names;
 pub mod recorder;
 pub mod registry;
 pub mod series;
-pub mod span;
 pub mod trace;
 
 pub use export::{humanize, json_escape, MetricSnapshot, MetricValue, Snapshot};
@@ -82,7 +84,6 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKET
 pub use recorder::{FlightRecorder, TraceScope, TraceSink, TraceSpan, DEFAULT_RING_CAPACITY};
 pub use registry::{MetricsRegistry, TelemetrySink};
 pub use series::{SeriesMetric, SeriesRecorder, SeriesSpec, TelemetrySeries};
-pub use span::SpanTimer;
 pub use trace::{TraceArg, TraceEvent, TraceEventKind, TraceId, TraceLog, TraceTrack, TraceValue};
 
 /// Hit fraction over all lookups; 0 when nothing was looked up.

@@ -202,8 +202,8 @@ impl Histogram {
         Histogram(Some(Arc::new(HistogramInner::new())))
     }
 
-    /// Whether recordings are kept. [`crate::SpanTimer`] checks this to
-    /// skip both clock reads when the histogram is disabled.
+    /// Whether recordings are kept. [`crate::TraceSpan::record_into`]
+    /// checks this, so a disabled histogram starts no clock.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.0.is_some()
@@ -230,12 +230,13 @@ impl Histogram {
     }
 
     /// Records a duration given in (non-negative, finite) seconds, in
-    /// nanosecond units — for call sites that already measured with
-    /// `Instant` and hold an `f64`.
+    /// nanosecond units — for records that carry an `f64`. Rounds to the
+    /// nearest nanosecond, so a `Duration` converted to seconds records
+    /// exactly what [`Histogram::record_duration`] would.
     #[inline]
     pub fn record_secs(&self, secs: f64) {
         if self.enabled() && secs.is_finite() && secs >= 0.0 {
-            self.record((secs * 1e9).min(u64::MAX as f64) as u64);
+            self.record((secs * 1e9).round().min(u64::MAX as f64) as u64);
         }
     }
 
@@ -489,6 +490,14 @@ mod tests {
         h.record_secs(f64::NAN); // dropped
         h.record_secs(-1.0); // dropped
         assert_eq!(h.snapshot().count, 1);
+    }
+
+    #[test]
+    fn record_secs_round_trips_a_duration() {
+        // Truncating `secs * 1e9` records this one as 32_839_505.
+        let h = Histogram::live();
+        h.record_secs(Duration::from_nanos(32_839_506).as_secs_f64());
+        assert_eq!(h.snapshot().sum, 32_839_506);
     }
 
     #[test]

@@ -2,23 +2,23 @@
 //! and the [`TraceSink`] handle instrumented code holds.
 //!
 //! Mirrors the [`crate::TelemetrySink`] design: a *disabled* sink is a
-//! `None` pointer, so every recording call on a hot path costs one
-//! pointer check and nothing else; an *enabled* sink records into the
-//! recorder's rings behind a short mutex hold. Each track (satellite or
+//! `None` pointer, so a recording call on a hot path records nothing and
+//! reads no clock; an *enabled* sink records into the recorder's rings
+//! behind a short mutex hold. Each track (satellite or
 //! station) gets its own bounded ring — when a ring is full the oldest
 //! event is dropped and counted, so a misbehaving subsystem can flood
 //! only its own timeline and memory stays bounded for arbitrarily long
 //! missions (hence "flight recorder": it always holds the most recent
 //! window of history).
 
-use crate::metrics::Counter;
+use crate::metrics::{Counter, Histogram};
 use crate::names;
 use crate::registry::MetricsRegistry;
 use crate::trace::{TraceArg, TraceEvent, TraceEventKind, TraceId, TraceLog, TraceTrack};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default per-track ring capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
@@ -41,20 +41,41 @@ struct RecorderShared {
 }
 
 impl RecorderShared {
-    fn push(&self, track: TraceTrack, mut event: TraceEvent) {
+    /// An event of `kind` on `track` (the ambient one when `None`), under
+    /// the ambient trace.
+    fn event(
+        &self,
+        track: Option<TraceTrack>,
+        lane: &'static str,
+        name: &'static str,
+        kind: TraceEventKind,
+    ) -> TraceEvent {
+        TraceEvent {
+            seq: 0,
+            ts_ns: 0,
+            trace: TraceId(self.current_trace.load(Ordering::Relaxed)),
+            track: track
+                .unwrap_or_else(|| TraceTrack::decode(self.current_track.load(Ordering::Relaxed))),
+            lane,
+            name,
+            kind,
+            args: Vec::new(),
+        }
+    }
+
+    /// Stamps `event` at `at` and appends it to its track's ring.
+    fn push(&self, at: Instant, mut event: TraceEvent) {
         event.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        event.ts_ns =
+            u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX);
         let mut tracks = self.tracks.lock().expect("flight recorder poisoned");
-        let ring = tracks.entry(track).or_default();
+        let ring = tracks.entry(event.track).or_default();
         if ring.len() >= self.capacity {
             ring.pop_front();
             self.dropped.inc();
         }
         ring.push_back(event);
         self.recorded.inc();
-    }
-
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 
@@ -135,7 +156,7 @@ impl FlightRecorder {
 }
 
 /// The handle instrumented code holds: either disabled (the default —
-/// every call is one pointer check) or recording into a
+/// nothing is recorded and no clock is read) or recording into a
 /// [`FlightRecorder`].
 ///
 /// The *ambient capture scope* ([`TraceSink::scope`]) carries the
@@ -222,37 +243,22 @@ impl TraceSink {
     ) -> TraceSpan {
         let Some(shared) = &self.0 else {
             return TraceSpan {
-                shared: None,
-                track: TraceTrack::Station(0),
-                trace: TraceId::NONE,
-                lane,
-                name,
-                args: Vec::new(),
+                end: None,
+                start: None,
+                hist: Histogram::disabled(),
             };
         };
-        let track = track
-            .unwrap_or_else(|| TraceTrack::decode(shared.current_track.load(Ordering::Relaxed)));
-        let trace = TraceId(shared.current_trace.load(Ordering::Relaxed));
-        shared.push(
-            track,
-            TraceEvent {
-                seq: 0,
-                ts_ns: shared.now_ns(),
-                trace,
-                track,
-                lane,
-                name,
-                kind: TraceEventKind::Begin,
-                args: Vec::new(),
-            },
-        );
+        let start = Instant::now();
+        let begin = shared.event(track, lane, name, TraceEventKind::Begin);
+        let end = TraceEvent {
+            kind: TraceEventKind::End,
+            ..begin.clone()
+        };
+        shared.push(start, begin);
         TraceSpan {
-            shared: Some(shared.clone()),
-            track,
-            trace,
-            lane,
-            name,
-            args: Vec::new(),
+            end: Some((shared.clone(), end)),
+            start: Some(start),
+            hist: Histogram::disabled(),
         }
     }
 
@@ -283,21 +289,9 @@ impl TraceSink {
         args: &[TraceArg],
     ) {
         let Some(shared) = &self.0 else { return };
-        let track = track
-            .unwrap_or_else(|| TraceTrack::decode(shared.current_track.load(Ordering::Relaxed)));
-        shared.push(
-            track,
-            TraceEvent {
-                seq: 0,
-                ts_ns: shared.now_ns(),
-                trace: TraceId(shared.current_trace.load(Ordering::Relaxed)),
-                track,
-                lane,
-                name,
-                kind: TraceEventKind::Instant,
-                args: args.to_vec(),
-            },
-        );
+        let mut event = shared.event(track, lane, name, TraceEventKind::Instant);
+        event.args = args.to_vec();
+        shared.push(Instant::now(), event);
     }
 }
 
@@ -319,49 +313,81 @@ impl Drop for TraceScope {
 
 /// An open trace span: records a Begin event when opened and an End
 /// event (carrying any [`TraceSpan::arg`]s accumulated along the way)
-/// when dropped. On a disabled sink the whole span is inert.
+/// when it closes, on drop or at [`TraceSpan::finish`].
+///
+/// The span is also the stage timer. It reads the clock once when it
+/// opens and once when it closes, and only when something consumes the
+/// time: an enabled recorder, an enabled histogram attached with
+/// [`TraceSpan::record_into`], or a caller that opened it
+/// [`TraceSpan::timed`]. That one pair of readings stamps both events,
+/// feeds the histogram, and is what `finish` returns.
 #[derive(Debug)]
 pub struct TraceSpan {
-    shared: Option<Arc<RecorderShared>>,
-    track: TraceTrack,
-    trace: TraceId,
-    lane: &'static str,
-    name: &'static str,
-    args: Vec<TraceArg>,
+    /// The recorder and the End event it receives (`None` when disabled).
+    end: Option<(Arc<RecorderShared>, TraceEvent)>,
+    /// When the span opened; `None` while nothing consumes its time.
+    start: Option<Instant>,
+    hist: Histogram,
 }
 
 impl TraceSpan {
     /// Attaches a typed argument; it rides on the span's End event.
     #[inline]
     pub fn arg(&mut self, key: &'static str, value: impl Into<crate::trace::TraceValue>) {
-        if self.shared.is_some() {
-            self.args.push((key, value.into()));
+        if let Some((_, end)) = &mut self.end {
+            end.args.push((key, value.into()));
         }
     }
 
-    /// The trace id this span records under.
-    pub fn trace(&self) -> TraceId {
-        self.trace
+    /// Also records the elapsed nanoseconds into `hist` (an `Arc` clone,
+    /// so no borrow of its owner) when the span closes. An enabled
+    /// histogram starts the clock even with the recorder off.
+    #[inline]
+    pub fn record_into(mut self, hist: &Histogram) -> Self {
+        if hist.enabled() {
+            self.start.get_or_insert_with(Instant::now);
+            self.hist = hist.clone();
+        }
+        self
+    }
+
+    /// Starts the clock whatever else consumes the span, so
+    /// [`TraceSpan::finish`] returns the elapsed time.
+    #[inline]
+    pub fn timed(mut self) -> Self {
+        self.start.get_or_insert_with(Instant::now);
+        self
+    }
+
+    /// Time since the span opened (zero when it reads no clock).
+    pub fn elapsed(&self) -> Duration {
+        self.start.map_or(Duration::ZERO, |start| start.elapsed())
+    }
+
+    /// Closes the span and returns its elapsed time: the interval between
+    /// its Begin and End timestamps, and what its histogram records. Zero
+    /// when the span read no clock.
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let Some(start) = self.start.take() else {
+            return Duration::ZERO;
+        };
+        let now = Instant::now();
+        if let Some((shared, end)) = self.end.take() {
+            shared.push(now, end);
+        }
+        let elapsed = now - start;
+        self.hist.record_duration(elapsed);
+        elapsed
     }
 }
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        if let Some(shared) = &self.shared {
-            shared.push(
-                self.track,
-                TraceEvent {
-                    seq: 0,
-                    ts_ns: shared.now_ns(),
-                    trace: self.trace,
-                    track: self.track,
-                    lane: self.lane,
-                    name: self.name,
-                    kind: TraceEventKind::End,
-                    args: std::mem::take(&mut self.args),
-                },
-            );
-        }
+        self.close();
     }
 }
 
@@ -379,6 +405,35 @@ mod tests {
         span.arg("bytes", 9u64);
         drop(span);
         sink.instant("strategy", "x", &[("k", 1u64.into())]);
+    }
+
+    #[test]
+    fn disabled_span_never_starts_the_clock() {
+        let hist = Histogram::disabled();
+        let span = TraceSink::disabled().span("s", "a").record_into(&hist);
+        assert!(span.start.is_none());
+        assert_eq!(span.finish(), Duration::ZERO);
+        assert_eq!(hist.snapshot().count, 0);
+        // A caller that takes the time starts it.
+        assert!(TraceSink::disabled().span("s", "a").timed().start.is_some());
+    }
+
+    #[test]
+    fn span_records_once_on_drop() {
+        let hist = Histogram::live();
+        drop(TraceSink::disabled().span("s", "a").record_into(&hist));
+        assert_eq!(hist.snapshot().count, 1);
+    }
+
+    #[test]
+    fn one_clock_pair_stamps_events_feeds_histogram_and_returns() {
+        let rec = FlightRecorder::new();
+        let hist = Histogram::live();
+        let span = rec.sink().span("s", "a").record_into(&hist);
+        let elapsed = span.finish().as_nanos() as u64;
+        let log = rec.log();
+        assert_eq!(log.events[1].ts_ns - log.events[0].ts_ns, elapsed);
+        assert_eq!((hist.snapshot().count, hist.snapshot().sum), (1, elapsed));
     }
 
     #[test]
