@@ -43,7 +43,8 @@ pub fn tile_features(image: &MultiBandImage, grid: &TileGrid) -> Vec<FeatureVect
     } else {
         visible
     };
-    // Built in one pass, block by block, into one buffer: each pixel sums
+    // Built in one pass into one buffer, a cache-sized block at a time so
+    // the partial sums stay hot while each band adds in. Each pixel sums
     // `b / n` over the bands in band order, starting from zero, so every
     // feature bit stays what the detector was trained on.
     const BLOCK: usize = 4096;
