@@ -95,6 +95,16 @@
 //! `plan_pass.deltas_sent` (a count of a deterministic plan) differs
 //! from it.
 //!
+//! Since schema 12 `encode_full_band` times the public ROI encode, which
+//! fans the band's tiles out over every host core (`workers`), so its
+//! `mpix_per_s` and `speedup_vs_reference` compare the fanned-out encode
+//! with the serial reference encoder. The same tiles also run through
+//! [`encode_view_with_budget`] one after another on one arena — the
+//! serial kernel, reported as `serial_mpix_per_s` — and the per-stage
+//! split comes from that serial run: the fanned-out arenas' stage sums
+//! overlap in time, so they would exceed the wall time they are split
+//! against.
+//!
 //! Since schema 11 the baseline also times the ground segment's
 //! pass boundary (`pass_boundary`): `quiesce` + `replicate` + `maintain`
 //! on a two-station, one-replica, 16-shard pipelined store whose replicas
@@ -109,15 +119,18 @@ use earthplus::{CaptureContext, ContactWindow, StageTimings};
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_codec::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use earthplus_codec::{
-    decode_into, decode_ll_only, decode_with_scratch, encode_roi_with_scratch, reference,
-    CodecConfig, CodecScratch, DecodeScratch, StageBreakdown,
+    decode_into, decode_ll_only, decode_with_scratch, encode_roi_with_scratch,
+    encode_view_with_budget, reference, CodecConfig, CodecScratch, DecodeScratch, EncodedImage,
+    StageBreakdown,
 };
 use earthplus_ground::{
     ConstellationScheduler, EvictingReferenceCache, ReferenceBackend, ReferenceImage,
     ReplicatedReferenceStore, ShardedReferenceStore, ShipQueueConfig, StationSetConfig,
 };
 use earthplus_orbit::SatelliteId;
-use earthplus_raster::{downsample_box, Band, LocationId, Raster, TileGrid, TileMask};
+use earthplus_raster::{
+    available_cores, downsample_box, Band, LocationId, Raster, TileGrid, TileMask,
+};
 use earthplus_refstore::RefLogConfig;
 use earthplus_scene::terrain::LocationArchetype;
 use earthplus_scene::{LocationScene, SceneConfig};
@@ -441,9 +454,10 @@ fn main() {
     let encoded_mpix = tile_fraction * capture_mpix;
 
     // 2. Encoder throughput in isolation: every tile of one band through
-    //    the γ-budgeted ROI path — the library's EPC2 encoder and the
-    //    vendored reference (EPC1) encoder, interleaved so the ratio is
-    //    load-immune.
+    //    the γ-budgeted ROI path — the library's EPC2 encoder (fanned out
+    //    over the host's cores), the same tiles one by one through the
+    //    serial kernel on one arena, and the vendored reference (EPC1)
+    //    encoder, interleaved so the ratios are load-immune.
     let band_raster = capture
         .image
         .iter()
@@ -475,26 +489,49 @@ fn main() {
     roi_epc2
         .patch_into(&mut canvas)
         .expect("EPC2 stream must decode");
+    // The band has more than four tiles, so the public encode fans out.
+    let workers = available_cores().min(tiles);
+    let mut serial_scratch = CodecScratch::new();
+    let serial_encode = |scratch: &mut CodecScratch| -> Vec<EncodedImage> {
+        all.iter_set()
+            .map(|index| {
+                let view = grid.tile_view(&band_raster, index).expect("tile in grid");
+                encode_view_with_budget(&view, &codec, budget, scratch).expect("tile encodes")
+            })
+            .collect()
+    };
+    assert!(
+        serial_encode(&mut serial_scratch)
+            .iter()
+            .eq(roi_epc2.tiles().iter().map(|t| &t.image)),
+        "the serial kernel must write the fanned-out encode's bytes"
+    );
     let (mut ref_times, mut epc2_times, mut epc2_vs_ref) = (Vec::new(), Vec::new(), Vec::new());
+    let mut serial_times = Vec::new();
     let mut enc_stages = StageSamples::default();
     for _ in 0..reps.max(8) {
         let t = Instant::now();
         let _ = reference::encode_roi_reference(&band_raster, &grid, &all, &codec, budget);
         let r = t.elapsed().as_secs_f64();
-        let s0 = scratch.stages();
         let t = Instant::now();
         let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &codec, budget, &mut scratch);
         let n2 = t.elapsed().as_secs_f64();
-        enc_stages.push(stage_delta(s0, scratch.stages()));
+        let s0 = serial_scratch.stages();
+        let t = Instant::now();
+        let _ = serial_encode(&mut serial_scratch);
+        serial_times.push(t.elapsed().as_secs_f64());
+        enc_stages.push(stage_delta(s0, serial_scratch.stages()));
         ref_times.push(r);
         epc2_times.push(n2);
         epc2_vs_ref.push(r / n2);
     }
     let ref_s = median(&mut ref_times);
     let epc2_s = median(&mut epc2_times);
+    let serial_s = median(&mut serial_times);
     let speedup_vs_reference = median(&mut epc2_vs_ref);
     let band_mpix = (w * h) as f64 / 1e6;
     let full_encode_mpix_s = band_mpix / epc2_s;
+    let serial_mpix_s = band_mpix / serial_s;
 
     // 3. Decode throughput: the full band as one full-rate stream per
     //    format (EPC1 from the reference encoder), decoded through the
@@ -875,13 +912,13 @@ fn main() {
     drop(boundary);
     let _ = std::fs::remove_dir_all(&scratch_root);
 
-    let (enc_dwt_s, enc_bitplane_s, enc_quant_s, enc_other_s) = enc_stages.report(epc2_s);
+    let (enc_dwt_s, enc_bitplane_s, enc_quant_s, enc_other_s) = enc_stages.report(serial_s);
     let (dec_dwt_s, dec_bitplane_s, dec_quant_s, dec_other_s) = dec_stages.report(dec_full_s);
     let (dec1_dwt_s, dec1_bitplane_s, dec1_quant_s, dec1_other_s) =
         dec_epc1_stages.report(dec_epc1_s);
     let json = format!(
         r#"{{
-  "schema": 11,
+  "schema": 12,
   "scenario": "Earth+ strategy on the quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
   "mode": "{mode}",
   "samples": {reps},
@@ -898,6 +935,9 @@ fn main() {
     "format": "EPC2",
     "seconds": {epc2_s:.6},
     "mpix_per_s": {full_encode_mpix_s:.3},
+    "workers": {workers},
+    "serial_seconds": {serial_s:.6},
+    "serial_mpix_per_s": {serial_mpix_s:.3},
     "reference_seconds": {ref_s:.6},
     "speedup_vs_reference": {speedup_vs_reference:.3},
     "tiles": {tiles},

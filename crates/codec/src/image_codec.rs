@@ -32,6 +32,7 @@
 use crate::bitplane::{self, encode_planes_until, MAX_PLANES};
 use crate::dwt::{self, Wavelet};
 use crate::exp_golomb::{self, BitReader, BitWriter};
+use crate::fanout::{time_tile, TileTime};
 use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::{CodecError, DecodeError};
 use bytes::{Buf, BufMut, Bytes};
@@ -623,6 +624,34 @@ fn encode_view_impl(
     budget: Option<usize>,
     scratch: &mut CodecScratch,
 ) -> Result<EncodedImage, CodecError> {
+    check_encodable(view)?;
+    // The span clones its histogram handle, so the borrow of `scratch`
+    // ends immediately; with tracing and telemetry off it reads no clock.
+    let mut trace = scratch
+        .tracing
+        .span("codec", "encode.epc2")
+        .record_into(&scratch.enc_epc2_ns);
+    let image = encode_checked(view, config, budget, scratch)?;
+    scratch.enc_bytes.record(image.payload.len() as u64);
+    trace.arg("payload_bytes", image.payload.len());
+    Ok(image)
+}
+
+/// [`encode_view_with_budget`] without its trace span and histogram
+/// samples: a fanned-out ROI tile encodes through this on its worker, and
+/// the calling thread commits the tile's instrumentation after the join
+/// (see [`CodecScratch::commit_encode`]).
+pub(crate) fn encode_view_uninstrumented(
+    view: &TileView<'_>,
+    config: &CodecConfig,
+    max_payload_bytes: usize,
+    scratch: &mut CodecScratch,
+) -> Result<EncodedImage, CodecError> {
+    check_encodable(view)?;
+    encode_checked(view, config, Some(max_payload_bytes), scratch)
+}
+
+fn check_encodable(view: &TileView<'_>) -> Result<(), CodecError> {
     if view.is_empty() {
         return Err(CodecError::EmptyImage);
     }
@@ -635,12 +664,18 @@ fn encode_view_impl(
             pixels: w as u64 * h as u64,
         });
     }
-    // The span clones its histogram handle, so the borrow of `scratch`
-    // ends immediately; with tracing and telemetry off it reads no clock.
-    let mut trace = scratch
-        .tracing
-        .span("codec", "encode.epc2")
-        .record_into(&scratch.enc_epc2_ns);
+    Ok(())
+}
+
+/// Gather, forward DWT and EPC2 coding of a view [`check_encodable`]
+/// accepted.
+fn encode_checked(
+    view: &TileView<'_>,
+    config: &CodecConfig,
+    budget: Option<usize>,
+    scratch: &mut CodecScratch,
+) -> Result<EncodedImage, CodecError> {
+    let (w, h) = view.dimensions();
     let levels = config.levels.min(dwt::max_levels(w, h));
     let scale = config.input_levels as f32;
     // Gather + scale in one pass (this replaces the old extract-tile copy
@@ -664,8 +699,6 @@ fn encode_view_impl(
     scratch.stages.dwt += t.elapsed();
     let step = config.quant_step.max(1e-6);
     let image = encode_epc2(w, h, levels, step, config, budget, scratch)?;
-    scratch.enc_bytes.record(image.payload.len() as u64);
-    trace.arg("payload_bytes", image.payload.len());
     scratch.track_growth();
     Ok(image)
 }
@@ -898,12 +931,53 @@ pub fn decode_into(
     scratch: &mut DecodeScratch,
     out: &mut Raster,
 ) -> Result<(), DecodeError> {
+    let Some(k) = check_decodable(encoded, discard_levels, scratch, out)? else {
+        return Ok(());
+    };
+    // The span clones its handle, so the borrow of `scratch` ends
+    // immediately.
+    let (name, hist) = scratch.decode_span(encoded.format, k);
+    let mut trace = scratch.tracing.span("codec", name).record_into(hist);
+    trace.arg("payload_bytes", encoded.payload_len());
+    trace.arg("discard_levels", k);
+    decode_checked(encoded, k, scratch, out)
+}
+
+/// A full decode of one ROI tile into `out` without its trace span and
+/// histogram sample: a fanned-out tile decodes through this on its
+/// worker, timed with one pair of clock reads when `timed`, and the
+/// calling thread commits the span after the join (see
+/// [`DecodeScratch::commit_decode`]). The time is `None` when untimed or
+/// when the stream is empty, which [`decode_into`] records no span for
+/// either.
+pub(crate) fn decode_tile_uninstrumented(
+    encoded: &EncodedImage,
+    timed: bool,
+    scratch: &mut DecodeScratch,
+    out: &mut Raster,
+) -> (Result<(), DecodeError>, TileTime) {
+    match check_decodable(encoded, 0, scratch, out) {
+        Err(e) => (Err(e), None),
+        Ok(None) => (Ok(()), None),
+        Ok(Some(k)) => time_tile(timed, || decode_checked(encoded, k, scratch, out)),
+    }
+}
+
+/// Validates `encoded`'s header against the decodable bounds and returns
+/// the levels a decode discarding `discard_levels` drops, or `None` for
+/// an empty stream (`out` is then already its empty output).
+fn check_decodable(
+    encoded: &EncodedImage,
+    discard_levels: u8,
+    scratch: &mut DecodeScratch,
+    out: &mut Raster,
+) -> Result<Option<u8>, DecodeError> {
     let w = encoded.width as usize;
     let h = encoded.height as usize;
     scratch.payload_bytes_read = 0;
     if w == 0 || h == 0 {
         out.reset(w, h);
-        return Ok(());
+        return Ok(None);
     }
     // Headers size every decoder allocation; re-check the pixel bound here
     // so even an in-memory stream with a corrupt dimension cannot drive an
@@ -920,22 +994,19 @@ pub fn decode_into(
             max,
         });
     }
-    let k = discard_levels.min(encoded.levels);
-    // Partial decodes (any discarded level, including LL-only) share one
-    // histogram and span name regardless of format; full decodes split per
-    // format. The span clones its handle, so the borrow of `scratch` ends
-    // immediately.
-    let (name, hist) = if k > 0 {
-        ("decode.partial", &scratch.dec_partial_ns)
-    } else {
-        match encoded.format {
-            FormatVersion::Epc1 => ("decode.epc1", &scratch.dec_epc1_ns),
-            FormatVersion::Epc2 => ("decode.epc2", &scratch.dec_epc2_ns),
-        }
-    };
-    let mut trace = scratch.tracing.span("codec", name).record_into(hist);
-    trace.arg("payload_bytes", encoded.payload_len());
-    trace.arg("discard_levels", k);
+    Ok(Some(discard_levels.min(encoded.levels)))
+}
+
+/// Seek, bitplane decode, dequantization and inverse DWT of a stream
+/// [`check_decodable`] accepted, discarding its finest `k` levels.
+fn decode_checked(
+    encoded: &EncodedImage,
+    k: u8,
+    scratch: &mut DecodeScratch,
+    out: &mut Raster,
+) -> Result<(), DecodeError> {
+    let w = encoded.width as usize;
+    let h = encoded.height as usize;
     let keep = encoded.levels - k;
     let (rw, rh) = dwt::reduced_dims(w, h, k);
     out.reset(rw, rh);

@@ -47,6 +47,7 @@
 pub mod bitplane;
 pub mod dwt;
 mod exp_golomb;
+mod fanout;
 pub mod image_codec;
 pub mod rangecoder;
 pub mod reference;

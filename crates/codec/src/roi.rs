@@ -10,8 +10,16 @@
 //! is a shorter prefix of the same passes, which is how Earth+ "smoothly
 //! trades off between downlink bandwidth and the quality of downloaded
 //! imagery" (§5).
+//!
+//! Because the tile streams are independent, a band's tiles are encoded
+//! and decoded on every core the host offers (see `fanout`): calls over
+//! more than four tiles split them across workers, and the output is the
+//! same bytes and bits for any worker count.
 
-use crate::image_codec::{decode_with_scratch, encode_view_with_budget, CodecConfig, EncodedImage};
+use crate::fanout::{self, tile_workers, time_tile, TileTime};
+use crate::image_codec::{
+    decode_tile_uninstrumented, encode_view_uninstrumented, CodecConfig, EncodedImage,
+};
 use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::CodecError;
 use earthplus_raster::{Raster, TileGrid, TileIndex, TileMask};
@@ -101,7 +109,8 @@ impl RoiBitstream {
     /// reusable [`DecodeScratch`] arena: coefficient planes, traversal
     /// lists, and inverse-DWT buffers are reused across tiles (and across
     /// captures when the caller keeps the arena), so steady-state tile
-    /// decoding allocates only the returned rasters.
+    /// decoding allocates only the returned rasters. Fans out like
+    /// [`RoiBitstream::decode_tiles_into`].
     ///
     /// # Errors
     ///
@@ -111,30 +120,92 @@ impl RoiBitstream {
         &self,
         scratch: &mut DecodeScratch,
     ) -> Result<Vec<(TileIndex, Raster)>, CodecError> {
+        let mut rasters: Vec<Raster> = self.tiles.iter().map(|_| Raster::new(0, 0)).collect();
+        self.decode_tiles_into(scratch, &mut rasters)?;
         let grid = self.grid()?;
-        self.tiles
+        Ok(self
+            .tiles
             .iter()
-            .map(|t| {
-                let flat = t.flat_index as usize;
-                if flat >= grid.tile_count() {
-                    return Err(CodecError::Malformed {
+            .zip(rasters)
+            .map(|(t, raster)| (grid.from_flat_index(t.flat_index as usize), raster))
+            .collect())
+    }
+
+    /// Decodes tile `i` into `out[i]` (reshaped in place, reusing its
+    /// allocation) for every tile, in stream order, through `scratch`.
+    ///
+    /// A call over more than four tiles splits them into one contiguous
+    /// run per host core: the calling thread decodes the first run through
+    /// `scratch`, and scoped threads decode the others through helper
+    /// arenas `scratch` owns and keeps. Every tile's span and latency
+    /// sample is committed from the calling thread after the join, in
+    /// tile order. The rasters are the same bits for any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Malformed`] if `out` does not hold one
+    /// raster per tile, a tile index exceeds the grid, or a tile stream
+    /// fails to decode (the first such tile in stream order).
+    pub fn decode_tiles_into(
+        &self,
+        scratch: &mut DecodeScratch,
+        out: &mut [Raster],
+    ) -> Result<(), CodecError> {
+        self.decode_tiles_on(tile_workers(self.tiles.len()), scratch, out)
+    }
+
+    /// [`RoiBitstream::decode_tiles_into`] on `workers` workers.
+    pub(crate) fn decode_tiles_on(
+        &self,
+        workers: usize,
+        scratch: &mut DecodeScratch,
+        out: &mut [Raster],
+    ) -> Result<(), CodecError> {
+        if out.len() != self.tiles.len() {
+            return Err(CodecError::Malformed {
+                reason: format!("{} rasters for {} tiles", out.len(), self.tiles.len()),
+            });
+        }
+        let tile_count = self.grid()?.tile_count();
+        let timed = scratch.timed();
+        let mut slots: Vec<(&mut Raster, Result<(), CodecError>, TileTime)> = out
+            .iter_mut()
+            .map(|raster| (raster, Ok(()), None))
+            .collect();
+        let mut helpers = std::mem::take(&mut scratch.helpers);
+        fanout::run(
+            scratch,
+            &mut helpers,
+            workers,
+            &mut slots,
+            |arena, i, slot| {
+                let tile = &self.tiles[i];
+                let flat = tile.flat_index as usize;
+                if flat >= tile_count {
+                    slot.1 = Err(CodecError::Malformed {
                         reason: format!("tile index {flat} out of range"),
                     });
+                    return;
                 }
-                let tile = decode_with_scratch(&t.image, scratch)?;
-                Ok((grid.from_flat_index(flat), tile))
-            })
-            .collect()
+                let (decoded, time) = decode_tile_uninstrumented(&tile.image, timed, arena, slot.0);
+                slot.1 = decoded.map_err(CodecError::from);
+                slot.2 = time;
+            },
+        );
+        scratch.helpers = helpers;
+        for (tile, (_, decoded, time)) in self.tiles.iter().zip(slots) {
+            decoded?;
+            scratch.commit_decode(tile.image.format(), time, tile.image.payload_len());
+        }
+        Ok(())
     }
 
     /// Decodes and patches every tile into `canvas` (which must match the
-    /// bitstream's image dimensions): one decode-and-blit per tile, every
-    /// tile decoded into one raster reused across the loop via
-    /// [`Raster::reset`].
+    /// bitstream's image dimensions), decoding through
+    /// [`RoiBitstream::decode_tiles_into`].
     ///
-    /// Allocates a fresh [`DecodeScratch`] per call; per-capture hot paths
-    /// hold one arena and decode tile by tile with
-    /// [`crate::decode_into`].
+    /// Allocates a fresh [`DecodeScratch`] and one raster per tile per
+    /// call; per-capture hot paths hold one arena and reuse the rasters.
     ///
     /// # Errors
     ///
@@ -153,17 +224,8 @@ impl RoiBitstream {
             });
         }
         let grid = self.grid()?;
-        let mut scratch = DecodeScratch::new();
-        let mut tile = Raster::new(0, 0);
-        for t in &self.tiles {
-            let flat = t.flat_index as usize;
-            if flat >= grid.tile_count() {
-                return Err(CodecError::Malformed {
-                    reason: format!("tile index {flat} out of range"),
-                });
-            }
-            crate::image_codec::decode_into(&t.image, 0, &mut scratch, &mut tile)?;
-            grid.insert_tile(canvas, grid.from_flat_index(flat), &tile)
+        for (index, tile) in self.decode_tiles_with_scratch(&mut DecodeScratch::new())? {
+            grid.insert_tile(canvas, index, &tile)
                 .map_err(|e| CodecError::Malformed {
                     reason: e.to_string(),
                 })?;
@@ -214,11 +276,32 @@ pub fn encode_roi(
 /// encoded through the reusable `scratch` arena. Output is bit-identical
 /// to [`encode_roi`].
 ///
+/// A call over more than four tiles splits them into one contiguous run
+/// per host core: the calling thread encodes the first run through
+/// `scratch`, and scoped threads encode the others through helper arenas
+/// `scratch` owns and keeps. Every tile's span and histogram samples are
+/// committed from the calling thread after the join, in mask order. The
+/// bytes are the same for any worker count.
+///
 /// # Errors
 ///
 /// Returns [`CodecError::Malformed`] if `image` does not match `grid`, or
-/// propagates per-tile encoding errors.
+/// propagates the first per-tile encoding error in mask order.
 pub fn encode_roi_with_scratch(
+    image: &Raster,
+    grid: &TileGrid,
+    mask: &TileMask,
+    config: &CodecConfig,
+    budget_per_tile: usize,
+    scratch: &mut CodecScratch,
+) -> Result<RoiBitstream, CodecError> {
+    let workers = tile_workers(mask.count_set());
+    encode_roi_on(workers, image, grid, mask, config, budget_per_tile, scratch)
+}
+
+/// [`encode_roi_with_scratch`] on `workers` workers.
+pub(crate) fn encode_roi_on(
+    workers: usize,
     image: &Raster,
     grid: &TileGrid,
     mask: &TileMask,
@@ -237,16 +320,39 @@ pub fn encode_roi_with_scratch(
             ),
         });
     }
-    let mut tiles = Vec::with_capacity(mask.count_set());
-    for index in mask.iter_set() {
-        let view = grid
-            .tile_view(image, index)
-            .map_err(|e| CodecError::Malformed {
-                reason: e.to_string(),
-            })?;
-        let encoded = encode_view_with_budget(&view, config, budget_per_tile, scratch)?;
+    let indices: Vec<TileIndex> = mask.iter_set().collect();
+    let timed = scratch.timed();
+    let mut slots: Vec<Option<(Result<EncodedImage, CodecError>, TileTime)>> =
+        indices.iter().map(|_| None).collect();
+    let mut helpers = std::mem::take(&mut scratch.helpers);
+    fanout::run(
+        scratch,
+        &mut helpers,
+        workers,
+        &mut slots,
+        |arena, i, slot| {
+            let encoded = match grid.tile_view(image, indices[i]) {
+                Ok(view) => time_tile(timed, || {
+                    encode_view_uninstrumented(&view, config, budget_per_tile, arena)
+                }),
+                Err(e) => (
+                    Err(CodecError::Malformed {
+                        reason: e.to_string(),
+                    }),
+                    None,
+                ),
+            };
+            *slot = Some(encoded);
+        },
+    );
+    scratch.helpers = helpers;
+    let mut tiles = Vec::with_capacity(indices.len());
+    for (index, slot) in indices.iter().zip(slots) {
+        let (encoded, time) = slot.expect("every tile is worked");
+        let encoded = encoded?;
+        scratch.commit_encode(time, encoded.payload_len());
         tiles.push(EncodedTile {
-            flat_index: grid.flat_index(index) as u32,
+            flat_index: grid.flat_index(*index) as u32,
             image: encoded,
         });
     }
@@ -381,6 +487,115 @@ mod tests {
         let grid = TileGrid::new(256, 256, 64).unwrap();
         let mask = TileMask::new(&grid);
         assert!(encode_roi(&img, &grid, &mask, &CodecConfig::lossy(), 1024).is_err());
+    }
+
+    /// Every tile's `(flat_index, bytes)`, then every decoded tile's bits.
+    type TileBytesAndBits = (Vec<(u32, Vec<u8>)>, Vec<Vec<u32>>);
+
+    /// [`TileBytesAndBits`] with the ROI encoded and decoded on `workers`
+    /// workers.
+    fn fanned_out(
+        workers: usize,
+        img: &Raster,
+        grid: &TileGrid,
+        mask: &TileMask,
+        enc: &mut CodecScratch,
+        dec: &mut DecodeScratch,
+    ) -> TileBytesAndBits {
+        let roi =
+            encode_roi_on(workers, img, grid, mask, &CodecConfig::lossy(), 1024, enc).unwrap();
+        let bytes = roi
+            .tiles()
+            .iter()
+            .map(|t| (t.flat_index, t.image.to_bytes()))
+            .collect();
+        let mut rasters = vec![Raster::new(0, 0); roi.tile_count()];
+        roi.decode_tiles_on(workers, dec, &mut rasters).unwrap();
+        let bits = rasters
+            .iter()
+            .map(|r| r.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (bytes, bits)
+    }
+
+    #[test]
+    fn tiles_are_independent_of_worker_count() {
+        let edges = Raster::from_fn(200, 137, |x, y| ((x * 3 + y * 5) % 61) as f32 / 61.0);
+        let edge_grid = TileGrid::new(200, 137, 64).unwrap();
+        let mut edge_mask = TileMask::new(&edge_grid);
+        edge_mask.fill();
+        let img = image_256();
+        let grid = TileGrid::new(256, 256, 64).unwrap();
+        for (img, grid, mask) in [
+            (&img, &grid, checker_mask(&grid)),
+            (&edges, &edge_grid, edge_mask),
+        ] {
+            let (mut enc, mut dec) = (CodecScratch::new(), DecodeScratch::new());
+            let serial = fanned_out(1, img, grid, &mask, &mut enc, &mut dec);
+            let tiles = mask.count_set();
+            for workers in [1, 2, 3, 7, tiles + 1] {
+                let (mut enc, mut dec) = (CodecScratch::new(), DecodeScratch::new());
+                let got = fanned_out(workers, img, grid, &mask, &mut enc, &mut dec);
+                assert!(got == serial, "{workers} workers over {tiles} tiles");
+                // The helpers are kept, and a repeat call grows none.
+                let grown = (enc.grow_events(), dec.grow_events());
+                let reserved = (enc.reserved_bytes(), dec.reserved_bytes());
+                assert_eq!(enc.helpers.len(), workers.min(tiles) - 1);
+                assert!(fanned_out(workers, img, grid, &mask, &mut enc, &mut dec) == serial);
+                assert_eq!((enc.grow_events(), dec.grow_events()), grown);
+                assert_eq!((enc.reserved_bytes(), dec.reserved_bytes()), reserved);
+            }
+        }
+    }
+
+    #[test]
+    fn fanned_out_spans_commit_in_tile_order() {
+        use earthplus_telemetry::{names, FlightRecorder, MetricsRegistry, TraceEventKind};
+        let img = image_256();
+        let grid = TileGrid::new(256, 256, 64).unwrap();
+        let mut mask = TileMask::new(&grid);
+        mask.fill();
+        let registry = MetricsRegistry::new();
+        let recorder = FlightRecorder::new();
+        let (mut enc, mut dec) = (CodecScratch::new(), DecodeScratch::new());
+        enc.set_telemetry(&registry.sink());
+        enc.set_tracing(&recorder.sink());
+        dec.set_telemetry(&registry.sink());
+        dec.set_tracing(&recorder.sink());
+        let (bytes, _) = fanned_out(3, &img, &grid, &mask, &mut enc, &mut dec);
+        let log = recorder.log();
+        let snapshot = registry.snapshot();
+        for (name, hist) in [
+            ("encode.epc2", names::CODEC_ENCODE_EPC2_NS),
+            ("decode.epc2", names::CODEC_DECODE_EPC2_NS),
+        ] {
+            let events: Vec<_> = log.events.iter().filter(|e| e.name == name).collect();
+            assert_eq!(events.len(), 2 * bytes.len(), "{name}");
+            let mut sum = 0;
+            for pair in events.chunks(2) {
+                assert_eq!(pair[0].kind, TraceEventKind::Begin);
+                assert_eq!(pair[1].kind, TraceEventKind::End);
+                sum += pair[1].ts_ns - pair[0].ts_ns;
+            }
+            let h = snapshot.histogram(hist).unwrap();
+            assert_eq!((h.count, h.sum), (bytes.len() as u64, sum), "{name}");
+        }
+        // Payload sizes ride on the End events, in mask order.
+        let sizes: Vec<_> = log
+            .events
+            .iter()
+            .filter(|e| e.name == "encode.epc2" && e.kind == TraceEventKind::End)
+            .map(|e| e.args[0].1.clone())
+            .collect();
+        let roi = encode_roi(&img, &grid, &mask, &CodecConfig::lossy(), 1024).unwrap();
+        let expect: Vec<_> = roi
+            .tiles()
+            .iter()
+            .map(|t| t.image.payload_len().into())
+            .collect();
+        assert_eq!(sizes, expect);
+        let h = snapshot.histogram(names::CODEC_ENCODE_BYTES).unwrap();
+        assert_eq!(h.count, bytes.len() as u64);
     }
 
     #[test]

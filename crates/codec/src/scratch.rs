@@ -21,7 +21,16 @@
 //! every encode/decode call threaded through it, keeping the hot path free
 //! of name lookups. Each call's one trace span feeds its latency
 //! histogram, and reads no clock while neither is enabled.
+//!
+//! Each arena also owns the helper arenas its ROI tile calls fan out to
+//! (one per extra worker, see `fanout`). Helpers carry no instrumentation:
+//! a helper's worker times each tile with one pair of clock reads, and the
+//! owning arena commits the tile's span and histogram samples after the
+//! join, in tile order. `reserved_bytes`, `grow_events` and `stages`
+//! count the helpers too.
 
+use crate::fanout::TileTime;
+use crate::image_codec::FormatVersion;
 use earthplus_telemetry::{names, Histogram, TelemetrySink, TraceSink};
 
 /// Cumulative wall-clock time per codec stage, accumulated across every
@@ -45,6 +54,16 @@ pub struct StageBreakdown {
     /// gathered) or fused dequantization plus output normalization
     /// (decode).
     pub quantize: std::time::Duration,
+}
+
+impl StageBreakdown {
+    fn plus(self, other: &StageBreakdown) -> StageBreakdown {
+        StageBreakdown {
+            dwt: self.dwt + other.dwt,
+            bitplane: self.bitplane + other.bitplane,
+            quantize: self.quantize + other.quantize,
+        }
+    }
 }
 
 /// Reusable buffers for the DWT → quantize → bitplane → range-code path.
@@ -95,6 +114,8 @@ pub struct CodecScratch {
     pub(crate) tracing: TraceSink,
     /// Per-stage wall-clock accumulators (see [`StageBreakdown`]).
     pub(crate) stages: StageBreakdown,
+    /// The arenas of the extra workers a fanned-out ROI encode runs on.
+    pub(crate) helpers: Vec<CodecScratch>,
     /// Capacity sum observed after the previous encode call.
     last_capacity: usize,
     grow_events: u64,
@@ -106,8 +127,13 @@ impl CodecScratch {
         Self::default()
     }
 
-    /// Total bytes currently reserved across all scratch buffers.
+    /// Total bytes currently reserved across all scratch buffers, helper
+    /// arenas included.
     pub fn reserved_bytes(&self) -> usize {
+        self.own_reserved_bytes() + self.helpers.iter().map(Self::reserved_bytes).sum::<usize>()
+    }
+
+    fn own_reserved_bytes(&self) -> usize {
         self.samples.capacity() * std::mem::size_of::<f32>()
             + self.dwt_block.capacity() * std::mem::size_of::<f32>()
             + self.sig_words.capacity() * std::mem::size_of::<u64>()
@@ -124,10 +150,11 @@ impl CodecScratch {
             + self.sb_rects.capacity() * std::mem::size_of::<crate::dwt::SubbandRect>()
     }
 
-    /// How many encode calls had to grow at least one buffer. Stable across
-    /// two identical workloads ⇔ the second one allocated no scratch.
+    /// How many encode calls had to grow at least one buffer, summed over
+    /// this arena and its helpers. Stable across two identical workloads ⇔
+    /// the second one allocated no scratch.
     pub fn grow_events(&self) -> u64 {
-        self.grow_events
+        self.grow_events + self.helpers.iter().map(Self::grow_events).sum::<u64>()
     }
 
     /// Wires this arena's encode instrumentation to `sink`: every encode
@@ -154,7 +181,7 @@ impl CodecScratch {
 
     /// Called at the end of every encode to account for buffer growth.
     pub(crate) fn track_growth(&mut self) {
-        let now = self.reserved_bytes();
+        let now = self.own_reserved_bytes();
         if now > self.last_capacity {
             self.grow_events += 1;
             self.last_capacity = now;
@@ -162,9 +189,32 @@ impl CodecScratch {
     }
 
     /// Per-stage wall-clock time accumulated by every encode call through
-    /// this arena.
+    /// this arena and its helpers. Fanned-out workers run concurrently, so
+    /// the sum can exceed the wall time of the calls.
     pub fn stages(&self) -> StageBreakdown {
-        self.stages
+        self.helpers
+            .iter()
+            .fold(self.stages, |sum, h| sum.plus(&h.stages()))
+    }
+
+    /// Whether an encode's time has a consumer: the recorder or the
+    /// latency histogram.
+    pub(crate) fn timed(&self) -> bool {
+        self.tracing.enabled() || self.enc_epc2_ns.enabled()
+    }
+
+    /// Commits one fanned-out tile encode's instrumentation, as the
+    /// encode's own span would have recorded it: the `encode.epc2` span
+    /// and latency sample from the worker's clock pair, and the payload
+    /// size sample.
+    pub(crate) fn commit_encode(&self, time: TileTime, payload_bytes: usize) {
+        if let Some((start, end)) = time {
+            let args = [("payload_bytes", payload_bytes.into())];
+            self.tracing
+                .record_span("codec", "encode.epc2", start, end, &args);
+            self.enc_epc2_ns.record_duration(end - start);
+        }
+        self.enc_bytes.record(payload_bytes as u64);
     }
 }
 
@@ -223,6 +273,8 @@ pub struct DecodeScratch {
     pub(crate) tracing: TraceSink,
     /// Per-stage wall-clock accumulators (see [`StageBreakdown`]).
     pub(crate) stages: StageBreakdown,
+    /// The arenas of the extra workers a fanned-out tile decode runs on.
+    pub(crate) helpers: Vec<DecodeScratch>,
     /// Payload bytes the last decode call handed to the bitplane decoders
     /// — the byte-access counter the seek tests assert against (an
     /// LL-only decode of an EPC2 stream must never touch bytes past the
@@ -239,8 +291,13 @@ impl DecodeScratch {
         Self::default()
     }
 
-    /// Total bytes currently reserved across all scratch buffers.
+    /// Total bytes currently reserved across all scratch buffers, helper
+    /// arenas included.
     pub fn reserved_bytes(&self) -> usize {
+        self.own_reserved_bytes() + self.helpers.iter().map(Self::reserved_bytes).sum::<usize>()
+    }
+
+    fn own_reserved_bytes(&self) -> usize {
         self.coeffs.capacity() * std::mem::size_of::<f32>()
             + self.quantized.capacity() * std::mem::size_of::<i32>()
             + self.dwt_block.capacity() * std::mem::size_of::<f32>()
@@ -255,11 +312,11 @@ impl DecodeScratch {
             + self.sb_rects.capacity() * std::mem::size_of::<crate::dwt::SubbandRect>()
     }
 
-    /// How many decode calls had to grow at least one buffer. Stable
-    /// across two identical workloads ⇔ the second one allocated no
-    /// scratch.
+    /// How many decode calls had to grow at least one buffer, summed over
+    /// this arena and its helpers. Stable across two identical workloads
+    /// ⇔ the second one allocated no scratch.
     pub fn grow_events(&self) -> u64 {
-        self.grow_events
+        self.grow_events + self.helpers.iter().map(Self::grow_events).sum::<u64>()
     }
 
     /// Wires this arena's decode instrumentation to `sink`: every decode
@@ -295,7 +352,7 @@ impl DecodeScratch {
 
     /// Called at the end of every decode to account for buffer growth.
     pub(crate) fn track_growth(&mut self) {
-        let now = self.reserved_bytes();
+        let now = self.own_reserved_bytes();
         if now > self.last_capacity {
             self.grow_events += 1;
             self.last_capacity = now;
@@ -303,9 +360,55 @@ impl DecodeScratch {
     }
 
     /// Per-stage wall-clock time accumulated by every decode call through
-    /// this arena.
+    /// this arena and its helpers. Fanned-out workers run concurrently, so
+    /// the sum can exceed the wall time of the calls.
     pub fn stages(&self) -> StageBreakdown {
-        self.stages
+        self.helpers
+            .iter()
+            .fold(self.stages, |sum, h| sum.plus(&h.stages()))
+    }
+
+    /// The span name and latency histogram of a decode of a `format`
+    /// stream discarding `k` levels. Partial decodes (any discarded level,
+    /// including LL-only) share one regardless of format; full decodes
+    /// split per format.
+    pub(crate) fn decode_span(&self, format: FormatVersion, k: u8) -> (&'static str, &Histogram) {
+        if k > 0 {
+            ("decode.partial", &self.dec_partial_ns)
+        } else {
+            match format {
+                FormatVersion::Epc1 => ("decode.epc1", &self.dec_epc1_ns),
+                FormatVersion::Epc2 => ("decode.epc2", &self.dec_epc2_ns),
+            }
+        }
+    }
+
+    /// Whether a decode's time has a consumer: the recorder or a latency
+    /// histogram.
+    pub(crate) fn timed(&self) -> bool {
+        self.tracing.enabled()
+            || self.dec_epc1_ns.enabled()
+            || self.dec_epc2_ns.enabled()
+            || self.dec_partial_ns.enabled()
+    }
+
+    /// Commits one fanned-out full tile decode's span and latency sample
+    /// from the worker's clock pair, as [`crate::decode_into`]'s own span
+    /// would have recorded them.
+    pub(crate) fn commit_decode(
+        &self,
+        format: FormatVersion,
+        time: TileTime,
+        payload_bytes: usize,
+    ) {
+        let Some((start, end)) = time else { return };
+        let (name, hist) = self.decode_span(format, 0);
+        let args = [
+            ("payload_bytes", payload_bytes.into()),
+            ("discard_levels", 0u8.into()),
+        ];
+        self.tracing.record_span("codec", name, start, end, &args);
+        hist.record_duration(end - start);
     }
 }
 

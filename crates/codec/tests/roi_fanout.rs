@@ -179,3 +179,54 @@ fn roi_tile_bytes_and_decoded_bits_match_golden() {
         );
     }
 }
+
+/// One `codec_stream`-shaped capture: every band's tiles encoded and
+/// decoded back through the two arenas.
+fn capture(bands: &[Raster], encoder: &mut CodecScratch, decoder: &mut DecodeScratch) {
+    let grid = TileGrid::new(512, 512, TILE).unwrap();
+    let mask = full_mask(&grid);
+    for image in bands {
+        let roi = encode_roi_with_scratch(image, &grid, &mask, &CodecConfig::lossy(), 512, encoder)
+            .unwrap();
+        roi.decode_tiles_with_scratch(decoder).unwrap();
+    }
+}
+
+#[test]
+fn second_identical_capture_grows_no_arena() {
+    let bands: Vec<Raster> = (0..4).map(|b| band(512, 512, 11 + b)).collect();
+    let mut encoder = CodecScratch::new();
+    let mut decoder = DecodeScratch::new();
+    capture(&bands, &mut encoder, &mut decoder);
+    let grown = (encoder.grow_events(), decoder.grow_events());
+    let reserved = (encoder.reserved_bytes(), decoder.reserved_bytes());
+    assert!(grown.0 > 0 && grown.1 > 0);
+    capture(&bands, &mut encoder, &mut decoder);
+    assert_eq!((encoder.grow_events(), decoder.grow_events()), grown);
+    assert_eq!(
+        (encoder.reserved_bytes(), decoder.reserved_bytes()),
+        reserved
+    );
+
+    // With more than one core the 64-tile calls fan out, and the helper
+    // arenas count: together they hold more than one arena that only ever
+    // coded tiles on the calling thread.
+    if earthplus_raster::available_cores() > 1 {
+        let grid = TileGrid::new(512, 512, TILE).unwrap();
+        let (mut serial_enc, mut serial_dec) = (CodecScratch::new(), DecodeScratch::new());
+        for image in &bands {
+            let roi = encode_roi_with_scratch(
+                image,
+                &grid,
+                &sparse_mask(&grid, 4),
+                &CodecConfig::lossy(),
+                512,
+                &mut serial_enc,
+            )
+            .unwrap();
+            roi.decode_tiles_with_scratch(&mut serial_dec).unwrap();
+        }
+        assert!(encoder.reserved_bytes() > serial_enc.reserved_bytes());
+        assert!(decoder.reserved_bytes() > serial_dec.reserved_bytes());
+    }
+}

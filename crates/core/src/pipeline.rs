@@ -11,7 +11,7 @@
 use crate::config::EarthPlusConfig;
 use crate::strategy::{masked_tile_mse, CaptureContext, CaptureReport, GroundBelief, StageTimings};
 use earthplus_codec::{
-    decode_into, encode_roi_with_scratch, CodecConfig, CodecScratch, DecodeScratch, RoiBitstream,
+    encode_roi_with_scratch, CodecConfig, CodecScratch, DecodeScratch, RoiBitstream,
 };
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{
@@ -36,12 +36,13 @@ pub(crate) struct CapturePipeline {
     codec: CodecConfig,
     tile_budget: usize,
     tracing: TraceSink,
-    // Reusable encoder and decoder arenas (and the decoded-tile buffer):
-    // they persist across tiles, bands, and captures, so the steady-state
-    // encode and decode paths allocate no scratch at all.
+    // Reusable encoder and decoder arenas (and the decoded-tile buffers,
+    // one per tile of the widest band so far): they persist across tiles,
+    // bands, and captures, so the steady-state encode and decode paths
+    // allocate no scratch at all.
     codec_scratch: CodecScratch,
     decode_scratch: DecodeScratch,
-    tile: Raster,
+    tiles: Vec<Raster>,
     belief: GroundBelief,
     // Per-satellite downlink queue accounting.
     pending_bytes: HashMap<SatelliteId, u64>,
@@ -77,7 +78,7 @@ impl CapturePipeline {
             tracing: tracing.clone(),
             codec_scratch,
             decode_scratch,
-            tile: Raster::new(0, 0),
+            tiles: Vec::new(),
             belief: GroundBelief::new(),
             pending_bytes: HashMap::new(),
             peak_pending: 0,
@@ -131,9 +132,10 @@ impl CapturePipeline {
         roi
     }
 
-    /// The ground side of one band: decodes `roi`, patches its tiles into
-    /// the belief, and tallies the masked MSE against `target` on the
-    /// `eval` tiles.
+    /// The ground side of one band: decodes `roi` (its tiles fanned out
+    /// over the host's cores), patches its tiles into the belief in tile
+    /// order, and tallies the masked MSE against `target` on the `eval`
+    /// tiles.
     ///
     /// With an `alignment` (reference radiometry → this capture's), the
     /// tiles are first normalized into the belief's canonical
@@ -151,18 +153,23 @@ impl CapturePipeline {
     ) {
         let (w, h) = target.dimensions();
         let grid = TileGrid::new(w, h, roi.tile_size() as usize).expect("roi matches target");
+        let n = roi.tile_count();
+        if self.tiles.len() < n {
+            self.tiles.resize_with(n, || Raster::new(0, 0));
+        }
+        let tiles = &mut self.tiles[..n];
+        roi.decode_tiles_into(&mut self.decode_scratch, tiles)
+            .expect("self-produced bitstream");
         let belief = self.belief.belief_mut(location, band, w, h);
-        for encoded in roi.tiles() {
-            decode_into(&encoded.image, 0, &mut self.decode_scratch, &mut self.tile)
-                .expect("self-produced bitstream");
+        for (encoded, tile) in roi.tiles().iter().zip(tiles) {
             if let Some(a) = alignment {
                 let gain = if a.gain.abs() < 0.25 { 1.0 } else { a.gain };
-                self.tile.map_in_place(|v| (v - a.offset) / gain);
+                tile.map_in_place(|v| (v - a.offset) / gain);
             }
             grid.insert_tile(
                 belief,
                 grid.from_flat_index(encoded.flat_index as usize),
-                &self.tile,
+                tile,
             )
             .expect("belief matches grid");
         }

@@ -60,7 +60,8 @@ pub struct GroundServiceConfig {
     /// Byte bound of each satellite's modelled on-board cache (`None` =
     /// unbounded, the paper's assumption).
     pub cache_capacity_bytes: Option<u64>,
-    /// Worker threads for batch ingest.
+    /// Worker threads for batch ingest; defaults to one per host core
+    /// ([`earthplus_raster::available_cores`]).
     pub ingest_threads: usize,
     /// The (location, band) pairs the uplink serves; empty means "every
     /// key the store holds".
@@ -96,7 +97,7 @@ impl Default for GroundServiceConfig {
             backend: ReferenceBackendConfig::InMemory,
             theta: 0.01,
             cache_capacity_bytes: None,
-            ingest_threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            ingest_threads: earthplus_raster::available_cores(),
             targets: Vec::new(),
             reference_downsample: DEFAULT_REFERENCE_DOWNSAMPLE,
             telemetry: TelemetrySink::default(),

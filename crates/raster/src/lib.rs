@@ -19,6 +19,8 @@
 //! * [`align`] — least-squares illumination alignment between a capture and a
 //!   reference (§5: "illumination condition affects the pixel value
 //!   linearly").
+//! * [`available_cores`] — the one host core-count probe every
+//!   multi-threaded stage of the workspace sizes its workers by.
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@
 pub mod align;
 pub mod band;
 pub mod geo;
+mod host;
 pub mod metrics;
 pub mod multiband;
 pub mod raster;
@@ -55,6 +58,7 @@ pub use align::{AlignmentModel, IlluminationAligner};
 pub use band::{Band, BandKind, PlanetBand, Sentinel2Band};
 pub use error::RasterError;
 pub use geo::{GeoCell, LocationId};
+pub use host::available_cores;
 pub use metrics::{mean_abs_diff, mse, psnr, psnr_from_mse, PixelStats};
 pub use multiband::MultiBandImage;
 pub use raster::Raster;

@@ -6,10 +6,10 @@ use crate::reflectance::{
     base_reflectance, cloud_reflectance, grain_scale, snow_reflectance, texture_scale,
 };
 use crate::sensor::SensorModel;
-use crate::strips::{raster_from_fn, render_strips, strip_count};
+use crate::strips::{raster_from_fn, render_strips};
 use crate::temporal::{EventSchedule, SeasonalModel, SnowModel};
 use crate::terrain::{LandCover, LocationArchetype, TerrainMap};
-use earthplus_raster::{Band, LocationId, MultiBandImage, Raster};
+use earthplus_raster::{available_cores, Band, LocationId, MultiBandImage, Raster};
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -174,7 +174,7 @@ impl LocationScene {
     /// Synthesizes the scene's static fields, rendering them on all
     /// available cores.
     pub fn new(config: SceneConfig) -> Self {
-        Self::in_strips(config, strip_count())
+        Self::in_strips(config, available_cores())
     }
 
     /// [`LocationScene::new`] for a scene that renders everything, its

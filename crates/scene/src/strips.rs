@@ -8,14 +8,6 @@
 
 use earthplus_raster::Raster;
 use std::ops::Range;
-use std::sync::OnceLock;
-
-/// Strips per render: one per core the host offers, asked once per
-/// process.
-pub(crate) fn strip_count() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
 
 /// Renders `planes` (each `width × height`, row-major) in `strips`
 /// disjoint row strips.

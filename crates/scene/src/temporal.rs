@@ -19,9 +19,9 @@
 //!    fresh snow, and dirty snow has a lower albedo than clean snow").
 
 use crate::noise::{fbm2, hash3, hash_unit};
-use crate::strips::{raster_from_fn, strip_count};
+use crate::strips::raster_from_fn;
 use crate::terrain::{LandCover, TerrainMap};
-use earthplus_raster::Raster;
+use earthplus_raster::{available_cores, Raster};
 
 /// One persistent local change (harvest, construction, disturbance...).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,7 +214,7 @@ impl SeasonalModel {
     /// Builds the per-pixel amplitude field from the terrain: vegetation
     /// responds strongly to seasons, built/rock/water surfaces barely.
     pub fn from_terrain(seed: u64, terrain: &TerrainMap) -> Self {
-        Self::from_terrain_in_strips(seed, terrain, strip_count())
+        Self::from_terrain_in_strips(seed, terrain, available_cores())
     }
 
     /// [`SeasonalModel::from_terrain`], rendered in `strips` row strips.

@@ -9,8 +9,8 @@
 //! classifies every pixel into a [`LandCover`] class.
 
 use crate::noise::{fbm2, lattice_unit};
-use crate::strips::{raster_from_fn, render_strips, strip_count};
-use earthplus_raster::Raster;
+use crate::strips::{raster_from_fn, render_strips};
+use earthplus_raster::{available_cores, Raster};
 
 /// Dominant geographic context of a location (Figure 10 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,7 +132,7 @@ pub struct TerrainMap {
 impl TerrainMap {
     /// Synthesizes terrain for a location.
     pub fn generate(seed: u64, archetype: LocationArchetype, width: usize, height: usize) -> Self {
-        Self::generate_in_strips(seed, archetype, width, height, strip_count())
+        Self::generate_in_strips(seed, archetype, width, height, available_cores())
     }
 
     /// [`TerrainMap::generate`], rendered in `strips` row strips.

@@ -262,6 +262,32 @@ impl TraceSink {
         }
     }
 
+    /// Records a span some other thread already timed: a Begin event
+    /// stamped `start` and an End event stamped `end` carrying `args`, on
+    /// the ambient track/trace, pushed back to back. Work fanned out over
+    /// worker threads commits its spans this way from the calling thread,
+    /// in a fixed order, so spans of one name still pair Begin/End in
+    /// record order. Reads no clock; `args` are only cloned when the sink
+    /// is enabled.
+    pub fn record_span(
+        &self,
+        lane: &'static str,
+        name: &'static str,
+        start: Instant,
+        end: Instant,
+        args: &[TraceArg],
+    ) {
+        let Some(shared) = &self.0 else { return };
+        let begin = shared.event(None, lane, name, TraceEventKind::Begin);
+        let mut end_event = TraceEvent {
+            kind: TraceEventKind::End,
+            ..begin.clone()
+        };
+        end_event.args = args.to_vec();
+        shared.push(start, begin);
+        shared.push(end, end_event);
+    }
+
     /// Records an instant event on the ambient track/trace. `args` are
     /// only cloned when the sink is enabled.
     #[inline]
@@ -434,6 +460,29 @@ mod tests {
         let log = rec.log();
         assert_eq!(log.events[1].ts_ns - log.events[0].ts_ns, elapsed);
         assert_eq!((hist.snapshot().count, hist.snapshot().sum), (1, elapsed));
+    }
+
+    #[test]
+    fn recorded_span_pairs_and_keeps_its_stamps() {
+        let rec = FlightRecorder::new();
+        let sink = rec.sink();
+        let trace = sink.mint();
+        let _scope = sink.scope(trace, TraceTrack::Satellite(4));
+        let start = Instant::now();
+        let end = start + Duration::from_nanos(1500);
+        sink.record_span("codec", "encode.epc2", start, end, &[("k", 7u64.into())]);
+        TraceSink::disabled().record_span("codec", "x", start, end, &[]);
+        let log = rec.log();
+        assert_eq!(log.len(), 2);
+        let (b, e) = (&log.events[0], &log.events[1]);
+        assert_eq!(
+            (b.kind, e.kind),
+            (TraceEventKind::Begin, TraceEventKind::End)
+        );
+        assert_eq!(e.ts_ns - b.ts_ns, 1500);
+        assert_eq!((b.trace, e.track), (trace, TraceTrack::Satellite(4)));
+        assert!(b.args.is_empty());
+        assert_eq!(e.args.len(), 1);
     }
 
     #[test]
