@@ -11,8 +11,13 @@
 //! The runs are static (tile `i` of `n` always goes to the same worker
 //! for a given worker count), so which helper arena grows, and when,
 //! does not depend on thread scheduling: a second identical call grows
-//! nothing.
+//! nothing. After each fan-out every arena of the call is also sized to
+//! the largest capacity any of them holds, buffer by buffer: a helper
+//! that only ever codes tiles then reaches its steady size when the
+//! calling thread's arena does, even when that arena also codes whole
+//! bands.
 
+use crate::scratch::HelperArena;
 use std::time::Instant;
 
 /// Calls over at most this many tiles stay on the calling thread. On the
@@ -51,7 +56,8 @@ pub(crate) fn time_tile<R>(timed: bool, work: impl FnOnce() -> R) -> (R, TileTim
 /// workers (clamped to `1..=slots.len()`): the calling thread works the
 /// first contiguous run through `arena`, and scoped threads work the
 /// others through `helpers[0..workers - 1]`, which grow to that many
-/// default arenas on first need and are kept for the next call.
+/// arenas on first need and are kept for the next call. After the join,
+/// `arena` and the helpers are sized like one another.
 pub(crate) fn run<A, T, F>(
     arena: &mut A,
     helpers: &mut Vec<A>,
@@ -59,7 +65,7 @@ pub(crate) fn run<A, T, F>(
     slots: &mut [T],
     work: F,
 ) where
-    A: Default + Send,
+    A: HelperArena,
     T: Send,
     F: Fn(&mut A, usize, &mut T) + Sync,
 {
@@ -90,6 +96,12 @@ pub(crate) fn run<A, T, F>(
         }
         run_slots(arena, 0, first);
     });
+    for helper in &helpers[..workers - 1] {
+        arena.size_like(helper);
+    }
+    for helper in &mut helpers[..workers - 1] {
+        helper.size_like(arena);
+    }
 }
 
 #[cfg(test)]
@@ -99,6 +111,10 @@ mod tests {
     #[derive(Default)]
     struct Tally {
         visits: Vec<usize>,
+    }
+
+    impl HelperArena for Tally {
+        fn size_like(&mut self, _owner: &Self) {}
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //! histogram, and reads no clock while neither is enabled.
 //!
 //! Each arena also owns the helper arenas its ROI tile calls fan out to
-//! (one per extra worker, see `fanout`). Helpers carry no instrumentation:
-//! a helper's worker times each tile with one pair of clock reads, and the
+//! (one per extra worker, see `fanout`). After each fan-out the owner and
+//! its helpers are sized like one another (each buffer reserved to the
+//! largest capacity among them), so once the owner has reached its
+//! steady size, so have the helpers. Helpers carry no instrumentation: a
+//! helper's worker times each tile with one pair of clock reads, and the
 //! owning arena commits the tile's span and histogram samples after the
 //! join, in tile order. `reserved_bytes`, `grow_events` and `stages`
 //! count the helpers too.
@@ -54,6 +57,20 @@ pub struct StageBreakdown {
     /// gathered) or fused dequantization plus output normalization
     /// (decode).
     pub quantize: std::time::Duration,
+}
+
+/// Reserves `buffer` to at least `capacity` elements.
+fn reserve_to<T>(buffer: &mut Vec<T>, capacity: usize) {
+    if buffer.capacity() < capacity {
+        buffer.reserve_exact(capacity - buffer.len());
+    }
+}
+
+/// An arena a fan-out can hand to a helper worker.
+pub(crate) trait HelperArena: Default + Send {
+    /// Reserves every buffer to at least `other`'s capacity, counting any
+    /// growth as one grow event.
+    fn size_like(&mut self, other: &Self);
 }
 
 impl StageBreakdown {
@@ -215,6 +232,26 @@ impl CodecScratch {
             self.enc_epc2_ns.record_duration(end - start);
         }
         self.enc_bytes.record(payload_bytes as u64);
+    }
+}
+
+impl HelperArena for CodecScratch {
+    fn size_like(&mut self, other: &Self) {
+        reserve_to(&mut self.samples, other.samples.capacity());
+        reserve_to(&mut self.dwt_block, other.dwt_block.capacity());
+        reserve_to(&mut self.sig_words, other.sig_words.capacity());
+        reserve_to(&mut self.snap_words, other.snap_words.capacity());
+        reserve_to(&mut self.any_words, other.any_words.capacity());
+        reserve_to(&mut self.two_words, other.two_words.capacity());
+        reserve_to(&mut self.bits_words, other.bits_words.capacity());
+        reserve_to(&mut self.rowstart_words, other.rowstart_words.capacity());
+        reserve_to(&mut self.rowend_words, other.rowend_words.capacity());
+        reserve_to(&mut self.payload, other.payload.capacity());
+        reserve_to(&mut self.pass_offsets, other.pass_offsets.capacity());
+        reserve_to(&mut self.sb_coeffs, other.sb_coeffs.capacity());
+        reserve_to(&mut self.stream, other.stream.capacity());
+        reserve_to(&mut self.sb_rects, other.sb_rects.capacity());
+        self.track_growth();
     }
 }
 
@@ -412,6 +449,24 @@ impl DecodeScratch {
     }
 }
 
+impl HelperArena for DecodeScratch {
+    fn size_like(&mut self, other: &Self) {
+        reserve_to(&mut self.coeffs, other.coeffs.capacity());
+        reserve_to(&mut self.quantized, other.quantized.capacity());
+        reserve_to(&mut self.dwt_block, other.dwt_block.capacity());
+        reserve_to(&mut self.mag, other.mag.capacity());
+        reserve_to(&mut self.sig_words, other.sig_words.capacity());
+        reserve_to(&mut self.snap_words, other.snap_words.capacity());
+        reserve_to(&mut self.any_words, other.any_words.capacity());
+        reserve_to(&mut self.two_words, other.two_words.capacity());
+        reserve_to(&mut self.neg_words, other.neg_words.capacity());
+        reserve_to(&mut self.rowstart_words, other.rowstart_words.capacity());
+        reserve_to(&mut self.rowend_words, other.rowend_words.capacity());
+        reserve_to(&mut self.sb_rects, other.sb_rects.capacity());
+        self.track_growth();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,6 +524,27 @@ mod tests {
             2
         );
         assert!(s.histogram(names::CODEC_ENCODE_BYTES).unwrap().sum > 0);
+    }
+
+    #[test]
+    fn helpers_are_sized_like_their_owner() {
+        let mut owner = CodecScratch::new();
+        owner.payload.reserve(4096);
+        owner.samples.reserve(64);
+        let mut helper = CodecScratch::new();
+        helper.samples.reserve(1024);
+        helper.size_like(&owner);
+        assert!(helper.payload.capacity() >= owner.payload.capacity());
+        assert!(helper.samples.capacity() >= 1024);
+        assert!(helper.own_reserved_bytes() >= owner.own_reserved_bytes());
+        assert_eq!(helper.grow_events(), 1);
+        helper.size_like(&owner);
+        assert_eq!(helper.grow_events(), 1);
+        let mut decode = DecodeScratch::new();
+        let mut decode_owner = DecodeScratch::new();
+        decode_owner.mag.reserve(512);
+        decode.size_like(&decode_owner);
+        assert!(decode.own_reserved_bytes() >= decode_owner.own_reserved_bytes());
     }
 
     #[test]
