@@ -20,11 +20,12 @@
 use crate::scratch::HelperArena;
 use std::time::Instant;
 
-/// Calls over at most this many tiles stay on the calling thread. On the
-/// 2-core reference host, fanning a four-tile call out gained nothing on
-/// board (0.353 vs 0.358 ms per capture) while the thread start-up cost
-/// the surrounding ground work (see CHANGES.md for the measured
-/// crossover).
+/// Calls over at most this many tiles stay on the calling thread. On a
+/// 2-core x86-64 host at a 512 B tile budget, two- and three-tile calls
+/// ran 20–26 % slower fanned out than serially (the thread start-up
+/// outweighs a tile), and in the `ground_backfill` benchmark, whose
+/// on-board calls are four tiles, fanning those out raised the on-board
+/// median from ≈ 0.34 to ≈ 0.45 ms per capture.
 pub(crate) const SERIAL_TILE_LIMIT: usize = 4;
 
 /// Workers for one call over `tiles` tiles: one per host core, at most

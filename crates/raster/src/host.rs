@@ -11,13 +11,3 @@ pub fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn probe_is_positive_and_stable() {
-        let cores = super::available_cores();
-        assert!(cores >= 1);
-        assert_eq!(super::available_cores(), cores);
-    }
-}
