@@ -639,7 +639,7 @@ fn encode_view_impl(
 
 /// [`encode_view_with_budget`] without its trace span and histogram
 /// samples: a fanned-out ROI tile encodes through this on its worker, and
-/// the calling thread commits the tile's instrumentation after the join
+/// the calling thread commits the tile's instrumentation after the call
 /// (see [`CodecScratch::commit_encode`]).
 pub(crate) fn encode_view_uninstrumented(
     view: &TileView<'_>,
@@ -946,7 +946,7 @@ pub fn decode_into(
 /// A full decode of one ROI tile into `out` without its trace span and
 /// histogram sample: a fanned-out tile decodes through this on its
 /// worker, timed with one pair of clock reads when `timed`, and the
-/// calling thread commits the span after the join (see
+/// calling thread commits the span after the call (see
 /// [`DecodeScratch::commit_decode`]). The time is `None` when untimed or
 /// when the stream is empty, which [`decode_into`] records no span for
 /// either.

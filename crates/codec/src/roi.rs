@@ -16,13 +16,14 @@
 //! more than four tiles split them across workers, and the output is the
 //! same bytes and bits for any worker count.
 
-use crate::fanout::{self, tile_workers, time_tile, TileTime};
+use crate::fanout::{self, lock, tile_workers, time_tile, TileJob, TileTime};
 use crate::image_codec::{
     decode_tile_uninstrumented, encode_view_uninstrumented, CodecConfig, EncodedImage,
 };
 use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::CodecError;
 use earthplus_raster::{Raster, TileGrid, TileIndex, TileMask};
+use std::sync::Mutex;
 
 /// Per-tile byte budget derived from a bits-per-pixel target γ.
 pub fn tile_budget_bytes(gamma_bpp: f64, tile_pixels: usize) -> usize {
@@ -134,12 +135,13 @@ impl RoiBitstream {
     /// Decodes tile `i` into `out[i]` (reshaped in place, reusing its
     /// allocation) for every tile, in stream order, through `scratch`.
     ///
-    /// A call over more than four tiles splits them into one contiguous
-    /// run per host core: the calling thread decodes the first run through
-    /// `scratch`, and scoped threads decode the others through helper
-    /// arenas `scratch` owns and keeps. Every tile's span and latency
-    /// sample is committed from the calling thread after the join, in
-    /// tile order. The rasters are the same bits for any worker count.
+    /// A call over more than four tiles fans out over the host's cores:
+    /// the calling thread (through `scratch`) and one helper thread per
+    /// extra core (through a helper arena; `scratch` owns and keeps both)
+    /// claim the tiles one at a time. Every tile's span and latency sample
+    /// is committed from the calling thread after the last tile, in tile
+    /// order. The rasters are the same bits for any worker count and
+    /// schedule.
     ///
     /// # Errors
     ///
@@ -168,32 +170,39 @@ impl RoiBitstream {
         }
         let tile_count = self.grid()?.tile_count();
         let timed = scratch.timed();
-        let mut slots: Vec<(&mut Raster, Result<(), CodecError>, TileTime)> = out
-            .iter_mut()
-            .map(|raster| (raster, Ok(()), None))
-            .collect();
-        let mut helpers = std::mem::take(&mut scratch.helpers);
-        fanout::run(
-            scratch,
-            &mut helpers,
-            workers,
-            &mut slots,
-            |arena, i, slot| {
-                let tile = &self.tiles[i];
-                let flat = tile.flat_index as usize;
-                if flat >= tile_count {
-                    slot.1 = Err(CodecError::Malformed {
-                        reason: format!("tile index {flat} out of range"),
-                    });
-                    return;
-                }
-                let (decoded, time) = decode_tile_uninstrumented(&tile.image, timed, arena, slot.0);
-                slot.1 = decoded.map_err(CodecError::from);
-                slot.2 = time;
-            },
-        );
-        scratch.helpers = helpers;
-        for (tile, (_, decoded, time)) in self.tiles.iter().zip(slots) {
+        let decoded: Vec<DecodedSlot> = if workers.min(out.len()) <= 1 {
+            self.tiles
+                .iter()
+                .zip(out.iter_mut())
+                .map(|(tile, raster)| decode_tile(tile, tile_count, timed, scratch, raster))
+                .collect()
+        } else {
+            // The helpers decode into the caller's own rasters, lent to
+            // the job for the call.
+            let job = DecodeTiles {
+                tiles: self.tiles.clone(),
+                tile_count,
+                timed,
+                slots: out
+                    .iter_mut()
+                    .map(|raster| Mutex::new((std::mem::replace(raster, Raster::new(0, 0)), None)))
+                    .collect(),
+            };
+            let mut helpers = std::mem::take(&mut scratch.helpers);
+            let call = fanout::run(scratch, &mut helpers, workers, out.len(), job);
+            scratch.helpers = helpers;
+            call.job()
+                .slots
+                .iter()
+                .zip(out.iter_mut())
+                .map(|(slot, raster)| {
+                    let mut slot = lock(slot);
+                    std::mem::swap(raster, &mut slot.0);
+                    slot.1.take().expect("every tile is worked")
+                })
+                .collect()
+        };
+        for (tile, (decoded, time)) in self.tiles.iter().zip(decoded) {
             decoded?;
             scratch.commit_decode(tile.image.format(), time, tile.image.payload_len());
         }
@@ -276,12 +285,12 @@ pub fn encode_roi(
 /// encoded through the reusable `scratch` arena. Output is bit-identical
 /// to [`encode_roi`].
 ///
-/// A call over more than four tiles splits them into one contiguous run
-/// per host core: the calling thread encodes the first run through
-/// `scratch`, and scoped threads encode the others through helper arenas
-/// `scratch` owns and keeps. Every tile's span and histogram samples are
-/// committed from the calling thread after the join, in mask order. The
-/// bytes are the same for any worker count.
+/// A call over more than four tiles fans out over the host's cores: the
+/// calling thread (through `scratch`) and one helper thread per extra
+/// core (through a helper arena; `scratch` owns and keeps both) claim the
+/// tiles one at a time. Every tile's span and histogram samples are
+/// committed from the calling thread after the last tile, in mask order.
+/// The bytes are the same for any worker count and schedule.
 ///
 /// # Errors
 ///
@@ -322,33 +331,33 @@ pub(crate) fn encode_roi_on(
     }
     let indices: Vec<TileIndex> = mask.iter_set().collect();
     let timed = scratch.timed();
-    let mut slots: Vec<Option<(Result<EncodedImage, CodecError>, TileTime)>> =
-        indices.iter().map(|_| None).collect();
-    let mut helpers = std::mem::take(&mut scratch.helpers);
-    fanout::run(
-        scratch,
-        &mut helpers,
-        workers,
-        &mut slots,
-        |arena, i, slot| {
-            let encoded = match grid.tile_view(image, indices[i]) {
-                Ok(view) => time_tile(timed, || {
-                    encode_view_uninstrumented(&view, config, budget_per_tile, arena)
-                }),
-                Err(e) => (
-                    Err(CodecError::Malformed {
-                        reason: e.to_string(),
-                    }),
-                    None,
-                ),
-            };
-            *slot = Some(encoded);
-        },
-    );
-    scratch.helpers = helpers;
+    let encoded: Vec<EncodedSlot> = if workers.min(indices.len()) <= 1 {
+        indices
+            .iter()
+            .map(|&index| encode_tile(image, grid, index, config, budget_per_tile, timed, scratch))
+            .collect()
+    } else {
+        // The helpers read the band from the job's own copy.
+        let job = EncodeTiles {
+            band: image.clone(),
+            grid: *grid,
+            indices: indices.clone(),
+            config: *config,
+            budget: budget_per_tile,
+            timed,
+            slots: indices.iter().map(|_| Mutex::new(None)).collect(),
+        };
+        let mut helpers = std::mem::take(&mut scratch.helpers);
+        let call = fanout::run(scratch, &mut helpers, workers, indices.len(), job);
+        scratch.helpers = helpers;
+        call.job()
+            .slots
+            .iter()
+            .map(|slot| lock(slot).take().expect("every tile is worked"))
+            .collect()
+    };
     let mut tiles = Vec::with_capacity(indices.len());
-    for (index, slot) in indices.iter().zip(slots) {
-        let (encoded, time) = slot.expect("every tile is worked");
+    for (index, (encoded, time)) in indices.iter().zip(encoded) {
         let encoded = encoded?;
         scratch.commit_encode(time, encoded.payload_len());
         tiles.push(EncodedTile {
@@ -362,6 +371,106 @@ pub(crate) fn encode_roi_on(
         tile_size: grid.tile_size() as u32,
         tiles,
     })
+}
+
+/// One tile's encode and its worker-side time.
+type EncodedSlot = (Result<EncodedImage, CodecError>, TileTime);
+
+/// One tile's decode and its worker-side time.
+type DecodedSlot = (Result<(), CodecError>, TileTime);
+
+/// Encodes tile `index` of `image` through `arena`.
+fn encode_tile(
+    image: &Raster,
+    grid: &TileGrid,
+    index: TileIndex,
+    config: &CodecConfig,
+    budget: usize,
+    timed: bool,
+    arena: &mut CodecScratch,
+) -> EncodedSlot {
+    match grid.tile_view(image, index) {
+        Ok(view) => time_tile(timed, || {
+            encode_view_uninstrumented(&view, config, budget, arena)
+        }),
+        Err(e) => (
+            Err(CodecError::Malformed {
+                reason: e.to_string(),
+            }),
+            None,
+        ),
+    }
+}
+
+/// Decodes `tile` of a grid of `tile_count` tiles into `out` through
+/// `arena`.
+fn decode_tile(
+    tile: &EncodedTile,
+    tile_count: usize,
+    timed: bool,
+    arena: &mut DecodeScratch,
+    out: &mut Raster,
+) -> DecodedSlot {
+    let flat = tile.flat_index as usize;
+    if flat >= tile_count {
+        return (
+            Err(CodecError::Malformed {
+                reason: format!("tile index {flat} out of range"),
+            }),
+            None,
+        );
+    }
+    let (decoded, time) = decode_tile_uninstrumented(&tile.image, timed, arena, out);
+    (decoded.map_err(CodecError::from), time)
+}
+
+/// A fanned-out ROI encode: a copy of the band, and one slot per tile.
+struct EncodeTiles {
+    band: Raster,
+    grid: TileGrid,
+    indices: Vec<TileIndex>,
+    config: CodecConfig,
+    budget: usize,
+    timed: bool,
+    slots: Vec<Mutex<Option<EncodedSlot>>>,
+}
+
+impl TileJob<CodecScratch> for EncodeTiles {
+    fn work(&self, arena: &mut CodecScratch, i: usize) {
+        let encoded = encode_tile(
+            &self.band,
+            &self.grid,
+            self.indices[i],
+            &self.config,
+            self.budget,
+            self.timed,
+            arena,
+        );
+        *lock(&self.slots[i]) = Some(encoded);
+    }
+}
+
+/// A fanned-out tile decode: the tiles, and one slot per tile holding
+/// its output raster.
+struct DecodeTiles {
+    tiles: Vec<EncodedTile>,
+    tile_count: usize,
+    timed: bool,
+    slots: Vec<Mutex<(Raster, Option<DecodedSlot>)>>,
+}
+
+impl TileJob<DecodeScratch> for DecodeTiles {
+    fn work(&self, arena: &mut DecodeScratch, i: usize) {
+        let mut slot = lock(&self.slots[i]);
+        let decoded = decode_tile(
+            &self.tiles[i],
+            self.tile_count,
+            self.timed,
+            arena,
+            &mut slot.0,
+        );
+        slot.1 = Some(decoded);
+    }
 }
 
 #[cfg(test)]

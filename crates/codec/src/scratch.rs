@@ -22,17 +22,20 @@
 //! of name lookups. Each call's one trace span feeds its latency
 //! histogram, and reads no clock while neither is enabled.
 //!
-//! Each arena also owns the helper arenas its ROI tile calls fan out to
-//! (one per extra worker, see `fanout`). After each fan-out the owner and
-//! its helpers are sized like one another (each buffer reserved to the
-//! largest capacity among them), so once the owner has reached its
-//! steady size, so have the helpers. Helpers carry no instrumentation: a
-//! helper's worker times each tile with one pair of clock reads, and the
-//! owning arena commits the tile's span and histogram samples after the
-//! join, in tile order. `reserved_bytes`, `grow_events` and `stages`
+//! Each arena also owns the helpers its ROI tile calls fan out to (one
+//! per extra worker, see `fanout`): a thread that sleeps between calls
+//! and ends when the arena is dropped, and the helper arena it codes
+//! through. Before each fan-out the helper arenas are sized like the
+//! owner, and after it the owner and its helpers are sized like one
+//! another (each buffer reserved to the largest capacity among them), so
+//! once the owner has reached its steady size no arena grows, whichever
+//! of them codes which tile. Helpers carry no instrumentation: a helper
+//! times each tile with one pair of clock reads, and the owning arena
+//! commits the tile's span and histogram samples after the call's last
+//! tile, in tile order. `reserved_bytes`, `grow_events` and `stages`
 //! count the helpers too.
 
-use crate::fanout::TileTime;
+use crate::fanout::{Helper, TileTime};
 use crate::image_codec::FormatVersion;
 use earthplus_telemetry::{names, Histogram, TelemetrySink, TraceSink};
 
@@ -67,7 +70,7 @@ fn reserve_to<T>(buffer: &mut Vec<T>, capacity: usize) {
 }
 
 /// An arena a fan-out can hand to a helper worker.
-pub(crate) trait HelperArena: Default + Send {
+pub(crate) trait HelperArena: Default + Send + 'static {
     /// Reserves every buffer to at least `other`'s capacity, counting any
     /// growth as one grow event.
     fn size_like(&mut self, other: &Self);
@@ -131,8 +134,9 @@ pub struct CodecScratch {
     pub(crate) tracing: TraceSink,
     /// Per-stage wall-clock accumulators (see [`StageBreakdown`]).
     pub(crate) stages: StageBreakdown,
-    /// The arenas of the extra workers a fanned-out ROI encode runs on.
-    pub(crate) helpers: Vec<CodecScratch>,
+    /// The extra workers a fanned-out ROI encode runs on, each with its
+    /// own arena.
+    pub(crate) helpers: Vec<Helper<CodecScratch>>,
     /// Capacity sum observed after the previous encode call.
     last_capacity: usize,
     grow_events: u64,
@@ -147,7 +151,12 @@ impl CodecScratch {
     /// Total bytes currently reserved across all scratch buffers, helper
     /// arenas included.
     pub fn reserved_bytes(&self) -> usize {
-        self.own_reserved_bytes() + self.helpers.iter().map(Self::reserved_bytes).sum::<usize>()
+        self.own_reserved_bytes()
+            + self
+                .helpers
+                .iter()
+                .map(|h| h.arena().reserved_bytes())
+                .sum::<usize>()
     }
 
     fn own_reserved_bytes(&self) -> usize {
@@ -171,7 +180,12 @@ impl CodecScratch {
     /// this arena and its helpers. Stable across two identical workloads ⇔
     /// the second one allocated no scratch.
     pub fn grow_events(&self) -> u64 {
-        self.grow_events + self.helpers.iter().map(Self::grow_events).sum::<u64>()
+        self.grow_events
+            + self
+                .helpers
+                .iter()
+                .map(|h| h.arena().grow_events())
+                .sum::<u64>()
     }
 
     /// Wires this arena's encode instrumentation to `sink`: every encode
@@ -211,7 +225,7 @@ impl CodecScratch {
     pub fn stages(&self) -> StageBreakdown {
         self.helpers
             .iter()
-            .fold(self.stages, |sum, h| sum.plus(&h.stages()))
+            .fold(self.stages, |sum, h| sum.plus(&h.arena().stages()))
     }
 
     /// Whether an encode's time has a consumer: the recorder or the
@@ -310,8 +324,9 @@ pub struct DecodeScratch {
     pub(crate) tracing: TraceSink,
     /// Per-stage wall-clock accumulators (see [`StageBreakdown`]).
     pub(crate) stages: StageBreakdown,
-    /// The arenas of the extra workers a fanned-out tile decode runs on.
-    pub(crate) helpers: Vec<DecodeScratch>,
+    /// The extra workers a fanned-out tile decode runs on, each with its
+    /// own arena.
+    pub(crate) helpers: Vec<Helper<DecodeScratch>>,
     /// Payload bytes the last decode call handed to the bitplane decoders
     /// — the byte-access counter the seek tests assert against (an
     /// LL-only decode of an EPC2 stream must never touch bytes past the
@@ -331,7 +346,12 @@ impl DecodeScratch {
     /// Total bytes currently reserved across all scratch buffers, helper
     /// arenas included.
     pub fn reserved_bytes(&self) -> usize {
-        self.own_reserved_bytes() + self.helpers.iter().map(Self::reserved_bytes).sum::<usize>()
+        self.own_reserved_bytes()
+            + self
+                .helpers
+                .iter()
+                .map(|h| h.arena().reserved_bytes())
+                .sum::<usize>()
     }
 
     fn own_reserved_bytes(&self) -> usize {
@@ -353,7 +373,12 @@ impl DecodeScratch {
     /// this arena and its helpers. Stable across two identical workloads
     /// ⇔ the second one allocated no scratch.
     pub fn grow_events(&self) -> u64 {
-        self.grow_events + self.helpers.iter().map(Self::grow_events).sum::<u64>()
+        self.grow_events
+            + self
+                .helpers
+                .iter()
+                .map(|h| h.arena().grow_events())
+                .sum::<u64>()
     }
 
     /// Wires this arena's decode instrumentation to `sink`: every decode
@@ -402,7 +427,7 @@ impl DecodeScratch {
     pub fn stages(&self) -> StageBreakdown {
         self.helpers
             .iter()
-            .fold(self.stages, |sum, h| sum.plus(&h.stages()))
+            .fold(self.stages, |sum, h| sum.plus(&h.arena().stages()))
     }
 
     /// The span name and latency histogram of a decode of a `format`
