@@ -105,6 +105,13 @@
 //! overlap in time, so they would exceed the wall time they are split
 //! against.
 //!
+//! Since schema 13 `decode_full` times a public [`decode_into`] that
+//! fans the stream's coded subband chunks out over every host core
+//! (`workers`: a 256² band is at the codec's serial cut). Its per-stage
+//! seconds are summed over the calling thread's and the helpers' arenas,
+//! which run concurrently, so they can exceed the row's wall `seconds`,
+//! and `other_s` then floors at zero. `decode_full_epc1` stays serial.
+//!
 //! Since schema 11 the baseline also times the ground segment's
 //! pass boundary (`pass_boundary`): `quiesce` + `replicate` + `maintain`
 //! on a two-station, one-replica, 16-shard pipelined store whose replicas
@@ -556,6 +563,14 @@ fn main() {
     decode_into(&full_enc, 0, &mut dscratch, &mut dec_out).expect("full decode");
     let _ = downsample_box(&dec_out, ds_factor).expect("downsample");
     decode_into(&full_enc1, 0, &mut dscratch, &mut dec_out).expect("full EPC1 decode");
+    // A 256² output is at the codec's serial cut, so the EPC2 decode fans
+    // its coded chunks out.
+    let coded_chunks = full_enc
+        .subbands()
+        .iter()
+        .filter(|c| c.planes > 0 && !c.offsets.is_empty())
+        .count();
+    let decode_workers = available_cores().min(coded_chunks);
     let decode_grow_before = dscratch.grow_events();
     let (mut dec_full_times, mut dec_epc1_times, mut dec_ll_times, mut ll_speedups) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
@@ -918,7 +933,7 @@ fn main() {
         dec_epc1_stages.report(dec_epc1_s);
     let json = format!(
         r#"{{
-  "schema": 12,
+  "schema": 13,
   "scenario": "Earth+ strategy on the quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
   "mode": "{mode}",
   "samples": {reps},
@@ -955,6 +970,7 @@ fn main() {
     "format": "EPC2",
     "seconds": {dec_full_s:.6},
     "mpix_per_s": {decode_full_mpix_s:.3},
+    "workers": {decode_workers},
     "stages": {{
       "bitplane_s": {dec_bitplane_s:.6},
       "dequantize_s": {dec_quant_s:.6},

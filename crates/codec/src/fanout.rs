@@ -1,12 +1,17 @@
-//! Fanning a band's ROI tiles out over the host's cores.
+//! Fanning a band's ROI tiles, or a whole band's subband chunks, out over
+//! the host's cores.
 //!
 //! Every ROI tile is an independent embedded stream (§5), so a band's
-//! tiles can be encoded, or decoded, on separate threads. The calling
-//! thread and one helper per extra worker, each with an arena of its own
-//! (the caller's, or a helper arena the caller's owns), claim the tiles
-//! one at a time from a shared counter until none is left. Each tile's
-//! result lands in its own slot, so the output is in mask order and the
-//! same bytes and bits for any worker count and any schedule.
+//! tiles can be encoded, or decoded, on separate threads; and every EPC2
+//! subband chunk is an independent range-coder chain, so a whole band's
+//! chunks can be decoded on separate threads too. The calling thread and
+//! one helper per extra worker, each with an arena of its own (the
+//! caller's, or a helper arena the caller's owns), claim the tiles or
+//! chunks one at a time from a shared counter until none is left. Each
+//! result lands in its own slot, and the calling thread puts the slots
+//! back in stream order, so the output is the same bytes and bits for any
+//! worker count and any schedule. A band's chunks are claimed longest
+//! payload first, so the largest chunk does not start last.
 //!
 //! A helper is a thread that lives as long as the arena owning it and
 //! sleeps on its queue between calls; a call hands it an owned copy of
@@ -24,7 +29,9 @@
 //! and its helpers are sized like one another, buffer by buffer. A
 //! helper that only ever codes tiles reaches its steady size when the
 //! calling thread's arena does, even when that arena also codes whole
-//! bands, and a second identical call grows nothing.
+//! bands, and a second identical call grows nothing. A chunk decode's
+//! inverse DWT runs on the calling thread after the fan-out, so that
+//! decode sizes every helper like the caller once more at its end.
 
 use crate::scratch::HelperArena;
 use std::any::Any;
@@ -52,6 +59,30 @@ pub(crate) fn tile_workers(tiles: usize) -> usize {
     }
 }
 
+/// Decodes whose output holds fewer pixels than this decode their
+/// subband chunks on the calling thread. On a 2-core x86-64 host, one
+/// square EPC2 stream at γ = 1 bpp decoded on two workers against one,
+/// in isolation, at 1.06× for 64 px (≈ 30 µs calls), 1.28× for 128 px
+/// (≈ 0.11 ms), 1.45–1.59× for 160–192 px and 1.56–1.68× for 256 px
+/// (≈ 0.6 ms); full-rate streams read 1.6–1.8× from 64 px up. Isolation
+/// overstates small calls: in the mission benchmark, fanning out ROI tile
+/// calls of ≈ 0.1–0.2 ms lost their isolated gain to helper wake-ups (see
+/// [`SERIAL_TILE_LIMIT`]). So the cut sits at 256², where a call is
+/// several wake-ups long, and every 64-px tile (already fanned out per
+/// tile), LL-only and reduced reference decode stays serial.
+pub(crate) const SERIAL_CHUNK_PIXELS: usize = 256 * 256;
+
+/// Workers for the subband chunks of one decode with `pixels` output
+/// pixels: one per host core, and one below [`SERIAL_CHUNK_PIXELS`]
+/// ([`run`] clamps the count to the coded chunks).
+pub(crate) fn chunk_workers(pixels: usize) -> usize {
+    if pixels < SERIAL_CHUNK_PIXELS {
+        1
+    } else {
+        earthplus_raster::available_cores()
+    }
+}
+
 /// A tile's start and end instants, read on its worker; `None` when
 /// nothing consumes the time (the instrumentation is committed after the
 /// call, on the calling thread, in tile order).
@@ -67,8 +98,8 @@ pub(crate) fn time_tile<R>(timed: bool, work: impl FnOnce() -> R) -> (R, TileTim
     (out, Some((start, Instant::now())))
 }
 
-/// One call's tiles: owned inputs and one result slot per tile, shared
-/// by the calling thread and the helpers.
+/// One call's tiles (or subband chunks): owned inputs and one result slot
+/// per tile, shared by the calling thread and the helpers.
 pub(crate) trait TileJob<A>: Send + Sync + 'static {
     /// Codes tile `i` through `arena` into its slot.
     fn work(&self, arena: &mut A, i: usize);

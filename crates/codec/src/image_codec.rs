@@ -32,11 +32,12 @@
 use crate::bitplane::{self, encode_planes_until, MAX_PLANES};
 use crate::dwt::{self, Wavelet};
 use crate::exp_golomb::{self, BitReader, BitWriter};
-use crate::fanout::{time_tile, TileTime};
-use crate::scratch::{CodecScratch, DecodeScratch};
+use crate::fanout::{self, chunk_workers, lock, time_tile, TileJob, TileTime};
+use crate::scratch::{reserve_to, CodecScratch, DecodeScratch};
 use crate::{CodecError, DecodeError};
 use bytes::{Buf, BufMut, Bytes};
 use earthplus_raster::{Raster, TileView};
+use std::sync::Mutex;
 
 /// Magic number identifying an encoded image ("EP" wavelet codec).
 const MAGIC: u32 = 0x4550_5743;
@@ -922,10 +923,37 @@ pub fn decode_ll_only(
 /// decode that discards the finest `discard_levels` levels. Pass 0 for a
 /// full-resolution decode.
 ///
+/// An EPC2 decode whose output holds at least 256² pixels fans its coded
+/// subband chunks out over the host's cores: the calling thread (through
+/// `scratch`) and one helper thread per extra core (which `scratch` owns
+/// and keeps) claim the chunks, and the calling thread assembles them and
+/// runs the inverse DWT. The output is the same bits for any core count
+/// and schedule. Smaller decodes stay on the calling thread.
+///
 /// # Errors
 ///
 /// As [`decode`]; on error `out`'s contents are unspecified.
 pub fn decode_into(
+    encoded: &EncodedImage,
+    discard_levels: u8,
+    scratch: &mut DecodeScratch,
+    out: &mut Raster,
+) -> Result<(), DecodeError> {
+    let (rw, rh) = encoded.reduced_dimensions(discard_levels);
+    decode_into_on(
+        chunk_workers(rw * rh),
+        encoded,
+        discard_levels,
+        scratch,
+        out,
+    )
+}
+
+/// [`decode_into`] with an EPC2 stream's coded subband chunks on
+/// `workers` workers (see [`decode_epc2_fanned`]); 1 keeps the serial
+/// chunk loop.
+pub(crate) fn decode_into_on(
+    workers: usize,
     encoded: &EncodedImage,
     discard_levels: u8,
     scratch: &mut DecodeScratch,
@@ -940,7 +968,7 @@ pub fn decode_into(
     let mut trace = scratch.tracing.span("codec", name).record_into(hist);
     trace.arg("payload_bytes", encoded.payload_len());
     trace.arg("discard_levels", k);
-    decode_checked(encoded, k, scratch, out)
+    decode_checked(encoded, k, workers, scratch, out)
 }
 
 /// A full decode of one ROI tile into `out` without its trace span and
@@ -949,7 +977,8 @@ pub fn decode_into(
 /// calling thread commits the span after the call (see
 /// [`DecodeScratch::commit_decode`]). The time is `None` when untimed or
 /// when the stream is empty, which [`decode_into`] records no span for
-/// either.
+/// either. The tile's chunks stay on its worker: a tile call is already
+/// fanned out per tile, so a helper arena never fans out.
 pub(crate) fn decode_tile_uninstrumented(
     encoded: &EncodedImage,
     timed: bool,
@@ -959,7 +988,7 @@ pub(crate) fn decode_tile_uninstrumented(
     match check_decodable(encoded, 0, scratch, out) {
         Err(e) => (Err(e), None),
         Ok(None) => (Ok(()), None),
-        Ok(Some(k)) => time_tile(timed, || decode_checked(encoded, k, scratch, out)),
+        Ok(Some(k)) => time_tile(timed, || decode_checked(encoded, k, 1, scratch, out)),
     }
 }
 
@@ -998,10 +1027,12 @@ fn check_decodable(
 }
 
 /// Seek, bitplane decode, dequantization and inverse DWT of a stream
-/// [`check_decodable`] accepted, discarding its finest `k` levels.
+/// [`check_decodable`] accepted, discarding its finest `k` levels, with
+/// an EPC2 stream's chunks on `workers` workers.
 fn decode_checked(
     encoded: &EncodedImage,
     k: u8,
+    workers: usize,
     scratch: &mut DecodeScratch,
     out: &mut Raster,
 ) -> Result<(), DecodeError> {
@@ -1019,7 +1050,8 @@ fn decode_checked(
             // straight back in — no allocation, and the chunk loop can
             // borrow `scratch` for the bitplane decoders.
             let mut rects = std::mem::take(&mut scratch.sb_rects);
-            let result = decode_epc2_reduced(encoded, w, h, rw, rh, keep, &mut rects, scratch);
+            let result =
+                decode_epc2_reduced(encoded, w, h, rw, rh, keep, workers, &mut rects, scratch);
             scratch.sb_rects = rects;
             result?;
         }
@@ -1055,6 +1087,11 @@ fn decode_checked(
         *dst = (v / norm).clamp(0.0, 1.0);
     }
     scratch.stages.quantize += t.elapsed();
+    if workers > 1 && encoded.format == FormatVersion::Epc2 {
+        // The inverse DWT above can grow the caller's arena after the
+        // fan-out has sized its helpers.
+        scratch.size_helpers();
+    }
     scratch.track_growth();
     Ok(())
 }
@@ -1114,6 +1151,22 @@ fn decode_chunk(
     if planes == 0 || offsets.is_empty() {
         return Ok(None);
     }
+    Ok(Some(decode_coded_chain(
+        encoded, payload, planes, offsets, width, count, scratch,
+    )))
+}
+
+/// The bitplane decode of a chain [`decode_chunk`] accepted and found
+/// coded, returning its reconstruction bias.
+fn decode_coded_chain(
+    encoded: &EncodedImage,
+    payload: &[u8],
+    planes: u8,
+    offsets: &[u32],
+    width: usize,
+    count: usize,
+    scratch: &mut DecodeScratch,
+) -> f32 {
     let t = std::time::Instant::now();
     let passes = bitplane::decode_planes_core(
         payload,
@@ -1128,13 +1181,13 @@ fn decode_chunk(
     let lowest_plane = planes as usize - passes.div_ceil(2);
     let reversible =
         encoded.wavelet == Wavelet::Cdf53 && encoded.quant_step == 1.0 && lowest_plane == 0;
-    Ok(Some(if reversible {
+    if reversible {
         0.0
     } else if lowest_plane > 0 {
         (1u32 << lowest_plane) as f32 * 0.5
     } else {
         0.5
-    }))
+    }
 }
 
 /// EPC1: one global chain over the whole Mallat layout. A partial decode
@@ -1184,6 +1237,9 @@ fn decode_epc1_reduced(
 /// payload entirely. Chunks cut off by truncation reconstruct as zero, and
 /// the mid-tread bias is applied per subband at that subband's lowest
 /// decoded plane.
+///
+/// On more than one worker the coded chunks fan out instead
+/// ([`decode_epc2_fanned`]).
 #[allow(clippy::too_many_arguments)]
 fn decode_epc2_reduced(
     encoded: &EncodedImage,
@@ -1192,6 +1248,7 @@ fn decode_epc2_reduced(
     rw: usize,
     rh: usize,
     keep: u8,
+    workers: usize,
     rects: &mut Vec<dwt::SubbandRect>,
     scratch: &mut DecodeScratch,
 ) -> Result<(), DecodeError> {
@@ -1206,6 +1263,9 @@ fn decode_epc2_reduced(
         });
     }
     dwt::subband_rects_into(rw, rh, keep, rects);
+    if workers > 1 {
+        return decode_epc2_fanned(encoded, rw, rects, workers, scratch);
+    }
     let payload = &encoded.payload[..];
     let mut start = 0usize;
     for (rect, chunk) in rects.iter().zip(&encoded.subbands) {
@@ -1245,6 +1305,123 @@ fn decode_epc2_reduced(
         scratch.stages.quantize += t.elapsed();
     }
     Ok(())
+}
+
+/// The kept EPC2 chunks of one decode on `workers` workers: the calling
+/// thread (through `scratch`) and the arena's helpers claim the coded
+/// chunks longest payload first, and each worker bitplane-decodes and
+/// dequantizes a chunk into that chunk's own buffer (lent by `scratch`
+/// for the call). The calling thread then copies every buffer into its
+/// rect of the coefficient plane, so the plane holds the serial loop's
+/// bits for any worker count and schedule. Every kept chunk is checked
+/// in stream order before any is decoded, so a malformed stream fails
+/// with the serial loop's error.
+fn decode_epc2_fanned(
+    encoded: &EncodedImage,
+    rw: usize,
+    rects: &[dwt::SubbandRect],
+    workers: usize,
+    scratch: &mut DecodeScratch,
+) -> Result<(), DecodeError> {
+    let chunks = &encoded.subbands[..rects.len()];
+    let payload_len = encoded.payload.len();
+    let mut ranges = Vec::with_capacity(chunks.len());
+    let mut start = 0usize;
+    for chunk in chunks {
+        if chunk.offsets.windows(2).any(|o| o[0] > o[1]) {
+            return Err(DecodeError::Malformed {
+                reason: "EPC2 chunk offsets not monotone".to_owned(),
+            });
+        }
+        if chunk.planes > MAX_PLANES {
+            return Err(DecodeError::TooManyPlanes {
+                planes: chunk.planes,
+            });
+        }
+        ranges.push(start.min(payload_len)..(start + chunk.len()).min(payload_len));
+        start += chunk.len();
+    }
+    let mut order: Vec<usize> = (0..chunks.len())
+        .filter(|&c| chunks[c].planes > 0 && !chunks[c].offsets.is_empty())
+        .collect();
+    // Stable: equal lengths keep stream order.
+    order.sort_by_key(|&c| std::cmp::Reverse(ranges[c].len()));
+    // Every kept chunk's buffer is reserved, coded or not, so which
+    // chunks a stream codes never grows the arena later.
+    if scratch.chunk_coeffs.len() < rects.len() {
+        scratch.chunk_coeffs.resize_with(rects.len(), Vec::new);
+    }
+    for (buffer, rect) in scratch.chunk_coeffs.iter_mut().zip(rects) {
+        reserve_to(buffer, rect.count());
+    }
+    let job = DecodeChunks {
+        slots: order
+            .iter()
+            .map(|&c| Mutex::new(std::mem::take(&mut scratch.chunk_coeffs[c])))
+            .collect(),
+        encoded: encoded.clone(),
+        rects: rects.to_vec(),
+        ranges,
+        order,
+    };
+    let mut helpers = std::mem::take(&mut scratch.helpers);
+    let call = fanout::run(scratch, &mut helpers, workers, job.order.len(), job);
+    scratch.helpers = helpers;
+    let job = call.job();
+    scratch.payload_bytes_read = job.ranges.iter().map(|range| range.len()).sum();
+    let t = std::time::Instant::now();
+    for (&c, slot) in job.order.iter().zip(&job.slots) {
+        let buffer = std::mem::take(&mut *lock(slot));
+        let rect = rects[c];
+        for (r, row) in buffer.chunks_exact(rect.w).enumerate() {
+            let base = (rect.y0 + r) * rw + rect.x0;
+            scratch.coeffs[base..base + rect.w].copy_from_slice(row);
+        }
+        scratch.chunk_coeffs[c] = buffer;
+    }
+    scratch.stages.quantize += t.elapsed();
+    Ok(())
+}
+
+/// A fanned-out EPC2 decode: the stream, its kept chunks' rects and
+/// payload ranges, the coded chunks in claim order, and one buffer per
+/// coded chunk, in that order.
+struct DecodeChunks {
+    encoded: EncodedImage,
+    rects: Vec<dwt::SubbandRect>,
+    ranges: Vec<std::ops::Range<usize>>,
+    order: Vec<usize>,
+    slots: Vec<Mutex<Vec<f32>>>,
+}
+
+impl TileJob<DecodeScratch> for DecodeChunks {
+    fn work(&self, arena: &mut DecodeScratch, i: usize) {
+        let c = self.order[i];
+        let (rect, chunk) = (self.rects[c], &self.encoded.subbands[c]);
+        let bias = decode_coded_chain(
+            &self.encoded,
+            &self.encoded.payload[self.ranges[c].clone()],
+            chunk.planes,
+            &chunk.offsets,
+            rect.w,
+            rect.count(),
+            arena,
+        );
+        let t = std::time::Instant::now();
+        let mut buffer = lock(&self.slots[i]);
+        // Every coefficient is written below, so a buffer already at the
+        // chunk's size is not cleared first.
+        buffer.resize(rect.count(), 0.0);
+        dequantize_row_fused(
+            &arena.mag,
+            &arena.neg_words,
+            0,
+            &mut buffer,
+            bias,
+            self.encoded.quant_step,
+        );
+        arena.stages.quantize += t.elapsed();
+    }
 }
 
 #[cfg(test)]
@@ -1418,5 +1595,123 @@ mod tests {
             budget * 3 < raw_bytes,
             "35dB needs {budget} bytes vs raw {raw_bytes}"
         );
+    }
+
+    /// Every decode of `stream`, at every resolution, on `workers`
+    /// workers through `scratch`: the bits and the payload bytes read.
+    fn decodes_on(
+        workers: usize,
+        stream: &EncodedImage,
+        scratch: &mut DecodeScratch,
+    ) -> Vec<(Vec<u32>, usize)> {
+        let mut out = Raster::new(0, 0);
+        (0..=stream.levels())
+            .map(|k| {
+                decode_into_on(workers, stream, k, scratch, &mut out).unwrap();
+                let bits = out.as_slice().iter().map(|v| v.to_bits()).collect();
+                (bits, scratch.payload_bytes_read())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunk_decode_is_independent_of_worker_count() {
+        let config = CodecConfig::lossy();
+        let mut enc = CodecScratch::new();
+        let band = natural_image(512, 512, 23);
+        let view = band.view(0, 0, 512, 512);
+        let odd = natural_image(300, 217, 5);
+        let full_rate = encode(&natural_image(256, 256, 9), &config).unwrap();
+        let streams = [
+            encode_view_with_budget(&view, &config, 512 * 512 / 8, &mut enc).unwrap(),
+            // Cut inside a chunk: trailing chunks empty, one partly kept.
+            full_rate.truncated(full_rate.payload_len() / 3),
+            full_rate,
+            encode(&odd, &config).unwrap(),
+        ];
+        for stream in &streams {
+            let serial = decodes_on(1, stream, &mut DecodeScratch::new());
+            let chunks = stream.subbands().len();
+            for workers in [1, 2, 3, 7, chunks + 1] {
+                let mut scratch = DecodeScratch::new();
+                let what = format!("{}x{} on {workers}", stream.width(), stream.height());
+                assert!(
+                    decodes_on(workers, stream, &mut scratch) == serial,
+                    "{what}"
+                );
+                // The helpers are kept, and a repeat call grows nothing.
+                assert!(scratch.helpers.len() < workers.max(2), "{what}");
+                let grown = (scratch.grow_events(), scratch.reserved_bytes());
+                assert!(
+                    decodes_on(workers, stream, &mut scratch) == serial,
+                    "{what}"
+                );
+                assert_eq!(
+                    (scratch.grow_events(), scratch.reserved_bytes()),
+                    grown,
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn small_decodes_spawn_no_helper() {
+        use crate::{encode_roi, RoiBitstream};
+        use earthplus_raster::{TileGrid, TileMask};
+        assert_eq!(chunk_workers(64 * 64), 1);
+        let config = CodecConfig::lossy();
+        let mut scratch = DecodeScratch::new();
+        let tile = encode(&natural_image(64, 64, 3), &config).unwrap();
+        decode_into(&tile, 0, &mut scratch, &mut Raster::new(0, 0)).unwrap();
+        let stream = encode(&natural_image(128, 128, 4), &config).unwrap();
+        assert!(stream.levels() >= 4);
+        let partial = decode_level_limited(&stream, 4, &mut scratch).unwrap();
+        assert_eq!(partial.dimensions(), (8, 8));
+        assert!(scratch.helpers.is_empty());
+        // A fanned-out tile decode's helpers decode each tile serially.
+        let img = natural_image(256, 256, 6);
+        let grid = TileGrid::new(256, 256, 64).unwrap();
+        let mut mask = TileMask::new(&grid);
+        mask.fill();
+        let roi: RoiBitstream = encode_roi(&img, &grid, &mask, &config, 1024).unwrap();
+        roi.decode_tiles_with_scratch(&mut scratch).unwrap();
+        let helpers = &scratch.helpers;
+        assert!(helpers.iter().all(|h| h.arena().helpers.is_empty()));
+    }
+
+    #[test]
+    fn a_second_identical_sweep_grows_nothing() {
+        use crate::encode_roi_with_scratch;
+        use earthplus_raster::{TileGrid, TileMask};
+        let config = CodecConfig::lossy();
+        let grid = TileGrid::new(512, 512, 64).unwrap();
+        let mut mask = TileMask::new(&grid);
+        mask.fill();
+        let mut enc = CodecScratch::new();
+        let bands: Vec<Raster> = (0..2).map(|b| natural_image(512, 512, 40 + b)).collect();
+        let streams: Vec<_> = bands
+            .iter()
+            .map(|band| {
+                let roi = encode_roi_with_scratch(band, &grid, &mask, &config, 512, &mut enc);
+                let view = band.view(0, 0, 512, 512);
+                let image = encode_view_with_budget(&view, &config, 512 * 512 / 8, &mut enc);
+                (roi.unwrap(), image.unwrap())
+            })
+            .collect();
+        // The `codec_stream` order: ROI tiles, the whole band, LL only.
+        let mut scratch = DecodeScratch::new();
+        let mut out = Raster::new(0, 0);
+        let mut sweep = |scratch: &mut DecodeScratch| {
+            for (roi, image) in &streams {
+                roi.decode_tiles_with_scratch(scratch).unwrap();
+                decode_into(image, 0, scratch, &mut out).unwrap();
+                decode_ll_only(image, scratch).unwrap();
+            }
+            (scratch.grow_events(), scratch.reserved_bytes())
+        };
+        let first = sweep(&mut scratch);
+        assert!(first.0 > 0);
+        assert_eq!(sweep(&mut scratch), first);
     }
 }

@@ -22,9 +22,10 @@
 //! of name lookups. Each call's one trace span feeds its latency
 //! histogram, and reads no clock while neither is enabled.
 //!
-//! Each arena also owns the helpers its ROI tile calls fan out to (one
-//! per extra worker, see `fanout`): a thread that sleeps between calls
-//! and ends when the arena is dropped, and the helper arena it codes
+//! Each arena also owns the helpers its ROI tile calls, and a decode
+//! arena's whole-band EPC2 decodes, fan their tiles or subband chunks out
+//! to (one per extra worker, see `fanout`): a thread that sleeps between
+//! calls and ends when the arena is dropped, and the helper arena it codes
 //! through. Before each fan-out the helper arenas are sized like the
 //! owner, and after it the owner and its helpers are sized like one
 //! another (each buffer reserved to the largest capacity among them), so
@@ -32,8 +33,10 @@
 //! of them codes which tile. Helpers carry no instrumentation: a helper
 //! times each tile with one pair of clock reads, and the owning arena
 //! commits the tile's span and histogram samples after the call's last
-//! tile, in tile order. `reserved_bytes`, `grow_events` and `stages`
-//! count the helpers too.
+//! tile, in tile order. A whole-band decode keeps its one span on the
+//! calling thread. `reserved_bytes`, `grow_events` and `stages` count the
+//! helpers too, so a fanned-out decode's stage seconds are summed over
+//! concurrent workers.
 
 use crate::fanout::{Helper, TileTime};
 use crate::image_codec::FormatVersion;
@@ -63,7 +66,7 @@ pub struct StageBreakdown {
 }
 
 /// Reserves `buffer` to at least `capacity` elements.
-fn reserve_to<T>(buffer: &mut Vec<T>, capacity: usize) {
+pub(crate) fn reserve_to<T>(buffer: &mut Vec<T>, capacity: usize) {
     if buffer.capacity() < capacity {
         buffer.reserve_exact(capacity - buffer.len());
     }
@@ -324,8 +327,12 @@ pub struct DecodeScratch {
     pub(crate) tracing: TraceSink,
     /// Per-stage wall-clock accumulators (see [`StageBreakdown`]).
     pub(crate) stages: StageBreakdown,
-    /// The extra workers a fanned-out tile decode runs on, each with its
-    /// own arena.
+    /// Dequantized coefficients of each kept subband chunk of a
+    /// fanned-out EPC2 decode, lent to the call's workers and copied into
+    /// `coeffs` after it.
+    pub(crate) chunk_coeffs: Vec<Vec<f32>>,
+    /// The extra workers a fanned-out tile or chunk decode runs on, each
+    /// with its own arena.
     pub(crate) helpers: Vec<Helper<DecodeScratch>>,
     /// Payload bytes the last decode call handed to the bitplane decoders
     /// — the byte-access counter the seek tests assert against (an
@@ -367,6 +374,12 @@ impl DecodeScratch {
             + self.rowstart_words.capacity() * std::mem::size_of::<u64>()
             + self.rowend_words.capacity() * std::mem::size_of::<u64>()
             + self.sb_rects.capacity() * std::mem::size_of::<crate::dwt::SubbandRect>()
+            + self.chunk_coeffs.capacity() * std::mem::size_of::<Vec<f32>>()
+            + self
+                .chunk_coeffs
+                .iter()
+                .map(|c| c.capacity() * std::mem::size_of::<f32>())
+                .sum::<usize>()
     }
 
     /// How many decode calls had to grow at least one buffer, summed over
@@ -410,6 +423,15 @@ impl DecodeScratch {
     /// the property the byte-access tests pin down.
     pub fn payload_bytes_read(&self) -> usize {
         self.payload_bytes_read
+    }
+
+    /// Sizes every helper arena like this one, so a helper the last
+    /// fan-out left idle, or one sized before this arena grew, does not
+    /// grow in a later call.
+    pub(crate) fn size_helpers(&self) {
+        for helper in &self.helpers {
+            helper.arena().size_like(self);
+        }
     }
 
     /// Called at the end of every decode to account for buffer growth.

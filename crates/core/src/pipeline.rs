@@ -9,7 +9,10 @@
 //! bitstream format, same arenas, same PSNR definition).
 
 use crate::config::EarthPlusConfig;
-use crate::strategy::{masked_tile_mse, CaptureContext, CaptureReport, GroundBelief, StageTimings};
+use crate::strategy::{
+    masked_tile_mse, masked_tile_mse_mapped, CaptureContext, CaptureReport, GroundBelief,
+    StageTimings,
+};
 use earthplus_codec::{
     encode_roi_with_scratch, CodecConfig, CodecScratch, DecodeScratch, RoiBitstream,
 };
@@ -174,7 +177,7 @@ impl CapturePipeline {
             .expect("belief matches grid");
         }
         let mse = match alignment {
-            Some(a) => masked_tile_mse(&a.apply_to(belief), target, &grid, eval),
+            Some(a) => masked_tile_mse_mapped(belief, target, &grid, eval, |v| a.apply(v)),
             None => masked_tile_mse(belief, target, &grid, eval),
         };
         if let Some(mse) = mse {

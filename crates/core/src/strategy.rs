@@ -171,6 +171,19 @@ pub fn masked_tile_mse(
     grid: &TileGrid,
     eval_tiles: &TileMask,
 ) -> Option<f64> {
+    masked_tile_mse_mapped(belief, target, grid, eval_tiles, |v| v)
+}
+
+/// [`masked_tile_mse`] of `map` applied to every evaluated belief sample
+/// (an illumination alignment, say), without mapping a copy of the whole
+/// belief first.
+pub(crate) fn masked_tile_mse_mapped(
+    belief: &Raster,
+    target: &Raster,
+    grid: &TileGrid,
+    eval_tiles: &TileMask,
+    map: impl Fn(f32) -> f32,
+) -> Option<f64> {
     let mut sum = 0.0f64;
     let mut n = 0u64;
     for t in eval_tiles.iter_set() {
@@ -181,7 +194,7 @@ pub fn masked_tile_mse(
         let g = target.view(x0, y0, w, h);
         for (brow, grow) in b.rows().zip(g.rows()) {
             for (&bv, &gv) in brow.iter().zip(grow) {
-                let d = (bv - gv) as f64;
+                let d = (map(bv) - gv) as f64;
                 sum += d * d;
             }
         }
