@@ -25,13 +25,13 @@
 //!
 //! Which arena codes which tile depends on scheduling, but no arena's
 //! size does once the owner has reached its steady size: before each
-//! fan-out every helper is sized like the owner, and after it the owner
-//! and its helpers are sized like one another, buffer by buffer. A
-//! helper that only ever codes tiles reaches its steady size when the
-//! calling thread's arena does, even when that arena also codes whole
-//! bands, and a second identical call grows nothing. A chunk decode's
-//! inverse DWT runs on the calling thread after the fan-out, so that
-//! decode sizes every helper like the caller once more at its end.
+//! fan-out every working helper is sized like the owner, after it the
+//! owner and its helpers are sized like one another, buffer by buffer,
+//! and whenever the owner grows outside a fan-out (a serial call, or a
+//! chunk decode's inverse DWT) its helpers are sized like it at once. A
+//! helper reaches its steady size in the same call as the calling
+//! thread's arena, even when that arena also codes whole bands, and a
+//! second identical call grows nothing.
 
 use crate::scratch::HelperArena;
 use std::any::Any;
@@ -195,8 +195,9 @@ impl<A> std::fmt::Debug for Helper<A> {
 /// Works every tile of `job` once, on `workers` workers (clamped to
 /// `1..=tiles`): the calling thread through `arena`, the helpers through
 /// theirs. `helpers` grows to `workers - 1` on first need and is kept
-/// for the next call. The helpers are sized like `arena` before the
-/// fan-out, and `arena` and the helpers like one another after it.
+/// for the next call. The working helpers are sized like `arena` before
+/// the fan-out; after it `arena` is sized like them, and every helper
+/// like `arena`.
 pub(crate) fn run<A, J>(
     arena: &mut A,
     helpers: &mut Vec<Helper<A>>,
@@ -241,7 +242,7 @@ where
         for helper in &helpers[..workers - 1] {
             arena.size_like(&helper.arena());
         }
-        for helper in &helpers[..workers - 1] {
+        for helper in helpers.iter() {
             helper.arena().size_like(arena);
         }
     }

@@ -134,6 +134,16 @@ impl SubbandChunk {
     fn len(&self) -> usize {
         self.offsets.last().copied().unwrap_or(0) as usize
     }
+
+    /// Rejects pass offsets that run backwards.
+    fn check_monotone(&self) -> Result<(), DecodeError> {
+        if self.offsets.windows(2).any(|o| o[0] > o[1]) {
+            return Err(DecodeError::Malformed {
+                reason: "EPC2 chunk offsets not monotone".to_owned(),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// An encoded image: header plus embedded payload.
@@ -1087,11 +1097,6 @@ fn decode_checked(
         *dst = (v / norm).clamp(0.0, 1.0);
     }
     scratch.stages.quantize += t.elapsed();
-    if workers > 1 && encoded.format == FormatVersion::Epc2 {
-        // The inverse DWT above can grow the caller's arena after the
-        // fan-out has sized its helpers.
-        scratch.size_helpers();
-    }
     scratch.track_growth();
     Ok(())
 }
@@ -1269,11 +1274,7 @@ fn decode_epc2_reduced(
     let payload = &encoded.payload[..];
     let mut start = 0usize;
     for (rect, chunk) in rects.iter().zip(&encoded.subbands) {
-        if chunk.offsets.windows(2).any(|o| o[0] > o[1]) {
-            return Err(DecodeError::Malformed {
-                reason: "EPC2 chunk offsets not monotone".to_owned(),
-            });
-        }
+        chunk.check_monotone()?;
         let chunk_len = chunk.len();
         let lo = start.min(payload.len());
         let hi = (start + chunk_len).min(payload.len());
@@ -1328,11 +1329,7 @@ fn decode_epc2_fanned(
     let mut ranges = Vec::with_capacity(chunks.len());
     let mut start = 0usize;
     for chunk in chunks {
-        if chunk.offsets.windows(2).any(|o| o[0] > o[1]) {
-            return Err(DecodeError::Malformed {
-                reason: "EPC2 chunk offsets not monotone".to_owned(),
-            });
-        }
+        chunk.check_monotone()?;
         if chunk.planes > MAX_PLANES {
             return Err(DecodeError::TooManyPlanes {
                 planes: chunk.planes,
@@ -1689,25 +1686,21 @@ mod tests {
         let mut mask = TileMask::new(&grid);
         mask.fill();
         let mut enc = CodecScratch::new();
-        let bands: Vec<Raster> = (0..2).map(|b| natural_image(512, 512, 40 + b)).collect();
-        let streams: Vec<_> = bands
-            .iter()
-            .map(|band| {
-                let roi = encode_roi_with_scratch(band, &grid, &mask, &config, 512, &mut enc);
-                let view = band.view(0, 0, 512, 512);
-                let image = encode_view_with_budget(&view, &config, 512 * 512 / 8, &mut enc);
-                (roi.unwrap(), image.unwrap())
-            })
-            .collect();
-        // The `codec_stream` order: ROI tiles, the whole band, LL only.
+        let band = natural_image(512, 512, 40);
+        let roi = encode_roi_with_scratch(&band, &grid, &mask, &config, 512, &mut enc).unwrap();
+        let view = band.view(0, 0, 512, 512);
+        let image = encode_view_with_budget(&view, &config, 512 * 512 / 8, &mut enc).unwrap();
+        let epc1 = crate::reference::encode_reference(&band, &config).unwrap();
+        // The `codec_stream` order (ROI tiles, the whole band, LL only),
+        // then a serial EPC1 decode that grows the calling thread's arena
+        // after the fan-outs.
         let mut scratch = DecodeScratch::new();
         let mut out = Raster::new(0, 0);
         let mut sweep = |scratch: &mut DecodeScratch| {
-            for (roi, image) in &streams {
-                roi.decode_tiles_with_scratch(scratch).unwrap();
-                decode_into(image, 0, scratch, &mut out).unwrap();
-                decode_ll_only(image, scratch).unwrap();
-            }
+            roi.decode_tiles_with_scratch(scratch).unwrap();
+            decode_into(&image, 0, scratch, &mut out).unwrap();
+            decode_ll_only(&image, scratch).unwrap();
+            decode_into(&epc1, 0, scratch, &mut out).unwrap();
             (scratch.grow_events(), scratch.reserved_bytes())
         };
         let first = sweep(&mut scratch);

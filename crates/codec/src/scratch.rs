@@ -214,11 +214,17 @@ impl CodecScratch {
     }
 
     /// Called at the end of every encode to account for buffer growth.
+    /// The helpers are sized like this arena as soon as it grows, so
+    /// growth in a serial call does not reach them only at the next
+    /// fan-out.
     pub(crate) fn track_growth(&mut self) {
         let now = self.own_reserved_bytes();
         if now > self.last_capacity {
             self.grow_events += 1;
             self.last_capacity = now;
+            for helper in &self.helpers {
+                helper.arena().size_like(self);
+            }
         }
     }
 
@@ -425,21 +431,18 @@ impl DecodeScratch {
         self.payload_bytes_read
     }
 
-    /// Sizes every helper arena like this one, so a helper the last
-    /// fan-out left idle, or one sized before this arena grew, does not
-    /// grow in a later call.
-    pub(crate) fn size_helpers(&self) {
-        for helper in &self.helpers {
-            helper.arena().size_like(self);
-        }
-    }
-
     /// Called at the end of every decode to account for buffer growth.
+    /// The helpers are sized like this arena as soon as it grows, so
+    /// growth in a serial call, or in a chunk decode's inverse DWT, does
+    /// not reach them only at the next fan-out.
     pub(crate) fn track_growth(&mut self) {
         let now = self.own_reserved_bytes();
         if now > self.last_capacity {
             self.grow_events += 1;
             self.last_capacity = now;
+            for helper in &self.helpers {
+                helper.arena().size_like(self);
+            }
         }
     }
 
