@@ -108,9 +108,18 @@
 //! Since schema 13 `decode_full` times a public [`decode_into`] that
 //! fans the stream's coded subband chunks out over every host core
 //! (`workers`: a 256² band is at the codec's serial cut). Its per-stage
-//! seconds are summed over the calling thread's and the helpers' arenas,
-//! which run concurrently, so they can exceed the row's wall `seconds`,
-//! and `other_s` then floors at zero. `decode_full_epc1` stays serial.
+//! seconds are summed over the calling thread and the pool workers that
+//! decoded its chunks, which run concurrently, so they can exceed the
+//! row's wall `seconds`. `decode_full_epc1` stays serial.
+//!
+//! Since schema 14 `encode_full_band` and `decode_full` report, beside
+//! the calling thread's wall time per call (`seconds`), the stage time of
+//! the same fanned-out call summed over its workers (`busy_s`), and every
+//! row's `other_s` is derived from wall time: the row's wall seconds less
+//! its stage seconds spread over its workers (`workers`; 1 for the serial
+//! rows and for `encode_full_band`'s stage split, which comes from the
+//! serial run), floored at zero. Before it, `decode_full`'s summed stages
+//! exceeded its wall time and `other_s` read zero.
 //!
 //! Since schema 11 the baseline also times the ground segment's
 //! pass boundary (`pass_boundary`): `quiesce` + `replicate` + `maintain`
@@ -221,14 +230,24 @@ impl StageSamples {
     }
 
     /// `(dwt_s, bitplane_s, quantize_s, other_s)` medians; `other_s` is
-    /// the stage-untracked remainder of `total_s` (headers, subband
-    /// gathers, copies), floored at zero against timer jitter.
-    fn report(mut self, total_s: f64) -> (f64, f64, f64, f64) {
+    /// the part of the wall time `wall_s` the stages do not cover when
+    /// spread over the call's `workers` (headers, subband gathers, copies,
+    /// and waits on workers), floored at zero against timer jitter.
+    fn report(mut self, wall_s: f64, workers: usize) -> (f64, f64, f64, f64) {
         let dwt = median(&mut self.dwt);
         let bitplane = median(&mut self.bitplane);
         let quantize = median(&mut self.quantize);
-        let other = (total_s - dwt - bitplane - quantize).max(0.0);
+        let other = (wall_s - (dwt + bitplane + quantize) / workers as f64).max(0.0);
         (dwt, bitplane, quantize, other)
+    }
+
+    /// Median per-call stage seconds, summed over the stages (and so over
+    /// every worker that ran them).
+    fn busy(&self) -> f64 {
+        let mut sums: Vec<f64> = (0..self.dwt.len())
+            .map(|i| self.dwt[i] + self.bitplane[i] + self.quantize[i])
+            .collect();
+        median(&mut sums)
     }
 }
 
@@ -516,13 +535,16 @@ fn main() {
     let (mut ref_times, mut epc2_times, mut epc2_vs_ref) = (Vec::new(), Vec::new(), Vec::new());
     let mut serial_times = Vec::new();
     let mut enc_stages = StageSamples::default();
+    let mut fanned_stages = StageSamples::default();
     for _ in 0..reps.max(8) {
         let t = Instant::now();
         let _ = reference::encode_roi_reference(&band_raster, &grid, &all, &codec, budget);
         let r = t.elapsed().as_secs_f64();
+        let s0 = scratch.stages();
         let t = Instant::now();
         let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &codec, budget, &mut scratch);
         let n2 = t.elapsed().as_secs_f64();
+        fanned_stages.push(stage_delta(s0, scratch.stages()));
         let s0 = serial_scratch.stages();
         let t = Instant::now();
         let _ = serial_encode(&mut serial_scratch);
@@ -927,13 +949,16 @@ fn main() {
     drop(boundary);
     let _ = std::fs::remove_dir_all(&scratch_root);
 
-    let (enc_dwt_s, enc_bitplane_s, enc_quant_s, enc_other_s) = enc_stages.report(serial_s);
-    let (dec_dwt_s, dec_bitplane_s, dec_quant_s, dec_other_s) = dec_stages.report(dec_full_s);
+    let enc_busy_s = fanned_stages.busy();
+    let dec_busy_s = dec_stages.busy();
+    let (enc_dwt_s, enc_bitplane_s, enc_quant_s, enc_other_s) = enc_stages.report(serial_s, 1);
+    let (dec_dwt_s, dec_bitplane_s, dec_quant_s, dec_other_s) =
+        dec_stages.report(dec_full_s, decode_workers);
     let (dec1_dwt_s, dec1_bitplane_s, dec1_quant_s, dec1_other_s) =
-        dec_epc1_stages.report(dec_epc1_s);
+        dec_epc1_stages.report(dec_epc1_s, 1);
     let json = format!(
         r#"{{
-  "schema": 13,
+  "schema": 14,
   "scenario": "Earth+ strategy on the quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
   "mode": "{mode}",
   "samples": {reps},
@@ -949,6 +974,7 @@ fn main() {
   "encode_full_band": {{
     "format": "EPC2",
     "seconds": {epc2_s:.6},
+    "busy_s": {enc_busy_s:.6},
     "mpix_per_s": {full_encode_mpix_s:.3},
     "workers": {workers},
     "serial_seconds": {serial_s:.6},
@@ -969,6 +995,7 @@ fn main() {
   "decode_full": {{
     "format": "EPC2",
     "seconds": {dec_full_s:.6},
+    "busy_s": {dec_busy_s:.6},
     "mpix_per_s": {decode_full_mpix_s:.3},
     "workers": {decode_workers},
     "stages": {{

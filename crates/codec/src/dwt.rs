@@ -134,6 +134,18 @@ impl SubbandRect {
 /// This enumeration *is* the EPC2 chunk order: both the encoder and the
 /// decoder derive it from `(width, height, levels)`, so the stream never
 /// serializes subband geometry.
+/// Coefficients of the largest subband of a `width × height` plane
+/// decomposed `levels` times: the plane itself at 0 levels, else at most
+/// a quarter of it (every level-1 subband, and the low-pass band the
+/// deeper levels split, fits in `⌈w/2⌉ × ⌈h/2⌉`).
+pub(crate) fn largest_subband(width: usize, height: usize, levels: u8) -> usize {
+    if levels == 0 {
+        width * height
+    } else {
+        width.div_ceil(2) * height.div_ceil(2)
+    }
+}
+
 pub(crate) fn subband_rects_into(
     width: usize,
     height: usize,

@@ -4,41 +4,31 @@
 //! Every ROI tile is an independent embedded stream (§5), so a band's
 //! tiles can be encoded, or decoded, on separate threads; and every EPC2
 //! subband chunk is an independent range-coder chain, so a whole band's
-//! chunks can be decoded on separate threads too. The calling thread and
-//! one helper per extra worker, each with an arena of its own (the
-//! caller's, or a helper arena the caller's owns), claim the tiles or
-//! chunks one at a time from a shared counter until none is left. Each
+//! chunks can be decoded on separate threads too. A call runs on the
+//! process's one worker pool ([`earthplus_raster::fan_out`]): the calling
+//! thread, through the caller's arena, and the pool's workers, each
+//! through the one encode or decode arena the codec keeps per pool worker,
+//! claim the tiles or chunks one at a time until none is left. Each
 //! result lands in its own slot, and the calling thread puts the slots
 //! back in stream order, so the output is the same bytes and bits for any
 //! worker count and any schedule. A band's chunks are claimed longest
 //! payload first, so the largest chunk does not start last.
 //!
-//! A helper is a thread that lives as long as the arena owning it and
-//! sleeps on its queue between calls; a call hands it an owned copy of
-//! its inputs. The calling thread never waits for a helper to start:
-//! once no tile is left to claim it waits only for the tiles a helper is
-//! already coding, and a helper that wakes after the call has returned
-//! finds nothing left and goes back to sleep. Scoped threads, spawned
-//! per call, must be joined, and on a host that stole CPU time from the
-//! guest a spawned helper sometimes started milliseconds late, so the
-//! whole call waited for a thread that then had no tile left to code.
-//!
-//! Which arena codes which tile depends on scheduling, but no arena's
-//! size does once the owner has reached its steady size: before each
-//! fan-out every working helper is sized like the owner, after it the
-//! owner and its helpers are sized like one another, buffer by buffer,
-//! and whenever the owner grows outside a fan-out (a serial call, or a
-//! chunk decode's inverse DWT) its helpers are sized like it at once. A
-//! helper reaches its steady size in the same call as the calling
-//! thread's arena, even when that arena also codes whole bands, and a
-//! second identical call grows nothing.
+//! A worker arena is sized to the units it codes, never to the caller's
+//! whole-band buffers: each call names its largest unit (a tile's plane,
+//! its largest subband, its subband count and its coded bytes, or the
+//! largest coded chunk), and the first call of an arena that hands the
+//! pool a larger unit than before reserves every worker arena for it.
+//! Which worker codes which tile depends on scheduling, but no arena
+//! grows in a second identical call. The calling arena counts what its
+//! calls cost the pool: a worker arena's growth and stage time during a
+//! call land in the caller's `grow_events` and `stages`, and its
+//! `reserved_bytes` counts its largest unit once per pool worker.
 
-use crate::scratch::HelperArena;
-use std::any::Any;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use crate::scratch::{CodecScratch, DecodeScratch, StageBreakdown};
+use earthplus_raster::{fan_out, PoolCall, PoolJob};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Calls over at most this many tiles stay on the calling thread. On a
@@ -66,7 +56,7 @@ pub(crate) fn tile_workers(tiles: usize) -> usize {
 /// (≈ 0.11 ms), 1.45–1.59× for 160–192 px and 1.56–1.68× for 256 px
 /// (≈ 0.6 ms); full-rate streams read 1.6–1.8× from 64 px up. Isolation
 /// overstates small calls: in the mission benchmark, fanning out ROI tile
-/// calls of ≈ 0.1–0.2 ms lost their isolated gain to helper wake-ups (see
+/// calls of ≈ 0.1–0.2 ms lost their isolated gain to worker wake-ups (see
 /// [`SERIAL_TILE_LIMIT`]). So the cut sits at 256², where a call is
 /// several wake-ups long, and every 64-px tile (already fanned out per
 /// tile), LL-only and reduced reference decode stays serial.
@@ -99,53 +89,121 @@ pub(crate) fn time_tile<R>(timed: bool, work: impl FnOnce() -> R) -> (R, TileTim
 }
 
 /// One call's tiles (or subband chunks): owned inputs and one result slot
-/// per tile, shared by the calling thread and the helpers.
+/// per tile, shared by the calling thread and the pool's workers.
 pub(crate) trait TileJob<A>: Send + Sync + 'static {
     /// Codes tile `i` through `arena` into its slot.
     fn work(&self, arena: &mut A, i: usize);
+
+    /// The largest tile of the call, as what an arena must hold to code
+    /// it; read before the call and again after it, for what a job learns
+    /// only while coding (an encode's stream bytes).
+    fn unit(&self) -> Unit;
 }
 
-/// A job in flight: the claim counter, and how many claimed tiles are
-/// coded.
-pub(crate) struct Call<J> {
-    job: J,
-    tiles: usize,
-    next: AtomicUsize,
-    done: AtomicUsize,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
+/// The largest unit of one fan-out, as what a pool worker's arena must
+/// hold to code it without growing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Unit {
+    /// Coefficients of a whole unit plane: a tile's samples, DWT block
+    /// and decoded coefficient plane (0 for a subband chunk, which codes
+    /// none of them).
+    pub(crate) plane: usize,
+    /// Coefficients of the largest coding chain: a subband, or an EPC1
+    /// tile's whole plane.
+    pub(crate) chain: usize,
+    /// Subband rectangles of the unit's geometry.
+    pub(crate) subbands: usize,
+    /// Bytes of the largest coded stream (encode only).
+    pub(crate) bytes: usize,
 }
 
-impl<J> Call<J> {
-    /// The job, with every tile's slot filled once [`run`] has returned.
-    pub(crate) fn job(&self) -> &J {
-        &self.job
-    }
-
-    fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.tiles).then_some(i)
-    }
-}
-
-/// A call as a helper sees it.
-trait Drain<A>: Send + Sync {
-    /// Codes tiles through `arena` until none is left to claim.
-    fn drain(&self, arena: &Mutex<A>);
-}
-
-impl<A, J: TileJob<A>> Drain<A> for Call<J> {
-    fn drain(&self, arena: &Mutex<A>) {
-        while let Some(i) = self.claim() {
-            // A panic is handed to the calling thread, which re-raises it
-            // once every claimed tile is accounted for.
-            let worked = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.job.work(&mut lock(arena), i);
-            }));
-            if let Err(payload) = worked {
-                lock(&self.panic).get_or_insert(payload);
-            }
-            self.done.fetch_add(1, Ordering::Release);
+impl Unit {
+    fn max(self, other: Unit) -> Unit {
+        Unit {
+            plane: self.plane.max(other.plane),
+            chain: self.chain.max(other.chain),
+            subbands: self.subbands.max(other.subbands),
+            bytes: self.bytes.max(other.bytes),
         }
+    }
+}
+
+/// What an arena's fan-outs account for in the pool's worker arenas.
+#[derive(Debug, Default)]
+pub(crate) struct PoolShare {
+    /// The largest unit the arena's fan-outs handed the pool: every
+    /// worker arena holds at least this much.
+    unit: Unit,
+    /// Bytes an arena reserves for `unit`, once per pool worker.
+    pub(crate) reserved: usize,
+}
+
+/// An arena a pool worker codes its units through.
+pub(crate) trait WorkerArena: Default + Send + 'static {
+    /// This arena in a pool worker's pair.
+    fn of(pair: &mut WorkerArenas) -> &mut Self;
+    /// Reserves every buffer a unit no larger than `unit` codes through,
+    /// counting any growth as one grow event.
+    fn reserve_unit(&mut self, unit: &Unit);
+    /// Bytes reserved across the arena's own buffers.
+    fn own_reserved_bytes(&self) -> usize;
+    /// Counts a grow event if a buffer grew since the last count.
+    fn track_growth(&mut self);
+    /// Takes the grow events and stage time counted since the last take.
+    fn take_tally(&mut self) -> (u64, StageBreakdown);
+    /// Adds grow events and stage time worked elsewhere for this arena.
+    fn add_tally(&mut self, tally: (u64, StageBreakdown));
+    /// The arena's share of the pool.
+    fn pool_share(&mut self) -> &mut PoolShare;
+}
+
+/// One pool worker's arenas: the one encode arena and the one decode
+/// arena that worker codes every fanned-out tile and chunk through,
+/// whichever arena's call it came from.
+#[derive(Default)]
+pub(crate) struct WorkerArenas {
+    pub(crate) encode: CodecScratch,
+    pub(crate) decode: DecodeScratch,
+}
+
+/// The codec's worker arenas, one pair per pool worker.
+pub(crate) fn worker_arenas() -> &'static [Mutex<WorkerArenas>] {
+    static ARENAS: OnceLock<Vec<Mutex<WorkerArenas>>> = OnceLock::new();
+    ARENAS.get_or_init(|| {
+        (1..earthplus_raster::available_cores())
+            .map(|_| Mutex::default())
+            .collect()
+    })
+}
+
+/// A call as the pool sees it: the job, and the grow events and stage
+/// time its units cost the worker arenas, for the calling arena.
+pub(crate) struct Fanned<A, J> {
+    job: J,
+    tally: Mutex<(u64, StageBreakdown)>,
+    arena: PhantomData<fn() -> A>,
+}
+
+impl<A: WorkerArena, J: TileJob<A>> PoolJob for Fanned<A, J> {
+    fn work(&self, worker: usize, i: usize) {
+        let mut pair = lock(&worker_arenas()[worker]);
+        let arena = A::of(&mut pair);
+        self.job.work(arena, i);
+        arena.track_growth();
+        let (grown, stages) = arena.take_tally();
+        let mut tally = lock(&self.tally);
+        tally.0 += grown;
+        tally.1 = tally.1.plus(&stages);
+    }
+}
+
+/// A worked call.
+pub(crate) struct Done<A, J>(Arc<PoolCall<Fanned<A, J>>>);
+
+impl<A, J> Done<A, J> {
+    /// The job, with every tile's slot filled.
+    pub(crate) fn job(&self) -> &J {
+        &self.0.job().job
     }
 }
 
@@ -155,236 +213,140 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A helper worker: a thread that sleeps on its queue between calls and
-/// ends when the arena owning it is dropped, and the arena it codes
-/// tiles through.
-pub(crate) struct Helper<A> {
-    arena: Arc<Mutex<A>>,
-    calls: Sender<Arc<dyn Drain<A>>>,
+/// Grows `arena`'s pool share to `unit`: when that is larger than every
+/// unit its earlier calls handed the pool, `arena` itself (the calling
+/// thread may claim any unit) and every worker arena are reserved for it
+/// now, and the worker arenas' growth counts as `arena`'s. A worker arena
+/// busy with another call's tile is waited for here, so this is the one
+/// place a fan-out can wait on a worker; a steady workload never grows
+/// its share.
+fn share<A: WorkerArena>(arena: &mut A, unit: Unit) {
+    let share = arena.pool_share();
+    let grown = share.unit.max(unit);
+    if grown == share.unit {
+        return;
+    }
+    share.unit = grown;
+    let mut probe = A::default();
+    probe.reserve_unit(&grown);
+    share.reserved = probe.own_reserved_bytes() * worker_arenas().len();
+    arena.reserve_unit(&grown);
+    let mut grow_events = 0;
+    for pair in worker_arenas() {
+        let mut pair = lock(pair);
+        let worker = A::of(&mut pair);
+        worker.reserve_unit(&grown);
+        grow_events += worker.take_tally().0;
+    }
+    arena.add_tally((grow_events, StageBreakdown::default()));
 }
 
-impl<A: HelperArena> Helper<A> {
-    fn spawn() -> Self {
-        let arena = Arc::new(Mutex::new(A::default()));
-        let (calls, queue) = mpsc::channel::<Arc<dyn Drain<A>>>();
-        let own = Arc::clone(&arena);
-        std::thread::Builder::new()
-            .name("codec-tiles".into())
-            .spawn(move || {
-                for call in queue {
-                    call.drain(&own);
-                }
-            })
-            .expect("tile worker spawn failed");
-        Helper { arena, calls }
-    }
-
-    /// The helper's arena. Outside a fanned-out call the helper holds no
-    /// lock on it, so this never waits on a tile.
-    pub(crate) fn arena(&self) -> MutexGuard<'_, A> {
-        lock(&self.arena)
-    }
-}
-
-impl<A> std::fmt::Debug for Helper<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Helper")
-    }
-}
-
-/// Works every tile of `job` once, on `workers` workers (clamped to
-/// `1..=tiles`): the calling thread through `arena`, the helpers through
-/// theirs. `helpers` grows to `workers - 1` on first need and is kept
-/// for the next call. The working helpers are sized like `arena` before
-/// the fan-out; after it `arena` is sized like them, and every helper
-/// like `arena`.
-pub(crate) fn run<A, J>(
-    arena: &mut A,
-    helpers: &mut Vec<Helper<A>>,
-    workers: usize,
-    tiles: usize,
-    job: J,
-) -> Arc<Call<J>>
+/// Works every tile of `job` once, on up to `workers` workers: the
+/// calling thread through `arena`, pool workers (see
+/// [`earthplus_raster::fan_out`]) through their own worker arenas, which
+/// are reserved for the call's largest tile first (see [`share`]). The
+/// grow events and stage time of the worker arenas' tiles are added to
+/// `arena`'s.
+pub(crate) fn run<A, J>(arena: &mut A, workers: usize, tiles: usize, job: J) -> Done<A, J>
 where
-    A: HelperArena,
+    A: WorkerArena,
     J: TileJob<A>,
 {
-    let call = Arc::new(Call {
+    let pooled = workers.min(tiles) > 1 && !worker_arenas().is_empty();
+    if pooled {
+        share(arena, job.unit());
+    }
+    let job = Fanned {
         job,
-        tiles,
-        next: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-    });
-    let workers = workers.clamp(1, tiles.max(1));
-    if workers > 1 {
-        while helpers.len() < workers - 1 {
-            helpers.push(Helper::spawn());
-        }
-        for helper in &helpers[..workers - 1] {
-            helper.arena().size_like(arena);
-            // A helper whose thread is gone leaves its share to the rest.
-            let _ = helper.calls.send(call.clone());
-        }
+        tally: Mutex::default(),
+        arena: PhantomData,
+    };
+    let call = fan_out(workers, tiles, job, |job, i| job.job.work(arena, i));
+    let tally = std::mem::take(&mut *lock(&call.job().tally));
+    arena.add_tally(tally);
+    if pooled {
+        share(arena, call.job().job.unit());
     }
-    while let Some(i) = call.claim() {
-        call.job.work(arena, i);
-        call.done.fetch_add(1, Ordering::Release);
-    }
-    // Only tiles a helper is still coding are left.
-    while call.done.load(Ordering::Acquire) < tiles {
-        std::thread::yield_now();
-    }
-    if let Some(payload) = lock(&call.panic).take() {
-        panic::resume_unwind(payload);
-    }
-    if workers > 1 {
-        for helper in &helpers[..workers - 1] {
-            arena.size_like(&helper.arena());
-        }
-        for helper in helpers.iter() {
-            helper.arena().size_like(arena);
-        }
-    }
-    call
+    Done(call)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::scratch::reserve_to;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
+    #[test]
+    fn arenas_share_one_pool() {
+        use crate::{encode_roi_with_scratch, CodecConfig};
+        use earthplus_raster::{available_cores, pool_threads, Raster, TileGrid, TileMask};
+        let band = Raster::from_fn(256, 256, |x, y| ((x * 5 + y * 3) % 37) as f32 / 37.0);
+        let grid = TileGrid::new(256, 256, 64).unwrap();
+        let mut mask = TileMask::new(&grid);
+        mask.fill();
+        let config = CodecConfig::lossy();
+        let mut arenas: Vec<_> = (0..8)
+            .map(|_| (CodecScratch::new(), DecodeScratch::new()))
+            .collect();
+        for (enc, dec) in &mut arenas {
+            let roi = encode_roi_with_scratch(&band, &grid, &mask, &config, 512, enc).unwrap();
+            roi.decode_tiles_with_scratch(dec).unwrap();
+        }
+        assert!(pool_threads() < available_cores());
+        assert_eq!(worker_arenas().len(), available_cores() - 1);
+    }
+
+    /// Reserves `payload` a little more for every tile and records which
+    /// tiles grew their arena, and which of those a pool worker coded. On
+    /// a host with a pool, the calling thread's tiles wait (ten seconds at
+    /// most) until a pool worker has grown its arena.
     #[derive(Default)]
-    struct Tally {
-        caller: bool,
-        visits: Vec<usize>,
+    struct Grows {
+        grown: AtomicUsize,
+        grown_on_pool: AtomicUsize,
     }
 
-    impl HelperArena for Tally {
-        fn size_like(&mut self, _owner: &Self) {}
-    }
-
-    /// Adds `i + 1` to slot `i`; a helper's arena first waits in a tile
-    /// until `stall_until` tiles are done (or ten seconds pass), and
-    /// panics when `helper_panics`; the caller's arena takes
-    /// `caller_tile` per tile.
-    #[derive(Default)]
-    struct Marks {
-        slots: Vec<Mutex<usize>>,
-        stall_until: usize,
-        helper_panics: bool,
-        caller_tile: Duration,
-        done: AtomicUsize,
-    }
-
-    impl Marks {
-        fn new(n: usize) -> Self {
-            Marks {
-                slots: (0..n).map(|_| Mutex::new(0)).collect(),
-                ..Marks::default()
+    impl TileJob<CodecScratch> for Grows {
+        fn work(&self, arena: &mut CodecScratch, i: usize) {
+            let name = std::thread::current().name().map(str::to_owned);
+            let on_pool = name.is_some_and(|n| n.starts_with("earthplus-pool"));
+            let start = std::time::Instant::now();
+            while !on_pool
+                && !worker_arenas().is_empty()
+                && self.grown_on_pool.load(Ordering::SeqCst) == 0
+                && start.elapsed() < std::time::Duration::from_secs(10)
+            {
+                std::thread::yield_now();
             }
-        }
-
-        fn values(&self) -> Vec<usize> {
-            self.slots.iter().map(|s| *lock(s)).collect()
-        }
-    }
-
-    impl TileJob<Tally> for Marks {
-        fn work(&self, arena: &mut Tally, i: usize) {
-            if arena.caller {
-                std::thread::sleep(self.caller_tile);
-            } else {
-                assert!(!self.helper_panics, "helper tile {i}");
-                let start = Instant::now();
-                while self.done.load(Ordering::SeqCst) < self.stall_until
-                    && start.elapsed() < Duration::from_secs(10)
-                {
-                    std::thread::sleep(Duration::from_millis(1));
+            let before = arena.own_reserved_bytes();
+            reserve_to(&mut arena.payload, (4 << 20) + (i << 16));
+            arena.track_growth();
+            if arena.own_reserved_bytes() > before {
+                self.grown.fetch_add(1, Ordering::SeqCst);
+                if on_pool {
+                    self.grown_on_pool.fetch_add(1, Ordering::SeqCst);
                 }
             }
-            arena.visits.push(i);
-            *lock(&self.slots[i]) += i + 1;
-            self.done.fetch_add(1, Ordering::SeqCst);
         }
-    }
 
-    fn caller() -> Tally {
-        Tally {
-            caller: true,
-            visits: Vec::new(),
+        fn unit(&self) -> Unit {
+            Unit::default()
         }
     }
 
     #[test]
-    fn every_slot_is_worked_once() {
-        for n in [0, 1, 5, 9] {
-            for workers in [1, 2, 3, 7, n + 1] {
-                let mut main = caller();
-                let mut helpers = Vec::new();
-                for _ in 0..2 {
-                    let call = run(&mut main, &mut helpers, workers, n, Marks::new(n));
-                    let expect: Vec<usize> = (0..n).map(|i| i + 1).collect();
-                    assert_eq!(call.job().values(), expect, "n {n} workers {workers}");
-                }
-                let mut seen: Vec<usize> = main.visits.clone();
-                for helper in &helpers {
-                    seen.extend(&helper.arena().visits);
-                }
-                seen.sort_unstable();
-                let twice: Vec<usize> = (0..n).flat_map(|i| [i, i]).collect();
-                assert_eq!(seen, twice);
-                assert!(helpers.len() < workers.clamp(1, n.max(1)));
-            }
+    fn worker_growth_counts_in_the_calling_arena() {
+        let mut enc = CodecScratch::new();
+        let call = run(&mut enc, 2, 8, Grows::default());
+        let job = call.job();
+        assert_eq!(enc.grow_events(), job.grown.load(Ordering::SeqCst) as u64);
+        if !worker_arenas().is_empty() {
+            assert!(job.grown_on_pool.load(Ordering::SeqCst) > 0);
         }
-    }
-
-    #[test]
-    fn a_stalled_helper_leaves_its_tiles_to_the_caller() {
-        let n = 9;
-        let mut main = caller();
-        let mut helpers = Vec::new();
-        // A helper that claims a tile stalls in it until every other tile
-        // is done (or, were the tiles cut into fixed runs, until the
-        // time-out).
-        let job = Marks {
-            stall_until: n - 1,
-            ..Marks::new(n)
-        };
-        let call = run(&mut main, &mut helpers, 2, n, job);
-        let expect: Vec<usize> = (0..n).map(|i| i + 1).collect();
-        assert_eq!(call.job().values(), expect);
-        assert!(
-            main.visits.len() >= n - 1,
-            "caller worked {:?}",
-            main.visits
-        );
-    }
-
-    #[test]
-    fn a_helper_panic_reaches_the_caller_and_the_helper_lives_on() {
-        let n = 8;
-        let mut main = caller();
-        let mut helpers = Vec::new();
-        let mut panicked = false;
-        // A slow caller leaves the helper tiles to take.
-        for _ in 0..10 {
-            let job = Marks {
-                helper_panics: true,
-                caller_tile: Duration::from_millis(5),
-                ..Marks::new(n)
-            };
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                run(&mut main, &mut helpers, 2, n, job);
-            }));
-            if outcome.is_err() {
-                panicked = true;
-                break;
-            }
-        }
-        assert!(panicked, "the helper never took a tile");
-        let call = run(&mut main, &mut helpers, 2, n, Marks::new(n));
-        assert_eq!(call.job().values(), (1..=n).collect::<Vec<_>>());
+        // Another arena's calls leave this one's count alone.
+        let grown = enc.grow_events();
+        run(&mut CodecScratch::new(), 2, 8, Grows::default());
+        assert_eq!(enc.grow_events(), grown);
     }
 
     #[test]

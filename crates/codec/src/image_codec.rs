@@ -32,7 +32,7 @@
 use crate::bitplane::{self, encode_planes_until, MAX_PLANES};
 use crate::dwt::{self, Wavelet};
 use crate::exp_golomb::{self, BitReader, BitWriter};
-use crate::fanout::{self, chunk_workers, lock, time_tile, TileJob, TileTime};
+use crate::fanout::{self, chunk_workers, lock, time_tile, TileJob, TileTime, Unit};
 use crate::scratch::{reserve_to, CodecScratch, DecodeScratch};
 use crate::{CodecError, DecodeError};
 use bytes::{Buf, BufMut, Bytes};
@@ -935,8 +935,8 @@ pub fn decode_ll_only(
 ///
 /// An EPC2 decode whose output holds at least 256² pixels fans its coded
 /// subband chunks out over the host's cores: the calling thread (through
-/// `scratch`) and one helper thread per extra core (which `scratch` owns
-/// and keeps) claim the chunks, and the calling thread assembles them and
+/// `scratch`) and the process's pool workers (through the codec's worker
+/// arenas) claim the chunks, and the calling thread assembles them and
 /// runs the inverse DWT. The output is the same bits for any core count
 /// and schedule. Smaller decodes stay on the calling thread.
 ///
@@ -988,7 +988,7 @@ pub(crate) fn decode_into_on(
 /// [`DecodeScratch::commit_decode`]). The time is `None` when untimed or
 /// when the stream is empty, which [`decode_into`] records no span for
 /// either. The tile's chunks stay on its worker: a tile call is already
-/// fanned out per tile, so a helper arena never fans out.
+/// fanned out per tile, so a worker arena never fans out.
 pub(crate) fn decode_tile_uninstrumented(
     encoded: &EncodedImage,
     timed: bool,
@@ -1309,7 +1309,7 @@ fn decode_epc2_reduced(
 }
 
 /// The kept EPC2 chunks of one decode on `workers` workers: the calling
-/// thread (through `scratch`) and the arena's helpers claim the coded
+/// thread (through `scratch`) and the pool's workers claim the coded
 /// chunks longest payload first, and each worker bitplane-decodes and
 /// dequantizes a chunk into that chunk's own buffer (lent by `scratch`
 /// for the call). The calling thread then copies every buffer into its
@@ -1361,9 +1361,7 @@ fn decode_epc2_fanned(
         ranges,
         order,
     };
-    let mut helpers = std::mem::take(&mut scratch.helpers);
-    let call = fanout::run(scratch, &mut helpers, workers, job.order.len(), job);
-    scratch.helpers = helpers;
+    let call = fanout::run(scratch, workers, job.order.len(), job);
     let job = call.job();
     scratch.payload_bytes_read = job.ranges.iter().map(|range| range.len()).sum();
     let t = std::time::Instant::now();
@@ -1418,6 +1416,16 @@ impl TileJob<DecodeScratch> for DecodeChunks {
             self.encoded.quant_step,
         );
         arena.stages.quantize += t.elapsed();
+    }
+
+    /// The largest kept chunk, coded or not, so which chunks a stream
+    /// codes never grows the pool's arenas later.
+    fn unit(&self) -> Unit {
+        let chain = self.rects.iter().map(|rect| rect.count()).max();
+        Unit {
+            chain: chain.unwrap_or(0),
+            ..Unit::default()
+        }
     }
 }
 
@@ -1636,8 +1644,9 @@ mod tests {
                     decodes_on(workers, stream, &mut scratch) == serial,
                     "{what}"
                 );
-                // The helpers are kept, and a repeat call grows nothing.
-                assert!(scratch.helpers.len() < workers.max(2), "{what}");
+                // The pool's threads are kept, and a repeat call grows
+                // nothing.
+                assert!(earthplus_raster::pool_threads() < earthplus_raster::available_cores());
                 let grown = (scratch.grow_events(), scratch.reserved_bytes());
                 assert!(
                     decodes_on(workers, stream, &mut scratch) == serial,
@@ -1665,16 +1674,16 @@ mod tests {
         assert!(stream.levels() >= 4);
         let partial = decode_level_limited(&stream, 4, &mut scratch).unwrap();
         assert_eq!(partial.dimensions(), (8, 8));
-        assert!(scratch.helpers.is_empty());
-        // A fanned-out tile decode's helpers decode each tile serially.
+        assert_eq!(scratch.pool.reserved, 0);
+        // A fanned-out tile decode's workers decode each tile serially.
         let img = natural_image(256, 256, 6);
         let grid = TileGrid::new(256, 256, 64).unwrap();
         let mut mask = TileMask::new(&grid);
         mask.fill();
         let roi: RoiBitstream = encode_roi(&img, &grid, &mask, &config, 1024).unwrap();
         roi.decode_tiles_with_scratch(&mut scratch).unwrap();
-        let helpers = &scratch.helpers;
-        assert!(helpers.iter().all(|h| h.arena().helpers.is_empty()));
+        let workers = crate::fanout::worker_arenas();
+        assert!(workers.iter().all(|w| lock(w).decode.pool.reserved == 0));
     }
 
     #[test]

@@ -16,13 +16,16 @@
 //! more than four tiles split them across workers, and the output is the
 //! same bytes and bits for any worker count.
 
-use crate::fanout::{self, lock, tile_workers, time_tile, TileJob, TileTime};
+use crate::dwt;
+use crate::fanout::{self, lock, tile_workers, time_tile, TileJob, TileTime, Unit};
 use crate::image_codec::{
     decode_tile_uninstrumented, encode_view_uninstrumented, CodecConfig, EncodedImage,
+    FormatVersion,
 };
 use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::CodecError;
 use earthplus_raster::{Raster, TileGrid, TileIndex, TileMask};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Per-tile byte budget derived from a bits-per-pixel target γ.
@@ -136,8 +139,8 @@ impl RoiBitstream {
     /// allocation) for every tile, in stream order, through `scratch`.
     ///
     /// A call over more than four tiles fans out over the host's cores:
-    /// the calling thread (through `scratch`) and one helper thread per
-    /// extra core (through a helper arena; `scratch` owns and keeps both)
+    /// the calling thread (through `scratch`) and the process's pool
+    /// workers (each through the codec's decode arena for that worker)
     /// claim the tiles one at a time. Every tile's span and latency sample
     /// is committed from the calling thread after the last tile, in tile
     /// order. The rasters are the same bits for any worker count and
@@ -177,8 +180,8 @@ impl RoiBitstream {
                 .map(|(tile, raster)| decode_tile(tile, tile_count, timed, scratch, raster))
                 .collect()
         } else {
-            // The helpers decode into the caller's own rasters, lent to
-            // the job for the call.
+            // The pool's workers decode into the caller's own rasters,
+            // lent to the job for the call.
             let job = DecodeTiles {
                 tiles: self.tiles.clone(),
                 tile_count,
@@ -188,9 +191,7 @@ impl RoiBitstream {
                     .map(|raster| Mutex::new((std::mem::replace(raster, Raster::new(0, 0)), None)))
                     .collect(),
             };
-            let mut helpers = std::mem::take(&mut scratch.helpers);
-            let call = fanout::run(scratch, &mut helpers, workers, out.len(), job);
-            scratch.helpers = helpers;
+            let call = fanout::run(scratch, workers, out.len(), job);
             call.job()
                 .slots
                 .iter()
@@ -286,8 +287,8 @@ pub fn encode_roi(
 /// to [`encode_roi`].
 ///
 /// A call over more than four tiles fans out over the host's cores: the
-/// calling thread (through `scratch`) and one helper thread per extra
-/// core (through a helper arena; `scratch` owns and keeps both) claim the
+/// calling thread (through `scratch`) and the process's pool workers
+/// (each through the codec's encode arena for that worker) claim the
 /// tiles one at a time. Every tile's span and histogram samples are
 /// committed from the calling thread after the last tile, in mask order.
 /// The bytes are the same for any worker count and schedule.
@@ -337,7 +338,7 @@ pub(crate) fn encode_roi_on(
             .map(|&index| encode_tile(image, grid, index, config, budget_per_tile, timed, scratch))
             .collect()
     } else {
-        // The helpers read the band from the job's own copy.
+        // The pool's workers read the band from the job's own copy.
         let job = EncodeTiles {
             band: image.clone(),
             grid: *grid,
@@ -346,10 +347,9 @@ pub(crate) fn encode_roi_on(
             budget: budget_per_tile,
             timed,
             slots: indices.iter().map(|_| Mutex::new(None)).collect(),
+            bytes: AtomicUsize::new(0),
         };
-        let mut helpers = std::mem::take(&mut scratch.helpers);
-        let call = fanout::run(scratch, &mut helpers, workers, indices.len(), job);
-        scratch.helpers = helpers;
+        let call = fanout::run(scratch, workers, indices.len(), job);
         call.job()
             .slots
             .iter()
@@ -424,7 +424,8 @@ fn decode_tile(
     (decoded.map_err(CodecError::from), time)
 }
 
-/// A fanned-out ROI encode: a copy of the band, and one slot per tile.
+/// A fanned-out ROI encode: a copy of the band, one slot per tile, and
+/// the longest stream a tile coded.
 struct EncodeTiles {
     band: Raster,
     grid: TileGrid,
@@ -433,6 +434,7 @@ struct EncodeTiles {
     budget: usize,
     timed: bool,
     slots: Vec<Mutex<Option<EncodedSlot>>>,
+    bytes: AtomicUsize,
 }
 
 impl TileJob<CodecScratch> for EncodeTiles {
@@ -446,7 +448,28 @@ impl TileJob<CodecScratch> for EncodeTiles {
             self.timed,
             arena,
         );
+        self.bytes.fetch_max(arena.stream.len(), Ordering::Relaxed);
         *lock(&self.slots[i]) = Some(encoded);
+    }
+
+    /// A tile's stream holds its budget, plus what its last chunk (one
+    /// subband) codes past the cut: at most one pass, under two bytes a
+    /// coefficient (a significance decision of at most seven bits, a raw
+    /// sign bit and raw run positions), and the coder's lookahead and
+    /// flush. The longest stream a tile did code counts too, so a bound
+    /// that fell short would grow the pool's arenas once, not at every
+    /// call.
+    fn unit(&self) -> Unit {
+        let side = self.grid.tile_size();
+        let levels = self.config.levels.min(dwt::max_levels(side, side));
+        let chain = dwt::largest_subband(side, side, levels);
+        let bound = self.budget + 2 * chain + 64;
+        Unit {
+            plane: side * side,
+            chain,
+            subbands: 3 * levels as usize + 1,
+            bytes: bound.max(self.bytes.load(Ordering::Relaxed)),
+        }
     }
 }
 
@@ -470,6 +493,23 @@ impl TileJob<DecodeScratch> for DecodeTiles {
             &mut slot.0,
         );
         slot.1 = Some(decoded);
+    }
+
+    fn unit(&self) -> Unit {
+        let mut unit = Unit::default();
+        for tile in &self.tiles {
+            let image = &tile.image;
+            let (w, h) = (image.width() as usize, image.height() as usize);
+            // EPC1 codes the whole plane as one chain.
+            let chain = match image.format() {
+                FormatVersion::Epc1 => w * h,
+                FormatVersion::Epc2 => dwt::largest_subband(w, h, image.levels()),
+            };
+            unit.plane = unit.plane.max(w * h);
+            unit.chain = unit.chain.max(chain);
+            unit.subbands = unit.subbands.max(3 * image.levels() as usize + 1);
+        }
+        unit
     }
 }
 
@@ -646,10 +686,11 @@ mod tests {
                 let (mut enc, mut dec) = (CodecScratch::new(), DecodeScratch::new());
                 let got = fanned_out(workers, img, grid, &mask, &mut enc, &mut dec);
                 assert!(got == serial, "{workers} workers over {tiles} tiles");
-                // The helpers are kept, and a repeat call grows none.
+                // The pool's threads are kept, and a repeat call grows
+                // none.
                 let grown = (enc.grow_events(), dec.grow_events());
                 let reserved = (enc.reserved_bytes(), dec.reserved_bytes());
-                assert_eq!(enc.helpers.len(), workers.min(tiles) - 1);
+                assert!(earthplus_raster::pool_threads() < earthplus_raster::available_cores());
                 assert!(fanned_out(workers, img, grid, &mask, &mut enc, &mut dec) == serial);
                 assert_eq!((enc.grow_events(), dec.grow_events()), grown);
                 assert_eq!((enc.reserved_bytes(), dec.reserved_bytes()), reserved);

@@ -22,23 +22,20 @@
 //! of name lookups. Each call's one trace span feeds its latency
 //! histogram, and reads no clock while neither is enabled.
 //!
-//! Each arena also owns the helpers its ROI tile calls, and a decode
-//! arena's whole-band EPC2 decodes, fan their tiles or subband chunks out
-//! to (one per extra worker, see `fanout`): a thread that sleeps between
-//! calls and ends when the arena is dropped, and the helper arena it codes
-//! through. Before each fan-out the helper arenas are sized like the
-//! owner, and after it the owner and its helpers are sized like one
-//! another (each buffer reserved to the largest capacity among them), so
-//! once the owner has reached its steady size no arena grows, whichever
-//! of them codes which tile. Helpers carry no instrumentation: a helper
-//! times each tile with one pair of clock reads, and the owning arena
+//! An arena's ROI tile calls, and a decode arena's whole-band EPC2
+//! decodes, fan their tiles or subband chunks out to the process's worker
+//! pool (see `fanout`), whose workers code through worker arenas of the
+//! codec's own, one encode and one decode arena per pool worker, sized to
+//! the units they code. Worker arenas carry no instrumentation: a worker
+//! times each tile with one pair of clock reads, and the calling arena
 //! commits the tile's span and histogram samples after the call's last
 //! tile, in tile order. A whole-band decode keeps its one span on the
-//! calling thread. `reserved_bytes`, `grow_events` and `stages` count the
-//! helpers too, so a fanned-out decode's stage seconds are summed over
-//! concurrent workers.
+//! calling thread. `reserved_bytes`, `grow_events` and `stages` count
+//! what an arena's calls cost the worker arenas too, so a fanned-out
+//! decode's stage seconds are summed over concurrent workers.
 
-use crate::fanout::{Helper, TileTime};
+use crate::bitplane::MAX_PLANES;
+use crate::fanout::{PoolShare, TileTime, Unit, WorkerArena, WorkerArenas};
 use crate::image_codec::FormatVersion;
 use earthplus_telemetry::{names, Histogram, TelemetrySink, TraceSink};
 
@@ -72,15 +69,8 @@ pub(crate) fn reserve_to<T>(buffer: &mut Vec<T>, capacity: usize) {
     }
 }
 
-/// An arena a fan-out can hand to a helper worker.
-pub(crate) trait HelperArena: Default + Send + 'static {
-    /// Reserves every buffer to at least `other`'s capacity, counting any
-    /// growth as one grow event.
-    fn size_like(&mut self, other: &Self);
-}
-
 impl StageBreakdown {
-    fn plus(self, other: &StageBreakdown) -> StageBreakdown {
+    pub(crate) fn plus(self, other: &StageBreakdown) -> StageBreakdown {
         StageBreakdown {
             dwt: self.dwt + other.dwt,
             bitplane: self.bitplane + other.bitplane,
@@ -137,9 +127,9 @@ pub struct CodecScratch {
     pub(crate) tracing: TraceSink,
     /// Per-stage wall-clock accumulators (see [`StageBreakdown`]).
     pub(crate) stages: StageBreakdown,
-    /// The extra workers a fanned-out ROI encode runs on, each with its
-    /// own arena.
-    pub(crate) helpers: Vec<Helper<CodecScratch>>,
+    /// What this arena's fanned-out ROI encodes hold in the pool's
+    /// worker arenas.
+    pub(crate) pool: PoolShare,
     /// Capacity sum observed after the previous encode call.
     last_capacity: usize,
     grow_events: u64,
@@ -151,15 +141,11 @@ impl CodecScratch {
         Self::default()
     }
 
-    /// Total bytes currently reserved across all scratch buffers, helper
-    /// arenas included.
+    /// Total bytes currently reserved across all scratch buffers, plus
+    /// what this arena's fan-outs hold in the pool's worker arenas (its
+    /// largest unit, once per pool worker).
     pub fn reserved_bytes(&self) -> usize {
-        self.own_reserved_bytes()
-            + self
-                .helpers
-                .iter()
-                .map(|h| h.arena().reserved_bytes())
-                .sum::<usize>()
+        self.own_reserved_bytes() + self.pool.reserved
     }
 
     fn own_reserved_bytes(&self) -> usize {
@@ -180,15 +166,11 @@ impl CodecScratch {
     }
 
     /// How many encode calls had to grow at least one buffer, summed over
-    /// this arena and its helpers. Stable across two identical workloads ⇔
-    /// the second one allocated no scratch.
+    /// this arena and the worker arenas its fan-outs coded through.
+    /// Stable across two identical workloads ⇔ the second one allocated no
+    /// scratch.
     pub fn grow_events(&self) -> u64 {
         self.grow_events
-            + self
-                .helpers
-                .iter()
-                .map(|h| h.arena().grow_events())
-                .sum::<u64>()
     }
 
     /// Wires this arena's encode instrumentation to `sink`: every encode
@@ -214,27 +196,19 @@ impl CodecScratch {
     }
 
     /// Called at the end of every encode to account for buffer growth.
-    /// The helpers are sized like this arena as soon as it grows, so
-    /// growth in a serial call does not reach them only at the next
-    /// fan-out.
     pub(crate) fn track_growth(&mut self) {
         let now = self.own_reserved_bytes();
         if now > self.last_capacity {
             self.grow_events += 1;
             self.last_capacity = now;
-            for helper in &self.helpers {
-                helper.arena().size_like(self);
-            }
         }
     }
 
     /// Per-stage wall-clock time accumulated by every encode call through
-    /// this arena and its helpers. Fanned-out workers run concurrently, so
-    /// the sum can exceed the wall time of the calls.
+    /// this arena, its fanned-out tiles on pool workers included. Those
+    /// run concurrently, so the sum can exceed the wall time of the calls.
     pub fn stages(&self) -> StageBreakdown {
-        self.helpers
-            .iter()
-            .fold(self.stages, |sum, h| sum.plus(&h.arena().stages()))
+        self.stages
     }
 
     /// Whether an encode's time has a consumer: the recorder or the
@@ -258,23 +232,67 @@ impl CodecScratch {
     }
 }
 
-impl HelperArena for CodecScratch {
-    fn size_like(&mut self, other: &Self) {
-        reserve_to(&mut self.samples, other.samples.capacity());
-        reserve_to(&mut self.dwt_block, other.dwt_block.capacity());
-        reserve_to(&mut self.sig_words, other.sig_words.capacity());
-        reserve_to(&mut self.snap_words, other.snap_words.capacity());
-        reserve_to(&mut self.any_words, other.any_words.capacity());
-        reserve_to(&mut self.two_words, other.two_words.capacity());
-        reserve_to(&mut self.bits_words, other.bits_words.capacity());
-        reserve_to(&mut self.rowstart_words, other.rowstart_words.capacity());
-        reserve_to(&mut self.rowend_words, other.rowend_words.capacity());
-        reserve_to(&mut self.payload, other.payload.capacity());
-        reserve_to(&mut self.pass_offsets, other.pass_offsets.capacity());
-        reserve_to(&mut self.sb_coeffs, other.sb_coeffs.capacity());
-        reserve_to(&mut self.stream, other.stream.capacity());
-        reserve_to(&mut self.sb_rects, other.sb_rects.capacity());
+/// Bytes a range coder flushes for a chain that codes nothing: the
+/// payload of an all-zero chunk, which never reaches the stream.
+const FLUSH_BYTES: usize = 8;
+
+impl WorkerArena for CodecScratch {
+    fn of(pair: &mut WorkerArenas) -> &mut Self {
+        &mut pair.encode
+    }
+
+    /// A tile encode gathers `plane` samples and lifts them in the DWT
+    /// block, codes each subband (at most `chain` coefficients, so at most
+    /// `chain / 64` mask words, two pass offsets per plane) through the
+    /// payload buffer, and appends the coded chunks to its `bytes`-long
+    /// stream; every coded chunk's payload is part of that stream.
+    fn reserve_unit(&mut self, unit: &Unit) {
+        let words = unit.chain.div_ceil(64);
+        reserve_to(&mut self.samples, unit.plane);
+        reserve_to(&mut self.dwt_block, unit.plane);
+        reserve_to(&mut self.sb_coeffs, unit.chain);
+        for mask in [
+            &mut self.sig_words,
+            &mut self.snap_words,
+            &mut self.any_words,
+            &mut self.two_words,
+            &mut self.bits_words,
+            &mut self.rowstart_words,
+            &mut self.rowend_words,
+        ] {
+            reserve_to(mask, words);
+        }
+        if unit.chain > 0 {
+            reserve_to(&mut self.payload, unit.bytes.max(FLUSH_BYTES));
+            reserve_to(&mut self.pass_offsets, 2 * MAX_PLANES as usize);
+        }
+        reserve_to(&mut self.stream, unit.bytes);
+        reserve_to(&mut self.sb_rects, unit.subbands);
         self.track_growth();
+    }
+
+    fn own_reserved_bytes(&self) -> usize {
+        Self::own_reserved_bytes(self)
+    }
+
+    fn track_growth(&mut self) {
+        Self::track_growth(self);
+    }
+
+    fn take_tally(&mut self) -> (u64, StageBreakdown) {
+        (
+            std::mem::take(&mut self.grow_events),
+            std::mem::take(&mut self.stages),
+        )
+    }
+
+    fn add_tally(&mut self, (grown, stages): (u64, StageBreakdown)) {
+        self.grow_events += grown;
+        self.stages = self.stages.plus(&stages);
+    }
+
+    fn pool_share(&mut self) -> &mut PoolShare {
+        &mut self.pool
     }
 }
 
@@ -337,9 +355,9 @@ pub struct DecodeScratch {
     /// fanned-out EPC2 decode, lent to the call's workers and copied into
     /// `coeffs` after it.
     pub(crate) chunk_coeffs: Vec<Vec<f32>>,
-    /// The extra workers a fanned-out tile or chunk decode runs on, each
-    /// with its own arena.
-    pub(crate) helpers: Vec<Helper<DecodeScratch>>,
+    /// What this arena's fanned-out tile and chunk decodes hold in the
+    /// pool's worker arenas.
+    pub(crate) pool: PoolShare,
     /// Payload bytes the last decode call handed to the bitplane decoders
     /// — the byte-access counter the seek tests assert against (an
     /// LL-only decode of an EPC2 stream must never touch bytes past the
@@ -356,15 +374,11 @@ impl DecodeScratch {
         Self::default()
     }
 
-    /// Total bytes currently reserved across all scratch buffers, helper
-    /// arenas included.
+    /// Total bytes currently reserved across all scratch buffers, plus
+    /// what this arena's fan-outs hold in the pool's worker arenas (its
+    /// largest unit, once per pool worker).
     pub fn reserved_bytes(&self) -> usize {
-        self.own_reserved_bytes()
-            + self
-                .helpers
-                .iter()
-                .map(|h| h.arena().reserved_bytes())
-                .sum::<usize>()
+        self.own_reserved_bytes() + self.pool.reserved
     }
 
     fn own_reserved_bytes(&self) -> usize {
@@ -389,15 +403,11 @@ impl DecodeScratch {
     }
 
     /// How many decode calls had to grow at least one buffer, summed over
-    /// this arena and its helpers. Stable across two identical workloads
-    /// ⇔ the second one allocated no scratch.
+    /// this arena and the worker arenas its fan-outs decoded through.
+    /// Stable across two identical workloads ⇔ the second one allocated no
+    /// scratch.
     pub fn grow_events(&self) -> u64 {
         self.grow_events
-            + self
-                .helpers
-                .iter()
-                .map(|h| h.arena().grow_events())
-                .sum::<u64>()
     }
 
     /// Wires this arena's decode instrumentation to `sink`: every decode
@@ -432,27 +442,20 @@ impl DecodeScratch {
     }
 
     /// Called at the end of every decode to account for buffer growth.
-    /// The helpers are sized like this arena as soon as it grows, so
-    /// growth in a serial call, or in a chunk decode's inverse DWT, does
-    /// not reach them only at the next fan-out.
     pub(crate) fn track_growth(&mut self) {
         let now = self.own_reserved_bytes();
         if now > self.last_capacity {
             self.grow_events += 1;
             self.last_capacity = now;
-            for helper in &self.helpers {
-                helper.arena().size_like(self);
-            }
         }
     }
 
     /// Per-stage wall-clock time accumulated by every decode call through
-    /// this arena and its helpers. Fanned-out workers run concurrently, so
-    /// the sum can exceed the wall time of the calls.
+    /// this arena, its fanned-out tiles and chunks on pool workers
+    /// included. Those run concurrently, so the sum can exceed the wall
+    /// time of the calls.
     pub fn stages(&self) -> StageBreakdown {
-        self.helpers
-            .iter()
-            .fold(self.stages, |sum, h| sum.plus(&h.arena().stages()))
+        self.stages
     }
 
     /// The span name and latency histogram of a decode of a `format`
@@ -499,21 +502,57 @@ impl DecodeScratch {
     }
 }
 
-impl HelperArena for DecodeScratch {
-    fn size_like(&mut self, other: &Self) {
-        reserve_to(&mut self.coeffs, other.coeffs.capacity());
-        reserve_to(&mut self.quantized, other.quantized.capacity());
-        reserve_to(&mut self.dwt_block, other.dwt_block.capacity());
-        reserve_to(&mut self.mag, other.mag.capacity());
-        reserve_to(&mut self.sig_words, other.sig_words.capacity());
-        reserve_to(&mut self.snap_words, other.snap_words.capacity());
-        reserve_to(&mut self.any_words, other.any_words.capacity());
-        reserve_to(&mut self.two_words, other.two_words.capacity());
-        reserve_to(&mut self.neg_words, other.neg_words.capacity());
-        reserve_to(&mut self.rowstart_words, other.rowstart_words.capacity());
-        reserve_to(&mut self.rowend_words, other.rowend_words.capacity());
-        reserve_to(&mut self.sb_rects, other.sb_rects.capacity());
+impl WorkerArena for DecodeScratch {
+    fn of(pair: &mut WorkerArenas) -> &mut Self {
+        &mut pair.decode
+    }
+
+    /// A tile decode fills a `plane`-coefficient plane and lifts it in the
+    /// DWT block; a tile or chunk decode decodes each chain (at most
+    /// `chain` magnitudes and `chain / 64` mask words). Neither touches
+    /// `quantized` or the chunk buffers a whole-band decode lends out.
+    fn reserve_unit(&mut self, unit: &Unit) {
+        let words = unit.chain.div_ceil(64);
+        reserve_to(&mut self.coeffs, unit.plane);
+        reserve_to(&mut self.dwt_block, unit.plane);
+        reserve_to(&mut self.mag, unit.chain);
+        for mask in [
+            &mut self.sig_words,
+            &mut self.snap_words,
+            &mut self.any_words,
+            &mut self.two_words,
+            &mut self.neg_words,
+            &mut self.rowstart_words,
+            &mut self.rowend_words,
+        ] {
+            reserve_to(mask, words);
+        }
+        reserve_to(&mut self.sb_rects, unit.subbands);
         self.track_growth();
+    }
+
+    fn own_reserved_bytes(&self) -> usize {
+        Self::own_reserved_bytes(self)
+    }
+
+    fn track_growth(&mut self) {
+        Self::track_growth(self);
+    }
+
+    fn take_tally(&mut self) -> (u64, StageBreakdown) {
+        (
+            std::mem::take(&mut self.grow_events),
+            std::mem::take(&mut self.stages),
+        )
+    }
+
+    fn add_tally(&mut self, (grown, stages): (u64, StageBreakdown)) {
+        self.grow_events += grown;
+        self.stages = self.stages.plus(&stages);
+    }
+
+    fn pool_share(&mut self) -> &mut PoolShare {
+        &mut self.pool
     }
 }
 
@@ -577,24 +616,34 @@ mod tests {
     }
 
     #[test]
-    fn helpers_are_sized_like_their_owner() {
-        let mut owner = CodecScratch::new();
-        owner.payload.reserve(4096);
-        owner.samples.reserve(64);
-        let mut helper = CodecScratch::new();
-        helper.samples.reserve(1024);
-        helper.size_like(&owner);
-        assert!(helper.payload.capacity() >= owner.payload.capacity());
-        assert!(helper.samples.capacity() >= 1024);
-        assert!(helper.own_reserved_bytes() >= owner.own_reserved_bytes());
-        assert_eq!(helper.grow_events(), 1);
-        helper.size_like(&owner);
-        assert_eq!(helper.grow_events(), 1);
+    fn worker_arenas_are_sized_to_the_unit() {
+        let tile = Unit {
+            plane: 64 * 64,
+            chain: 64 * 64,
+            subbands: 16,
+            bytes: 700,
+        };
+        let mut encode = CodecScratch::new();
+        encode.reserve_unit(&tile);
+        assert_eq!(encode.samples.capacity(), 64 * 64);
+        assert_eq!(encode.sig_words.capacity(), 64);
+        assert_eq!(encode.stream.capacity(), 700);
+        assert_eq!(encode.grow_events(), 1);
+        encode.reserve_unit(&tile);
+        assert_eq!(encode.grow_events(), 1);
+        // A subband chunk codes no plane: a chunk decode's worker arena
+        // holds its chains and nothing plane-sized.
+        let chunk = Unit {
+            chain: 256 * 256,
+            ..Unit::default()
+        };
         let mut decode = DecodeScratch::new();
-        let mut decode_owner = DecodeScratch::new();
-        decode_owner.mag.reserve(512);
-        decode.size_like(&decode_owner);
-        assert!(decode.own_reserved_bytes() >= decode_owner.own_reserved_bytes());
+        decode.reserve_unit(&chunk);
+        assert_eq!(decode.coeffs.capacity(), 0);
+        assert_eq!(decode.dwt_block.capacity(), 0);
+        assert_eq!(decode.mag.capacity(), 256 * 256);
+        assert_eq!(decode.take_tally().0, 1);
+        assert_eq!(decode.grow_events(), 0);
     }
 
     #[test]

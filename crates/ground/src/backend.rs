@@ -102,6 +102,10 @@ where
     let mut groups = groups.into_iter();
     let write_group = &write_group;
     let mut report = IngestReport::default();
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "each ingest worker borrows the store, which a pool job, owning its inputs, cannot"
+    )]
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         loop {

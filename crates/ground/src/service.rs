@@ -849,6 +849,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the test needs callers on threads of their own"
+    )]
     fn concurrent_use_from_many_threads() {
         let service = GroundService::new(GroundServiceConfig::default());
         std::thread::scope(|scope| {

@@ -516,6 +516,10 @@ impl ReplicatedReferenceStore {
         if inner.pipeline.as_ref().is_some_and(|p| p.config.workers) {
             for station in 0..stations {
                 let worker = Arc::clone(&inner);
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "a ship worker is a long-lived queue consumer, not a fan-out"
+                )]
                 workers.push(
                     std::thread::Builder::new()
                         .name(format!("ship-{station:02}"))

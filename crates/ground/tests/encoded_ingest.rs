@@ -131,6 +131,10 @@ fn encoded_ingest_is_allocation_free_in_steady_state() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test needs ingest callers on threads of their own"
+)]
 fn encoded_ingest_runs_concurrently() {
     // The decode arena is pooled, not a single lock held across the
     // decode: N threads ingesting archived captures must all land their

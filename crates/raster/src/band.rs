@@ -65,7 +65,8 @@ impl Sentinel2Band {
     }
 
     /// Center wavelength in nanometres.
-    pub fn wavelength_nm(self) -> f32 {
+    #[cfg(test)]
+    fn wavelength_nm(self) -> f32 {
         match self {
             Sentinel2Band::B1 => 443.0,
             Sentinel2Band::B2 => 490.0,
@@ -190,7 +191,8 @@ impl Band {
     /// heavy-cloud detection (§5: heavy-cloud temperature "significantly
     /// differs from the nearby ground ... easily detected using the InfraRed
     /// band").
-    pub fn is_infrared(&self) -> bool {
+    #[cfg(test)]
+    fn is_infrared(&self) -> bool {
         matches!(
             self,
             Band::Sentinel2(

@@ -69,7 +69,8 @@ impl GeoCell {
     }
 
     /// Total number of pixels per band.
-    pub fn pixel_count(&self) -> usize {
+    #[cfg(test)]
+    fn pixel_count(&self) -> usize {
         self.width_px * self.height_px
     }
 }

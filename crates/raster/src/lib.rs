@@ -19,8 +19,9 @@
 //! * [`align`] — least-squares illumination alignment between a capture and a
 //!   reference (§5: "illumination condition affects the pixel value
 //!   linearly").
-//! * [`available_cores`] — the one host core-count probe every
-//!   multi-threaded stage of the workspace sizes its workers by.
+//! * [`available_cores`] and [`fan_out`] — the one host core-count probe,
+//!   and the one pool of kept worker threads every fan-out of the
+//!   workspace (codec tiles and subband chunks, scene row blocks) runs on.
 //!
 //! # Example
 //!
@@ -58,10 +59,10 @@ pub use align::{AlignmentModel, IlluminationAligner};
 pub use band::{Band, BandKind, PlanetBand, Sentinel2Band};
 pub use error::RasterError;
 pub use geo::{GeoCell, LocationId};
-pub use host::available_cores;
+pub use host::{available_cores, fan_out, pool_threads, PoolCall, PoolJob};
 pub use metrics::{mean_abs_diff, mse, psnr, psnr_from_mse, PixelStats};
 pub use multiband::MultiBandImage;
 pub use raster::Raster;
-pub use resample::{downsample_box, downsample_to, upsample_bilinear};
+pub use resample::{downsample_box, upsample_bilinear};
 pub use tile::{TileGrid, TileIndex, TileMask};
 pub use view::TileView;

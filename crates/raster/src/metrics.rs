@@ -11,7 +11,7 @@ use crate::{Raster, RasterError};
 ///
 /// MSE of zero yields infinite PSNR; we cap reports at this value so that
 /// aggregate statistics stay finite.
-pub const PSNR_CAP_DB: f64 = 99.0;
+pub(crate) const PSNR_CAP_DB: f64 = 99.0;
 
 /// Mean squared error between two rasters of identical shape.
 ///
@@ -55,7 +55,7 @@ pub fn mean_abs_diff(a: &Raster, b: &Raster) -> Result<f64, RasterError> {
 }
 
 /// Peak Signal-to-Noise Ratio in decibels for `[0, 1]`-normalized imagery
-/// (peak value 1.0). Perfect reconstructions report [`PSNR_CAP_DB`].
+/// (peak value 1.0). Perfect reconstructions report 99 dB.
 ///
 /// # Errors
 ///
@@ -79,7 +79,7 @@ pub fn psnr(a: &Raster, b: &Raster) -> Result<f64, RasterError> {
 }
 
 /// Converts an MSE on `[0, 1]` data to PSNR in decibels, capping at
-/// [`PSNR_CAP_DB`].
+/// 99 dB.
 pub fn psnr_from_mse(mse: f64) -> f64 {
     if mse <= 0.0 {
         return PSNR_CAP_DB;
@@ -143,7 +143,8 @@ impl PixelStats {
 /// Empirical CDF support: returns `(sorted values, cumulative fractions)`.
 ///
 /// Used to reproduce the CDF figures (Figures 5 and 12).
-pub fn empirical_cdf(samples: &[f64]) -> (Vec<f64>, Vec<f64>) {
+#[cfg(test)]
+fn empirical_cdf(samples: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let mut sorted: Vec<f64> = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in CDF samples"));
     let n = sorted.len();

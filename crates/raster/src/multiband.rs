@@ -116,7 +116,8 @@ impl MultiBandImage {
 
     /// Applies `f` to every band, producing a new image with the same band
     /// set.
-    pub fn map_bands<F>(&self, mut f: F) -> Result<MultiBandImage, RasterError>
+    #[cfg(test)]
+    fn map_bands<F>(&self, mut f: F) -> Result<MultiBandImage, RasterError>
     where
         F: FnMut(Band, &Raster) -> Result<Raster, RasterError>,
     {
@@ -135,13 +136,15 @@ impl MultiBandImage {
     }
 
     /// Total number of samples across all bands.
-    pub fn total_samples(&self) -> usize {
+    #[cfg(test)]
+    fn total_samples(&self) -> usize {
         self.bands.len() * self.width * self.height
     }
 
     /// Raw size in bytes assuming `bits_per_sample` storage (e.g. 12-bit
     /// sensor words), rounded up to whole bytes overall.
-    pub fn raw_size_bytes(&self, bits_per_sample: u32) -> u64 {
+    #[cfg(test)]
+    fn raw_size_bytes(&self, bits_per_sample: u32) -> u64 {
         (self.total_samples() as u64 * bits_per_sample as u64).div_ceil(8)
     }
 }

@@ -203,7 +203,8 @@ impl Raster {
     /// # Panics
     ///
     /// Panics if the rectangle exceeds the raster bounds (use
-    /// [`Raster::crop`] for clipped-and-filled extraction).
+    /// [`TileGrid::extract_tile`](crate::TileGrid::extract_tile) for a
+    /// tile clipped at the image edges).
     pub fn view(&self, x0: usize, y0: usize, width: usize, height: usize) -> crate::TileView<'_> {
         crate::TileView::new(self, x0, y0, width, height)
     }
@@ -235,7 +236,8 @@ impl Raster {
     /// # Errors
     ///
     /// Returns [`RasterError::DimensionMismatch`] when shapes differ.
-    pub fn zip_map<F>(&self, other: &Raster, mut f: F) -> Result<Raster, RasterError>
+    #[cfg(test)]
+    fn zip_map<F>(&self, other: &Raster, mut f: F) -> Result<Raster, RasterError>
     where
         F: FnMut(f32, f32) -> f32,
     {
@@ -291,7 +293,14 @@ impl Raster {
 
     /// Extracts the rectangle with top-left corner `(x0, y0)` and the given
     /// size. Pixels falling outside the raster are filled with `fill`.
-    pub fn crop(&self, x0: usize, y0: usize, width: usize, height: usize, fill: f32) -> Raster {
+    pub(crate) fn crop(
+        &self,
+        x0: usize,
+        y0: usize,
+        width: usize,
+        height: usize,
+        fill: f32,
+    ) -> Raster {
         Raster::from_fn(width, height, |x, y| {
             self.try_get(x0 + x, y0 + y).unwrap_or(fill)
         })
@@ -299,7 +308,7 @@ impl Raster {
 
     /// Writes `patch` into this raster with its top-left corner at
     /// `(x0, y0)`. Parts of the patch falling outside are ignored.
-    pub fn blit(&mut self, x0: usize, y0: usize, patch: &Raster) {
+    pub(crate) fn blit(&mut self, x0: usize, y0: usize, patch: &Raster) {
         for py in 0..patch.height {
             let y = y0 + py;
             if y >= self.height {

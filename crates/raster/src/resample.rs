@@ -80,7 +80,8 @@ pub fn downsample_box(image: &Raster, factor: usize) -> Result<Raster, RasterErr
 ///
 /// Returns [`RasterError::InvalidDimensions`] if the target size is zero or
 /// exceeds the source size in either dimension.
-pub fn downsample_to(
+#[cfg(test)]
+fn downsample_to(
     image: &Raster,
     out_width: usize,
     out_height: usize,
@@ -132,6 +133,7 @@ pub fn downsample_to(
     Ok(out)
 }
 
+#[cfg(test)]
 fn overlap(a0: f64, a1: f64, b0: f64, b1: f64) -> f64 {
     (a1.min(b1) - a0.max(b0)).max(0.0)
 }

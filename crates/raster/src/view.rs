@@ -114,19 +114,11 @@ impl<'a> TileView<'a> {
         (0..self.height).map(move |y| self.row(y))
     }
 
-    /// Appends the view's samples to `out` in row-major order.
-    pub fn copy_into(&self, out: &mut Vec<f32>) {
-        out.reserve(self.len());
-        for row in self.rows() {
-            out.extend_from_slice(row);
-        }
-    }
-
     /// Materializes the view as an owned raster (identical to what
     /// `extract_tile` used to produce for the same rectangle).
-    pub fn to_raster(&self) -> Raster {
-        let mut data = Vec::new();
-        self.copy_into(&mut data);
+    #[cfg(test)]
+    pub(crate) fn to_raster(self) -> Raster {
+        let data = self.rows().flatten().copied().collect();
         Raster::from_vec(self.width, self.height, data).expect("view dimensions are consistent")
     }
 }

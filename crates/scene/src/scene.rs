@@ -6,12 +6,12 @@ use crate::reflectance::{
     base_reflectance, cloud_reflectance, grain_scale, snow_reflectance, texture_scale,
 };
 use crate::sensor::SensorModel;
-use crate::strips::{raster_from_fn, render_strips};
+use crate::strips::{raster_from_fn, render_blocks, stitch};
 use crate::temporal::{EventSchedule, SeasonalModel, SnowModel};
 use crate::terrain::{LandCover, LocationArchetype, TerrainMap};
 use earthplus_raster::{available_cores, Band, LocationId, MultiBandImage, Raster};
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Everything needed to instantiate one location's scene.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,12 +161,14 @@ struct EventFieldCache {
 #[derive(Debug)]
 pub struct LocationScene {
     config: SceneConfig,
-    terrain: TerrainMap,
-    seasonal: SeasonalModel,
+    /// Shared with the render jobs of every capture and ground truth.
+    terrain: Arc<TerrainMap>,
+    /// Shared like `terrain`.
+    seasonal: Arc<SeasonalModel>,
     snow: SnowModel,
     events: EventSchedule,
     cache: Mutex<Option<EventFieldCache>>,
-    /// Row strips every per-pixel render of this scene is cut into.
+    /// Row blocks every per-pixel render of this scene is cut into.
     strips: usize,
 }
 
@@ -178,7 +180,7 @@ impl LocationScene {
     }
 
     /// [`LocationScene::new`] for a scene that renders everything, its
-    /// static fields included, in `strips` row strips.
+    /// static fields included, in `strips` row blocks.
     pub(crate) fn in_strips(config: SceneConfig, strips: usize) -> Self {
         let seed = config.location_seed();
         let terrain = TerrainMap::generate_in_strips(
@@ -193,8 +195,8 @@ impl LocationScene {
         let events = EventSchedule::generate(seed, &terrain, config.horizon_days);
         LocationScene {
             config,
-            terrain,
-            seasonal,
+            terrain: Arc::new(terrain),
+            seasonal: Arc::new(seasonal),
             snow,
             events,
             cache: Mutex::new(None),
@@ -252,17 +254,18 @@ impl LocationScene {
     /// of one band at `day` — the scene's ground truth, used to compute
     /// true change maps.
     pub fn ground_reflectance(&self, band: Band, day: f64) -> Raster {
-        let field = self.event_field(day);
-        let ground = Ground::new(self, day, &field);
+        let ground = Ground::new(self, day, self.event_field(day));
         let band = GroundBand::new(band);
         let (w, h) = (self.config.width, self.config.height);
-        raster_from_fn(w, h, self.strips, |x, y| band.reflectance(&ground.at(x, y)))
+        raster_from_fn(w, h, self.strips, move |x, y| {
+            band.reflectance(&ground.at(x, y))
+        })
     }
 
     /// Simulates the full observation for `day`, drawing cloud coverage
     /// from the climate.
     ///
-    /// Every band is rendered on all available cores, in row strips. Each
+    /// Every band is rendered on all available cores, in row blocks. Each
     /// sample is a pure function of the scene seed, the pixel and the day,
     /// so the capture is bit-identical whatever the core count.
     pub fn capture(&self, day: f64) -> Capture {
@@ -280,9 +283,8 @@ impl LocationScene {
         let cloud_fraction = clouds.fraction();
         let alpha = clouds.into_alpha();
         let (gain, offset) = self.config.illumination.condition(seed, day);
-        let field = self.event_field(day);
         let frame = CaptureFrame {
-            ground: Ground::new(self, day, &field),
+            ground: Ground::new(self, day, self.event_field(day)),
             bands: self
                 .config
                 .bands
@@ -294,7 +296,11 @@ impl LocationScene {
                     noise_key: SensorModel::noise_key(seed, band_tag as u64 + 1),
                 })
                 .collect(),
-            alpha: alpha.as_slice(),
+            // The render job owns its inputs: a copy of the opacity.
+            alpha: alpha.as_slice().to_vec(),
+            width: w,
+            height: h,
+            sensor: self.config.sensor,
             gain,
             offset,
             // Cloud shadow: the opacity field shifted diagonally, darkening
@@ -303,15 +309,11 @@ impl LocationScene {
             shadow_shift: (w / 32).max(4),
             day_idx: day.floor() as i64,
         };
-        let mut planes: Vec<Vec<f32>> =
-            self.config.bands.iter().map(|_| vec![0.0; w * h]).collect();
-        let mut strips: Vec<&mut [f32]> = planes.iter_mut().map(|p| &mut p[..]).collect();
-        render_strips(w, h, &mut strips, self.strips, |rows, strip| {
-            frame.render_rows(rows, strip)
-        });
+        let mut blocks = render_blocks(h, self.strips, move |rows| frame.render_rows(rows));
 
         let mut image = MultiBandImage::new(w, h);
-        for (&band, plane) in self.config.bands.iter().zip(planes) {
+        for (b, &band) in self.config.bands.iter().enumerate() {
+            let plane = stitch(blocks.iter_mut().map(|block| std::mem::take(&mut block[b])));
             let observed = Raster::from_vec(w, h, plane).expect("plane matches the frame");
             image
                 .push_band(band, observed)
@@ -345,40 +347,45 @@ enum Surface {
     },
 }
 
-/// The ground of one scene on one day.
-struct Ground<'a> {
-    scene: &'a LocationScene,
+/// The ground of one scene on one day, owned by the render jobs that
+/// read it.
+struct Ground {
+    terrain: Arc<TerrainMap>,
+    seasonal: Arc<SeasonalModel>,
+    snow: SnowModel,
     day: f64,
     cycle: f32,
     snow_extent: f32,
-    events: &'a [f32],
+    events: Raster,
 }
 
-impl<'a> Ground<'a> {
-    fn new(scene: &'a LocationScene, day: f64, events: &'a Raster) -> Self {
+impl Ground {
+    fn new(scene: &LocationScene, day: f64, events: Raster) -> Self {
         Ground {
-            scene,
+            terrain: Arc::clone(&scene.terrain),
+            seasonal: Arc::clone(&scene.seasonal),
+            snow: scene.snow.clone(),
             day,
             cycle: scene.seasonal.cycle(day),
             snow_extent: scene.snow.extent(day),
-            events: events.as_slice(),
+            events,
         }
     }
 
     /// The surface at pixel `(x, y)`.
     #[inline]
     fn at(&self, x: usize, y: usize) -> Surface {
-        let terrain = &self.scene.terrain;
+        let terrain = &self.terrain;
         let i = y * terrain.width() + x;
         if SnowModel::is_snow(terrain.elevation().as_slice()[i], self.snow_extent) {
-            Surface::Snow(self.scene.snow.albedo(x, y, self.day))
+            Surface::Snow(self.snow.albedo(x, y, self.day))
         } else {
             Surface::Land {
                 cover: terrain.cover_indices()[i] as usize,
                 texture: terrain.texture().as_slice()[i],
                 grain: terrain.grain().as_slice()[i],
-                seasonal: self.scene.seasonal.amplitude().as_slice()[i] * self.cycle,
-                event: self.events[i],
+                seasonal: self.seasonal.amplitude().as_slice()[i] * self.cycle,
+                event: self.events.as_slice()[i],
             }
         }
     }
@@ -438,36 +445,41 @@ struct CaptureBand {
 }
 
 /// Everything one capture's samples depend on besides the pixel.
-struct CaptureFrame<'a> {
-    ground: Ground<'a>,
+struct CaptureFrame {
+    ground: Ground,
     bands: Vec<CaptureBand>,
     /// Cloud opacity, row-major.
-    alpha: &'a [f32],
+    alpha: Vec<f32>,
+    width: usize,
+    height: usize,
+    sensor: SensorModel,
     gain: f32,
     offset: f32,
     shadow_shift: usize,
     day_idx: i64,
 }
 
-impl CaptureFrame<'_> {
-    /// Renders rows `rows` of every band: `strip[b]` holds those rows of
-    /// band `b`.
-    fn render_rows(&self, rows: Range<usize>, strip: &mut [&mut [f32]]) {
-        let config = &self.ground.scene.config;
-        let (w, h) = (config.width, config.height);
-        let mut i = 0;
+impl CaptureFrame {
+    /// Renders rows `rows` of every band, one buffer per band.
+    fn render_rows(&self, rows: Range<usize>) -> Vec<Vec<f32>> {
+        let (w, h) = (self.width, self.height);
+        let mut planes: Vec<Vec<f32>> = self
+            .bands
+            .iter()
+            .map(|_| Vec::with_capacity(rows.len() * w))
+            .collect();
         for y in rows {
             let shadow_row = (y + self.shadow_shift).min(h - 1) * w;
             for x in 0..w {
                 let surface = self.ground.at(x, y);
                 let a = self.alpha[y * w + x];
                 let shadow = self.alpha[shadow_row + (x + self.shadow_shift).min(w - 1)];
-                for (plane, band) in strip.iter_mut().zip(&self.bands) {
-                    plane[i] = self.observe(band, &surface, a, shadow, x, y);
+                for (plane, band) in planes.iter_mut().zip(&self.bands) {
+                    plane.push(self.observe(band, &surface, a, shadow, x, y));
                 }
-                i += 1;
             }
         }
+        planes
     }
 
     /// One observed sample: `surface` seen in `band` under the capture's
@@ -490,11 +502,7 @@ impl CaptureFrame<'_> {
         // Atmospherically-corrected products retain only a mild shadow
         // residue.
         v *= 1.0 - 0.12 * shadow * (1.0 - a);
-        self.ground
-            .scene
-            .config
-            .sensor
-            .observe(v, band.noise_key, x, y, self.day_idx)
+        self.sensor.observe(v, band.noise_key, x, y, self.day_idx)
     }
 }
 

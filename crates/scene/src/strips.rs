@@ -1,78 +1,95 @@
-//! Row-strip rendering.
+//! Row-block rendering on the worker pool.
 //!
 //! Every per-pixel field of the scene model is a pure function of
-//! `(seed, x, y, day)`, so an output can be cut into disjoint row strips
-//! and each strip rendered on its own thread. No sample depends on which
-//! strip computed it, so the result is the same bits for any strip count,
+//! `(seed, x, y, day)`, so an output can be cut into disjoint row blocks
+//! and each block rendered on its own thread. No sample depends on which
+//! block computed it, so the result is the same bits for any block count,
 //! and so for any number of cores.
+//!
+//! The blocks run on the process's one worker pool
+//! ([`earthplus_raster::fan_out`]): the calling thread and the pool's
+//! workers claim them one at a time. A pool job owns its inputs, so each
+//! block renders into buffers of its own, and the calling thread
+//! [`stitch`]es the blocks back in row order: one copy of every sample
+//! past the first block.
 
-use earthplus_raster::Raster;
+use earthplus_raster::{fan_out, PoolJob, Raster};
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
-/// Renders `planes` (each `width × height`, row-major) in `strips`
-/// disjoint row strips.
-///
-/// `render(rows, strip)` fills rows `rows` of every plane, where
-/// `strip[p]` holds exactly those rows of `planes[p]`. The calling thread
-/// cuts the strips and renders the first one itself; every other strip
-/// runs on a scoped thread. The strip count is clamped to `1..=height`.
-pub(crate) fn render_strips<T, F>(
-    width: usize,
-    height: usize,
-    planes: &mut [&mut [T]],
-    strips: usize,
-    render: F,
-) where
-    T: Send,
-    F: Fn(Range<usize>, &mut [&mut [T]]) + Sync,
+/// `render(rows)` for every block of a `height`-row output cut into
+/// `blocks` disjoint row blocks (clamped to `1..=height`), in row order.
+/// A single block renders on the calling thread.
+pub(crate) fn render_blocks<B, F>(height: usize, blocks: usize, render: F) -> Vec<B>
+where
+    B: Send + 'static,
+    F: Fn(Range<usize>) -> B + Send + Sync + 'static,
 {
-    let strips = strips.clamp(1, height.max(1));
-    if strips == 1 {
-        render(0..height, planes);
-        return;
+    let blocks = blocks.clamp(1, height.max(1));
+    if blocks == 1 {
+        return vec![render(0..height)];
     }
-    let mut rest: Vec<&mut [T]> = planes.iter_mut().map(|p| &mut p[..]).collect();
-    let mut jobs = Vec::with_capacity(strips);
-    for i in 0..strips {
-        let rows = i * height / strips..(i + 1) * height / strips;
-        let len = rows.len() * width;
-        let strip: Vec<&mut [T]> = rest
-            .iter_mut()
-            .map(|plane| {
-                let (head, tail) = std::mem::take(plane).split_at_mut(len);
-                *plane = tail;
-                head
-            })
-            .collect();
-        jobs.push((rows, strip));
-    }
-    let mut jobs = jobs.into_iter();
-    let (first_rows, mut first) = jobs.next().expect("at least one strip");
-    let render = &render;
-    std::thread::scope(|scope| {
-        for (rows, mut strip) in jobs {
-            scope.spawn(move || render(rows, &mut strip));
-        }
-        render(first_rows, &mut first);
-    });
+    let job = RowBlocks {
+        render,
+        height,
+        slots: (0..blocks).map(|_| Mutex::new(None)).collect(),
+    };
+    let call = fan_out(blocks, blocks, job, |job, i| job.work(0, i));
+    call.job()
+        .slots
+        .iter()
+        .map(|slot| {
+            let block = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+            block.expect("every block is rendered")
+        })
+        .collect()
 }
 
-/// A `width × height` raster of `f(x, y)`, rendered in `strips` row
-/// strips.
-pub(crate) fn raster_from_fn<F>(width: usize, height: usize, strips: usize, f: F) -> Raster
+/// One output's row blocks: the renderer, and one slot per block.
+struct RowBlocks<B, F> {
+    render: F,
+    height: usize,
+    slots: Vec<Mutex<Option<B>>>,
+}
+
+impl<B, F> PoolJob for RowBlocks<B, F>
 where
-    F: Fn(usize, usize) -> f32 + Sync,
+    B: Send + 'static,
+    F: Fn(Range<usize>) -> B + Send + Sync + 'static,
 {
-    let mut data = vec![0.0; width * height];
-    render_strips(width, height, &mut [&mut data], strips, |rows, strip| {
-        let mut samples = strip[0].iter_mut();
+    fn work(&self, _worker: usize, i: usize) {
+        let blocks = self.slots.len();
+        let rows = i * self.height / blocks..(i + 1) * self.height / blocks;
+        let block = (self.render)(rows);
+        *self.slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(block);
+    }
+}
+
+/// One plane from its row blocks, in row order: the first block's buffer,
+/// grown in place, with every later block copied after it.
+pub(crate) fn stitch<T: Copy>(blocks: impl IntoIterator<Item = Vec<T>>) -> Vec<T> {
+    let mut blocks = blocks.into_iter();
+    let mut plane = blocks.next().unwrap_or_default();
+    for block in blocks {
+        plane.extend_from_slice(&block);
+    }
+    plane
+}
+
+/// A `width × height` raster of `f(x, y)`, rendered in `blocks` row
+/// blocks.
+pub(crate) fn raster_from_fn<F>(width: usize, height: usize, blocks: usize, f: F) -> Raster
+where
+    F: Fn(usize, usize) -> f32 + Send + Sync + 'static,
+{
+    let blocks = render_blocks(height, blocks, move |rows| {
+        let mut samples = Vec::with_capacity(rows.len() * width);
         for y in rows {
-            for (x, v) in (0..width).zip(&mut samples) {
-                *v = f(x, y);
-            }
+            samples.extend((0..width).map(|x| f(x, y)));
         }
+        samples
     });
-    Raster::from_vec(width, height, data).expect("plane matches its dimensions")
+    Raster::from_vec(width, height, stitch(blocks)).expect("plane matches its dimensions")
 }
 
 #[cfg(test)]
@@ -82,20 +99,16 @@ mod tests {
     #[test]
     fn strips_cover_every_row_once() {
         let (w, h) = (5, 11);
-        for strips in [1, 2, 3, 7, h + 1] {
-            let mut a = vec![0u32; w * h];
-            let mut b = vec![0u32; w * h];
-            render_strips(w, h, &mut [&mut a, &mut b], strips, |rows, strip| {
-                assert_eq!(strip[0].len(), rows.len() * w);
-                for (i, v) in strip[0].iter_mut().enumerate() {
-                    *v += (rows.start * w + i) as u32;
-                }
-                for v in strip[1].iter_mut() {
-                    *v += 1;
-                }
+        for blocks in [1, 2, 3, 7, h + 1] {
+            let parts = render_blocks(h, blocks, move |rows| {
+                let first: Vec<u32> = (rows.start * w..rows.end * w).map(|i| i as u32).collect();
+                (first, vec![1u32; rows.len() * w])
             });
+            assert_eq!(parts.len(), blocks.min(h));
+            let (a, b): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+            let (a, b) = (stitch(a), stitch(b));
             assert!(a.iter().enumerate().all(|(i, &v)| v == i as u32));
-            assert!(b.iter().all(|&v| v == 1));
+            assert_eq!(b, vec![1; w * h]);
         }
     }
 

@@ -217,13 +217,15 @@ impl SeasonalModel {
         Self::from_terrain_in_strips(seed, terrain, available_cores())
     }
 
-    /// [`SeasonalModel::from_terrain`], rendered in `strips` row strips.
+    /// [`SeasonalModel::from_terrain`], rendered in `strips` row blocks.
     pub(crate) fn from_terrain_in_strips(seed: u64, terrain: &TerrainMap, strips: usize) -> Self {
         let width = terrain.width();
         let height = terrain.height();
         let scale = 1.0 / width.max(height) as f32;
-        let amplitude = raster_from_fn(width, height, strips, |x, y| {
-            let class_amp = match terrain.cover(x, y) {
+        // The render job owns its inputs: a copy of the land cover.
+        let cover = terrain.cover_indices().to_vec();
+        let amplitude = raster_from_fn(width, height, strips, move |x, y| {
+            let class_amp = match LandCover::from_index(cover[y * width + x]) {
                 LandCover::Forest => 1.0,
                 LandCover::Agriculture => 0.9,
                 LandCover::Grassland => 0.7,

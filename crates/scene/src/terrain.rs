@@ -9,7 +9,7 @@
 //! classifies every pixel into a [`LandCover`] class.
 
 use crate::noise::{fbm2, lattice_unit};
-use crate::strips::{raster_from_fn, render_strips};
+use crate::strips::{render_blocks, stitch};
 use earthplus_raster::{available_cores, Raster};
 
 /// Dominant geographic context of a location (Figure 10 of the paper).
@@ -107,6 +107,25 @@ impl LandCover {
     }
 }
 
+/// One row block of a terrain render.
+struct TerrainRows {
+    elevation: Vec<f32>,
+    texture: Vec<f32>,
+    grain: Vec<f32>,
+    cover: Vec<u8>,
+}
+
+impl TerrainRows {
+    fn with_capacity(samples: usize) -> Self {
+        TerrainRows {
+            elevation: Vec::with_capacity(samples),
+            texture: Vec::with_capacity(samples),
+            grain: Vec::with_capacity(samples),
+            cover: Vec::with_capacity(samples),
+        }
+    }
+}
+
 /// Synthesized static terrain for one location.
 ///
 /// Fields are deterministic in `(seed, archetype, dimensions)`.
@@ -135,7 +154,7 @@ impl TerrainMap {
         Self::generate_in_strips(seed, archetype, width, height, available_cores())
     }
 
-    /// [`TerrainMap::generate`], rendered in `strips` row strips.
+    /// [`TerrainMap::generate`], rendered in `strips` row blocks.
     pub(crate) fn generate_in_strips(
         seed: u64,
         archetype: LocationArchetype,
@@ -144,43 +163,47 @@ impl TerrainMap {
         strips: usize,
     ) -> Self {
         let scale = 1.0 / width.max(height) as f32;
-        let elevation = raster_from_fn(width, height, strips, |x, y| {
-            let fx = x as f32 * scale;
-            let fy = y as f32 * scale;
-            fbm2(seed ^ 0x11, fx, fy, 0, 5, 3.0)
-        });
-        let moisture = raster_from_fn(width, height, strips, |x, y| {
-            let fx = x as f32 * scale;
-            let fy = y as f32 * scale;
-            fbm2(seed ^ 0x22, fx, fy, 0, 4, 2.0)
-        });
-        let texture = raster_from_fn(width, height, strips, |x, y| {
-            let fx = x as f32 * scale;
-            let fy = y as f32 * scale;
-            fbm2(seed ^ 0x33, fx, fy, 0, 4, 24.0) * 2.0 - 1.0
-        });
-        // Band-limited micro-texture (~2.5 px correlation) plus a small
-        // white component: expensive to code at low bitrates but with a
-        // real rate-distortion slope, like actual ground texture.
-        let grain = raster_from_fn(width, height, strips, |x, y| {
-            let smooth =
-                crate::noise::value_noise2(seed ^ 0x6A11, x as f32 / 2.5, y as f32 / 2.5, 0) - 0.5;
-            let white = lattice_unit(seed ^ 0x6A12, x as i64, y as i64, 0) - 0.5;
-            0.75 * smooth + 0.25 * white
-        });
-
-        let mut cover = vec![0u8; width * height];
-        render_strips(width, height, &mut [&mut cover], strips, |rows, strip| {
-            let mut i = 0;
+        // One pass renders every field: the land cover classifies each
+        // pixel by its elevation and moisture as they are rendered.
+        let mut blocks = render_blocks(height, strips, move |rows| {
+            let mut block = TerrainRows::with_capacity(rows.len() * width);
             for y in rows {
                 for x in 0..width {
-                    let e = elevation.get(x, y);
-                    let m = moisture.get(x, y);
-                    strip[0][i] = classify(seed, archetype, x, y, width, height, e, m).index();
-                    i += 1;
+                    let fx = x as f32 * scale;
+                    let fy = y as f32 * scale;
+                    let e = fbm2(seed ^ 0x11, fx, fy, 0, 5, 3.0);
+                    let m = fbm2(seed ^ 0x22, fx, fy, 0, 4, 2.0);
+                    block.elevation.push(e);
+                    block
+                        .texture
+                        .push(fbm2(seed ^ 0x33, fx, fy, 0, 4, 24.0) * 2.0 - 1.0);
+                    // Band-limited micro-texture (~2.5 px correlation) plus
+                    // a small white component: expensive to code at low
+                    // bitrates but with a real rate-distortion slope, like
+                    // actual ground texture.
+                    let smooth = crate::noise::value_noise2(
+                        seed ^ 0x6A11,
+                        x as f32 / 2.5,
+                        y as f32 / 2.5,
+                        0,
+                    ) - 0.5;
+                    let white = lattice_unit(seed ^ 0x6A12, x as i64, y as i64, 0) - 0.5;
+                    block.grain.push(0.75 * smooth + 0.25 * white);
+                    block
+                        .cover
+                        .push(classify(seed, archetype, x, y, width, height, e, m).index());
                 }
             }
+            block
         });
+        let mut plane = |field: fn(&mut TerrainRows) -> &mut Vec<f32>| {
+            let rows = blocks.iter_mut().map(|b| std::mem::take(field(b)));
+            Raster::from_vec(width, height, stitch(rows)).expect("plane matches its dimensions")
+        };
+        let elevation = plane(|b| &mut b.elevation);
+        let texture = plane(|b| &mut b.texture);
+        let grain = plane(|b| &mut b.grain);
+        let cover = stitch(blocks.into_iter().map(|b| b.cover));
         TerrainMap {
             width,
             height,
