@@ -48,7 +48,7 @@
 
 use crate::image_codec::FormatVersion;
 use crate::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
-use crate::scratch::{CodecScratch, DecodeScratch};
+use crate::scratch::{reserve_to, CodecScratch, DecodeScratch};
 use crate::CodecError;
 
 /// Decoder lookahead margin, in bytes: the range decoder primes itself with
@@ -243,6 +243,9 @@ pub(crate) fn encode_planes_until(
     let rowend = &rowend_words[..wc];
     let mut enc = RangeEncoder::with_buffer(std::mem::take(payload));
     pass_offsets.clear();
+    // Two offsets per plane: reserved for the most planes a chain can
+    // have, so how many the data needs never grows the arena.
+    reserve_to(pass_offsets, 2 * MAX_PLANES as usize);
     let mut ctx = Contexts::new();
     let mut scan = RunScan::new();
     let mut have_sig = false;

@@ -95,8 +95,7 @@ pub(crate) trait TileJob<A>: Send + Sync + 'static {
     fn work(&self, arena: &mut A, i: usize);
 
     /// The largest tile of the call, as what an arena must hold to code
-    /// it; read before the call and again after it, for what a job learns
-    /// only while coding (an encode's stream bytes).
+    /// it.
     fn unit(&self) -> Unit;
 }
 
@@ -113,7 +112,7 @@ pub(crate) struct Unit {
     pub(crate) chain: usize,
     /// Subband rectangles of the unit's geometry.
     pub(crate) subbands: usize,
-    /// Bytes of the largest coded stream (encode only).
+    /// Bytes a unit's coded stream can reach (encode only).
     pub(crate) bytes: usize,
 }
 
@@ -264,9 +263,6 @@ where
     let call = fan_out(workers, tiles, job, |job, i| job.job.work(arena, i));
     let tally = std::mem::take(&mut *lock(&call.job().tally));
     arena.add_tally(tally);
-    if pooled {
-        share(arena, call.job().job.unit());
-    }
     Done(call)
 }
 

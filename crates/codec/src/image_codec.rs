@@ -736,6 +736,11 @@ fn encode_epc2(
     budget: Option<usize>,
     scratch: &mut CodecScratch,
 ) -> Result<EncodedImage, CodecError> {
+    if let Some(max) = budget {
+        let bound = budgeted_stream_bytes(max, dwt::largest_subband(w, h, levels));
+        reserve_to(&mut scratch.stream, bound);
+        reserve_to(&mut scratch.payload, bound);
+    }
     let mut rects = std::mem::take(&mut scratch.sb_rects);
     dwt::subband_rects_into(w, h, levels, &mut rects);
     scratch.stream.clear();
@@ -761,6 +766,18 @@ fn encode_epc2(
         None => full,
         Some(max) => full.truncated(max),
     })
+}
+
+/// Bytes a budgeted encode's stream, and any one chunk's payload, can
+/// reach: the budget, plus what the chunk that straddles it codes past
+/// the cut (at most one pass over a subband of `largest_subband`
+/// coefficients, under two bytes a coefficient: a significance decision
+/// of at most seven bits, a raw sign bit and raw run positions), plus the
+/// coder's lookahead and flush. A budgeted encode reserves this much up
+/// front, so its byte buffers reach their size with the first call of a
+/// shape, not with the longest stream the data happens to code.
+pub(crate) fn budgeted_stream_bytes(budget: usize, largest_subband: usize) -> usize {
+    budget + 2 * largest_subband + 64
 }
 
 /// Quantizes and codes each subband of the `w`-wide coefficient plane in

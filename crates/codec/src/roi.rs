@@ -19,13 +19,12 @@
 use crate::dwt;
 use crate::fanout::{self, lock, tile_workers, time_tile, TileJob, TileTime, Unit};
 use crate::image_codec::{
-    decode_tile_uninstrumented, encode_view_uninstrumented, CodecConfig, EncodedImage,
-    FormatVersion,
+    budgeted_stream_bytes, decode_tile_uninstrumented, encode_view_uninstrumented, CodecConfig,
+    EncodedImage, FormatVersion,
 };
 use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::CodecError;
 use earthplus_raster::{Raster, TileGrid, TileIndex, TileMask};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Per-tile byte budget derived from a bits-per-pixel target γ.
@@ -347,7 +346,6 @@ pub(crate) fn encode_roi_on(
             budget: budget_per_tile,
             timed,
             slots: indices.iter().map(|_| Mutex::new(None)).collect(),
-            bytes: AtomicUsize::new(0),
         };
         let call = fanout::run(scratch, workers, indices.len(), job);
         call.job()
@@ -424,8 +422,7 @@ fn decode_tile(
     (decoded.map_err(CodecError::from), time)
 }
 
-/// A fanned-out ROI encode: a copy of the band, one slot per tile, and
-/// the longest stream a tile coded.
+/// A fanned-out ROI encode: a copy of the band, and one slot per tile.
 struct EncodeTiles {
     band: Raster,
     grid: TileGrid,
@@ -434,7 +431,6 @@ struct EncodeTiles {
     budget: usize,
     timed: bool,
     slots: Vec<Mutex<Option<EncodedSlot>>>,
-    bytes: AtomicUsize,
 }
 
 impl TileJob<CodecScratch> for EncodeTiles {
@@ -448,27 +444,18 @@ impl TileJob<CodecScratch> for EncodeTiles {
             self.timed,
             arena,
         );
-        self.bytes.fetch_max(arena.stream.len(), Ordering::Relaxed);
         *lock(&self.slots[i]) = Some(encoded);
     }
 
-    /// A tile's stream holds its budget, plus what its last chunk (one
-    /// subband) codes past the cut: at most one pass, under two bytes a
-    /// coefficient (a significance decision of at most seven bits, a raw
-    /// sign bit and raw run positions), and the coder's lookahead and
-    /// flush. The longest stream a tile did code counts too, so a bound
-    /// that fell short would grow the pool's arenas once, not at every
-    /// call.
     fn unit(&self) -> Unit {
         let side = self.grid.tile_size();
         let levels = self.config.levels.min(dwt::max_levels(side, side));
         let chain = dwt::largest_subband(side, side, levels);
-        let bound = self.budget + 2 * chain + 64;
         Unit {
             plane: side * side,
             chain,
             subbands: 3 * levels as usize + 1,
-            bytes: bound.max(self.bytes.load(Ordering::Relaxed)),
+            bytes: budgeted_stream_bytes(self.budget, chain),
         }
     }
 }

@@ -232,10 +232,6 @@ impl CodecScratch {
     }
 }
 
-/// Bytes a range coder flushes for a chain that codes nothing: the
-/// payload of an all-zero chunk, which never reaches the stream.
-const FLUSH_BYTES: usize = 8;
-
 impl WorkerArena for CodecScratch {
     fn of(pair: &mut WorkerArenas) -> &mut Self {
         &mut pair.encode
@@ -244,8 +240,8 @@ impl WorkerArena for CodecScratch {
     /// A tile encode gathers `plane` samples and lifts them in the DWT
     /// block, codes each subband (at most `chain` coefficients, so at most
     /// `chain / 64` mask words, two pass offsets per plane) through the
-    /// payload buffer, and appends the coded chunks to its `bytes`-long
-    /// stream; every coded chunk's payload is part of that stream.
+    /// payload buffer, and appends the coded chunks to its stream; the
+    /// stream, and so every chunk's payload, stays within `bytes`.
     fn reserve_unit(&mut self, unit: &Unit) {
         let words = unit.chain.div_ceil(64);
         reserve_to(&mut self.samples, unit.plane);
@@ -263,9 +259,9 @@ impl WorkerArena for CodecScratch {
             reserve_to(mask, words);
         }
         if unit.chain > 0 {
-            reserve_to(&mut self.payload, unit.bytes.max(FLUSH_BYTES));
             reserve_to(&mut self.pass_offsets, 2 * MAX_PLANES as usize);
         }
+        reserve_to(&mut self.payload, unit.bytes);
         reserve_to(&mut self.stream, unit.bytes);
         reserve_to(&mut self.sb_rects, unit.subbands);
         self.track_growth();
