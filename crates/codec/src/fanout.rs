@@ -146,9 +146,8 @@ pub(crate) trait WorkerArena: Default + Send + 'static {
     fn reserve_unit(&mut self, unit: &Unit);
     /// Bytes reserved across the arena's own buffers.
     fn own_reserved_bytes(&self) -> usize;
-    /// Counts a grow event if a buffer grew since the last count.
-    fn track_growth(&mut self);
-    /// Takes the grow events and stage time counted since the last take.
+    /// Counts a grow event if a buffer grew since the last count, then
+    /// takes the grow events and stage time counted since the last take.
     fn take_tally(&mut self) -> (u64, StageBreakdown);
     /// Adds grow events and stage time worked elsewhere for this arena.
     fn add_tally(&mut self, tally: (u64, StageBreakdown));
@@ -188,7 +187,6 @@ impl<A: WorkerArena, J: TileJob<A>> PoolJob for Fanned<A, J> {
         let mut pair = lock(&worker_arenas()[worker]);
         let arena = A::of(&mut pair);
         self.job.work(arena, i);
-        arena.track_growth();
         let (grown, stages) = arena.take_tally();
         let mut tally = lock(&self.tally);
         tally.0 += grown;
@@ -295,9 +293,10 @@ mod tests {
     /// Reserves `payload` a little more for every tile and records which
     /// tiles grew their arena, and which of those a pool worker coded. On
     /// a host with a pool, the calling thread's tiles wait (ten seconds at
-    /// most) until a pool worker has grown its arena.
+    /// most) until a pool worker has coded a tile.
     #[derive(Default)]
     struct Grows {
+        on_pool: AtomicUsize,
         grown: AtomicUsize,
         grown_on_pool: AtomicUsize,
     }
@@ -309,7 +308,7 @@ mod tests {
             let start = std::time::Instant::now();
             while !on_pool
                 && !worker_arenas().is_empty()
-                && self.grown_on_pool.load(Ordering::SeqCst) == 0
+                && self.on_pool.load(Ordering::SeqCst) == 0
                 && start.elapsed() < std::time::Duration::from_secs(10)
             {
                 std::thread::yield_now();
@@ -317,11 +316,14 @@ mod tests {
             let before = arena.own_reserved_bytes();
             reserve_to(&mut arena.payload, (4 << 20) + (i << 16));
             arena.track_growth();
-            if arena.own_reserved_bytes() > before {
+            let grown = arena.own_reserved_bytes() > before;
+            if grown {
                 self.grown.fetch_add(1, Ordering::SeqCst);
-                if on_pool {
-                    self.grown_on_pool.fetch_add(1, Ordering::SeqCst);
-                }
+            }
+            if on_pool {
+                self.grown_on_pool
+                    .fetch_add(grown as usize, Ordering::SeqCst);
+                self.on_pool.fetch_add(1, Ordering::SeqCst);
             }
         }
 

@@ -271,11 +271,8 @@ impl WorkerArena for CodecScratch {
         Self::own_reserved_bytes(self)
     }
 
-    fn track_growth(&mut self) {
-        Self::track_growth(self);
-    }
-
     fn take_tally(&mut self) -> (u64, StageBreakdown) {
+        self.track_growth();
         (
             std::mem::take(&mut self.grow_events),
             std::mem::take(&mut self.stages),
@@ -531,11 +528,8 @@ impl WorkerArena for DecodeScratch {
         Self::own_reserved_bytes(self)
     }
 
-    fn track_growth(&mut self) {
-        Self::track_growth(self);
-    }
-
     fn take_tally(&mut self) -> (u64, StageBreakdown) {
+        self.track_growth();
         (
             std::mem::take(&mut self.grow_events),
             std::mem::take(&mut self.stages),
