@@ -216,7 +216,8 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// now, and the worker arenas' growth counts as `arena`'s. A worker arena
 /// busy with another call's tile is waited for here, so this is the one
 /// place a fan-out can wait on a worker; a steady workload never grows
-/// its share.
+/// its share. A tile or chunk never fans out itself, so no pool worker
+/// reaches here while it holds its own arenas.
 fn share<A: WorkerArena>(arena: &mut A, unit: Unit) {
     let share = arena.pool_share();
     let grown = share.unit.max(unit);
