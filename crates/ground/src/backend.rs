@@ -9,7 +9,9 @@
 
 use crate::reference::ReferenceImage;
 use crate::store::{shard_index, IngestReport, ShardedReferenceStore};
-use earthplus_raster::{Band, LocationId};
+use earthplus_raster::{fan_out, Band, LocationId, PoolJob};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// The store surface the ground segment schedules against.
 ///
@@ -78,11 +80,14 @@ fn shard_batches(references: Vec<ReferenceImage>, shards: usize) -> Vec<Vec<Refe
 /// The batch ingest both backends share: routes `references` into
 /// per-shard groups ([`shard_index`], arrival order kept within each
 /// group) and hands each non-empty group, whole, to
-/// `write_group(shard, group)` on one of up to `threads` scoped workers.
+/// `write_group(shard, group)`. The calling thread and up to
+/// `threads - 1` threads of the process's worker pool
+/// ([`earthplus_raster::fan_out`]) claim the groups one at a time, in
+/// shard order; with `threads = 1` the caller writes every group itself.
 /// A key lives in exactly one shard and its group keeps arrival order, so
 /// the store ends where sequential offers would leave it at any thread
 /// count, ties included. `write_group` returns the group's
-/// `(accepted, rejected)` counts.
+/// `(accepted, rejected)` counts; a panic in it reaches the caller.
 pub(crate) fn ingest_sharded<F>(
     references: Vec<ReferenceImage>,
     shards: usize,
@@ -90,44 +95,50 @@ pub(crate) fn ingest_sharded<F>(
     write_group: F,
 ) -> IngestReport
 where
-    F: Fn(usize, Vec<ReferenceImage>) -> (u64, u64) + Sync,
+    F: Fn(usize, Vec<ReferenceImage>) -> (u64, u64) + Send + Sync + 'static,
 {
-    let groups: Vec<(usize, Vec<ReferenceImage>)> = shard_batches(references, shards)
+    let groups: Vec<(usize, Mutex<Vec<ReferenceImage>>)> = shard_batches(references, shards)
         .into_iter()
         .enumerate()
         .filter(|(_, group)| !group.is_empty())
+        .map(|(idx, group)| (idx, Mutex::new(group)))
         .collect();
-    let workers = threads.max(1).min(groups.len().max(1));
-    let per_worker = groups.len().div_ceil(workers).max(1);
-    let mut groups = groups.into_iter();
-    let write_group = &write_group;
-    let mut report = IngestReport::default();
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "each ingest worker borrows the store, which a pool job, owning its inputs, cannot"
-    )]
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        loop {
-            let chunk: Vec<(usize, Vec<ReferenceImage>)> =
-                groups.by_ref().take(per_worker).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                chunk.into_iter().fold((0, 0), |(acc, rej), (idx, group)| {
-                    let (a, r) = write_group(idx, group);
-                    (acc + a, rej + r)
-                })
-            }));
-        }
-        for handle in handles {
-            let (accepted, rejected) = handle.join().expect("ingest worker panicked");
-            report.accepted += accepted;
-            report.rejected += rejected;
-        }
-    });
-    report
+    let units = groups.len();
+    let job = IngestJob {
+        groups,
+        write_group,
+        accepted: AtomicU64::new(0),
+        rejected: AtomicU64::new(0),
+    };
+    let call = fan_out(threads, units, job, |job, unit| job.work(0, unit));
+    // Every group is written, its tally visible, once `fan_out` returns.
+    let job = call.job();
+    IngestReport {
+        accepted: job.accepted.load(Ordering::Relaxed),
+        rejected: job.rejected.load(Ordering::Relaxed),
+    }
+}
+
+/// One batch ingest: each non-empty shard group in a slot of its own, the
+/// writer, and the accept and reject tallies.
+struct IngestJob<F> {
+    groups: Vec<(usize, Mutex<Vec<ReferenceImage>>)>,
+    write_group: F,
+    accepted: AtomicU64,
+    rejected: AtomicU64,
+}
+
+impl<F> PoolJob for IngestJob<F>
+where
+    F: Fn(usize, Vec<ReferenceImage>) -> (u64, u64) + Send + Sync + 'static,
+{
+    fn work(&self, _worker: usize, unit: usize) {
+        let (idx, slot) = &self.groups[unit];
+        let group = std::mem::take(&mut *slot.lock().unwrap_or_else(PoisonError::into_inner));
+        let (accepted, rejected) = (self.write_group)(*idx, group);
+        self.accepted.fetch_add(accepted, Ordering::Relaxed);
+        self.rejected.fetch_add(rejected, Ordering::Relaxed);
+    }
 }
 
 impl ReferenceBackend for ShardedReferenceStore {

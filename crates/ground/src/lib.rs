@@ -13,8 +13,8 @@
 //!   ([`compute_delta`], [`ReferenceDelta`]) and the legacy per-satellite
 //!   greedy [`UplinkPlanner`];
 //! * [`store`] — [`ShardedReferenceStore`]: an `RwLock`-per-shard
-//!   concurrent pool supporting parallel ingest of downlinked captures via
-//!   a `std::thread` worker pool;
+//!   concurrent pool supporting parallel ingest of downlinked captures on
+//!   the process's worker pool ([`earthplus_raster::fan_out`]);
 //! * [`backend`] — [`ReferenceBackend`]: the store seam the service and
 //!   scheduler run against;
 //! * [`station`] — [`ReplicatedReferenceStore`]: the durable backend,

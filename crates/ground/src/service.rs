@@ -60,8 +60,9 @@ pub struct GroundServiceConfig {
     /// Byte bound of each satellite's modelled on-board cache (`None` =
     /// unbounded, the paper's assumption).
     pub cache_capacity_bytes: Option<u64>,
-    /// Worker threads for batch ingest; defaults to one per host core
-    /// ([`earthplus_raster::available_cores`]).
+    /// Worker cap for batch ingest, the calling thread included; the
+    /// worker pool clamps it to the host's cores. Defaults to one per host
+    /// core ([`earthplus_raster::available_cores`]).
     pub ingest_threads: usize,
     /// The (location, band) pairs the uplink serves; empty means "every
     /// key the store holds".
@@ -508,12 +509,18 @@ impl GroundService {
             .sum()
     }
 
-    /// Admits a whole downlink batch in parallel on the configured worker
-    /// pool.
+    /// Admits a whole downlink batch on up to
+    /// [`GroundServiceConfig::ingest_threads`] workers of the process's
+    /// worker pool ([`earthplus_raster::fan_out`]).
     pub fn ingest_downlink_batch(&self, references: Vec<ReferenceImage>) -> IngestReport {
+        let mut trace = self
+            .tracing
+            .span_on(TraceTrack::Station(0), "ground", "ingest_batch");
         let report = self
             .store()
             .ingest_batch(references, self.config.ingest_threads);
+        trace.arg("offered", report.offered());
+        trace.arg("accepted", report.accepted);
         self.ingest_accepted.add(report.accepted);
         self.ingest_rejected.add(report.rejected);
         report
@@ -778,6 +785,35 @@ mod tests {
         let report = service.ingest_downlink_batch(batch);
         assert_eq!(report.accepted, 16);
         assert_eq!(service.stats().store_entries, 16);
+    }
+
+    #[test]
+    fn traced_batch_ingest_records_one_span_with_its_report() {
+        use earthplus_telemetry::{FlightRecorder, TraceEventKind, TraceValue};
+        let recorder = FlightRecorder::new();
+        let service =
+            GroundService::new(GroundServiceConfig::default().with_tracing(recorder.sink()));
+        let batch: Vec<ReferenceImage> = (0..16u32)
+            .flat_map(|loc| [reference(loc, 2.0, 0.3), reference(loc, 1.0, 0.4)])
+            .collect();
+        let report = service.ingest_downlink_batch(batch);
+        assert_eq!((report.accepted, report.rejected), (16, 16));
+        let spans: Vec<_> = recorder
+            .log()
+            .events
+            .into_iter()
+            .filter(|e| e.lane == "ground" && e.name == "ingest_batch")
+            .collect();
+        let kinds: Vec<_> = spans.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [TraceEventKind::Begin, TraceEventKind::End]);
+        assert!(spans.iter().all(|e| e.track == TraceTrack::Station(0)));
+        assert_eq!(
+            spans[1].args,
+            [
+                ("offered", TraceValue::U64(report.offered())),
+                ("accepted", TraceValue::U64(report.accepted)),
+            ]
+        );
     }
 
     #[test]

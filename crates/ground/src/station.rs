@@ -895,17 +895,6 @@ impl StoreInner {
         accepted > 0
     }
 
-    /// Grouped ingest: one group-commit batch append per touched shard
-    /// ([`append_reference_batch`]), so one ship per shard instead of one
-    /// per reference. Accept/reject counts are identical to sequential
-    /// offers at any thread count, because the batch path resolves
-    /// within-batch supersedes exactly as sequential appends would.
-    fn ingest_grouped(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
-        ingest_sharded(references, self.shards.len(), threads, |idx, group| {
-            self.write_shard(idx, |log| append_reference_batch(log, &group))
-        })
-    }
-
     /// The one write into a shard: runs `write` on the shard's primary log
     /// under its write lock and, when it accepted anything, ships the new
     /// tail. Returns `write`'s `(accepted, rejected)` counts.
@@ -1365,8 +1354,24 @@ impl ReferenceBackend for ReplicatedReferenceStore {
         out
     }
 
+    /// Grouped ingest: one group-commit batch append per touched shard,
+    /// so one ship per shard instead of one per reference. Accept/reject
+    /// counts are identical to sequential offers at any thread count,
+    /// because the batch path resolves within-batch supersedes exactly as
+    /// sequential appends would.
+    ///
+    /// The pool job owns a clone of the store's shared state. A pool
+    /// thread can pick the call up after this ingest has returned, and so
+    /// hold the last clone of a store whose handle is already dropped.
+    /// That is harmless: the handle's `Drop` has joined the ship workers
+    /// by then, and `StoreInner` has no `Drop` of its own (its logs only
+    /// close their files).
     fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
-        self.inner.ingest_grouped(references, threads)
+        let inner = Arc::clone(&self.inner);
+        let shards = inner.shards.len();
+        ingest_sharded(references, shards, threads, move |idx, group| {
+            inner.write_shard(idx, |log| append_reference_batch(log, &group))
+        })
     }
 
     fn sync(&self) {

@@ -12,7 +12,7 @@ use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// Cheap FNV-1a hasher for shard selection. Shard routing only needs a
 /// few well-mixed bits and runs on every store operation, so the default
@@ -81,11 +81,13 @@ type Shard = RwLock<HashMap<(LocationId, Band), ReferenceImage>>;
 /// `(location, band)`, sharded by key hash.
 ///
 /// Same freshest-wins semantics as [`crate::reference::ReferencePool`],
-/// but every method takes `&self`, so the store can be shared across the
-/// ingest worker pool and the uplink scheduler without external locking.
+/// but every method takes `&self`, so the store can be shared across
+/// concurrent ingests and the uplink scheduler without external locking.
+/// The shards sit behind an `Arc`, so a batch ingest on the worker pool
+/// owns what it writes to.
 #[derive(Debug)]
 pub struct ShardedReferenceStore {
-    shards: Vec<Shard>,
+    shards: Arc<[Shard]>,
 }
 
 impl ShardedReferenceStore {
@@ -164,14 +166,15 @@ impl ShardedReferenceStore {
     /// Every (location, band) key currently held.
     pub(crate) fn keys(&self) -> Vec<(LocationId, Band)> {
         let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             out.extend(shard.read().expect("store shard poisoned").keys().copied());
         }
         out
     }
 
-    /// Ingests a batch of downlinked references on a `std::thread` worker
-    /// pool of `threads` workers (clamped to at least 1).
+    /// Ingests a batch of downlinked references on up to `threads`
+    /// workers of the process's worker pool, the calling thread included
+    /// (see [`ingest_sharded`]).
     ///
     /// References are grouped per shard in arrival order, and each group
     /// is inserted by one worker under one hold of its shard's write lock,
@@ -182,8 +185,9 @@ impl ShardedReferenceStore {
         references: Vec<ReferenceImage>,
         threads: usize,
     ) -> IngestReport {
-        ingest_sharded(references, self.shards.len(), threads, |idx, group| {
-            let mut map = self.shards[idx].write().expect("store shard poisoned");
+        let shards = Arc::clone(&self.shards);
+        ingest_sharded(references, shards.len(), threads, move |idx, group| {
+            let mut map = shards[idx].write().expect("store shard poisoned");
             let offered = group.len() as u64;
             let mut accepted = 0;
             for reference in group {

@@ -28,8 +28,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// ([`std::thread::available_parallelism`]), asked once per process; 1
 /// when the host cannot say. The one probe behind every split of work
 /// over cores: the worker pool's size ([`fan_out`]: the codec's ROI tile
-/// encode and decode, its whole-band subband chunk decode, and the scene's
-/// row blocks), and the ground service's default ingest threads.
+/// encode and decode, its whole-band subband chunk decode, the scene's
+/// row blocks and the ground's batch ingest), and the ground service's
+/// default ingest worker cap.
 pub fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 
 /// The exported value of one metric.
 #[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
+pub(crate) enum MetricValue {
     /// Monotonic counter value.
     Counter(u64),
     /// Gauge value.
@@ -18,7 +18,7 @@ pub enum MetricValue {
 
 /// One metric in a snapshot.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MetricSnapshot {
+pub(crate) struct MetricSnapshot {
     /// The interned metric name.
     pub name: &'static str,
     /// The captured value.
@@ -29,7 +29,7 @@ pub struct MetricSnapshot {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Every metric, in name order.
-    pub metrics: Vec<MetricSnapshot>,
+    pub(crate) metrics: Vec<MetricSnapshot>,
 }
 
 impl Snapshot {
@@ -218,7 +218,7 @@ pub fn humanize(name: &str, value: u64) -> String {
 /// `\n`/`\r`/`\t` or `\u00XX`. Used by both [`Snapshot::to_jsonl`] and
 /// the trace exporter, so hostile metric/event names cannot produce
 /// invalid JSON.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -238,7 +238,7 @@ pub fn json_escape(s: &str) -> String {
 
 /// Formats nanoseconds with an adaptive unit: `ns` below 1 µs, then
 /// `us`, `ms`, and `s` (two decimals) at and above one second.
-pub fn humanize_ns(ns: u64) -> String {
+pub(crate) fn humanize_ns(ns: u64) -> String {
     let v = ns as f64;
     if ns < 1_000 {
         format!("{ns}ns")
@@ -253,7 +253,7 @@ pub fn humanize_ns(ns: u64) -> String {
 
 /// Formats a byte count with an adaptive unit: `B` below 1 KiB, then
 /// `KiB`, `MiB`, and `GiB` (two decimals) at and above one gibibyte.
-pub fn humanize_bytes(bytes: u64) -> String {
+fn humanize_bytes(bytes: u64) -> String {
     let v = bytes as f64;
     if bytes < 1024 {
         format!("{bytes}B")

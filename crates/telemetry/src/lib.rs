@@ -75,16 +75,16 @@ pub mod registry;
 pub mod series;
 pub mod trace;
 
-pub use export::{humanize, json_escape, MetricSnapshot, MetricValue, Snapshot};
+pub use export::{humanize, Snapshot};
 pub use health::{
     evaluate as evaluate_health, verdicts_table, HealthCheck, HealthRule, HealthStatus,
     HealthVerdict,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
-pub use recorder::{FlightRecorder, TraceScope, TraceSink, TraceSpan, DEFAULT_RING_CAPACITY};
+pub use recorder::{FlightRecorder, TraceScope, TraceSink, TraceSpan};
 pub use registry::{MetricsRegistry, TelemetrySink};
 pub use series::{SeriesMetric, SeriesRecorder, SeriesSpec, TelemetrySeries};
-pub use trace::{TraceArg, TraceEvent, TraceEventKind, TraceId, TraceLog, TraceTrack, TraceValue};
+pub use trace::{TraceEvent, TraceEventKind, TraceId, TraceLog, TraceTrack, TraceValue};
 
 /// Hit fraction over all lookups; 0 when nothing was looked up.
 ///

@@ -56,9 +56,8 @@ impl Counter {
         Counter(None)
     }
 
-    /// A live standalone counter, not (yet) listed in any registry —
-    /// for stats that must always count (a registry can adopt it later
-    /// via [`crate::MetricsRegistry::adopt_counter`]).
+    /// A live standalone counter, not listed in any registry — for stats
+    /// that must always count.
     pub fn live() -> Self {
         Counter(Some(Arc::new(AtomicU64::new(0))))
     }

@@ -135,6 +135,6 @@ pub const GROUND_PASS_INTERRUPTED: &str = "ground.uplink.interrupted_windows";
 // --- flight recorder ---------------------------------------------------
 
 /// Trace events recorded over the recorder's lifetime.
-pub const TRACE_RECORDED: &str = "trace.recorded";
+pub(crate) const TRACE_RECORDED: &str = "trace.recorded";
 /// Trace events evicted from full rings (oldest first).
 pub const TRACE_DROPPED: &str = "trace.dropped";

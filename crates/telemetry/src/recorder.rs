@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default per-track ring capacity.
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// The shared state behind one recorder and all its sinks.
 #[derive(Debug)]
@@ -201,7 +201,8 @@ impl TraceSink {
     }
 
     /// The track currently in scope (station 0 when none was set).
-    pub fn current_track(&self) -> TraceTrack {
+    #[cfg(test)]
+    fn current_track(&self) -> TraceTrack {
         match &self.0 {
             Some(s) => TraceTrack::decode(s.current_track.load(Ordering::Relaxed)),
             None => TraceTrack::Station(0),

@@ -105,7 +105,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered with different atomics or
     /// as a different kind.
-    pub fn adopt_counter(&self, name: &'static str, counter: &Counter) {
+    pub(crate) fn adopt_counter(&self, name: &'static str, counter: &Counter) {
         let Some(arc) = &counter.0 else { return };
         let mut table = self.inner.lock().expect("metrics registry poisoned");
         match table.entry(name) {

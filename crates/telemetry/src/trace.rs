@@ -192,7 +192,7 @@ impl From<String> for TraceValue {
 }
 
 /// One named event argument: static key, typed value.
-pub type TraceArg = (&'static str, TraceValue);
+pub(crate) type TraceArg = (&'static str, TraceValue);
 
 /// The phase of a trace event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
