@@ -1359,14 +1359,13 @@ impl ReferenceBackend for ReplicatedReferenceStore {
     /// counts are identical to sequential offers at any thread count,
     /// because the batch path resolves within-batch supersedes exactly as
     /// sequential appends would.
-    ///
-    /// The pool job owns a clone of the store's shared state. A pool
-    /// thread can pick the call up after this ingest has returned, and so
-    /// hold the last clone of a store whose handle is already dropped.
-    /// That is harmless: the handle's `Drop` has joined the ship workers
-    /// by then, and `StoreInner` has no `Drop` of its own (its logs only
-    /// close their files).
     fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
+        // The pool job owns a clone of the shared state. A pool thread can
+        // pick the call up after this ingest has returned, and so hold the
+        // last clone of a store whose handle is already dropped. That is
+        // harmless: the handle's `Drop` has joined the ship workers by
+        // then, and `StoreInner` has no `Drop` of its own (its logs only
+        // close their files).
         let inner = Arc::clone(&self.inner);
         let shards = inner.shards.len();
         ingest_sharded(references, shards, threads, move |idx, group| {
